@@ -6,8 +6,10 @@ machine-parseable CSV (plus a human summary on stdout).  Exit codes:
 default) picks sizes that run a full pipeline in minutes on a laptop;
 ``--profile paper`` selects the full-scale settings.  Flags override an
 optional ``--config`` file (JSON object or ``key = value`` lines), which
-overrides the profile.  Set ``DACQ_THREADS`` to cap BLAS thread pools
-(exported to the environment for BLAS libraries that honor it).
+overrides the profile.  Set ``DACQ_THREADS`` before the process starts
+to cap BLAS thread pools (applied when the package is imported, and
+exported again by ``main`` so child processes inherit it; an
+``OPENBLAS_NUM_THREADS``-style variable already set keeps its value).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -23,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, checkpoint, datasets, env, problems, qmodel, ssm, \
-    training
+from . import algorithms, checkpoint, datasets, env, export_threads, \
+    problems, qmodel, ssm, training
 
 
 class UsageError(ValueError):
@@ -768,11 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("DACQ_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = threads
+    export_threads()
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)

@@ -10,9 +10,10 @@ The recurrence (per channel d, state n):
     h_t   = Abar * h_{t-1} + Bbar * u_t
     y_t   = (h_t @ C_t) + D_skip * u_t              out = y @ W_out + b_out
 
-with phi1(z) = (e^z - 1)/z (the exact zero-order-hold factor), evaluated
-by series near 0.  A is diagonal, stored as a (d_model, d_state) array.
-All arrays are float64.
+with phi1(z) = (e^z - 1)/z (the exact zero-order-hold factor).  phi1 and
+its derivative use the direct formula, and a cubic Taylor series only on
+the entries with |z| < 1e-5 (_SERIES_CUTOFF).  A is diagonal, stored as
+a (d_model, d_state) array.  All arrays are float64.
 """
 
 from __future__ import annotations
@@ -41,11 +42,13 @@ def phi1(z):
     """(e^z - 1)/z with a Taylor fallback near zero."""
     z = np.asarray(z, dtype=np.float64)
     small = np.abs(z) < _SERIES_CUTOFF
-    zs = np.where(small, 0.0, z)
+    zs = np.where(small, 1.0, z)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.expm1(zs) / np.where(small, 1.0, zs)
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-    return np.where(small, series, direct)
+        out = np.expm1(zs, out=np.empty_like(zs))
+        out /= zs
+    zm = z[small]
+    out[small] = 1.0 + zm / 2.0 + zm * zm / 6.0 + zm ** 3 / 24.0
+    return out
 
 
 def phi1_deriv(z):
@@ -54,9 +57,14 @@ def phi1_deriv(z):
     small = np.abs(z) < _SERIES_CUTOFF
     zs = np.where(small, 1.0, z)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        direct = (np.exp(zs) * (zs - 1.0) + 1.0) / (zs * zs)
-    series = 0.5 + z / 3.0 + z * z / 8.0 + z ** 3 / 30.0
-    return np.where(small, series, direct)
+        out = np.exp(zs, out=np.empty_like(zs))
+        tmp = np.subtract(zs, 1.0, out=np.empty_like(zs))
+        out *= tmp
+        out += 1.0
+        out /= np.multiply(zs, zs, out=tmp)
+    zm = z[small]
+    out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0 + zm ** 3 / 30.0
+    return out
 
 
 def discretize(A, B, delta):
@@ -292,16 +300,26 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
         gh = gh * Abar[:, t]
     grad_h0 = gh
 
-    gAbar = ghs * hs[:, :-1]
+    # the (B, L, D, N) temporaries below reuse ghs, gBbar and one scratch
+    # buffer; each product keeps its left-to-right order, so the results
+    # are bit-identical to fresh arrays
     gBbar = ghs * u[..., None]
     gu += np.einsum("bldn,bldn->bld", ghs, Bbar)
 
     # Abar = exp(P), Bbar = delta*phi1(P)*B
-    gP = gAbar * Abar
-    gdelta = np.einsum("bldn,bldn->bld", gBbar, phi * Bix[:, :, None, :])
-    gphi = gBbar * delta[..., None] * Bix[:, :, None, :]
-    gB = np.einsum("bldn,bldn->bln", gBbar, delta[..., None] * phi)
-    gP += gphi * phi1_deriv(P)
+    gP = ghs                    # gP = (ghs * h) * Abar
+    gP *= hs[:, :-1]
+    gP *= Abar
+    scratch = np.multiply(phi, Bix[:, :, None, :])
+    gdelta = np.einsum("bldn,bldn->bld", gBbar, scratch)
+    np.multiply(delta[..., None], phi, out=scratch)
+    gB = np.einsum("bldn,bldn->bln", gBbar, scratch)
+    del scratch
+    gphi = gBbar                # gphi = (gBbar * delta) * B
+    gphi *= delta[..., None]
+    gphi *= Bix[:, :, None, :]
+    gphi *= phi1_deriv(P)
+    gP += gphi
     # P = delta * A
     gdelta += np.einsum("bldn,dn->bld", gP, p.A)
     gA = np.einsum("bldn,bld->dn", gP, delta)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +111,51 @@ def test_threads_env_exported(tmp_path, monkeypatch):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     run(["verify", "--mdps", "1", "--scan-seeds", "1"])
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+# prints the thread count of the OpenBLAS numpy loaded, or None
+_BLAS_THREADS = """
+import ctypes
+import dacq.cli
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+count = None
+for lib in libs:
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(lib), sym, None)
+        if fn is not None and count is None:
+            fn.restype = ctypes.c_int
+            count = int(fn())
+print(count)
+"""
+
+
+@pytest.mark.parametrize("dacq_threads, openblas_threads, expected", [
+    ("1", None, 1),
+    ("1", "2", 2),   # an explicit OPENBLAS_NUM_THREADS wins
+])
+def test_threads_env_caps_blas_pool(dacq_threads, openblas_threads,
+                                    expected):
+    # DACQ_THREADS must reach OpenBLAS, which reads its thread variables
+    # once, when numpy loads: check the pool of a fresh interpreter
+    if expected > (os.cpu_count() or 1):
+        pytest.skip("OpenBLAS caps its pool at the number of cores")
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["DACQ_THREADS"] = dacq_threads
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count = proc.stdout.strip()
+    if count == "None":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert int(count) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,32 @@ def test_phi1_deriv_matches_finite_difference():
         assert abs(ssm.phi1_deriv(z) - fd) < 1e-8
 
 
+def _mixed_z():
+    c = ssm._SERIES_CUTOFF
+    special = [0.0, -0.0, c, -c, 1e-6, -1e-6, 1.2e-5, -1.2e-5, 700.0, -700.0]
+    rng = np.random.default_rng(4)
+    return np.concatenate([special, rng.uniform(-3.0, 3.0, 14)])
+
+
+@pytest.mark.parametrize("shape", [(24,), (2, 3, 4)])
+def test_phi1_masked_series_matches_scalar_calls(shape):
+    # the series is written into the small entries only: every element of
+    # an array call must be bit-for-bit its own scalar call, and the
+    # entries below the cutoff bit-for-bit the Taylor polynomial
+    z = _mixed_z().reshape(shape)
+    series = {ssm.phi1: lambda v: 1.0 + v / 2.0 + v * v / 6.0 + v ** 3 / 24.0,
+              ssm.phi1_deriv: lambda v: 0.5 + v / 3.0 + v * v / 8.0
+              + v ** 3 / 30.0}
+    for fn, poly in series.items():
+        got = fn(z)
+        assert got.shape == shape and got.dtype == np.float64
+        for idx in np.ndindex(shape):
+            v = float(z[idx])
+            assert got[idx].tobytes() == fn(v).tobytes(), (fn.__name__, v)
+            if abs(v) < ssm._SERIES_CUTOFF:
+                assert got[idx].tobytes() == np.float64(poly(v)).tobytes()
+
+
 def test_softplus_inverse_round_trip():
     y = np.array([1e-3, 0.01, 0.1, 1.0, 5.0])
     assert_allclose(ssm.softplus(ssm.softplus_inv(y)), y, rtol=1e-12)
@@ -370,6 +396,33 @@ def test_backward_shape_check():
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     with pytest.raises(ValueError):
         ssm.ssm_backward(cache, np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_backward_reuses_only_its_own_buffers(batched):
+    # ssm_backward works in place on its own temporaries: a second call on
+    # the same cache gives the same gradients, and neither the cache nor
+    # the upstream gradients change
+    p = small_params(27)
+    rng = np.random.default_rng(28)
+    lead = (2,) if batched else ()
+    xs = rng.normal(size=lead + (6, 8))
+    gy = rng.normal(size=lead + (6, 8))
+    ghf = rng.normal(size=lead + (8, 4))
+    _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+    arrays = {k: v for k, v in vars(cache).items()
+              if isinstance(v, np.ndarray)}
+    arrays.update(("param." + k, v) for k, v in p.tensors().items())
+    arrays.update(grad_ys=gy, grad_h_final=ghf)
+    before = {k: v.tobytes() for k, v in arrays.items()}
+    g1, gh0_1, gxs_1 = ssm.ssm_backward(cache, gy, ghf)
+    g2, gh0_2, gxs_2 = ssm.ssm_backward(cache, gy, ghf)
+    for k in g1:
+        assert g1[k].tobytes() == g2[k].tobytes(), k
+    assert gh0_1.tobytes() == gh0_2.tobytes()
+    assert gxs_1.tobytes() == gxs_2.tobytes()
+    for k, v in arrays.items():
+        assert v.tobytes() == before[k], k
 
 
 def test_hidden_state_stays_finite():

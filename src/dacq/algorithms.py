@@ -1,6 +1,12 @@
 """Three fixed evolutionary algorithm assemblies with controllable
 per-generation hyper-parameters.
 
+Each algorithm is declared once, as one entry of the ``ASSEMBLIES``
+table: its ordered hyper-parameters, its init, its sub-populations with
+their operators, its population-size reduction (LPSR) plan and its
+information-sharing slots.  ``alg_spec``, ``init_state`` and ``step``
+only read that table.
+
 * alg 0 (K=3): DE/current-to-rand/1/exponential on one population of 100,
   uniform init, clip bound control.  The population-size reduction stage
   is wired but its floor defaults to the initial size (no shrink).
@@ -12,6 +18,12 @@ per-generation hyper-parameters.
   SBX+Gaussian+tournament, DE/rand/2/exponential, DE/current-to-best/1/
   binomial), Halton init sizes (200, 100, 100, 100), information sharing,
   no size reduction.
+
+Every sub-population runs, in table order, DE mutation (DE only) →
+crossover → GA mutation (GA only) → bound control → evaluation →
+selection; sharing and then LPSR follow once all sub-populations have
+stepped.  This order is the order of the random draws, so reordering
+entries or stages changes every seeded dataset.
 
 The DE sub-populations of alg 2 use greedy pairwise selection, and
 pipelines whose operators can leave the search range clip before
@@ -26,14 +38,6 @@ import numpy as np
 
 from . import ea_ops
 from .ea_ops import OperatorParams, Population
-
-ALGORITHM_IDS = (0, 1, 2)
-
-_ALG1_NAMES = ("Cr1", "Xr_mpx", "sigma", "bc1", "cm1",
-               "F1", "F2", "Cr2", "bc2", "cm2")
-_ALG2_NAMES = ("Cr1", "Xr_mpx", "eta_m", "eta_c", "Xr_sbx", "sigma",
-               "F1_3", "F2_3", "Cr3", "F1_4", "F2_4", "Cr4",
-               "cm1", "cm2", "cm3", "cm4")
 
 
 @dataclass(frozen=True)
@@ -52,36 +56,93 @@ class HyperParameterSpec:
         return len(self.choices)
 
 
-def _cont(name, index):
-    return HyperParameterSpec(name, "continuous", index)
+def _specs(names, **choices) -> tuple[HyperParameterSpec, ...]:
+    """Specs in action order; names absent from ``choices`` are
+    continuous on [0, 1]."""
+    return tuple(HyperParameterSpec(n, "discrete", i, choices=tuple(choices[n]))
+                 if n in choices else HyperParameterSpec(n, "continuous", i)
+                 for i, n in enumerate(names, start=1))
 
 
-def _disc(name, index, choices):
-    return HyperParameterSpec(name, "discrete", index, choices=tuple(choices))
+@dataclass(frozen=True)
+class SubPopulation:
+    """One sub-population's pipeline.  ``params`` maps ``OperatorParams``
+    fields to the hyper-parameters that feed them; ``bound`` names the
+    hyper-parameter that picks the bound-control method (None: clip)."""
+
+    size: int
+    de: str | None            # DE mutation variant; None for GA
+    crossover: str
+    ga: str | None            # GA mutation variant; None for DE
+    select: str
+    params: dict
+    bound: str | None = None
 
 
-def alg_spec(alg_id: int) -> list[HyperParameterSpec]:
+@dataclass(frozen=True)
+class Assembly:
+    """One algorithm.  ``lpsr`` holds (sub-population, final size) pairs;
+    a final size of None is the caller's ``alg0_np_final``, defaulting to
+    the initial size.  ``share`` names the per-sub-population sharing
+    target hyper-parameters (empty: no sharing)."""
+
+    specs: tuple[HyperParameterSpec, ...]
+    init: str                 # "uniform" | "halton"
+    sub_pops: tuple[SubPopulation, ...]
+    lpsr: tuple = ()
+    share: tuple = ()
+
+
+_XR = ("uniform", "rank")
+_BC = ea_ops.BOUND_METHODS
+_CM4 = (0, 1, 2, 3)
+
+ASSEMBLIES = {
+    0: Assembly(
+        _specs(("F1", "F2", "Cr")), "uniform",
+        (SubPopulation(100, "current_to_rand_1", "exponential", None,
+                       "greedy_pairwise", dict(f1="F1", f2="F2", cr="Cr")),),
+        lpsr=((0, None),)),
+    1: Assembly(
+        _specs(("Cr1", "Xr_mpx", "sigma", "bc1", "cm1",
+                "F1", "F2", "Cr2", "bc2", "cm2"),
+               Xr_mpx=_XR, bc1=_BC, bc2=_BC, cm1=(0, 1), cm2=(0, 1)),
+        "halton",
+        (SubPopulation(50, None, "mpx", "gaussian", "roulette",
+                       dict(cr="Cr1", xr="Xr_mpx", sigma="sigma"), "bc1"),
+         SubPopulation(200, "best_2", "binomial", None, "greedy_pairwise",
+                       dict(f1="F1", f2="F2", cr="Cr2"), "bc2")),
+        lpsr=((0, 10),), share=("cm1", "cm2")),
+    2: Assembly(
+        _specs(("Cr1", "Xr_mpx", "eta_m", "eta_c", "Xr_sbx", "sigma",
+                "F1_3", "F2_3", "Cr3", "F1_4", "F2_4", "Cr4",
+                "cm1", "cm2", "cm3", "cm4"),
+               Xr_mpx=_XR, Xr_sbx=_XR, eta_m=(1, 2, 3), eta_c=(1, 2, 3),
+               cm1=_CM4, cm2=_CM4, cm3=_CM4, cm4=_CM4),
+        "halton",
+        (SubPopulation(200, None, "mpx", "polynomial", "roulette",
+                       dict(cr="Cr1", xr="Xr_mpx", eta_m="eta_m")),
+         SubPopulation(100, None, "sbx", "gaussian", "tournament",
+                       dict(eta_c="eta_c", xr="Xr_sbx", sigma="sigma")),
+         SubPopulation(100, "rand_2", "exponential", None, "greedy_pairwise",
+                       dict(f1="F1_3", f2="F2_3", cr="Cr3")),
+         SubPopulation(100, "current_to_best_1", "binomial", None,
+                       "greedy_pairwise", dict(f1="F1_4", f2="F2_4", cr="Cr4"))),
+        share=("cm1", "cm2", "cm3", "cm4")),
+}
+
+ALGORITHM_IDS = tuple(ASSEMBLIES)
+
+
+def _assembly(alg_id: int) -> Assembly:
+    if alg_id not in ASSEMBLIES:
+        raise ValueError(f"unknown alg_id {alg_id}")
+    return ASSEMBLIES[alg_id]
+
+
+def alg_spec(alg_id: int) -> tuple[HyperParameterSpec, ...]:
     """The ordered hyper-parameter descriptions for one algorithm."""
-    if alg_id == 0:
-        return [_cont("F1", 1), _cont("F2", 2), _cont("Cr", 3)]
-    if alg_id == 1:
-        kinds = {
-            "Xr_mpx": ("uniform", "rank"),
-            "bc1": ea_ops.BOUND_METHODS, "bc2": ea_ops.BOUND_METHODS,
-            "cm1": (0, 1), "cm2": (0, 1),
-        }
-        return [_disc(n, i + 1, kinds[n]) if n in kinds else _cont(n, i + 1)
-                for i, n in enumerate(_ALG1_NAMES)]
-    if alg_id == 2:
-        kinds = {
-            "Xr_mpx": ("uniform", "rank"), "Xr_sbx": ("uniform", "rank"),
-            "eta_m": (1, 2, 3), "eta_c": (1, 2, 3),
-            "cm1": (0, 1, 2, 3), "cm2": (0, 1, 2, 3),
-            "cm3": (0, 1, 2, 3), "cm4": (0, 1, 2, 3),
-        }
-        return [_disc(n, i + 1, kinds[n]) if n in kinds else _cont(n, i + 1)
-                for i, n in enumerate(_ALG2_NAMES)]
-    raise ValueError(f"unknown alg_id {alg_id}")
+    return _assembly(alg_id).specs
 
 
 def validate_config(specs: list[HyperParameterSpec], config) -> None:
@@ -118,9 +179,6 @@ class AlgorithmState:
         return p.best_so_far_x
 
 
-_INIT_SIZES = {0: (100,), 1: (50, 200), 2: (200, 100, 100, 100)}
-
-
 def init_state(alg_id: int, problem, seed, horizon: int = 500,
                alg0_np_final: int | None = None) -> AlgorithmState:
     """Sample and evaluate the initial (sub-)populations.
@@ -130,27 +188,26 @@ def init_state(alg_id: int, problem, seed, horizon: int = 500,
     switches on population shrinking for alg 0 (defaults to the initial
     size, i.e. inactive).
     """
-    if alg_id not in ALGORITHM_IDS:
-        raise ValueError(f"unknown alg_id {alg_id}")
+    asm = _assembly(alg_id)
     rng = np.random.default_rng(seed)
-    sizes = _INIT_SIZES[alg_id]
+    sizes = [sub.size for sub in asm.sub_pops]
     bounds = (problem.lower, problem.upper)
-    if alg_id == 0:
-        X = rng.uniform(problem.lower, problem.upper, (sizes[0], problem.dim))
-        pops = [Population(X)]
-        floor = sizes[0] if alg0_np_final is None else alg0_np_final
-        plans = ((0, sizes[0], floor),)
+    if asm.init == "uniform":
+        whole = rng.uniform(*bounds, (sum(sizes), problem.dim))
     else:
-        whole = ea_ops.halton_init(sum(sizes), problem.dim, bounds, seed=rng)
-        pops, row = [], 0
-        for n in sizes:
-            pops.append(Population(whole.X[row:row + n].copy()))
-            row += n
-        plans = ((0, 50, 10),) if alg_id == 1 else ()
+        whole = ea_ops.halton_init(sum(sizes), problem.dim, bounds, seed=rng).X
+    pops = [Population(X.copy())
+            for X in np.split(whole, np.cumsum(sizes)[:-1])]
+    plans = []
+    for i, final in asm.lpsr:
+        if final is None:
+            final = sizes[i] if alg0_np_final is None else alg0_np_final
+        plans.append((i, sizes[i], final))
     evals = 0
     for p in pops:
         evals += ea_ops.evaluate_population(p, problem)
-    return AlgorithmState(alg_id, pops, 0, horizon, 0, False, evals, plans)
+    return AlgorithmState(alg_id, pops, 0, horizon, 0, False, evals,
+                          tuple(plans))
 
 
 def step(alg_id: int, state: AlgorithmState, config, problem, rng):
@@ -160,95 +217,34 @@ def step(alg_id: int, state: AlgorithmState, config, problem, rng):
     """
     if alg_id != state.alg_id:
         raise ValueError("state/alg_id mismatch")
-    specs = alg_spec(alg_id)
-    validate_config(specs, config)
+    asm = _assembly(alg_id)
+    validate_config(asm.specs, config)
+    cfg = {spec.name: value for spec, value in zip(asm.specs, config)}
     bounds = (problem.lower, problem.upper)
     prev_best = state.best_f
     evals = 0
 
-    def spawn(X, src: Population) -> Population:
-        return Population(X, None,
-                          None if src.best_so_far_x is None else src.best_so_far_x.copy(),
-                          src.best_so_far_f)
-
-    def bc_index(name: str) -> int:
-        return ea_ops.BOUND_METHODS.index(name)
-
-    if alg_id == 0:
-        f1, f2, cr = config
-        pop = state.sub_pops[0]
-        par = OperatorParams(f1=f1, f2=f2, cr=cr)
-        Xp = ea_ops.de_mutate("current_to_rand_1", pop, par, rng)
-        Xpp = ea_ops.crossover("exponential", pop.X, Xp, par, rng)
-        Xpp = ea_ops.bound_control(0, Xpp, pop.X, bounds, rng)  # clip
-        off = spawn(Xpp, pop)
+    pops = []
+    for sub, pop in zip(asm.sub_pops, state.sub_pops):
+        par = OperatorParams(**{field: cfg[name]
+                                for field, name in sub.params.items()})
+        X = pop.X
+        if sub.de is not None:
+            X = ea_ops.de_mutate(sub.de, pop, par, rng)
+        X = ea_ops.crossover(sub.crossover, pop.X, X, par, rng,
+                             fitness=pop.fitness)
+        if sub.ga is not None:
+            X = ea_ops.ga_mutate(sub.ga, X, par, bounds, rng)
+        method = 0 if sub.bound is None else _BC.index(cfg[sub.bound])
+        X = ea_ops.bound_control(method, X, pop.X, bounds, rng)
+        off = Population(X, None,
+                         None if pop.best_so_far_x is None
+                         else pop.best_so_far_x.copy(),
+                         pop.best_so_far_f)
         evals += ea_ops.evaluate_population(off, problem)
-        new = ea_ops.select("greedy_pairwise", pop, off, rng)
-        pops = [new]
-
-    elif alg_id == 1:
-        cr1, xr, sigma, bc1, cm1, f1, f2, cr2, bc2, cm2 = config
-        ga, de = state.sub_pops
-        X1 = ea_ops.crossover("mpx", ga.X, ga.X, OperatorParams(cr=cr1, xr=xr),
-                              rng, fitness=ga.fitness)
-        X1 = ea_ops.ga_mutate("gaussian", X1, OperatorParams(sigma=sigma),
-                              bounds, rng)
-        X1 = ea_ops.bound_control(bc_index(bc1), X1, ga.X, bounds, rng)
-        off1 = spawn(X1, ga)
-        evals += ea_ops.evaluate_population(off1, problem)
-        ga_new = ea_ops.select("roulette", ga, off1, rng)
-
-        par = OperatorParams(f1=f1, f2=f2, cr=cr2)
-        X2 = ea_ops.de_mutate("best_2", de, par, rng)
-        X2 = ea_ops.crossover("binomial", de.X, X2, par, rng)
-        X2 = ea_ops.bound_control(bc_index(bc2), X2, de.X, bounds, rng)
-        off2 = spawn(X2, de)
-        evals += ea_ops.evaluate_population(off2, problem)
-        de_new = ea_ops.select("greedy_pairwise", de, off2, rng)
-
-        pops = ea_ops.share_information([ga_new, de_new], [cm1, cm2])
-
-    else:
-        (cr1, xr1, eta_m, eta_c, xr2, sigma,
-         f1_3, f2_3, cr3, f1_4, f2_4, cr4, cm1, cm2, cm3, cm4) = config
-        p1, p2, p3, p4 = state.sub_pops
-
-        X1 = ea_ops.crossover("mpx", p1.X, p1.X, OperatorParams(cr=cr1, xr=xr1),
-                              rng, fitness=p1.fitness)
-        X1 = ea_ops.ga_mutate("polynomial", X1, OperatorParams(eta_m=eta_m),
-                              bounds, rng)
-        X1 = ea_ops.bound_control(0, X1, p1.X, bounds, rng)
-        off1 = spawn(X1, p1)
-        evals += ea_ops.evaluate_population(off1, problem)
-        n1 = ea_ops.select("roulette", p1, off1, rng)
-
-        X2 = ea_ops.crossover("sbx", p2.X, p2.X,
-                              OperatorParams(eta_c=eta_c, xr=xr2), rng,
-                              fitness=p2.fitness)
-        X2 = ea_ops.ga_mutate("gaussian", X2, OperatorParams(sigma=sigma),
-                              bounds, rng)
-        X2 = ea_ops.bound_control(0, X2, p2.X, bounds, rng)
-        off2 = spawn(X2, p2)
-        evals += ea_ops.evaluate_population(off2, problem)
-        n2 = ea_ops.select("tournament", p2, off2, rng)
-
-        par3 = OperatorParams(f1=f1_3, f2=f2_3, cr=cr3)
-        X3 = ea_ops.de_mutate("rand_2", p3, par3, rng)
-        X3 = ea_ops.crossover("exponential", p3.X, X3, par3, rng)
-        X3 = ea_ops.bound_control(0, X3, p3.X, bounds, rng)
-        off3 = spawn(X3, p3)
-        evals += ea_ops.evaluate_population(off3, problem)
-        n3 = ea_ops.select("greedy_pairwise", p3, off3, rng)
-
-        par4 = OperatorParams(f1=f1_4, f2=f2_4, cr=cr4)
-        X4 = ea_ops.de_mutate("current_to_best_1", p4, par4, rng)
-        X4 = ea_ops.crossover("binomial", p4.X, X4, par4, rng)
-        X4 = ea_ops.bound_control(0, X4, p4.X, bounds, rng)
-        off4 = spawn(X4, p4)
-        evals += ea_ops.evaluate_population(off4, problem)
-        n4 = ea_ops.select("greedy_pairwise", p4, off4, rng)
-
-        pops = ea_ops.share_information([n1, n2, n3, n4], [cm1, cm2, cm3, cm4])
+        pops.append(ea_ops.select(sub.select, pop, off, rng))
+    if asm.share:
+        pops = ea_ops.share_information(pops, [cfg[n] for n in asm.share])
 
     t_next = state.t + 1
     for sub_idx, np_init, np_final in state.lpsr_plans:

@@ -6,9 +6,12 @@ machine-parseable CSV (plus a human summary on stdout).  Exit codes:
 default) picks sizes that run a full pipeline in minutes on a laptop;
 ``--profile paper`` selects the full-scale settings.  Flags override an
 optional ``--config`` file (JSON object or ``key = value`` lines), which
-overrides the profile.  Set ``DACQ_THREADS`` before the process starts
-to cap BLAS thread pools (applied when the package is imported, and
-exported again by ``main`` so child processes inherit it; an
+overrides the profile.  Every flag is declared once in ``FLAGS`` (its
+dest is the ``RunConfig`` field it sets) and each command lists the
+flags it takes in ``COMMANDS``; ``build_parser`` only reads the two
+tables.  Set ``DACQ_THREADS`` before the process starts to cap BLAS
+thread pools (applied when the package is imported, and exported again
+by ``main`` so child processes inherit it; an
 ``OPENBLAS_NUM_THREADS``-style variable already set keeps its value).
 """
 
@@ -19,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +96,8 @@ class RunConfig:
         def need(cond, msg):
             if not cond:
                 raise UsageError(msg)
-        need(self.alg in (0, 1, 2), f"--alg must be 0, 1, or 2, got {self.alg}")
+        need(self.alg in algorithms.ALGORITHM_IDS,
+             f"--alg must be one of {algorithms.ALGORITHM_IDS}, got {self.alg}")
         need(0.0 <= self.mu <= 1.0, f"--mu must be in [0, 1], got {self.mu}")
         need(self.d >= 1, "--d must be >= 1")
         need(self.t >= 1, "--t must be >= 1")
@@ -170,7 +174,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                          f"(choose from {tuple(PROFILES)})")
     merged = dict(BASE_DEFAULTS)
     merged.update(PROFILES[profile])
-    known = {f.name for f in fields(RunConfig)} - {"command", "profile"}
+    known = set(FLAGS) - {"config", "profile"}
     for key, value in file_cfg.items():
         if key == "profile":
             continue
@@ -650,26 +654,79 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if n_fail == 0 else 1
 
 
-COMMANDS = {"collect": cmd_collect, "train": cmd_train, "eval": cmd_eval,
-            "ablate": cmd_ablate, "verify": cmd_verify}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--profile", choices=tuple(PROFILES), default=None)
-    sp.add_argument("--config", type=str, default=None,
-                    help="JSON or key=value config file; flags override it")
+#: every flag, as argparse keywords: ``--name`` (``_`` spelled ``-``)
+#: sets the RunConfig field ``name``; ``config`` alone is not a field but
+#: the file that ``resolve_config`` merges beneath the flags
+FLAGS = {
+    "seed": dict(type=int),
+    "out": dict(type=str),
+    "profile": dict(choices=tuple(PROFILES)),
+    "config": dict(type=str,
+                   help="JSON or key=value config file; flags override it"),
+    "data": dict(type=str, help="dataset directory (verify: optional, "
+                                "revalidated when given)"),
+    "ckpt": dict(type=str),
+    "resume": dict(type=str),
+    "alg": dict(type=int),
+    "mu": dict(type=float),
+    "d": dict(type=int),
+    "t": dict(type=int),
+    "bins": dict(type=int),
+    "dim": dict(type=int),
+    "functions": dict(type=str, help="comma-separated training function ids"),
+    "test_functions": dict(type=str),
+    "policy": dict(type=str, help="exploitation policy kind"),
+    "quantile": dict(type=float,
+                     help="return quantile of the calibration episodes that "
+                          "filtered_random and scripted_constant must beat"),
+    "calibration": dict(type=int,
+                        help="number of calibration episodes for "
+                             "filtered_random and scripted_constant"),
+    "jitter": dict(type=float),
+    "epochs": dict(type=int),
+    "batch": dict(type=int),
+    "lr": dict(type=float),
+    "wd": dict(type=float),
+    "beta": dict(type=float),
+    "lam": dict(type=float),
+    "gamma": dict(type=float),
+    "d_model": dict(type=int),
+    "d_state": dict(type=int),
+    "depth": dict(type=int),
+    "runs": dict(type=int),
+    "mdps": dict(type=int),
+    "tol_decomp": dict(type=float),
+    "scan_seeds": dict(type=int),
+    "instance_seed": dict(type=int),
+}
 
+_SHARED = ("seed", "out", "profile", "config")
 
-_QUANTILE_HELP = ("return quantile of the calibration episodes that "
-                  "filtered_random and scripted_constant must beat")
-_CALIBRATION_HELP = ("number of calibration episodes for filtered_random "
-                     "and scripted_constant")
+#: command -> (run function, help, its flags after the shared ones)
+COMMANDS = {
+    "collect": (cmd_collect, "collect a mu-mixed dataset",
+                ("alg", "mu", "d", "t", "bins", "dim", "functions", "policy",
+                 "quantile", "calibration", "jitter", "instance_seed")),
+    "train": (cmd_train, "train the decomposed Q-model",
+              ("data", "resume", "epochs", "batch", "lr", "wd", "beta", "lam",
+               "gamma", "d_model", "d_state", "depth")),
+    "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
+                       "the random baseline",
+             ("ckpt", "alg", "t", "dim", "runs", "test_functions",
+              "instance_seed")),
+    "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
+               ("data", "epochs", "batch", "lr", "beta", "lam", "gamma",
+                "d_model", "d_state", "depth", "runs", "t", "dim",
+                "test_functions", "policy", "quantile", "calibration",
+                "jitter", "instance_seed")),
+    "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "
+                           "any failure)",
+               ("data", "mdps", "tol_decomp", "scan_seeds")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -679,92 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "dataset collection, training, evaluation, ablations, "
                     "verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("collect", help="collect a mu-mixed dataset")
-    _add_common(sp)
-    sp.add_argument("--alg", type=int, default=None)
-    sp.add_argument("--mu", type=float, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--bins", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--functions", type=str, default=None,
-                    help="comma-separated training function ids")
-    sp.add_argument("--policy", type=str, default=None,
-                    help="exploitation policy kind")
-    sp.add_argument("--quantile", type=float, default=None,
-                    help=_QUANTILE_HELP)
-    sp.add_argument("--calibration", type=int, default=None,
-                    help=_CALIBRATION_HELP)
-    sp.add_argument("--jitter", type=float, default=None)
-    sp.add_argument("--instance-seed", dest="instance_seed", type=int,
-                    default=None)
-
-    sp = sub.add_parser("train", help="train the decomposed Q-model")
-    _add_common(sp)
-    sp.add_argument("--data", type=str, default=None)
-    sp.add_argument("--resume", type=str, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--wd", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--d-model", dest="d_model", type=int, default=None)
-    sp.add_argument("--d-state", dest="d_state", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-
-    sp = sub.add_parser("eval", help="evaluate a checkpoint on the test "
-                                     "functions against the random baseline")
-    _add_common(sp)
-    sp.add_argument("--ckpt", type=str, default=None)
-    sp.add_argument("--alg", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--test-functions", dest="test_functions", type=str,
-                    default=None)
-    sp.add_argument("--instance-seed", dest="instance_seed", type=int,
-                    default=None)
-
-    sp = sub.add_parser("ablate", help="lambda/beta grid, mu sweep, and "
-                                       "bin-count sweep")
-    _add_common(sp)
-    sp.add_argument("--data", type=str, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--batch", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--d-model", dest="d_model", type=int, default=None)
-    sp.add_argument("--d-state", dest="d_state", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--test-functions", dest="test_functions", type=str,
-                    default=None)
-    sp.add_argument("--policy", type=str, default=None)
-    sp.add_argument("--quantile", type=float, default=None,
-                    help=_QUANTILE_HELP)
-    sp.add_argument("--calibration", type=int, default=None,
-                    help=_CALIBRATION_HELP)
-    sp.add_argument("--jitter", type=float, default=None)
-    sp.add_argument("--instance-seed", dest="instance_seed", type=int,
-                    default=None)
-
-    sp = sub.add_parser("verify", help="run the numerical verification "
-                                       "suite (exit 1 on any failure)")
-    _add_common(sp)
-    sp.add_argument("--data", type=str, default=None,
-                    help="optionally revalidate a dataset directory")
-    sp.add_argument("--mdps", type=int, default=None)
-    sp.add_argument("--tol-decomp", dest="tol_decomp", type=float,
-                    default=None)
-    sp.add_argument("--scan-seeds", dest="scan_seeds", type=int,
-                    default=None)
+    for command, (_, help_, names) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_)
+        for name in _SHARED + names:
+            sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                            **FLAGS[name])
     return parser
 
 
@@ -773,7 +749,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

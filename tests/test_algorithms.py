@@ -243,3 +243,91 @@ def test_improvement_flag_tracks_best(sphere5):
         assert st.improved_last_step == (st.best_f < prev)
         seen_improvement = seen_improvement or st.improved_last_step
     assert seen_improvement
+
+
+# ---------------------------------------------------------------------------
+# operator order: one step per algorithm, spied at the ea_ops boundary
+
+# continuous values are distinct, so each recorded value names its slot
+_ORDER_CONFIGS = {
+    0: [0.01, 0.02, 0.03],
+    1: [0.01, "rank", 0.03, "reflect", 1, 0.06, 0.07, 0.08, "halving", 0],
+    2: [0.01, "rank", 2, 3, "uniform", 0.06, 0.07, 0.08, 0.09, 0.10, 0.11,
+        0.12, 3, 2, 1, 0],
+}
+
+_ORDER_EXPECTED = {
+    0: [("de_mutate", ("current_to_rand_1", 0.01, 0.02)),
+        ("crossover", ("exponential", 0.03, None, None)),
+        ("bound_control", "clip"),
+        ("evaluate_population", 100),
+        ("select", "greedy_pairwise"),
+        ("lpsr", (100, 100))],
+    1: [("crossover", ("mpx", 0.01, None, "rank")),
+        ("ga_mutate", ("gaussian", 0.03, None)),
+        ("bound_control", "reflect"),
+        ("evaluate_population", 50),
+        ("select", "roulette"),
+        ("de_mutate", ("best_2", 0.06, 0.07)),
+        ("crossover", ("binomial", 0.08, None, None)),
+        ("bound_control", "halving"),
+        ("evaluate_population", 200),
+        ("select", "greedy_pairwise"),
+        ("share_information", (1, 0)),
+        ("lpsr", (50, 10))],
+    2: [("crossover", ("mpx", 0.01, None, "rank")),
+        ("ga_mutate", ("polynomial", None, 2)),
+        ("bound_control", "clip"),
+        ("evaluate_population", 200),
+        ("select", "roulette"),
+        ("crossover", ("sbx", None, 3, "uniform")),
+        ("ga_mutate", ("gaussian", 0.06, None)),
+        ("bound_control", "clip"),
+        ("evaluate_population", 100),
+        ("select", "tournament"),
+        ("de_mutate", ("rand_2", 0.07, 0.08)),
+        ("crossover", ("exponential", 0.09, None, None)),
+        ("bound_control", "clip"),
+        ("evaluate_population", 100),
+        ("select", "greedy_pairwise"),
+        ("de_mutate", ("current_to_best_1", 0.10, 0.11)),
+        ("crossover", ("binomial", 0.12, None, None)),
+        ("bound_control", "clip"),
+        ("evaluate_population", 100),
+        ("select", "greedy_pairwise"),
+        ("share_information", (3, 2, 1, 0))],
+}
+
+
+@pytest.mark.parametrize("alg_id", [0, 1, 2])
+def test_step_operator_order_matches_docstring(sphere5, monkeypatch, alg_id):
+    # The order of these calls is the order of the random draws, so a
+    # reordered table entry or loop stage changes every seeded dataset.
+    st = alg.init_state(alg_id, sphere5, seed=3, horizon=50)
+    calls = []
+
+    def spy(op, key):
+        real = getattr(ea_ops, op)
+
+        def wrapped(*args, **kwargs):
+            calls.append((op, key(*args, **kwargs)))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ea_ops, op, wrapped)
+
+    spy("de_mutate", lambda v, pop, par, rng: (v, par.f1, par.f2))
+    spy("crossover", lambda v, X, donor, par, rng, fitness=None:
+        (v, par.cr, par.eta_c, par.xr))
+    spy("ga_mutate", lambda v, X, par, bounds, rng: (v, par.sigma, par.eta_m))
+    spy("bound_control", lambda method, *a: ea_ops.BOUND_METHODS[method])
+    spy("evaluate_population", lambda pop, problem: pop.size)
+    spy("select", lambda v, *a: v)
+    spy("share_information", lambda pops, cm: tuple(cm))
+    spy("lpsr", lambda pop, t, T, np_init, np_final: (np_init, np_final))
+
+    config = _ORDER_CONFIGS[alg_id]
+    alg.step(alg_id, st, config, sphere5, np.random.default_rng(0))
+    assert calls == _ORDER_EXPECTED[alg_id]
+    cm_slots = [v for s, v in zip(alg.alg_spec(alg_id), config)
+                if s.name.startswith("cm")]
+    shared = [key for op, key in calls if op == "share_information"]
+    assert shared == ([tuple(cm_slots)] if cm_slots else [])

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -28,6 +30,29 @@ def ds_dir(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# ---------------------------------------------------------------------------
+# flag table
+# ---------------------------------------------------------------------------
+
+def test_flag_table_matches_run_config():
+    # a flag whose dest is not a RunConfig field would reach
+    # RunConfig(**merged) as a TypeError traceback instead of exit code 2
+    settable = {f.name for f in dataclasses.fields(cli.RunConfig)} \
+        - {"command", "explicit"}
+    assert set(cli.FLAGS) - {"config"} == settable
+    used = set(cli._SHARED).union(*(names for _, _, names
+                                     in cli.COMMANDS.values()))
+    assert used == set(cli.FLAGS)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    for command, sp in sub.choices.items():
+        flags = [(a.option_strings, a.dest) for a in sp._actions
+                 if a.dest != "help"]
+        assert flags == [(["--" + n.replace("_", "-")], n) for n in
+                         cli._SHARED + cli.COMMANDS[command][2]]
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +123,14 @@ def test_config_file_json_form(tmp_path):
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # "explicit" is a RunConfig field but not a flag
     cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("learning_rate_max = 1\n")
-    rc = run(["collect", "--config", str(cfgfile), "--out",
-              str(tmp_path / "o")])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    for key in ("learning_rate_max", "explicit"):
+        cfgfile.write_text(f"{key} = 1\n")
+        rc = run(["collect", "--config", str(cfgfile), "--out",
+                  str(tmp_path / "o")])
+        assert rc == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_threads_env_exported(tmp_path, monkeypatch):

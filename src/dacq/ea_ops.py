@@ -88,17 +88,6 @@ def _first_primes(n: int) -> list[int]:
     return primes
 
 
-def _radical_inverse(n: int, base: int, perm=None) -> float:
-    inv, denom = 0.0, 1.0
-    while n > 0:
-        n, digit = divmod(n, base)
-        if perm is not None:
-            digit = perm[digit]
-        denom *= base
-        inv += digit / denom
-    return inv
-
-
 def halton_points(NP: int, dim: int, seed=None, scramble: bool = True):
     """First NP points (index starting at 1) of the Halton sequence in
     [0,1)^dim, optionally with seeded digit-permutation scrambling.  The
@@ -114,9 +103,18 @@ def halton_points(NP: int, dim: int, seed=None, scramble: bool = True):
             p = np.concatenate(([0], rng.permutation(np.arange(1, b))))
             perms.append(p)
     pts = np.empty((NP, dim))
-    for j, b in enumerate(bases):
-        for i in range(NP):
-            pts[i, j] = _radical_inverse(i + 1, b, perms[j])
+    for j, (b, perm) in enumerate(zip(bases, perms)):
+        # radical inverse of every index at once, least significant digit
+        # first; finished indices keep adding (perm of) digit 0, i.e. 0.0
+        n = np.arange(1, NP + 1)
+        inv, denom = np.zeros(NP), 1.0
+        while n.any():
+            n, digit = np.divmod(n, b)
+            if perm is not None:
+                digit = perm[digit]
+            denom *= b
+            inv += digit / denom
+        pts[:, j] = inv
     return pts
 
 
@@ -190,13 +188,9 @@ def exponential_segments(rng, NP: int, dim: int, cr: float):
 
 
 def exponential_kernel(X, Xp, ks, ls):
-    NP, dim = X.shape
-    out = X.copy()
-    cols = np.arange(dim)
-    for i in range(NP):
-        mask = (cols - ks[i]) % dim < ls[i]
-        out[i, mask] = Xp[i, mask]
-    return out
+    dim = X.shape[1]
+    mask = (np.arange(dim) - ks[:, None]) % dim < ls[:, None]
+    return np.where(mask, Xp, X)
 
 
 def binomial_kernel(X, Xp, rand, jrand, cr):

@@ -20,6 +20,9 @@ DEFAULT_BINS = 16
 #: tokens occupy 5 bits, so at most 32 bins can be represented
 MAX_BINS = 32
 
+#: element budget of one block of pairwise differences in ``cal_state``
+S1_BLOCK_ELEMENTS = 32768
+
 
 @dataclass
 class StepRecord:
@@ -78,10 +81,20 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
 
     gi = int(np.argmin(fit))
     if n > 1:
-        # row-at-a-time upper triangle keeps memory at O(n*dim)
+        # upper triangle in blocks of rows whose difference tensor holds at
+        # most S1_BLOCK_ELEMENTS floats (256 KiB), so scratch memory stays
+        # bounded; exact distances, no Gram-matrix shortcut (it loses
+        # digits when late-stage populations cluster).  Each row's sum is
+        # added in row order, as a row-at-a-time loop would.
+        rows = max(1, S1_BLOCK_ELEMENTS // (n * X.shape[1]))
         total = 0.0
-        for i in range(n - 1):
-            total += np.linalg.norm(X[i + 1:] - X[i], axis=1).sum()
+        for i0 in range(0, n - 1, rows):
+            i1 = min(i0 + rows, n - 1)
+            diff = X[i0:i1, None, :] - X[None, i0 + 1:, :]
+            diff *= diff
+            dist = np.sqrt(np.add.reduce(diff, axis=-1))
+            for r, row in enumerate(dist):
+                total += row[r:].sum()
         s1 = total / (n * (n - 1) / 2)
     else:
         s1 = 0.0

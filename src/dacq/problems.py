@@ -363,13 +363,13 @@ def _f22(p, X):  # Gallagher 21 peaks
 
 def _f23(p, X):  # Katsuura
     z = _rot(p, _lam(100, p.dim) * _rot(p, X - p.shift))
+    acc = np.zeros_like(z)
+    for j in range(1, 33):
+        v = 2.0 ** j * z
+        acc += np.abs(v - np.rint(v)) / 2.0 ** j
     prod = np.ones(X.shape[0])
     for i in range(p.dim):
-        acc = np.zeros(X.shape[0])
-        for j in range(1, 33):
-            v = 2.0 ** j * z[:, i]
-            acc += np.abs(v - np.rint(v)) / 2.0 ** j
-        prod *= (1.0 + (i + 1) * acc) ** (10.0 / p.dim ** 1.2)
+        prod *= (1.0 + (i + 1) * acc[:, i]) ** (10.0 / p.dim ** 1.2)
     return 10.0 / p.dim ** 2 * prod - 10.0 / p.dim ** 2 + _pen(X)
 
 

@@ -4,6 +4,11 @@ Everything here is deliberately written with plain Python loops and
 ``math`` scalar calls (no vectorization), directly from the published
 definitions, so that agreement with the vectorized package code is
 meaningful.  Slow and simple on purpose.
+
+The loop oracles section keeps the package's earlier row and digit
+loops (Halton radical inverse, row-at-a-time pairwise distances, the
+Katsuura double loop).  They use the same numpy operations per element
+as the vectorized kernels, so those kernels must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -478,3 +483,58 @@ def q_loss_ref(Q, actions, rewards, masks, beta, lam, gamma):
                         total += lam / 2.0 * Q[b][t][i][j] ** 2
         per_traj.append(total)
     return sum(per_traj) / B
+
+
+# ---------------------------------------------------------------------------
+# loop oracles: the earlier scalar/row loops, matched bit for bit
+
+def halton_ref(NP, dim, seed=None, scramble=True):
+    """Halton points via one scalar radical inverse per (index, base)."""
+    bases = []
+    cand = 2
+    while len(bases) < dim:
+        if all(cand % q for q in bases):
+            bases.append(cand)
+        cand += 1
+    perms = [None] * dim
+    if scramble:
+        rng = np.random.default_rng(seed)
+        perms = [np.concatenate(([0], rng.permutation(np.arange(1, b))))
+                 for b in bases]
+    pts = np.empty((NP, dim))
+    for j, b in enumerate(bases):
+        for i in range(NP):
+            n, inv, denom = i + 1, 0.0, 1.0
+            while n > 0:
+                n, digit = divmod(n, b)
+                if perms[j] is not None:
+                    digit = perms[j][digit]
+                denom *= b
+                inv += digit / denom
+            pts[i, j] = inv
+    return pts
+
+
+def mean_pairwise_distance_ref(X):
+    """State feature s1, one row of the upper triangle at a time."""
+    n = X.shape[0]
+    if n < 2:
+        return 0.0
+    total = 0.0
+    for i in range(n - 1):
+        total += np.linalg.norm(X[i + 1:] - X[i], axis=1).sum()
+    return total / (n * (n - 1) / 2)
+
+
+def katsuura_ref(p, X):
+    """Katsuura (f23) with the 32-term digit sum looped per coordinate."""
+    from dacq import problems
+    z = problems._rot(p, problems._lam(100, p.dim) * problems._rot(p, X - p.shift))
+    prod = np.ones(X.shape[0])
+    for i in range(p.dim):
+        acc = np.zeros(X.shape[0])
+        for j in range(1, 33):
+            v = 2.0 ** j * z[:, i]
+            acc += np.abs(v - np.rint(v)) / 2.0 ** j
+        prod *= (1.0 + (i + 1) * acc) ** (10.0 / p.dim ** 1.2)
+    return 10.0 / p.dim ** 2 * prod - 10.0 / p.dim ** 2 + problems._pen(X) + p.f_opt

@@ -56,6 +56,15 @@ def test_halton_lower_discrepancy_than_uniform():
     assert np.mean(h_disc) < np.mean(u_disc)
 
 
+@pytest.mark.parametrize("scramble", [True, False])
+@pytest.mark.parametrize("dim", [1, 5, 20, 50])
+@pytest.mark.parametrize("NP", [1, 2, 7, 500])
+def test_halton_points_match_radical_inverse_loop(NP, dim, scramble):
+    got = ea.halton_points(NP, dim, seed=[NP, dim], scramble=scramble)
+    want = ref.halton_ref(NP, dim, seed=[NP, dim], scramble=scramble)
+    assert np.array_equal(got, want)
+
+
 def test_halton_np_too_small():
     with pytest.raises(ValueError):
         ea.halton_init(1, 2, BOUNDS, seed=0)

@@ -106,6 +106,49 @@ def test_cal_state_union_of_sub_pops(sphere5):
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def _one_block_max_n(dim):
+    """Largest population whose s1 upper triangle fits one block of rows."""
+    n = 2
+    while max(1, env.S1_BLOCK_ELEMENTS // ((n + 1) * dim)) >= n:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("clustered", [False, True])
+@pytest.mark.parametrize("dim", [5, 20, 50])
+def test_cal_state_s1_matches_row_loop(dim, clustered):
+    edge = _one_block_max_n(dim)
+    problem = make_identity_instance(1, dim)
+    for n in (1, 2, edge - 1, edge, edge + 1, 500):
+        rng = np.random.default_rng([dim, n])
+        if clustered:  # late stage: every row within 1e-9 of one point
+            X = rng.uniform(-5, 5, dim) + 1e-9 * rng.standard_normal((n, dim))
+        else:
+            X = rng.uniform(-5, 5, (n, dim))
+        fit = rng.uniform(0, 50, n)
+        st = fake_state(X, fit, X[0], fit.min())
+        got = env.cal_state(st, problem, T=50, f_best_init=0.0,
+                            normalize=False)
+        assert got[0] == reference.mean_pairwise_distance_ref(X), (n, dim)
+
+
+def test_cal_state_scratch_memory_bounded():
+    # an (n, n, dim) difference tensor at n=500, dim=50 would take 95 MiB
+    import tracemalloc
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-5, 5, (500, 50))
+    fit = rng.uniform(0, 50, 500)
+    st = fake_state(X, fit, X[0], fit.min())
+    problem = make_identity_instance(1, 50)
+    tracemalloc.start()
+    try:
+        env.cal_state(st, problem, T=50, f_best_init=100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
+
+
 def test_cal_state_empty_population_errors(sphere5):
     st = fake_state(np.empty((0, 5)), np.empty(0), np.zeros(5), 0.0)
     with pytest.raises(ValueError):

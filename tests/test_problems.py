@@ -142,3 +142,14 @@ def test_gallagher_first_peak_is_shift():
         np.testing.assert_array_equal(p.aux["peaks"][0], p.shift)
         assert p.aux["weights"][0] == 10.0
         assert np.max(p.aux["weights"][1:]) <= 9.1
+
+
+@pytest.mark.parametrize("dim", P.SUPPORTED_DIMS)
+def test_katsuura_matches_double_loop(dim):
+    p = P.make_instance(23, dim, seed=dim)
+    rng = np.random.default_rng([23, dim])
+    X = np.vstack([rng.uniform(-5, 5, (20, dim)),
+                   rng.uniform(-7, 7, (5, dim)),          # outside the box
+                   p.shift + 1e-6 * rng.standard_normal((4, dim)),
+                   p.shift[None]])
+    assert np.array_equal(P.evaluate(p, X), ref.katsuura_ref(p, X))

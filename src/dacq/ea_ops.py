@@ -131,13 +131,23 @@ def halton_init(NP: int, dim: int, bounds, seed, scramble: bool = True) -> Popul
 # DE mutations
 
 def draw_distinct_indices(rng, NP: int, k: int) -> np.ndarray:
-    """(NP, k) random row indices: per row i, k distinct values != i."""
+    """(NP, k) random row indices: per row i, k distinct values != i.
+
+    Column j is one ``rng.integers(0, NP - 1 - j, size=NP)`` draw, mapped
+    onto the indices not yet taken by its row (the row itself and its
+    earlier columns) by stepping past each taken index in ascending
+    order.  Every row is uniform over the ordered k-tuples of distinct
+    partners."""
     if NP <= k:
         raise ValueError(f"population of {NP} too small to draw {k} distinct partners")
     idx = np.empty((NP, k), dtype=np.int64)
-    for i in range(NP):
-        draw = rng.choice(NP - 1, size=k, replace=False)
-        idx[i] = np.where(draw >= i, draw + 1, draw)
+    taken = np.arange(NP)[:, None]          # per row, sorted ascending
+    for j in range(k):
+        v = rng.integers(0, NP - 1 - j, size=NP)
+        for e in taken.T:
+            v += v >= e
+        idx[:, j] = v
+        taken = np.sort(np.column_stack((taken, v)), axis=1)
     return idx
 
 
@@ -175,15 +185,12 @@ def _check_unit(v, name):
 # crossovers
 
 def exponential_segments(rng, NP: int, dim: int, cr: float):
-    """Start index k and segment length L per row; L grows while
-    consecutive uniforms stay below Cr (geometric), capped at dim."""
+    """Start index k and segment length L per row.  L is 1 plus the run
+    of leading uniforms below Cr in the row's dim - 1 draws (one
+    ``rng.random((NP, dim - 1))`` block after the NP start indices), so
+    P(L >= m) = Cr**(m-1): geometric, capped at dim."""
     ks = rng.integers(0, dim, size=NP)
-    ls = np.empty(NP, dtype=np.int64)
-    for i in range(NP):
-        length = 1
-        while length < dim and rng.random() < cr:
-            length += 1
-        ls[i] = length
+    ls = 1 + np.cumprod(rng.random((NP, dim - 1)) < cr, axis=1).sum(axis=1)
     return ks, ls
 
 
@@ -380,7 +387,11 @@ def lpsr(pop: Population, t: int, T: int, np_init: int, np_final: int) -> Popula
 def share_information(pops: list[Population], cm) -> list[Population]:
     """Replace each population's worst member with the best member of its
     cm-target population (0-based; self-target is a no-op).  All donors
-    are read before any replacement."""
+    are read before any replacement.  ``cm`` holds one target per
+    population."""
+    if len(cm) != len(pops):
+        raise ValueError(f"{len(pops)} populations need {len(pops)} sharing "
+                         f"targets, got {len(cm)}")
     for target in cm:
         if target not in range(len(pops)):
             raise ValueError(f"sharing target {target} out of range")

@@ -111,6 +111,28 @@ def test_indices_distinct_and_exclude_self():
         assert i not in row
 
 
+def test_indices_uniform_over_ordered_partner_pairs():
+    # 12000 draws per row over 12 ordered pairs: 1000 expected each, and
+    # a binomial standard deviation of ~29; allow 5 of them
+    NP, k, n_draws = 5, 2, 12000
+    rng = np.random.default_rng(20260823)
+    counts = np.zeros((NP, NP, NP), dtype=np.int64)
+    rows = np.arange(NP)
+    for _ in range(n_draws):
+        idx = ea.draw_distinct_indices(rng, NP, k)
+        assert np.all(idx != rows[:, None]) and np.all(idx[:, 0] != idx[:, 1])
+        np.add.at(counts, (rows, idx[:, 0], idx[:, 1]), 1)
+    p = 1.0 / ((NP - 1) * (NP - 2))
+    tol = 5.0 * np.sqrt(n_draws * p * (1.0 - p))
+    for i in range(NP):
+        for a in range(NP):
+            for b in range(NP):
+                if i in (a, b) or a == b:
+                    assert counts[i, a, b] == 0
+                else:
+                    assert abs(counts[i, a, b] - n_draws * p) <= tol, (i, a, b)
+
+
 @pytest.mark.parametrize("variant", ea.DE_VARIANTS)
 def test_de_mutation_matches_scalar_oracle(variant):
     pop = make_pop(NP=8, dim=3, seed=11)
@@ -170,6 +192,20 @@ def test_exponential_segment_wraps():
     out = ea.exponential_kernel(X, Xp, np.array([3]), np.array([4]))
     # segment of length 4 starting at index 3 wraps to {3,4,0,1}
     np.testing.assert_array_equal(out[0], [1, 1, 0, 1, 1])
+
+
+@pytest.mark.parametrize("cr", [0.3, 0.7, 0.9])
+def test_exponential_segment_lengths_geometric(cr):
+    # P(L >= m) = cr**(m-1) for m <= dim; allow 5 binomial std deviations
+    NP, dim = 20000, 6
+    ks, ls = ea.exponential_segments(np.random.default_rng(31), NP, dim, cr)
+    assert ls.dtype == np.int64
+    assert ls.min() >= 1 and ls.max() <= dim
+    assert ks.min() >= 0 and ks.max() < dim
+    for m in range(1, dim + 1):
+        p = cr ** (m - 1)
+        tol = 5.0 * np.sqrt(p * (1.0 - p) / NP)
+        assert abs(np.mean(ls >= m) - p) <= tol, (m, np.mean(ls >= m), p)
 
 
 def test_exponential_matches_scalar_oracle():
@@ -473,6 +509,13 @@ def test_share_best_so_far_never_worsens():
     out = ea.share_information([a, b], [1, 0])
     after = min(p.best_so_far_f for p in out)
     assert after <= before
+
+
+def test_share_needs_one_target_per_population():
+    pops = [make_pop(seed=30), make_pop(seed=31)]
+    for cm in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="sharing targets"):
+            ea.share_information(pops, cm)
 
 
 def test_share_bad_index():

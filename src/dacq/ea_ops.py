@@ -94,26 +94,19 @@ def halton_points(NP: int, dim: int, seed=None, scramble: bool = True):
     permutations fix digit 0 so the scrambled sequence keeps finite
     expansions; scramble=False gives the classical sequence whose first
     2-D point is (1/2, 1/3)."""
-    bases = _first_primes(dim)
-    perms = [None] * dim
-    if scramble:
-        rng = np.random.default_rng(seed)
-        perms = []
-        for b in bases:
-            p = np.concatenate(([0], rng.permutation(np.arange(1, b))))
-            perms.append(p)
+    rng = np.random.default_rng(seed) if scramble else None
     pts = np.empty((NP, dim))
-    for j, (b, perm) in enumerate(zip(bases, perms)):
+    for j, b in enumerate(_first_primes(dim)):
+        perm = (np.concatenate(([0], rng.permutation(np.arange(1, b))))
+                if scramble else np.arange(b))
         # radical inverse of every index at once, least significant digit
-        # first; finished indices keep adding (perm of) digit 0, i.e. 0.0
+        # first; finished indices add perm[0] / denom = 0.0
         n = np.arange(1, NP + 1)
         inv, denom = np.zeros(NP), 1.0
         while n.any():
             n, digit = np.divmod(n, b)
-            if perm is not None:
-                digit = perm[digit]
             denom *= b
-            inv += digit / denom
+            inv += perm[digit] / denom
         pts[:, j] = inv
     return pts
 

@@ -85,7 +85,8 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
         # most S1_BLOCK_ELEMENTS floats (256 KiB), so scratch memory stays
         # bounded; exact distances, no Gram-matrix shortcut (it loses
         # digits when late-stage populations cluster).  Each row's sum is
-        # added in row order, as a row-at-a-time loop would.
+        # added to total in row order, so s1 does not depend on the block
+        # size.
         rows = max(1, S1_BLOCK_ELEMENTS // (n * X.shape[1]))
         total = 0.0
         for i0 in range(0, n - 1, rows):

@@ -7,8 +7,9 @@ meaningful.  Slow and simple on purpose.
 
 The loop oracles section keeps the package's earlier row and digit
 loops (Halton radical inverse, row-at-a-time pairwise distances, the
-Katsuura double loop).  They use the same numpy operations per element
-as the vectorized kernels, so those kernels must match them bit for bit.
+Katsuura double loop).  They compute each element with the same
+floating-point operations, in the same order, as the vectorized
+kernels, so those kernels must match them bit for bit.
 """
 
 from __future__ import annotations

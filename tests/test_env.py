@@ -1,6 +1,8 @@
 """Tests for the control-loop environment: state features, reward,
 action decoding, and episode running."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -134,7 +136,6 @@ def test_cal_state_s1_matches_row_loop(dim, clustered):
 
 def test_cal_state_scratch_memory_bounded():
     # an (n, n, dim) difference tensor at n=500, dim=50 would take 95 MiB
-    import tracemalloc
     rng = np.random.default_rng(5)
     X = rng.uniform(-5, 5, (500, 50))
     fit = rng.uniform(0, 50, 500)

@@ -20,7 +20,7 @@ from .qmodel import ModelConfig, QModelParams, init_qmodel
 from .training import AdamWState
 
 MAGIC = b"DACQCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2   # 2: SSM blocks store A_log (A = -exp(A_log)) in place of A
 
 
 def _payload_order(params: QModelParams, opt: AdamWState | None):
@@ -58,8 +58,9 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: not a checkpoint file")
     version, = struct.unpack_from("<I", raw, 8)
     if version != CKPT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {version} != "
-                         f"supported {CKPT_VERSION}")
+        raise ValueError(f"{path}: checkpoint version {version} is not "
+                         f"supported; this dacq reads only version "
+                         f"{CKPT_VERSION} and does not convert others")
     hlen, = struct.unpack_from("<Q", raw, 12)
     header = json.loads(raw[20:20 + hlen].decode("utf-8"))
     config = ModelConfig(**header["config"])

@@ -5,24 +5,22 @@ exact hand-derived backward pass.
 The recurrence (per channel d, state n):
 
     delta = softplus(u @ W_delta + b_delta)         u = x @ W_in + b_in
-    B(u)  = u @ W_B          C(u) = u @ W_C
-    Abar  = exp(delta * A)   Bbar = delta * phi1(delta * A) * B(u)
+    B(u)  = u @ W_B          C(u) = u @ W_C          A = -exp(A_log)
+    Abar  = exp(delta * A)   Bbar = expm1(delta * A) / A * B(u)
     h_t   = Abar * h_{t-1} + Bbar * u_t
     y_t   = (h_t @ C_t) + D_skip * u_t              out = y @ W_out + b_out
 
-with phi1(z) = (e^z - 1)/z (the exact zero-order-hold factor).  phi1 and
-its derivative use the direct formula, and a cubic Taylor series only on
-the entries with |z| < 1e-5 (_SERIES_CUTOFF).  A is diagonal, stored as
-a (d_model, d_state) array.  All arrays are float64.
+A is diagonal and stored through its log, a (d_model, d_state) array
+A_log, as in S4D and Mamba.  A < 0 holds for every A_log, so
+0 <= Abar < 1 (up to rounding) and Bbar is the exact zero-order hold with
+no special case at A = 0.  All arrays are float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-_SERIES_CUTOFF = 1e-5
 
 
 def softplus(x):
@@ -38,51 +36,6 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def phi1(z):
-    """(e^z - 1)/z with a Taylor fallback near zero."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < _SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.expm1(zs, out=np.empty_like(zs))
-        out /= zs
-    zm = z[small]
-    out[small] = 1.0 + zm / 2.0 + zm * zm / 6.0 + zm ** 3 / 24.0
-    return out
-
-
-def phi1_deriv(z):
-    """d/dz of phi1: (e^z (z - 1) + 1)/z^2, series near zero."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < _SERIES_CUTOFF
-    zs = np.where(small, 1.0, z)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.exp(zs, out=np.empty_like(zs))
-        tmp = np.subtract(zs, 1.0, out=np.empty_like(zs))
-        out *= tmp
-        out += 1.0
-        out /= np.multiply(zs, zs, out=tmp)
-    zm = z[small]
-    out[small] = 0.5 + zm / 3.0 + zm * zm / 8.0 + zm ** 3 / 30.0
-    return out
-
-
-def discretize(A, B, delta):
-    """Zero-order-hold discretization for diagonal A.
-
-    A: (..., D, N) diagonal entries; B: (..., N); delta: (..., D) > 0.
-    Returns (Abar, Bbar), both (..., D, N), with the exact A -> 0 limit
-    Bbar -> delta * B.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    P = delta[..., None] * A
-    Abar = np.exp(P)
-    Bbar = delta[..., None] * phi1(P) * B[..., None, :]
-    return Abar, Bbar
-
-
 @dataclass
 class SsmParams:
     """Learnable tensors of one selective-SSM layer.
@@ -91,7 +44,7 @@ class SsmParams:
     older forward passes can be rejected.
     """
 
-    A: np.ndarray         # (D, N) diagonal transition
+    A_log: np.ndarray     # (D, N) log of -A, the diagonal transition
     W_in: np.ndarray      # (D, D) input mixing
     b_in: np.ndarray      # (D,)
     W_delta: np.ndarray   # (D, D) step-size projection
@@ -105,14 +58,14 @@ class SsmParams:
 
     @property
     def d_model(self) -> int:
-        return self.A.shape[0]
+        return self.A_log.shape[0]
 
     @property
     def d_state(self) -> int:
-        return self.A.shape[1]
+        return self.A_log.shape[1]
 
     def tensors(self) -> dict:
-        return {"A": self.A, "W_in": self.W_in, "b_in": self.b_in,
+        return {"A_log": self.A_log, "W_in": self.W_in, "b_in": self.b_in,
                 "W_delta": self.W_delta, "b_delta": self.b_delta,
                 "W_B": self.W_B, "W_C": self.W_C, "D_skip": self.D_skip,
                 "W_out": self.W_out, "b_out": self.b_out}
@@ -122,11 +75,11 @@ class SsmParams:
 
 
 def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
-    """Stable defaults: negative diagonal A, small positive initial step
-    sizes, unit skip, scaled-normal mixing weights."""
+    """Defaults: A in [-1, -0.01), small positive initial step sizes,
+    unit skip, scaled-normal mixing weights."""
     s = 1.0 / np.sqrt(d_model)
     return SsmParams(
-        A=-rng.uniform(0.01, 1.0, (d_model, d_state)),
+        A_log=np.log(rng.uniform(0.01, 1.0, (d_model, d_state))),
         W_in=rng.normal(0.0, s, (d_model, d_model)),
         b_in=np.zeros(d_model),
         W_delta=rng.normal(0.0, s, (d_model, d_model)),
@@ -152,9 +105,8 @@ class SsmCache:
     delta: np.ndarray     # (B, L, D)
     Bix: np.ndarray       # (B, L, N) input-dependent B
     Cix: np.ndarray       # (B, L, N) input-dependent C
-    P: np.ndarray         # (B, L, D, N) delta * A
     Abar: np.ndarray      # (B, L, D, N)
-    phi: np.ndarray       # (B, L, D, N)
+    E: np.ndarray         # (B, L, D, N) expm1(delta * A) / A
     Bbar: np.ndarray      # (B, L, D, N)
     hs: np.ndarray        # (B, L+1, D, N), hs[:, 0] = h0
 
@@ -191,11 +143,13 @@ def _input_projections(params: SsmParams, xs):
     sig = sigmoid(z)
     Bix = u @ params.W_B
     Cix = u @ params.W_C
-    P = delta[..., None] * params.A
+    A = -np.exp(params.A_log)
+    P = delta[..., None] * A
     Abar = np.exp(P)
-    phi = phi1(P)
-    Bbar = delta[..., None] * phi * Bix[..., None, :]
-    return u, sig, delta, Bix, Cix, P, Abar, phi, Bbar
+    E = np.expm1(P, out=P)
+    E /= A
+    Bbar = E * Bix[..., None, :]
+    return u, sig, delta, Bix, Cix, Abar, E, Bbar
 
 
 def _emit(params: SsmParams, hs_steps, Cix, u):
@@ -209,7 +163,7 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
     xs, h0, unbatched = _normalize_inputs(params, h0, xs)
     nb, L, D = xs.shape
     N = params.d_state
-    u, sig, delta, Bix, Cix, P, Abar, phi, Bbar = _input_projections(params, xs)
+    u, sig, delta, Bix, Cix, Abar, E, Bbar = _input_projections(params, xs)
     hs = np.empty((nb, L + 1, D, N))
     hs[:, 0] = h0
     for t in range(L):
@@ -217,16 +171,10 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
     ys = _emit(params, hs[:, 1:], Cix, u)
     h_final = hs[:, -1]
     cache = SsmCache(params, params.version, unbatched, xs, u, sig, delta,
-                     Bix, Cix, P, Abar, phi, Bbar, hs)
+                     Bix, Cix, Abar, E, Bbar, hs)
     if unbatched:
         return ys[0], h_final[0], cache
     return ys, h_final, cache
-
-
-def scan_combine(a1, b1, a2, b2):
-    """Associative combine of recurrence elements: applying (a1, b1) then
-    (a2, b2) equals (a2*a1, a2*b1 + b2)."""
-    return a2 * a1, a2 * b1 + b2
 
 
 def ssm_forward_scan(params: SsmParams, h0, xs):
@@ -234,7 +182,7 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
     the sequential path up to floating-point reassociation."""
     xs, h0, unbatched = _normalize_inputs(params, h0, xs)
     nb, L, D = xs.shape
-    u, sig, delta, Bix, Cix, P, Abar, phi, Bbar = _input_projections(params, xs)
+    u, sig, delta, Bix, Cix, Abar, E, Bbar = _input_projections(params, xs)
     a = Abar.copy()
     b = Bbar * u[..., None]
     b[:, 0] += a[:, 0] * h0
@@ -264,7 +212,8 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
                          "forward pass")
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
     Bix, Cix = cache.Bix, cache.Cix
-    Abar, phi, Bbar, P, hs = cache.Abar, cache.phi, cache.Bbar, cache.P, cache.hs
+    Abar, E, Bbar, hs = cache.Abar, cache.E, cache.Bbar, cache.hs
+    A = -np.exp(p.A_log)
     nb, L, D = xs.shape
     N = p.d_state
 
@@ -300,29 +249,23 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
         gh = gh * Abar[:, t]
     grad_h0 = gh
 
-    # the (B, L, D, N) temporaries below reuse ghs, gBbar and one scratch
-    # buffer; each product keeps its left-to-right order, so the results
-    # are bit-identical to fresh arrays
-    gBbar = ghs * u[..., None]
     gu += np.einsum("bldn,bldn->bld", ghs, Bbar)
 
-    # Abar = exp(P), Bbar = delta*phi1(P)*B
-    gP = ghs                    # gP = (ghs * h) * Abar
-    gP *= hs[:, :-1]
-    gP *= Abar
-    scratch = np.multiply(phi, Bix[:, :, None, :])
-    gdelta = np.einsum("bldn,bldn->bld", gBbar, scratch)
-    np.multiply(delta[..., None], phi, out=scratch)
-    gB = np.einsum("bldn,bldn->bln", gBbar, scratch)
-    del scratch
-    gphi = gBbar                # gphi = (gBbar * delta) * B
-    gphi *= delta[..., None]
-    gphi *= Bix[:, :, None, :]
-    gphi *= phi1_deriv(P)
-    gP += gphi
-    # P = delta * A
-    gdelta += np.einsum("bldn,dn->bld", gP, p.A)
-    gA = np.einsum("bldn,bld->dn", gP, delta)
+    # Abar = exp(delta*A), Bbar = E*B with E = expm1(delta*A)/A: from
+    # dAbar/ddelta = A*Abar, dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A
+    # and dA/dA_log = A, with X = (gAbar*A + gE)*Abar,
+    # gdelta = sum_n X and gA_log = sum delta*X - sum gE*E
+    gE = ghs * u[..., None]     # gBbar, then gE = gBbar*B
+    gB = np.einsum("bldn,bldn->bln", gE, E)
+    gE *= Bix[:, :, None, :]
+    X = ghs                     # X = (ghs*h*A + gE)*Abar, in place
+    X *= hs[:, :-1]
+    X *= A
+    X += gE
+    X *= Abar
+    gdelta = X.sum(-1)
+    gA_log = (np.einsum("bldn,bld->dn", X, delta)
+              - np.einsum("bldn,bldn->dn", gE, E))
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
@@ -341,9 +284,9 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
     gb_in = gu.sum((0, 1))
     gxs = gu @ p.W_in.T
 
-    grads = {"A": gA, "W_in": gW_in, "b_in": gb_in, "W_delta": gW_delta,
-             "b_delta": gb_delta, "W_B": gW_B, "W_C": gW_C,
-             "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
+    grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
+             "W_delta": gW_delta, "b_delta": gb_delta, "W_B": gW_B,
+             "W_C": gW_C, "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
     if cache.unbatched:
         return grads, grad_h0[0], gxs[0]
     return grads, grad_h0, gxs

@@ -367,7 +367,9 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
     parameters and frozen for every FD evaluation, matching the
     semi-gradient the analytic path implements.  Checks every parameter
     coordinate; reports the max relative error over coordinates with
-    |g| > 1e-6.
+    |g| > 1e-6.  Each error |g - fd| is first reduced by the FD rounding
+    floor eps*|loss|/h_fd, the error a central difference of a loss
+    rounded to eps*|loss| can show on an exact gradient.
     """
     states = np.stack([s.state for s in traj.steps])[None]
     actions = np.stack([s.actions for s in traj.steps])[None]
@@ -376,8 +378,10 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
 
     Q0, cache = qmodel.q_values_batch(params, states, actions)
     targets = compute_targets(Q0, rewards, masks, cfg)
-    _, _, dQ = q_loss_batch(Q0, actions, rewards, masks, cfg, targets=targets)
+    loss, _, dQ = q_loss_batch(Q0, actions, rewards, masks, cfg,
+                               targets=targets)
     grads = qmodel.model_backward(cache, dQ)
+    floor = np.finfo(np.float64).eps * abs(loss) / h_fd
 
     worst = 0.0
     worst_coord = None
@@ -396,7 +400,8 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
             flat[i] = orig
             fd = (up - dn) / (2 * h_fd)
             if abs(g[i]) > 1e-6:
-                rel = abs(g[i] - fd) / max(abs(g[i]), abs(fd))
+                rel = (max(abs(g[i] - fd) - floor, 0.0)
+                       / max(abs(g[i]), abs(fd)))
                 checked += 1
                 if rel > worst:
                     worst, worst_coord = rel, (name, i)

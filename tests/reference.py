@@ -416,20 +416,14 @@ def ssm_softplus_ref(z):
     return math.log1p(math.exp(z)) if z < 30 else z
 
 
-def ssm_phi1_ref(P):
-    if abs(P) < 1e-5:
-        return 1.0 + P / 2.0 + P * P / 6.0 + P ** 3 / 24.0
-    return math.expm1(P) / P
-
-
 def ssm_forward_ref(ten, h0, xs):
     """Pure-python recurrence over a dict of parameter arrays (indexable
     nested sequences); returns (ys, h_final) as lists."""
-    A, W_in, b_in = ten["A"], ten["W_in"], ten["b_in"]
+    A_log, W_in, b_in = ten["A_log"], ten["W_in"], ten["b_in"]
     W_delta, b_delta = ten["W_delta"], ten["b_delta"]
     W_B, W_C, D_skip = ten["W_B"], ten["W_C"], ten["D_skip"]
     W_out, b_out = ten["W_out"], ten["b_out"]
-    D, N = len(A), len(A[0])
+    D, N = len(A_log), len(A_log[0])
     h = [[h0[d][n] for n in range(N)] for d in range(D)]
     ys = []
     for x in xs:
@@ -442,9 +436,10 @@ def ssm_forward_ref(ten, h0, xs):
         Cv = [sum(u[d] * W_C[d][n] for d in range(D)) for n in range(N)]
         for d in range(D):
             for n in range(N):
-                P = delta[d] * A[d][n]
+                A = -math.exp(A_log[d][n])
+                P = delta[d] * A
                 abar = math.exp(P)
-                bbar = delta[d] * ssm_phi1_ref(P) * Bv[n]
+                bbar = math.expm1(P) / A * Bv[n]
                 h[d][n] = abar * h[d][n] + bbar * u[d]
         y = [sum(h[d][n] * Cv[n] for n in range(N)) + D_skip[d] * u[d]
              for d in range(D)]

@@ -62,14 +62,26 @@ def test_rejects_non_checkpoint(tmp_path):
         checkpoint.load_checkpoint(path)
 
 
-def test_rejects_future_version(tmp_path):
+def test_writes_current_version_and_a_log(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, make_params(4))
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, 8) == (checkpoint.CKPT_VERSION,)
+    assert checkpoint.CKPT_VERSION == 2
+    assert b'"blocks.0.A_log"' in raw and b'"blocks.0.A"' not in raw
+
+
+# 1 is the format that stored SSM A itself; it is rejected, not converted
+@pytest.mark.parametrize("version", [1, 99])
+def test_rejects_version_mismatch(tmp_path, version):
     params = make_params(4)
     path = tmp_path / "m.ckpt"
     checkpoint.save_checkpoint(path, params)
     raw = bytearray(path.read_bytes())
-    raw[8:12] = struct.pack("<I", 99)
+    raw[8:12] = struct.pack("<I", version)
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version 99"):
+    with pytest.raises(ValueError, match=f"checkpoint version {version} is "
+                       f"not supported.*reads only version 2"):
         checkpoint.load_checkpoint(path)
 
 

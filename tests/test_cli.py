@@ -351,6 +351,21 @@ def test_verify_injected_gradient_sign_error_fails(monkeypatch, capsys):
     assert "FAIL  grad_check" in out
 
 
+def test_verify_injected_small_gradient_error_fails(monkeypatch, capsys):
+    true_backward = qmodel.model_backward
+
+    def scaled(cache, grad_Q):
+        grads = true_backward(cache, grad_Q)
+        grads["blocks.0.A_log"].ravel()[0] *= 1.0 + 1e-3
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", scaled)
+    rc = run(["verify", "--mdps", "2", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  grad_check" in out
+
+
 def test_verify_overtight_decomposition_tolerance_fails(capsys):
     rc = run(["verify", "--mdps", "10", "--scan-seeds", "1",
               "--tol-decomp", "1e-16", "--seed", "0"])

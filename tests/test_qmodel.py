@@ -274,7 +274,7 @@ def test_model_backward_depth_two():
     grads = qmodel.model_backward(cache, R)
     h = 1e-4
     # spot-check one tensor per block plus the embedding
-    for name in ("blocks.0.W_B", "blocks.1.A", "W_embed"):
+    for name in ("blocks.0.W_B", "blocks.1.A_log", "W_embed"):
         arr = p.tensors()[name]
         g = grads[name]
         flat = arr.ravel()
@@ -308,7 +308,7 @@ def test_tensor_names_are_stable():
     p = tiny_model(depth=2)
     names = list(p.tensors())
     assert names[0] == "W_embed"
-    assert "blocks.0.A" in names and "blocks.1.W_out" in names
+    assert "blocks.0.A_log" in names and "blocks.1.W_out" in names
     assert names[-1] == "b_head"
     # every tensor is float64 and owned (no overlap)
     for arr in p.tensors().values():

@@ -18,58 +18,6 @@ def small_params(seed=0, d_model=8, d_state=4):
 # ---------------------------------------------------------------------------
 # scalar helpers
 
-def test_phi1_special_values():
-    assert ssm.phi1(0.0) == 1.0
-    assert_allclose(ssm.phi1(1.0), math.e - 1.0, rtol=1e-15)
-    z = -math.log(2.0)
-    assert_allclose(ssm.phi1(z), (0.5 - 1.0) / z, rtol=1e-15)
-
-
-def test_phi1_branches_agree_at_cutoff():
-    # series and direct formulas nearly coincide where the switch happens
-    for z in (1.2e-5, -1.2e-5):
-        direct = math.expm1(z) / z
-        series = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-        assert abs(direct - series) < 1e-10
-        d_direct = (math.exp(z) * (z - 1.0) + 1.0) / (z * z)
-        d_series = 0.5 + z / 3.0 + z * z / 8.0 + z ** 3 / 30.0
-        assert abs(d_direct - d_series) < 1e-6
-
-
-def test_phi1_deriv_matches_finite_difference():
-    rng = np.random.default_rng(3)
-    for z in np.concatenate([rng.uniform(-3, 3, 10), [0.0, 1e-6, -1e-6]]):
-        h = 1e-6
-        fd = (ssm.phi1(z + h) - ssm.phi1(z - h)) / (2 * h)
-        assert abs(ssm.phi1_deriv(z) - fd) < 1e-8
-
-
-def _mixed_z():
-    c = ssm._SERIES_CUTOFF
-    special = [0.0, -0.0, c, -c, 1e-6, -1e-6, 1.2e-5, -1.2e-5, 700.0, -700.0]
-    rng = np.random.default_rng(4)
-    return np.concatenate([special, rng.uniform(-3.0, 3.0, 14)])
-
-
-@pytest.mark.parametrize("shape", [(24,), (2, 3, 4)])
-def test_phi1_masked_series_matches_scalar_calls(shape):
-    # the series is written into the small entries only: every element of
-    # an array call must be bit-for-bit its own scalar call, and the
-    # entries below the cutoff bit-for-bit the Taylor polynomial
-    z = _mixed_z().reshape(shape)
-    series = {ssm.phi1: lambda v: 1.0 + v / 2.0 + v * v / 6.0 + v ** 3 / 24.0,
-              ssm.phi1_deriv: lambda v: 0.5 + v / 3.0 + v * v / 8.0
-              + v ** 3 / 30.0}
-    for fn, poly in series.items():
-        got = fn(z)
-        assert got.shape == shape and got.dtype == np.float64
-        for idx in np.ndindex(shape):
-            v = float(z[idx])
-            assert got[idx].tobytes() == fn(v).tobytes(), (fn.__name__, v)
-            if abs(v) < ssm._SERIES_CUTOFF:
-                assert got[idx].tobytes() == np.float64(poly(v)).tobytes()
-
-
 def test_softplus_inverse_round_trip():
     y = np.array([1e-3, 0.01, 0.1, 1.0, 5.0])
     assert_allclose(ssm.softplus(ssm.softplus_inv(y)), y, rtol=1e-12)
@@ -78,38 +26,40 @@ def test_softplus_inverse_round_trip():
 # ---------------------------------------------------------------------------
 # discretization
 
-def test_discretize_zero_A_limit():
-    B = np.array([0.7, -1.2])
-    delta = np.array([0.3])
-    Abar, Bbar = ssm.discretize(np.zeros((1, 2)), B, delta)
-    assert_array_equal(Abar, np.ones((1, 2)))
-    assert_allclose(Bbar, (0.3 * B)[None, :], rtol=1e-15)
-
-
 def test_discretize_half_life():
-    Abar, Bbar = ssm.discretize(np.array([[-1.0]]), np.array([1.0]),
-                                np.array([math.log(2.0)]))
-    assert_allclose(Abar, [[0.5]], rtol=1e-15)
-    # (Abar - 1)/A * B = 0.5 for A=-1
-    assert_allclose(Bbar, [[0.5]], rtol=1e-14)
+    # A = -1, delta = ln 2: Abar = 1/2 and Bbar = (Abar - 1)/A * B = 1/2;
+    # B, C and u equal the input
+    one = np.array([[1.0]])
+    p = ssm.SsmParams(
+        A_log=np.zeros((1, 1)), W_in=one, b_in=np.zeros(1),
+        W_delta=np.zeros((1, 1)),
+        b_delta=ssm.softplus_inv(np.array([math.log(2.0)])),
+        W_B=one, W_C=one, D_skip=np.zeros(1), W_out=one, b_out=np.zeros(1))
+    _, h1, cache = ssm.ssm_forward_sequential(p, one, one)
+    assert_allclose(cache.Abar[0, 0], [[0.5]], rtol=1e-14)
+    assert_allclose(cache.Bbar[0, 0], [[0.5]], rtol=1e-14)
+    assert_allclose(h1, [[1.0]], rtol=1e-14)
 
 
 def test_discretize_matches_ode_integration():
-    # ZOH over [0, delta] must agree with integrating dh = A h + B x
+    # one forward step is the zero-order hold: it must agree with
+    # integrating dh = A h + B u over [0, delta], A = -exp(A_log), also
+    # for A = -exp(-20), where |delta * A| < 1e-9
     rng = np.random.default_rng(7)
     D, N = 3, 4
-    A = rng.uniform(-2.0, 0.5, (D, N))
-    B = rng.normal(size=N)
-    delta = rng.uniform(0.1, 1.0, D)
-    x = rng.normal(size=D)
+    p = small_params(7, d_model=D, d_state=N)
+    p.A_log[:] = np.log(rng.uniform(0.05, 2.0, (D, N)))
+    p.A_log[0, 0] = -20.0
+    x = rng.normal(size=(1, D))
     h0 = rng.normal(size=(D, N))
-    Abar, Bbar = ssm.discretize(A, B, delta)
-    want = Abar * h0 + Bbar * x[:, None]
+    _, want, cache = ssm.ssm_forward_sequential(p, h0, x)
+    A = -np.exp(p.A_log)
+    delta, B, u = cache.delta[0, 0], cache.Bix[0, 0], cache.u[0, 0]
 
     steps = 4000
     h = h0.copy()
     dt = delta[:, None] / steps
-    forcing = B[None, :] * x[:, None]
+    forcing = B[None, :] * u[:, None]
 
     def f(hh):
         return A * hh + forcing
@@ -121,6 +71,25 @@ def test_discretize_matches_ode_integration():
         k4 = f(h + dt * k3)
         h = h + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     assert np.max(np.abs(h - want)) < 1e-8
+
+
+def test_stable_by_construction():
+    # any A_log gives A < 0, so 0 <= Abar < 1 and the state under a
+    # constant input stays below the geometric-series bound
+    p = small_params(29)
+    p.A_log[:] = np.linspace(-20.0, 20.0, p.A_log.size).reshape(p.A_log.shape)
+    x_row = np.random.default_rng(30).normal(size=8) * 3
+    xs = np.tile(x_row, (2048, 1))
+    _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+    Abar, hs = cache.Abar, cache.hs
+    assert np.all(Abar >= 0.0) and np.all(Abar < 1.0)
+    assert Abar.min() == 0.0 and Abar.max() > 1.0 - 1e-9
+    assert np.all(np.isfinite(hs))
+    bu = np.abs(cache.Bbar * cache.u[..., None])
+    assert np.abs(hs).max() <= bu.max() / (1.0 - Abar.max())
+    # with a constant input each (d, n) is its own geometric series
+    bound = bu[0, 0] / (1.0 - Abar[0, 0])
+    assert np.all(np.abs(hs[0]) <= bound * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +106,7 @@ def test_zero_input_zero_state_gives_zero_output():
 def test_memoryless_limit_is_time_independent():
     # huge negative A underflows Abar to exactly 0: no state carried over
     p = small_params(1)
-    p.A[:] = -1e6
+    p.A_log[:] = np.log(1e6)
     x_row = np.random.default_rng(2).normal(size=8)
     xs = np.tile(x_row, (4, 1))
     ys, _, _ = ssm.ssm_forward_sequential(p, None, xs)
@@ -193,18 +162,6 @@ def test_forward_shape_errors():
 # ---------------------------------------------------------------------------
 # scan
 
-def test_scan_combine_associative():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a1, a2, a3 = rng.uniform(0, 1, (3, 4))
-        b1, b2, b3 = rng.normal(size=(3, 4))
-        left = ssm.scan_combine(*ssm.scan_combine(a1, b1, a2, b2), a3, b3)
-        right_inner = ssm.scan_combine(a2, b2, a3, b3)
-        right = ssm.scan_combine(a1, b1, *right_inner)
-        assert_allclose(left[0], right[0], rtol=1e-12)
-        assert_allclose(left[1], right[1], rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("L", [1, 2, 7, 64, 2048])
 def test_scan_matches_sequential(L):
     p = small_params(12)
@@ -256,13 +213,14 @@ def test_zero_upstream_gradient():
 
 def test_single_step_scalar_hand_chain_rule():
     # D = N = 1, L = 1: every gradient has a short closed form
-    a, w_in, b_in = -0.4, 1.3, 0.2
+    a_log, w_in, b_in = math.log(0.4), 1.3, 0.2
     w_d, b_d = 0.7, -0.3
     w_b, w_c, d_skip = 0.9, 1.1, 0.5
     w_out, b_out = 1.7, 0.1
     x, h0 = 0.8, 0.6
     p = ssm.SsmParams(
-        A=np.array([[a]]), W_in=np.array([[w_in]]), b_in=np.array([b_in]),
+        A_log=np.array([[a_log]]), W_in=np.array([[w_in]]),
+        b_in=np.array([b_in]),
         W_delta=np.array([[w_d]]), b_delta=np.array([b_d]),
         W_B=np.array([[w_b]]), W_C=np.array([[w_c]]),
         D_skip=np.array([d_skip]), W_out=np.array([[w_out]]),
@@ -271,15 +229,14 @@ def test_single_step_scalar_hand_chain_rule():
                                                np.array([[x]]))
     grads, gh0, gxs = ssm.ssm_backward(cache, np.array([[1.0]]))
 
+    a = -math.exp(a_log)
     u = x * w_in + b_in
     z = u * w_d + b_d
     delta = math.log1p(math.exp(z))
     sig = 1.0 / (1.0 + math.exp(-z))
-    P = delta * a
-    abar, phi = math.exp(P), (math.expm1(P) / P)
-    phi_d = (math.exp(P) * (P - 1) + 1) / P ** 2
+    abar, e = math.exp(delta * a), math.expm1(delta * a) / a
     Bv, Cv = u * w_b, u * w_c
-    bbar = delta * phi * Bv
+    bbar = e * Bv
     h1 = abar * h0 + bbar * u
     y = h1 * Cv + d_skip * u
     assert_allclose(ys, [[y * w_out + b_out]], rtol=1e-14)
@@ -292,11 +249,13 @@ def test_single_step_scalar_hand_chain_rule():
     dabar = dh1 * h0
     dbbar = dh1 * u
     du += dh1 * bbar
-    dP = dabar * abar + dbbar * delta * Bv * phi_d
-    ddelta = dbbar * phi * Bv + dP * a
-    dB = dbbar * delta * phi
+    de = dbbar * Bv
+    dB = dbbar * e
     du += dB * w_b
-    dA = dP * delta
+    # abar = exp(delta*a), e = (exp(delta*a) - 1)/a
+    ddelta = dabar * abar * a + de * abar
+    dA = dabar * abar * delta + de * (delta * abar - e) / a
+    dA_log = dA * a
     dz = ddelta * sig
     du += dz * w_d
     dx = du * w_in
@@ -306,7 +265,7 @@ def test_single_step_scalar_hand_chain_rule():
     assert_allclose(grads["D_skip"], [dy * u], rtol=1e-13)
     assert_allclose(grads["W_C"], [[dC * u]], rtol=1e-13)
     assert_allclose(grads["W_B"], [[dB * u]], rtol=1e-13)
-    assert_allclose(grads["A"], [[dA]], rtol=1e-13)
+    assert_allclose(grads["A_log"], [[dA_log]], rtol=1e-13)
     assert_allclose(grads["W_delta"], [[dz * u]], rtol=1e-13)
     assert_allclose(grads["b_delta"], [dz], rtol=1e-13)
     assert_allclose(grads["W_in"], [[du * x]], rtol=1e-13)

@@ -334,6 +334,24 @@ def test_grad_check_random_model(sphere5):
     assert report["max_rel_error"] <= 1e-4, report
 
 
+def test_grad_check_detects_small_injected_error(sphere5, monkeypatch):
+    # a 1e-3 relative error on one coordinate clears the rounding floor
+    true_backward = qmodel.model_backward
+
+    def scaled(cache, grad_Q):
+        grads = true_backward(cache, grad_Q)
+        grads["blocks.0.A_log"].ravel()[0] *= 1.0 + 1e-3
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", scaled)
+    model = small_model(6)
+    traj = short_trajectory(sphere5, T=3, seed=6)
+    report = training.grad_check(model, traj, small_cfg(), h_fd=1e-4)
+    assert report["checked"] > 200
+    assert report["max_rel_error"] > 1e-4, report
+    assert report["worst_coord"] == ("blocks.0.A_log", 0)
+
+
 def test_grad_check_fd_truncation_is_second_order(sphere5):
     # doubling h should roughly quadruple the truncation error
     model = small_model(7)

@@ -14,6 +14,14 @@ A is diagonal and stored through its log, a (d_model, d_state) array
 A_log, as in S4D and Mamba.  A < 0 holds for every A_log, so
 0 <= Abar < 1 (up to rounding) and Bbar is the exact zero-order hold with
 no special case at A = 0.  All arrays are float64.
+
+The sequential forward and the backward walk time in chunks whose
+(batch, steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS
+elements (or one step, if that is more).  Each chunk's Abar,
+E = expm1(delta * A) / A and Bbar are built from the cached delta and
+B(u), used, and dropped; the backward rebuilds them chunk by chunk in
+reverse (recomputation, not caching).  The only cached array of that size
+is the state trajectory hs.
 """
 
 from __future__ import annotations
@@ -21,6 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: element budget of one time chunk of the (batch, steps, d_model, d_state)
+#: discretized tensors that the sequential forward and the backward build
+#: (128 KiB of float64; a chunk holds at least one step).  Of 2**12 to
+#: 2**16 it was the fastest at both the desk (4, 150, 32, 8) and the
+#: paper (4, 1500, 64, 16) shape.
+SCAN_CHUNK_ELEMENTS = 1 << 14
 
 
 def softplus(x):
@@ -94,7 +109,11 @@ def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
 
 @dataclass
 class SsmCache:
-    """Forward intermediates retained for the backward pass."""
+    """Forward intermediates retained for the backward pass.
+
+    Abar, E and Bbar are not kept: ssm_backward rebuilds them chunk by
+    chunk from delta and Bix, so hs is the only (B, L, D, N) array.
+    """
 
     params: SsmParams
     version: int
@@ -105,9 +124,6 @@ class SsmCache:
     delta: np.ndarray     # (B, L, D)
     Bix: np.ndarray       # (B, L, N) input-dependent B
     Cix: np.ndarray       # (B, L, N) input-dependent C
-    Abar: np.ndarray      # (B, L, D, N)
-    E: np.ndarray         # (B, L, D, N) expm1(delta * A) / A
-    Bbar: np.ndarray      # (B, L, D, N)
     hs: np.ndarray        # (B, L+1, D, N), hs[:, 0] = h0
 
 
@@ -143,13 +159,24 @@ def _input_projections(params: SsmParams, xs):
     sig = sigmoid(z)
     Bix = u @ params.W_B
     Cix = u @ params.W_C
-    A = -np.exp(params.A_log)
+    return u, sig, delta, Bix, Cix
+
+
+def _discretize(delta, A, Bix):
+    """Abar = exp(delta*A), E = expm1(delta*A)/A and Bbar = E*B for
+    delta (B, c, D) and Bix (B, c, N); each result is (B, c, D, N)."""
     P = delta[..., None] * A
     Abar = np.exp(P)
     E = np.expm1(P, out=P)
     E /= A
     Bbar = E * Bix[..., None, :]
-    return u, sig, delta, Bix, Cix, Abar, E, Bbar
+    return Abar, E, Bbar
+
+
+def _chunks(nb, L, D, N):
+    """(t0, t1) bounds of the time chunks, each within the element budget."""
+    c = max(1, SCAN_CHUNK_ELEMENTS // max(1, nb * D * N))
+    return [(t0, min(t0 + c, L)) for t0 in range(0, L, c)]
 
 
 def _emit(params: SsmParams, hs_steps, Cix, u):
@@ -163,15 +190,22 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
     xs, h0, unbatched = _normalize_inputs(params, h0, xs)
     nb, L, D = xs.shape
     N = params.d_state
-    u, sig, delta, Bix, Cix, Abar, E, Bbar = _input_projections(params, xs)
+    u, sig, delta, Bix, Cix = _input_projections(params, xs)
+    A = -np.exp(params.A_log)
     hs = np.empty((nb, L + 1, D, N))
     hs[:, 0] = h0
-    for t in range(L):
-        hs[:, t + 1] = Abar[:, t] * hs[:, t] + Bbar[:, t] * u[:, t, :, None]
+    for t0, t1 in _chunks(nb, L, D, N):
+        Abar, _, Bu = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
+        Bu *= u[:, t0:t1, :, None]
+        for t in range(t0, t1):
+            # h_t = Abar_t * h_{t-1} + Bbar_t * u_t, written in place
+            h = hs[:, t + 1]
+            np.multiply(Abar[:, t - t0], hs[:, t], out=h)
+            h += Bu[:, t - t0]
     ys = _emit(params, hs[:, 1:], Cix, u)
     h_final = hs[:, -1]
     cache = SsmCache(params, params.version, unbatched, xs, u, sig, delta,
-                     Bix, Cix, Abar, E, Bbar, hs)
+                     Bix, Cix, hs)
     if unbatched:
         return ys[0], h_final[0], cache
     return ys, h_final, cache
@@ -179,11 +213,13 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
 
 def ssm_forward_scan(params: SsmParams, h0, xs):
     """Prefix-scan evaluation (inclusive Hillis-Steele); same outputs as
-    the sequential path up to floating-point reassociation."""
+    the sequential path up to floating-point reassociation.  It holds the
+    whole (B, L, D, N) discretization at once and serves as a
+    verification oracle, not as a fast path."""
     xs, h0, unbatched = _normalize_inputs(params, h0, xs)
     nb, L, D = xs.shape
-    u, sig, delta, Bix, Cix, Abar, E, Bbar = _input_projections(params, xs)
-    a = Abar.copy()
+    u, sig, delta, Bix, Cix = _input_projections(params, xs)
+    a, _, Bbar = _discretize(delta, -np.exp(params.A_log), Bix)
     b = Bbar * u[..., None]
     b[:, 0] += a[:, 0] * h0
     offset = 1
@@ -204,15 +240,15 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
 
     Returns (grads: name->array matching params.tensors(), grad_h0,
     grad_xs).  grad_ys must match the forward ys shape; grad_h_final is
-    the gradient arriving at the carried final hidden state, if any.
+    the gradient arriving at the carried final hidden state, if any, and
+    must match the h_final shape.
     """
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
                          "forward pass")
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
-    Bix, Cix = cache.Bix, cache.Cix
-    Abar, E, Bbar, hs = cache.Abar, cache.E, cache.Bbar, cache.hs
+    Bix, Cix, hs = cache.Bix, cache.Cix, cache.hs
     A = -np.exp(p.A_log)
     nb, L, D = xs.shape
     N = p.d_state
@@ -225,10 +261,13 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
     if grad_h_final is None:
         gh = np.zeros((nb, D, N))
     else:
-        gh = np.asarray(grad_h_final, dtype=np.float64)
+        gh = np.array(grad_h_final, dtype=np.float64)
+        want = (D, N) if cache.unbatched else (nb, D, N)
+        if gh.shape != want:
+            raise ValueError(f"grad_h_final shape {gh.shape} does not match "
+                             f"h_final {want}")
         if cache.unbatched:
             gh = gh[None]
-        gh = gh.copy()
 
     # output mixing
     y_pre = np.einsum("bldn,bln->bld", hs[:, 1:], Cix) + p.D_skip * u
@@ -241,31 +280,39 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
     gD_skip = (gy * u).sum((0, 1))
     gu = gy * p.D_skip
 
-    # reverse recurrence: accumulate total dL/dh_t for every t
-    ghs = np.empty((nb, L, D, N))
-    for t in range(L - 1, -1, -1):
-        gh += gy[:, t, :, None] * Cix[:, t, None, :]
-        ghs[:, t] = gh
-        gh = gh * Abar[:, t]
+    # reverse recurrence over chunks, last first: rebuild the chunk's
+    # Abar, E and Bbar, accumulate the total dL/dh_t of its steps in ghs,
+    # then take the chunk's share of every gradient.  Abar = exp(delta*A),
+    # Bbar = E*B with E = expm1(delta*A)/A: from dAbar/ddelta = A*Abar,
+    # dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A and dA/dA_log = A, with
+    # X = (gAbar*A + gE)*Abar, gdelta = sum_n X and
+    # gA_log = sum delta*X - sum gE*E
+    gB = np.empty((nb, L, N))
+    gdelta = np.empty((nb, L, D))
+    gA_log = np.zeros((D, N))
+    for t0, t1 in reversed(_chunks(nb, L, D, N)):
+        Abar, E, Bbar = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
+        # dL/dh_t = gy_t C_t + Abar_{t+1} dL/dh_{t+1}, written in place;
+        # gh carries Abar_t dL/dh_t to the step before
+        ghs = gy[:, t0:t1, :, None] * Cix[:, t0:t1, None, :]
+        for i in range(t1 - t0 - 1, -1, -1):
+            g = ghs[:, i]
+            g += gh
+            np.multiply(g, Abar[:, i], out=gh)
+
+        gu[:, t0:t1] += np.einsum("bldn,bldn->bld", ghs, Bbar)
+        gE = ghs * u[:, t0:t1, :, None]     # gBbar, then gE = gBbar*B
+        gB[:, t0:t1] = np.einsum("bldn,bldn->bln", gE, E)
+        gE *= Bix[:, t0:t1, None, :]
+        X = ghs                 # X = (ghs*h*A + gE)*Abar, in place
+        X *= hs[:, t0:t1]
+        X *= A
+        X += gE
+        X *= Abar
+        gdelta[:, t0:t1] = X.sum(-1)
+        gA_log += (np.einsum("bldn,bld->dn", X, delta[:, t0:t1])
+                   - np.einsum("bldn,bldn->dn", gE, E))
     grad_h0 = gh
-
-    gu += np.einsum("bldn,bldn->bld", ghs, Bbar)
-
-    # Abar = exp(delta*A), Bbar = E*B with E = expm1(delta*A)/A: from
-    # dAbar/ddelta = A*Abar, dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A
-    # and dA/dA_log = A, with X = (gAbar*A + gE)*Abar,
-    # gdelta = sum_n X and gA_log = sum delta*X - sum gE*E
-    gE = ghs * u[..., None]     # gBbar, then gE = gBbar*B
-    gB = np.einsum("bldn,bldn->bln", gE, E)
-    gE *= Bix[:, :, None, :]
-    X = ghs                     # X = (ghs*h*A + gE)*Abar, in place
-    X *= hs[:, :-1]
-    X *= A
-    X += gE
-    X *= Abar
-    gdelta = X.sum(-1)
-    gA_log = (np.einsum("bldn,bld->dn", X, delta)
-              - np.einsum("bldn,bldn->dn", gE, E))
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig

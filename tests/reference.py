@@ -450,6 +450,104 @@ def ssm_forward_ref(ten, h0, xs):
 
 
 # ---------------------------------------------------------------------------
+# selective-SSM backward, whole sequence at once
+
+def ssm_backward_ref(cache, grad_ys, grad_h_final=None):
+    """Full-tensor backward of the selective SSM: Abar, E, Bbar and the
+    dL/dh_t of every step are built over the whole sequence at once.
+    Same arguments and returns as ``dacq.ssm.ssm_backward``."""
+    p = cache.params
+    if cache.version != p.version:
+        raise ValueError("stale cache: parameters were updated after the "
+                         "forward pass")
+    xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
+    Bix, Cix = cache.Bix, cache.Cix
+    hs = cache.hs
+    A = -np.exp(p.A_log)
+    P = delta[..., None] * A
+    Abar = np.exp(P)
+    E = np.expm1(P, out=P)
+    E /= A
+    Bbar = E * Bix[..., None, :]
+    nb, L, D = xs.shape
+    N = p.d_state
+
+    gys = np.asarray(grad_ys, dtype=np.float64)
+    if cache.unbatched:
+        gys = gys[None]
+    if gys.shape != (nb, L, D):
+        raise ValueError(f"grad_ys shape {grad_ys.shape} does not match ys")
+    if grad_h_final is None:
+        gh = np.zeros((nb, D, N))
+    else:
+        gh = np.asarray(grad_h_final, dtype=np.float64)
+        if cache.unbatched:
+            gh = gh[None]
+        gh = gh.copy()
+
+    # output mixing
+    y_pre = np.einsum("bldn,bln->bld", hs[:, 1:], Cix) + p.D_skip * u
+    gW_out = np.einsum("bld,ble->de", y_pre, gys)
+    gb_out = gys.sum((0, 1))
+    gy = gys @ p.W_out.T
+
+    # through the emission: y = h.C + D_skip*u
+    gC = np.einsum("bld,bldn->bln", gy, hs[:, 1:])
+    gD_skip = (gy * u).sum((0, 1))
+    gu = gy * p.D_skip
+
+    # reverse recurrence: accumulate total dL/dh_t for every t
+    ghs = np.empty((nb, L, D, N))
+    for t in range(L - 1, -1, -1):
+        gh += gy[:, t, :, None] * Cix[:, t, None, :]
+        ghs[:, t] = gh
+        gh = gh * Abar[:, t]
+    grad_h0 = gh
+
+    gu += np.einsum("bldn,bldn->bld", ghs, Bbar)
+
+    # Abar = exp(delta*A), Bbar = E*B with E = expm1(delta*A)/A: from
+    # dAbar/ddelta = A*Abar, dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A
+    # and dA/dA_log = A, with X = (gAbar*A + gE)*Abar,
+    # gdelta = sum_n X and gA_log = sum delta*X - sum gE*E
+    gE = ghs * u[..., None]     # gBbar, then gE = gBbar*B
+    gB = np.einsum("bldn,bldn->bln", gE, E)
+    gE *= Bix[:, :, None, :]
+    X = ghs                     # X = (ghs*h*A + gE)*Abar, in place
+    X *= hs[:, :-1]
+    X *= A
+    X += gE
+    X *= Abar
+    gdelta = X.sum(-1)
+    gA_log = (np.einsum("bldn,bld->dn", X, delta)
+              - np.einsum("bldn,bldn->dn", gE, E))
+
+    # delta = softplus(z), z = u@W_delta + b_delta
+    gz = gdelta * sig
+    gW_delta = np.einsum("bld,ble->de", u, gz)
+    gb_delta = gz.sum((0, 1))
+    gu += gz @ p.W_delta.T
+
+    # B = u@W_B, C = u@W_C
+    gW_B = np.einsum("bld,bln->dn", u, gB)
+    gW_C = np.einsum("bld,bln->dn", u, gC)
+    gu += gB @ p.W_B.T
+    gu += gC @ p.W_C.T
+
+    # u = xs@W_in + b_in
+    gW_in = np.einsum("bld,ble->de", xs, gu)
+    gb_in = gu.sum((0, 1))
+    gxs = gu @ p.W_in.T
+
+    grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
+             "W_delta": gW_delta, "b_delta": gb_delta, "W_B": gW_B,
+             "W_C": gW_C, "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
+    if cache.unbatched:
+        return grads, grad_h0[0], gxs[0]
+    return grads, grad_h0, gxs
+
+
+# ---------------------------------------------------------------------------
 # decomposed conservative loss, triple loops
 
 def q_loss_ref(Q, actions, rewards, masks, beta, lam, gamma):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dacq import checkpoint, cli, qmodel
+from dacq import checkpoint, cli, qmodel, ssm, training
 
 
 def run(argv):
@@ -364,6 +364,34 @@ def test_verify_injected_small_gradient_error_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL  grad_check" in out
+
+
+def test_verify_crosses_scan_chunks(monkeypatch, capsys):
+    # the SSM forward and backward walk time in chunks: grad_check and
+    # scan_equivalence (every SSM call outside grad_check) must each run
+    # a sequence longer than one chunk, or a chunk-edge bug passes verify
+    phase, most = ["scan_equivalence"], {}
+    true_forward, true_check = ssm.ssm_forward_sequential, training.grad_check
+
+    def spy_forward(params, h0, xs):
+        ys, hf, cache = true_forward(params, h0, xs)
+        nb, L, D = cache.xs.shape
+        n = len(ssm._chunks(nb, L, D, params.d_state))
+        most[phase[0]] = max(most.get(phase[0], 0), n)
+        return ys, hf, cache
+
+    def spy_check(*args, **kwargs):
+        phase[0] = "grad_check"
+        try:
+            return true_check(*args, **kwargs)
+        finally:
+            phase[0] = "scan_equivalence"
+
+    monkeypatch.setattr(ssm, "ssm_forward_sequential", spy_forward)
+    monkeypatch.setattr(training, "grad_check", spy_check)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    assert rc == 0, capsys.readouterr().out
+    assert most["grad_check"] > 1 and most["scan_equivalence"] > 1, most
 
 
 def test_verify_overtight_decomposition_tolerance_fails(capsys):

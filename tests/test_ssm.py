@@ -2,6 +2,8 @@
 paths, scan equivalence, and the hand-derived backward pass."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +38,9 @@ def test_discretize_half_life():
         b_delta=ssm.softplus_inv(np.array([math.log(2.0)])),
         W_B=one, W_C=one, D_skip=np.zeros(1), W_out=one, b_out=np.zeros(1))
     _, h1, cache = ssm.ssm_forward_sequential(p, one, one)
-    assert_allclose(cache.Abar[0, 0], [[0.5]], rtol=1e-14)
-    assert_allclose(cache.Bbar[0, 0], [[0.5]], rtol=1e-14)
+    Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
+    assert_allclose(Abar[0, 0], [[0.5]], rtol=1e-14)
+    assert_allclose(Bbar[0, 0], [[0.5]], rtol=1e-14)
     assert_allclose(h1, [[1.0]], rtol=1e-14)
 
 
@@ -81,11 +84,12 @@ def test_stable_by_construction():
     x_row = np.random.default_rng(30).normal(size=8) * 3
     xs = np.tile(x_row, (2048, 1))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    Abar, hs = cache.Abar, cache.hs
+    Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
+    hs = cache.hs
     assert np.all(Abar >= 0.0) and np.all(Abar < 1.0)
     assert Abar.min() == 0.0 and Abar.max() > 1.0 - 1e-9
     assert np.all(np.isfinite(hs))
-    bu = np.abs(cache.Bbar * cache.u[..., None])
+    bu = np.abs(Bbar * cache.u[..., None])
     assert np.abs(hs).max() <= bu.max() / (1.0 - Abar.max())
     # with a constant input each (d, n) is its own geometric series
     bound = bu[0, 0] / (1.0 - Abar[0, 0])
@@ -101,6 +105,17 @@ def test_zero_input_zero_state_gives_zero_output():
     ys, h_final, _ = ssm.ssm_forward_sequential(p, None, xs)
     assert_array_equal(ys, np.zeros((5, 8)))
     assert_array_equal(h_final, np.zeros((8, 4)))
+
+
+def test_empty_batch_and_empty_sequence():
+    p = small_params()
+    for xs, ys_shape, gh0_shape in ((np.zeros((0, 5, 8)), (0, 5, 8),
+                                     (0, 8, 4)),
+                                    (np.zeros((0, 8)), (0, 8), (8, 4))):
+        ys, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+        assert ys.shape == ys_shape
+        _, gh0, gxs = ssm.ssm_backward(cache, np.zeros(ys_shape))
+        assert gh0.shape == gh0_shape and gxs.shape == xs.shape
 
 
 def test_memoryless_limit_is_time_independent():
@@ -350,11 +365,82 @@ def test_stale_cache_rejected():
 
 
 def test_backward_shape_check():
+    # a grad_h_final of the wrong shape is named against h_final's shape
+    # before the reverse loop can broadcast it
     p = small_params(23)
-    xs = np.random.default_rng(24).normal(size=(3, 8))
-    _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    with pytest.raises(ValueError):
-        ssm.ssm_backward(cache, np.zeros((4, 8)))
+    for lead in ((), (2,)):
+        xs = np.random.default_rng(24).normal(size=lead + (3, 8))
+        _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+        with pytest.raises(ValueError):
+            ssm.ssm_backward(cache, np.zeros(lead + (4, 8)))
+        want = re.escape(str(lead + (8, 4)))
+        for bad in (lead + (4, 8), (1, 8, 4), (3, 8, 4), (4,)):
+            with pytest.raises(ValueError, match=want):
+                ssm.ssm_backward(cache, np.zeros(lead + (3, 8)),
+                                 np.zeros(bad))
+
+
+CHUNK = 4
+
+
+@pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("with_ghf", [False, True])
+def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched,
+                                                    with_ghf):
+    # a budget of CHUNK steps forces many chunks at a tiny shape.  The
+    # chunked forward and backward do the arithmetic of the full-tensor
+    # ones element for element; only grads["A_log"], which sums over
+    # (b, l), adds its terms one chunk at a time
+    D, N = 5, 3
+    nb = 2 if batched else 1
+    lead = (nb,) if batched else ()
+    p = small_params(31, d_model=D, d_state=N)
+    rng = np.random.default_rng([32, L, nb])
+    xs = rng.normal(size=lead + (L, D))
+    h0 = rng.normal(size=lead + (D, N))
+    gy = rng.normal(size=lead + (L, D))
+    ghf = rng.normal(size=lead + (D, N)) if with_ghf else None
+
+    # one chunk: the whole-sequence forward the reference backward expects
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", L * nb * D * N)
+    ys_ref, hf_ref, cache_ref = ssm.ssm_forward_sequential(p, h0, xs)
+    want, gh0_ref, gxs_ref = reference.ssm_backward_ref(cache_ref, gy, ghf)
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", CHUNK * nb * D * N)
+    ys, hf, cache = ssm.ssm_forward_sequential(p, h0, xs)
+    got, gh0, gxs = ssm.ssm_backward(cache, gy, ghf)
+
+    assert_array_equal(ys, ys_ref)
+    assert_array_equal(hf, hf_ref)
+    assert_array_equal(cache.hs, cache_ref.hs)
+    assert_array_equal(gh0, gh0_ref)
+    assert_array_equal(gxs, gxs_ref)
+    for k in want:
+        if k == "A_log" and L > CHUNK:
+            err = np.max(np.abs(got[k] - want[k]))
+            assert err <= 1e-13 * np.max(np.abs(want[k])), err
+        else:
+            assert_array_equal(got[k], want[k], err_msg=k)
+
+
+def test_forward_backward_memory_bounded():
+    # Abar, E and Bbar are rebuilt chunk by chunk, not cached, so one
+    # forward + backward holds hs, the (B, L, D) arrays (1/32 of hs each
+    # at d_state 32) and scratch of a few chunks: about 1.6 * hs.nbytes.
+    # Building the three over the whole sequence, plus the backward's
+    # dL/dh_t and gE of the same size, peaks at about 6.5 * hs.nbytes
+    p = small_params(33, d_model=16, d_state=32)
+    rng = np.random.default_rng(34)
+    xs = rng.normal(size=(2, 1024, 16))
+    gy = rng.normal(size=(2, 1024, 16))
+    tracemalloc.start()
+    try:
+        _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+        ssm.ssm_backward(cache, gy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * cache.hs.nbytes, (peak, cache.hs.nbytes)
 
 
 @pytest.mark.parametrize("batched", [False, True])

@@ -20,8 +20,8 @@ DEFAULT_BINS = 16
 #: tokens occupy 5 bits, so at most 32 bins can be represented
 MAX_BINS = 32
 
-#: element budget of one block of pairwise differences in ``cal_state``
-S1_BLOCK_ELEMENTS = 32768
+#: element budget of one (rows, cols) plane of pair distances in ``cal_state``
+S1_BLOCK_ELEMENTS = 16384
 
 
 @dataclass
@@ -72,6 +72,11 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     s9 improved-last-generation flag.  Features are computed over the
     union of all sub-populations.  With normalize=True, s1-s3 are divided
     by the search-space diameter and s4-s6 by (f_best_init - f_star).
+
+    s1 is summed in blocks of the upper triangle (see
+    ``_mean_pairwise_distance``), so its last bits depend on
+    ``S1_BLOCK_ELEMENTS``; its scratch memory is two planes of that many
+    floats.
     """
     X = np.vstack([p.X for p in alg_state.sub_pops])
     fit = np.concatenate([p.fitness for p in alg_state.sub_pops])
@@ -80,25 +85,7 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
         raise ValueError("empty population")
 
     gi = int(np.argmin(fit))
-    if n > 1:
-        # upper triangle in blocks of rows whose difference tensor holds at
-        # most S1_BLOCK_ELEMENTS floats (256 KiB), so scratch memory stays
-        # bounded; exact distances, no Gram-matrix shortcut (it loses
-        # digits when late-stage populations cluster).  Each row's sum is
-        # added to total in row order, so s1 does not depend on the block
-        # size.
-        rows = max(1, S1_BLOCK_ELEMENTS // (n * X.shape[1]))
-        total = 0.0
-        for i0 in range(0, n - 1, rows):
-            i1 = min(i0 + rows, n - 1)
-            diff = X[i0:i1, None, :] - X[None, i0 + 1:, :]
-            diff *= diff
-            dist = np.sqrt(np.add.reduce(diff, axis=-1))
-            for r, row in enumerate(dist):
-                total += row[r:].sum()
-        s1 = total / (n * (n - 1) / 2)
-    else:
-        s1 = 0.0
+    s1 = _mean_pairwise_distance(X)
     s2 = np.linalg.norm(X - X[gi], axis=1).mean()
     s3 = np.linalg.norm(X - alg_state.best_x, axis=1).mean()
     s4 = (fit - alg_state.best_f).mean()
@@ -118,6 +105,48 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
         else:
             out[3:6] = 0.0
     return out
+
+
+def _mean_pairwise_distance(X: np.ndarray) -> float:
+    """State feature s1: mean Euclidean distance over the pairs i < j.
+
+    The upper triangle is walked in blocks: rows i0..i0+m-1 against
+    columns i0+1..n-1, with m as large as keeps the (m, n-1-i0) plane
+    within S1_BLOCK_ELEMENTS floats (at least one row).  For each pair the
+    squared coordinate differences are added in coordinate order
+    0..dim-1, then square-rooted.  Distances are exact differences, no
+    Gram-matrix shortcut: that loses digits when late-stage populations
+    cluster, and BLAS would tie the result to its thread count.  The
+    strictly lower corner of a block holds the pairs j <= i and is zeroed;
+    the block is then summed whole and the block sums are added in row
+    order.  Scratch memory is two planes, 256 KiB at the default budget.
+    """
+    n = X.shape[0]
+    if n < 2:
+        return 0.0
+    XT = X.T
+    # a block's m * cols is at most the budget, or n - 1 when one row
+    # alone exceeds it
+    plane_buf, sq_buf = np.empty((2, max(n - 1, S1_BLOCK_ELEMENTS)))
+    total = 0.0
+    i0 = 0
+    while i0 < n - 1:
+        cols = n - 1 - i0
+        m = min(cols, max(1, S1_BLOCK_ELEMENTS // cols))
+        plane = plane_buf[:m * cols].reshape(m, cols)
+        sq = sq_buf[:m * cols].reshape(m, cols)
+        a, b = XT[:, i0:i0 + m, None], XT[:, None, i0 + 1:]
+        np.subtract(a[0], b[0], out=plane)
+        plane *= plane
+        for k in range(1, XT.shape[0]):
+            np.subtract(a[k], b[k], out=sq)
+            sq *= sq
+            plane += sq
+        np.sqrt(plane, out=plane)
+        plane[:, :m][np.tri(m, k=-1, dtype=bool)] = 0.0
+        total += plane.sum()
+        i0 += m
+    return total / (n * (n - 1) / 2)
 
 
 def reward(f_best_prev: float, f_best_now: float,
@@ -160,8 +189,10 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
                 policy_id: str = "") -> Trajectory:
     """Run one controlled episode.
 
-    policy(state_vector, t) must return K bin indices; they are decoded
-    on the per-dimension grids and fed to the optimizer each generation.
+    policy(state_vector, t) must return K integral bin indices (a
+    non-integral or out-of-range bin raises ValueError naming its
+    hyper-parameter); they are decoded on the per-dimension grids and fed
+    to the optimizer each generation.
     The seed (int, list of ints, or SeedSequence) splits into independent
     init and stepping streams.
     """
@@ -179,14 +210,18 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
     steps = []
     for t in range(T):
         s = cal_state(state, problem, T, f_best_init, normalize)
-        bins = np.asarray(policy(s, t), dtype=np.int64)
-        if bins.shape != (len(specs),):
-            raise ValueError(f"policy returned shape {bins.shape}, "
+        raw = np.asarray(policy(s, t))
+        if raw.shape != (len(specs),):
+            raise ValueError(f"policy returned shape {raw.shape}, "
                              f"expected ({len(specs)},)")
-        for b, m, spec in zip(bins, masks, specs):
+        for b, m, spec in zip(raw, masks, specs):
             if not 0 <= b < m:
                 raise ValueError(f"policy chose bin {b} out of range "
                                  f"[0, {m}) for {spec.name}")
+            if b != int(b):
+                raise ValueError(f"policy chose non-integral bin {b} "
+                                 f"for {spec.name}")
+        bins = raw.astype(np.int64, copy=False)
         config = decode_config(specs, bins, n_bins)
         prev_best = state.best_f
         state, _ = algorithms.step(alg_id, state, config, problem, rng)

@@ -610,13 +610,14 @@ def halton_ref(NP, dim, seed=None, scramble=True):
 
 
 def mean_pairwise_distance_ref(X):
-    """State feature s1, one row of the upper triangle at a time."""
-    n = X.shape[0]
+    """State feature s1 to within an ULP or so: ``math.dist`` per pair and
+    an exactly rounded ``math.fsum`` over the pairs i < j."""
+    rows = np.asarray(X, float).tolist()
+    n = len(rows)
     if n < 2:
         return 0.0
-    total = 0.0
-    for i in range(n - 1):
-        total += np.linalg.norm(X[i + 1:] - X[i], axis=1).sum()
+    total = math.fsum(math.dist(rows[i], rows[j])
+                      for i in range(n) for j in range(i + 1, n))
     return total / (n * (n - 1) / 2)
 
 

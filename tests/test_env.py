@@ -108,30 +108,50 @@ def test_cal_state_union_of_sub_pops(sphere5):
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def _one_block_max_n(dim):
-    """Largest population whose s1 upper triangle fits one block of rows."""
+def _one_block_max_n():
+    """Largest population whose whole s1 upper triangle fits one plane:
+    its first block, n - 1 columns wide, takes every one of the n - 1 rows."""
     n = 2
-    while max(1, env.S1_BLOCK_ELEMENTS // ((n + 1) * dim)) >= n:
+    while max(1, env.S1_BLOCK_ELEMENTS // n) >= n:
         n += 1
     return n
+
+
+def _s1(X):
+    rng = np.random.default_rng(X.shape)
+    fit = rng.uniform(0, 50, X.shape[0])
+    st = fake_state(X, fit, X[0], fit.min())
+    got = env.cal_state(st, make_identity_instance(1, X.shape[1]), T=50,
+                        f_best_init=0.0, normalize=False)
+    return got[0]
 
 
 @pytest.mark.parametrize("clustered", [False, True])
 @pytest.mark.parametrize("dim", [5, 20, 50])
 def test_cal_state_s1_matches_row_loop(dim, clustered):
-    edge = _one_block_max_n(dim)
-    problem = make_identity_instance(1, dim)
+    # s1 sums each block of the upper triangle whole, so it matches the
+    # exactly rounded oracle to a relative 1e-13, not bit for bit
+    edge = _one_block_max_n()
     for n in (1, 2, edge - 1, edge, edge + 1, 500):
         rng = np.random.default_rng([dim, n])
         if clustered:  # late stage: every row within 1e-9 of one point
             X = rng.uniform(-5, 5, dim) + 1e-9 * rng.standard_normal((n, dim))
         else:
             X = rng.uniform(-5, 5, (n, dim))
-        fit = rng.uniform(0, 50, n)
-        st = fake_state(X, fit, X[0], fit.min())
-        got = env.cal_state(st, problem, T=50, f_best_init=0.0,
-                            normalize=False)
-        assert got[0] == reference.mean_pairwise_distance_ref(X), (n, dim)
+        got, want = _s1(X), reference.mean_pairwise_distance_ref(X)
+        assert abs(got - want) <= 1e-13 * want, (n, dim, got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_cal_state_s1_small_blocks(monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    for n in (2, 3, 4, 7, 20):
+        # the first block (n - 1 columns) takes `rows` rows; later, narrower
+        # blocks take more
+        monkeypatch.setattr(env, "S1_BLOCK_ELEMENTS", rows * (n - 1))
+        X = rng.uniform(-5, 5, (n, 5))
+        got, want = _s1(X), reference.mean_pairwise_distance_ref(X)
+        assert abs(got - want) <= 1e-13 * want, (n, rows, got, want)
 
 
 def test_cal_state_scratch_memory_bounded():
@@ -312,3 +332,18 @@ def test_episode_bad_policy_outputs(sphere5):
         env.run_episode(0, sphere5, lambda s, t: [0, 0, 16], T=3, seed=0)
     with pytest.raises(ValueError):
         env.run_episode(0, sphere5, lambda s, t: [0, 0, 0], T=0, seed=0)
+
+
+@pytest.mark.parametrize("bins, name", [([3.7, 2.9, 1.5], "F1"),
+                                        ([3.0, 2.0, 1.5], "Cr")])
+def test_episode_rejects_non_integral_bins(sphere5, bins, name):
+    with pytest.raises(ValueError, match=f"non-integral bin .* for {name}$"):
+        env.run_episode(0, sphere5, lambda s, t: bins, T=3, seed=0)
+
+
+def test_episode_integral_float_bins_play_as_ints(sphere5):
+    want = env.run_episode(0, sphere5, lambda s, t: [3, 2, 1], T=3, seed=0)
+    got = env.run_episode(0, sphere5, lambda s, t: [3.0, 2.0, 1.0], T=3,
+                          seed=0)
+    assert [st.actions.tolist() for st in got.steps] == [[3, 2, 1]] * 3
+    assert got.perf == want.perf

@@ -13,12 +13,16 @@ tables.  Set ``DACQ_THREADS`` before the process starts to cap BLAS
 thread pools (applied when the package is imported, and exported again
 by ``main`` so child processes inherit it; an
 ``OPENBLAS_NUM_THREADS``-style variable already set keeps its value).
+``--workers N`` runs the independent episodes of collect, eval and
+ablate on N forked processes (default: the CPUs this process may use);
+no output file depends on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -48,7 +52,7 @@ BASE_DEFAULTS = dict(
     functions=None, test_functions=None, policy="scripted_de_schedule",
     quantile=0.5, calibration=100, jitter=0.02, lr=5e-3, wd=0.01, beta=10.0,
     lam=1.0, gamma=0.99, mdps=100, tol_decomp=1e-8, scan_seeds=20,
-    instance_seed=0,
+    instance_seed=0, workers=None,
 )
 
 
@@ -90,6 +94,7 @@ class RunConfig:
     tol_decomp: float
     scan_seeds: int
     instance_seed: int
+    workers: int | None
     explicit: frozenset = frozenset()  # flag names given on the command line
 
     def validate(self):
@@ -126,6 +131,8 @@ class RunConfig:
         need(self.mdps >= 1 and self.scan_seeds >= 1,
              "--mdps/--scan-seeds must be >= 1")
         need(self.tol_decomp > 0.0, "--tol-decomp must be > 0")
+        need(self.workers is None or self.workers >= 1,
+             "--workers must be >= 1")
         return self
 
 
@@ -266,27 +273,38 @@ class GreedyModelPolicy:
         return bins
 
 
+def _rollout_perf(alg_id, inst, make_policy, T, ep_seed, n_bins):
+    return env.run_episode(alg_id, inst, make_policy(), T, ep_seed,
+                           n_bins=n_bins).perf
+
+
 def evaluate_policies(params, alg_id, test_instances, runs, T, n_bins,
-                      seed, include_random=True):
+                      seed, include_random=True, workers=None):
     """Paired rollouts on each test problem: trained greedy policy and
     (optionally) the random baseline on the same episode seeds.
-    Returns rows (function_id, run, perf, policy_label)."""
-    rows = []
+    Returns rows (function_id, run, perf, policy_label).  The rollouts
+    run through ``env.run_episodes`` on ``workers`` processes (None:
+    every CPU this process may use); the rows do not depend on it."""
+    keys, jobs = [], []
     for inst in test_instances:
         for run in range(runs):
             ep_seed = [seed, inst.function_id, run]
+            policies = []
             if params is not None:
-                pol = GreedyModelPolicy(params, alg_id, n_bins)
-                traj = env.run_episode(alg_id, inst, pol, T, ep_seed,
-                                       n_bins=n_bins, policy_id="model")
-                rows.append((inst.function_id, run, traj.perf, "model"))
+                policies.append(("model", functools.partial(
+                    GreedyModelPolicy, params, alg_id, n_bins)))
             if include_random:
-                rnd = datasets.random_policy(
-                    alg_id, [seed, inst.function_id, run, 1], n_bins)
-                traj = env.run_episode(alg_id, inst, rnd, T, ep_seed,
-                                       n_bins=n_bins, policy_id="random")
-                rows.append((inst.function_id, run, traj.perf, "random"))
-    return rows
+                policies.append(("random", functools.partial(
+                    datasets.random_policy, alg_id,
+                    [seed, inst.function_id, run, 1], n_bins)))
+            for label, make_policy in policies:
+                keys.append((inst.function_id, run, label))
+                jobs.append(functools.partial(_rollout_perf, alg_id, inst,
+                                              make_policy, T, ep_seed,
+                                              n_bins))
+    perfs = env.run_episodes(jobs, workers)
+    return [(fid, run, perf, label)
+            for (fid, run, label), perf in zip(keys, perfs)]
 
 
 @dataclass
@@ -352,14 +370,51 @@ def exploitation_note(policy_counts) -> str | None:
             "meta-optimizers")
 
 
+def _mean_perfs(rows) -> dict:
+    """policy -> mean Perf of (function_id, policy, perf) rows."""
+    groups = {}
+    for _, policy, perf in rows:
+        groups.setdefault(policy, []).append(perf)
+    return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
+
+
+def _log_rollouts(command, rows, elapsed, workers, per_function=False):
+    """Throughput, workers used and mean Perf per policy (and per function)
+    of (function_id, policy, perf) rows, on stderr: no artifact holds
+    them, so the artifacts stay byte-stable."""
+    def log(label, rs):
+        print(f"{label}: " + "  ".join(
+            f"{k} {v:.6f}" for k, v in _mean_perfs(rs).items()),
+            file=sys.stderr)
+
+    print(f"{command}: {len(rows)} episodes in {elapsed:.2f}s "
+          f"({len(rows) / max(elapsed, 1e-9):.1f} episodes/s), "
+          f"workers {env.resolve_workers(workers)}", file=sys.stderr)
+    log("mean perf", rows)
+    if per_function:
+        for fid in sorted({r[0] for r in rows}):
+            log(f"mean perf f{fid}", [r for r in rows if r[0] == fid])
+
+
 def cmd_collect(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     split = build_split(cfg)
-    _, manifest = datasets.collect(
+    t0 = time.perf_counter()
+    trajs, manifest = datasets.collect(
         cfg.alg, split, (cfg.policy, "random"), cfg.mu, cfg.d, cfg.t,
         cfg.seed, out_dir=out, n_bins=cfg.bins,
         instance_seed=cfg.instance_seed, jitter=cfg.jitter,
-        quantile=cfg.quantile, calibration_episodes=cfg.calibration)
+        quantile=cfg.quantile, calibration_episodes=cfg.calibration,
+        workers=cfg.workers)
+    rows = [(t.function_id, t.policy_id, t.perf) for t in trajs]
+    _log_rollouts("collect", rows, time.perf_counter() - t0, cfg.workers,
+                  per_function=True)
+    means = _mean_perfs(rows)
+    if cfg.policy in means and "random" in means \
+            and means[cfg.policy] <= means["random"]:
+        print(f"warning: exploitation episodes ({cfg.policy}) do not beat "
+              f"random ones on mean Perf ({means[cfg.policy]:.6f} <= "
+              f"{means['random']:.6f})", file=sys.stderr)
     print(f"dataset: {out}")
     print(f"trajectories: {manifest.D} ({manifest.n_exploitation} "
           f"exploitation / {manifest.n_exploration} exploration)")
@@ -446,12 +501,14 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     t0 = time.perf_counter()
     rows = evaluate_policies(params, alg_id, instances, cfg.runs, cfg.t,
-                             params.config.M, cfg.seed)
+                             params.config.M, cfg.seed, workers=cfg.workers)
     report = EvalReport(rows=rows, runs=cfg.runs,
                         provenance={"checkpoint": str(cfg.ckpt),
                                     "dataset_checksum":
                                         extra.get("dataset_checksum")},
                         elapsed=time.perf_counter() - t0)
+    _log_rollouts("eval", [(fid, pol, perf) for fid, _, perf, pol in rows],
+                  report.elapsed, cfg.workers)
     report.validate()
     write_csv(out / "eval.csv", ("problem", "run", "perf", "policy"),
               report.rows)
@@ -478,7 +535,7 @@ def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag):
                  for fid in split.test_ids]
     rows = evaluate_policies(params, manifest.alg_id, instances, cfg.runs,
                              cfg.t, manifest.M, [cfg.seed, 4],
-                             include_random=False)
+                             include_random=False, workers=cfg.workers)
     perfs = [r[2] for r in rows]
     return (float(np.mean(perfs)),
             float(np.std(perfs, ddof=1)) if len(perfs) > 1 else 0.0)
@@ -555,7 +612,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
             manifest.alg_id, csplit, (cfg.policy, "random"), manifest.mu,
             manifest.D, manifest.T, cfg.seed + 1000 + M, n_bins=M,
             instance_seed=cfg.instance_seed, jitter=cfg.jitter,
-            quantile=cfg.quantile, calibration_episodes=cfg.calibration)
+            quantile=cfg.quantile, calibration_episodes=cfg.calibration,
+            workers=cfg.workers)
         mean, std = _train_eval_once(sub_trajs, sub_man, cfg, csplit,
                                      cfg.lam, cfg.beta, seed_tag=30 + b)
         bin_rows.append((M, mean, std))
@@ -705,6 +763,9 @@ FLAGS = {
     "tol_decomp": dict(type=float),
     "scan_seeds": dict(type=int),
     "instance_seed": dict(type=int),
+    "workers": dict(type=int,
+                    help="episode worker processes (default: the CPUs this "
+                         "process may use); outputs do not depend on it"),
 }
 
 _SHARED = ("seed", "out", "profile", "config")
@@ -713,19 +774,20 @@ _SHARED = ("seed", "out", "profile", "config")
 COMMANDS = {
     "collect": (cmd_collect, "collect a mu-mixed dataset",
                 ("alg", "mu", "d", "t", "bins", "dim", "functions", "policy",
-                 "quantile", "calibration", "jitter", "instance_seed")),
+                 "quantile", "calibration", "jitter", "instance_seed",
+                 "workers")),
     "train": (cmd_train, "train the decomposed Q-model",
               ("data", "resume", "epochs", "batch", "lr", "wd", "beta", "lam",
                "gamma", "d_model", "d_state", "depth")),
     "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
                        "the random baseline",
              ("ckpt", "alg", "t", "dim", "runs", "test_functions",
-              "instance_seed")),
+              "instance_seed", "workers")),
     "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
                ("data", "epochs", "batch", "lr", "beta", "lam", "gamma",
                 "d_model", "d_state", "depth", "runs", "t", "dim",
                 "test_functions", "policy", "quantile", "calibration",
-                "jitter", "instance_seed")),
+                "jitter", "instance_seed", "workers")),
     "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "
                            "any failure)",
                ("data", "mdps", "tol_decomp", "scan_seeds")),

@@ -5,8 +5,8 @@ exploitation behavior policy (a scripted DE schedule, a calibrated pool
 of fixed parameter settings filtered by return, or random episodes
 filtered by return) and the rest from a uniform-random policy.  Episodes
 cycle over the training problem instances and every episode derives its
-own seed from the master seed, so collection is reproducible and could be
-parallelized without changing content.
+own seed from the master seed, so collection is reproducible and runs
+its episodes in worker processes without changing content.
 
 On disk a dataset is a directory with ``trajectories.jsonl`` (one episode
 per line, UTF-8, floats printed as shortest round-trip decimals) and a
@@ -17,6 +17,7 @@ violations with line numbers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, asdict
@@ -355,11 +356,16 @@ def load_dataset(dataset_dir, validate: bool = True):
 _NS_MAIN, _NS_CAL, _NS_FILTER = 0, 1, 2
 
 
-def _episode(alg_id, problem, policy, T, seed_ids, n_bins, normalize,
+def _episode(alg_id, problem, make_policy, T, seed_ids, n_bins, normalize,
              policy_id):
-    return env.run_episode(alg_id, problem, policy, T, list(seed_ids),
+    return env.run_episode(alg_id, problem, make_policy(), T, list(seed_ids),
                            n_bins=n_bins, normalize=normalize,
                            policy_id=policy_id)
+
+
+def _above(threshold, job):
+    traj = job()
+    return traj if traj.perf > threshold else None
 
 
 def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
@@ -367,7 +373,7 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
             n_bins: int = DEFAULT_BINS, instance_seed: int = 0,
             jitter: float = 0.02, quantile: float = 0.5,
             calibration_episodes: int = 100, max_attempt_factor: int = 50,
-            normalize: bool = True):
+            normalize: bool = True, workers=None):
     """Collect a mu-mixed offline dataset.
 
     ``policies`` is ``(exploitation_kind, "random")``.  The first
@@ -379,15 +385,21 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     ``quantile`` and ``calibration_episodes`` apply to the two filtered
     kinds.  Both first run ``calibration_episodes`` calibration episodes
     and take the ``quantile`` of their returns as the threshold.
-    ``filtered_random`` calibrates on random episodes, then keeps fresh
-    random episodes whose return is strictly above the threshold.
-    ``scripted_constant`` calibrates one seeded ``constant_setting`` per
-    episode, keeps the settings whose return is strictly above the
-    threshold as its pool, and gives exploitation episode ``e`` the
-    setting ``pool[e % len(pool)]`` in calibration order.  Either kind
-    raises RuntimeError when it cannot fill its episodes (an empty pool,
-    or too few kept random episodes); it never falls back to unfiltered
-    ones.  ``scripted_de_schedule`` ignores both parameters.
+    ``filtered_random`` calibrates on random episodes, then keeps the
+    first ``round(mu*D)`` fresh random episodes whose return is strictly
+    above the threshold, out of at most
+    ``max_attempt_factor * round(mu*D)`` attempts.  ``scripted_constant``
+    calibrates one seeded ``constant_setting`` per episode, keeps the
+    settings whose return is strictly above the threshold as its pool,
+    and gives exploitation episode ``e`` the setting
+    ``pool[e % len(pool)]`` in calibration order.  Either kind raises
+    RuntimeError when it cannot fill its episodes (an empty pool, or too
+    few kept random episodes); it never falls back to unfiltered ones.
+    ``scripted_de_schedule`` ignores both parameters.
+
+    Episodes run through ``env.run_episodes`` on ``workers`` processes
+    (None: every CPU this process may use); the result does not depend on
+    ``workers``.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
@@ -404,75 +416,80 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                                         seed=instance_seed)
                  for fid in split.train_ids]
     n_exploit = int(round(mu * D))
-    trajs = []
 
-    if n_exploit > 0:
-        if exploit_kind == "scripted_de_schedule":
-            for e in range(n_exploit):
-                pol = exploitation_policy(
-                    exploit_kind, alg_id,
-                    seed=[seed, _NS_MAIN, e, 1], T=T,
-                    n_bins=n_bins, jitter=jitter)
-                trajs.append(_episode(
-                    alg_id, instances[e % len(instances)], pol, T,
-                    [seed, _NS_MAIN, e], n_bins, normalize, exploit_kind))
-        elif exploit_kind == "scripted_constant":
-            specs = algorithms.alg_spec(alg_id)
-            cands = [constant_setting(
-                         np.random.default_rng([seed, _NS_CAL, i, 1]),
-                         specs, n_bins)
-                     for i in range(calibration_episodes)]
-            perfs = [_episode(
-                         alg_id, instances[i % len(instances)], _hold(c), T,
-                         [seed, _NS_CAL, i], n_bins, normalize,
-                         exploit_kind).perf
-                     for i, c in enumerate(cands)]
-            threshold = filter_threshold(perfs, quantile)
-            pool = [c for c, f in zip(cands, perfs) if f > threshold]
-            if not pool:
-                raise RuntimeError(
-                    f"scripted_constant pool is empty: no setting of "
-                    f"{calibration_episodes} calibration episodes beat the "
-                    f"quantile {quantile} threshold {threshold}")
-            for e in range(n_exploit):
-                trajs.append(_episode(
-                    alg_id, instances[e % len(instances)],
-                    _hold(pool[e % len(pool)]), T,
-                    [seed, _NS_MAIN, e], n_bins, normalize, exploit_kind))
-        elif exploit_kind == "filtered_random":
-            cal = []
-            for i in range(calibration_episodes):
-                pol = random_policy(alg_id, [seed, _NS_CAL, i, 1], n_bins)
-                cal.append(_episode(
-                    alg_id, instances[i % len(instances)], pol, T,
-                    [seed, _NS_CAL, i], n_bins, normalize, "random"))
-            threshold = filter_threshold([t.perf for t in cal], quantile)
-            kept, k = [], 0
-            max_attempts = max_attempt_factor * n_exploit
-            while len(kept) < n_exploit and k < max_attempts:
-                pol = random_policy(alg_id, [seed, _NS_FILTER, k, 1], n_bins)
-                traj = _episode(
-                    alg_id, instances[k % len(instances)], pol, T,
-                    [seed, _NS_FILTER, k], n_bins, normalize,
-                    "filtered_random")
-                if traj.perf > threshold:
-                    kept.append(traj)
-                k += 1
-            if len(kept) < n_exploit:
-                raise RuntimeError(
-                    f"filtered_random kept only {len(kept)}/{n_exploit} "
-                    f"episodes after {max_attempts} attempts "
-                    f"(threshold {threshold})")
-            trajs.extend(kept)
-        else:
-            raise ValueError(
-                f"unknown exploitation policy kind: {exploit_kind!r}")
+    def job(ns, e, make_policy, policy_id):
+        """Episode e of seed namespace ns on the e-th instance in cycle
+        order; the job builds its policy when it runs."""
+        return functools.partial(
+            _episode, alg_id, instances[e % len(instances)], make_policy, T,
+            [seed, ns, e], n_bins, normalize, policy_id)
 
-    for e in range(n_exploit, D):
-        pol = random_policy(alg_id, [seed, _NS_MAIN, e, 1], n_bins)
-        trajs.append(_episode(
-            alg_id, instances[e % len(instances)], pol, T,
-            [seed, _NS_MAIN, e], n_bins, normalize, "random"))
+    def random_job(ns, e, policy_id):
+        return job(ns, e, functools.partial(random_policy, alg_id,
+                                            [seed, ns, e, 1], n_bins),
+                   policy_id)
+
+    explore = [random_job(_NS_MAIN, e, "random") for e in range(n_exploit, D)]
+    if n_exploit == 0:
+        trajs = env.run_episodes(explore, workers)
+    elif exploit_kind == "scripted_de_schedule":
+        trajs = env.run_episodes(
+            [job(_NS_MAIN, e, functools.partial(
+                     exploitation_policy, exploit_kind, alg_id,
+                     seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins,
+                     jitter=jitter), exploit_kind)
+             for e in range(n_exploit)] + explore, workers)
+    elif exploit_kind == "scripted_constant":
+        specs = algorithms.alg_spec(alg_id)
+        cands = [constant_setting(
+                     np.random.default_rng([seed, _NS_CAL, i, 1]),
+                     specs, n_bins)
+                 for i in range(calibration_episodes)]
+        perfs = [t.perf for t in env.run_episodes(
+                     [job(_NS_CAL, i, functools.partial(_hold, c),
+                          exploit_kind) for i, c in enumerate(cands)],
+                     workers)]
+        threshold = filter_threshold(perfs, quantile)
+        pool = [c for c, f in zip(cands, perfs) if f > threshold]
+        if not pool:
+            raise RuntimeError(
+                f"scripted_constant pool is empty: no setting of "
+                f"{calibration_episodes} calibration episodes beat the "
+                f"quantile {quantile} threshold {threshold}")
+        trajs = env.run_episodes(
+            [job(_NS_MAIN, e, functools.partial(_hold, pool[e % len(pool)]),
+                 exploit_kind) for e in range(n_exploit)] + explore, workers)
+    elif exploit_kind == "filtered_random":
+        # the random episodes do not depend on the threshold, so they
+        # share the calibration's map
+        ran = env.run_episodes(
+            [random_job(_NS_CAL, i, "random")
+             for i in range(calibration_episodes)] + explore, workers)
+        threshold = filter_threshold(
+            [t.perf for t in ran[:calibration_episodes]], quantile)
+        max_attempts = max_attempt_factor * n_exploit
+        passed = 0
+
+        def enough(batch):
+            nonlocal passed
+            passed += sum(t is not None for t in batch)
+            return passed >= n_exploit
+
+        # an attempt returns its episode if it passes, else None
+        attempts = env.run_episodes(
+            [functools.partial(_above, threshold,
+                               random_job(_NS_FILTER, k, "filtered_random"))
+             for k in range(max_attempts)], workers, stop=enough)
+        kept = [t for t in attempts if t is not None][:n_exploit]
+        if len(kept) < n_exploit:
+            raise RuntimeError(
+                f"filtered_random kept only {len(kept)}/{n_exploit} "
+                f"episodes after {max_attempts} attempts "
+                f"(threshold {threshold})")
+        trajs = kept + ran[calibration_episodes:]
+    else:
+        raise ValueError(
+            f"unknown exploitation policy kind: {exploit_kind!r}")
 
     counts = {}
     for t in trajs:

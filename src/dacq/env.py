@@ -1,12 +1,18 @@
 """Per-generation control loop around the algorithm assemblies.
 
 Exposes the nine-feature optimization state, the relative-improvement
-reward, the bin-grid action decoding, and an episode runner that threads
-a policy callback through T generations of one algorithm on one problem.
+reward, the bin-grid action decoding, an episode runner that threads
+a policy callback through T generations of one algorithm on one problem,
+and an order-preserving map that runs independent episodes in worker
+processes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,22 +172,33 @@ def mask_bins(spec: HyperParameterSpec, n_bins: int = DEFAULT_BINS) -> int:
     return n_bins if spec.kind == "continuous" else spec.n_choices
 
 
-def decode_action(spec: HyperParameterSpec, bin_idx: int,
-                  n_bins: int = DEFAULT_BINS):
-    """Concrete value for one bin: continuous dims use a uniform grid
-    whose endpoints are the bounds; discrete dims index their choices."""
+def _check_bin(spec: HyperParameterSpec, bin_idx,
+               n_bins: int = DEFAULT_BINS) -> int:
+    """``bin_idx`` as an int, or ValueError naming the hyper-parameter when
+    it is out of range [0, mask_bins) or not integral."""
     m = mask_bins(spec, n_bins)
     if not 0 <= bin_idx < m:
         raise ValueError(f"bin {bin_idx} out of range [0, {m}) for {spec.name}")
+    if bin_idx != int(bin_idx):
+        raise ValueError(f"non-integral bin {bin_idx} for {spec.name}")
+    return int(bin_idx)
+
+
+def decode_action(spec: HyperParameterSpec, bin_idx: int,
+                  n_bins: int = DEFAULT_BINS):
+    """Concrete value for one bin: continuous dims use a uniform grid
+    whose endpoints are the bounds; discrete dims index their choices.
+    An out-of-range or non-integral bin raises ValueError."""
+    b = _check_bin(spec, bin_idx, n_bins)
     if spec.kind == "continuous":
-        return spec.lo + bin_idx * (spec.hi - spec.lo) / (n_bins - 1)
-    return spec.choices[bin_idx]
+        return spec.lo + b * (spec.hi - spec.lo) / (n_bins - 1)
+    return spec.choices[b]
 
 
 def decode_config(specs, bins, n_bins: int = DEFAULT_BINS) -> list:
     if len(bins) != len(specs):
         raise ValueError(f"expected {len(specs)} bins, got {len(bins)}")
-    return [decode_action(s, int(b), n_bins) for s, b in zip(specs, bins)]
+    return [decode_action(s, b, n_bins) for s, b in zip(specs, bins)]
 
 
 def run_episode(alg_id: int, problem, policy, T: int, seed,
@@ -204,7 +221,6 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
     state = algorithms.init_state(alg_id, problem, init_ss, horizon=T)
     rng = np.random.default_rng(step_ss)
     specs = algorithms.alg_spec(alg_id)
-    masks = [mask_bins(s, n_bins) for s in specs]
     f_best_init = state.best_f
 
     steps = []
@@ -214,15 +230,8 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
         if raw.shape != (len(specs),):
             raise ValueError(f"policy returned shape {raw.shape}, "
                              f"expected ({len(specs)},)")
-        for b, m, spec in zip(raw, masks, specs):
-            if not 0 <= b < m:
-                raise ValueError(f"policy chose bin {b} out of range "
-                                 f"[0, {m}) for {spec.name}")
-            if b != int(b):
-                raise ValueError(f"policy chose non-integral bin {b} "
-                                 f"for {spec.name}")
+        config = decode_config(specs, raw, n_bins)
         bins = raw.astype(np.int64, copy=False)
-        config = decode_config(specs, bins, n_bins)
         prev_best = state.best_f
         state, _ = algorithms.step(alg_id, state, config, problem, rng)
         r = reward(prev_best, state.best_f, f_best_init, problem.f_opt)
@@ -237,3 +246,67 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
         T=T, policy_id=policy_id,
         f_best_init=float(f_best_init), f_star=float(problem.f_opt),
         steps=steps)
+
+
+# ---------------------------------------------------------------------------
+# independent episodes in worker processes
+
+#: the job list of the running ``run_episodes`` pool, set in each worker
+_JOBS = ()
+
+
+def _install_jobs(jobs):
+    global _JOBS
+    _JOBS = jobs
+
+
+def _run_job(i):
+    return _JOBS[i]()
+
+
+def resolve_workers(workers=None) -> int:
+    """Worker count of ``run_episodes``: None means the CPUs this process
+    may run on; anything below 1 is a ValueError."""
+    if workers is None:
+        return len(os.sched_getaffinity(0))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return int(workers)
+
+
+def run_episodes(jobs, workers=None, stop=None) -> list:
+    """Run zero-argument episode jobs and return their results in job order.
+
+    With one worker, or at most one job, the jobs run here in order and no
+    process starts.  Otherwise they run on ``min(workers, len(jobs))``
+    processes forked from this one before the pool starts any thread: the
+    jobs reach the workers through fork, so closures need not pickle, and
+    only results are pickled back.  Each episode carries its own seed, so
+    the results do not depend on ``workers``.  A job's exception surfaces
+    here with its type and message; when several jobs fail, the first in
+    job order does, as in a serial loop.  A worker that dies raises
+    ``BrokenProcessPool`` (a RuntimeError) instead of hanging the map.
+
+    ``stop(batch)``, if given, is called with each round's results and
+    ends the map when it returns True.  A round is ``workers`` jobs (one
+    job in-process), so the map runs at most ``workers - 1`` jobs past the
+    one a serial loop would stop at, and never more than ``len(jobs)``.
+    """
+    jobs = list(jobs)
+    n = min(resolve_workers(workers), len(jobs))
+    size = max(n, 1) if stop is not None else max(len(jobs), 1)
+    with contextlib.ExitStack() as stack:
+        pool = None
+        if n > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                n, mp_context=multiprocessing.get_context("fork"),
+                initializer=_install_jobs, initargs=(jobs,)))
+        results = []
+        for lo in range(0, len(jobs), size):
+            idx = range(lo, min(lo + size, len(jobs)))
+            batch = (list(pool.map(_run_job, idx)) if pool
+                     else [jobs[i]() for i in idx])
+            results += batch
+            if stop is not None and stop(batch):
+                break
+        return results

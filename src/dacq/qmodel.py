@@ -158,10 +158,15 @@ def _stack_forward(params: QModelParams, X_in, h0s):
         x = x + ys
         block_caches.append(cache)
         h_outs.append(h_fin)
-    O = x @ params.W_proj + params.b_proj
-    Hpre = O @ params.W_head + params.b_head
-    Q = leaky_relu(Hpre)
+    Q, O, Hpre = _heads(params, x)
     return Q, h_outs, xs_per_block, block_caches, x, O, Hpre
+
+
+def _heads(params: QModelParams, Y):
+    """The two heads on the residual stack's output Y: (Q, O, Hpre)."""
+    O = Y @ params.W_proj + params.b_proj
+    Hpre = O @ params.W_head + params.b_head
+    return leaky_relu(Hpre), O, Hpre
 
 
 def q_step(params: QModelParams, state, prev_token, hiddens):

@@ -359,6 +359,11 @@ def _frozen_loss(params, states, actions, rewards, masks, cfg, targets):
     return loss
 
 
+#: parameters applied after the residual stack, so perturbing one of them
+#: leaves the stack's output unchanged
+_HEAD_TENSORS = ("W_proj", "b_proj", "W_head", "b_head")
+
+
 def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
                h_fd: float = 1e-4) -> dict:
     """Central finite differences vs the analytic semi-gradient.
@@ -369,7 +374,10 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
     coordinate; reports the max relative error over coordinates with
     |g| > 1e-6.  Each error |g - fd| is first reduced by the FD rounding
     floor eps*|loss|/h_fd, the error a central difference of a loss
-    rounded to eps*|loss| can show on an exact gradient.
+    rounded to eps*|loss| can show on an exact gradient.  A head
+    coordinate's FD losses reuse the unperturbed stack output and
+    recompute only the heads, which gives the same losses as a full
+    forward.
     """
     states = np.stack([s.state for s in traj.steps])[None]
     actions = np.stack([s.actions for s in traj.steps])[None]
@@ -383,20 +391,27 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
     grads = qmodel.model_backward(cache, dQ)
     floor = np.finfo(np.float64).eps * abs(loss) / h_fd
 
+    def frozen_loss(head_only):
+        if not head_only:
+            return _frozen_loss(params, states, actions, rewards, masks, cfg,
+                                targets)
+        Q = qmodel._heads(params, cache.Y)[0].reshape(Q0.shape)
+        return q_loss_batch(Q, actions, rewards, masks, cfg,
+                            targets=targets)[0]
+
     worst = 0.0
     worst_coord = None
     checked = skipped = 0
     for name, arr in params.tensors().items():
+        head_only = name in _HEAD_TENSORS
         g = grads[name].ravel()
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h_fd
-            up = _frozen_loss(params, states, actions, rewards, masks, cfg,
-                              targets)
+            up = frozen_loss(head_only)
             flat[i] = orig - h_fd
-            dn = _frozen_loss(params, states, actions, rewards, masks, cfg,
-                              targets)
+            dn = frozen_loss(head_only)
             flat[i] = orig
             fd = (up - dn) / (2 * h_fd)
             if abs(g[i]) > 1e-6:

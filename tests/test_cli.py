@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dacq import checkpoint, cli, qmodel, ssm, training
+from dacq import checkpoint, cli, datasets, problems, qmodel, ssm, training
 
 
 def run(argv):
@@ -297,6 +297,64 @@ def test_eval_wrong_alg_mismatch_exit1(ckpt_path, tmp_path, capsys):
               "--alg", "1", "--test-functions", "15"])
     assert rc == 1
     assert "K=3" in capsys.readouterr().err
+
+
+def test_evaluate_policies_rows_do_not_depend_on_workers(ckpt_path):
+    params, _, _ = checkpoint.load_checkpoint(ckpt_path)
+    insts = [problems.make_instance(f, 5, seed=0) for f in (15, 17)]
+    rows = [cli.evaluate_policies(params, 0, insts, runs=3, T=4, n_bins=16,
+                                  seed=5, workers=w) for w in (1, 2)]
+    assert rows[0] == rows[1]
+    assert [(r[0], r[1], r[3]) for r in rows[0]] == [
+        (f, run, pol) for f in (15, 17) for run in range(3)
+        for pol in ("model", "random")]
+
+
+def test_collect_and_eval_report_rollouts_on_stderr(ckpt_path, tmp_path,
+                                                    capsys):
+    assert run(["collect", "--alg", "0", "--mu", "0.5", "--d", "4",
+                "--t", "3", "--seed", "1", "--functions", "1,12",
+                "--workers", "2", "--out", str(tmp_path / "ds")]) == 0
+    err = capsys.readouterr().err
+    assert "collect: 4 episodes in" in err and "episodes/s" in err
+    assert "workers 2" in err
+    assert "mean perf: random " in err and "scripted_de_schedule " in err
+    assert "mean perf f1: " in err and "mean perf f12: " in err
+
+    assert run(["eval", "--ckpt", str(ckpt_path), "--out",
+                str(tmp_path / "ev"), "--t", "3", "--runs", "2",
+                "--test-functions", "15", "--workers", "1"]) == 0
+    err = capsys.readouterr().err
+    assert "eval: 4 episodes in" in err and "workers 1" in err
+    assert "mean perf: model " in err and "random " in err
+
+
+def test_collect_warns_when_exploitation_does_not_beat_random(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    true_collect = datasets.collect
+
+    def no_gain(*args, **kwargs):
+        trajs, man = true_collect(*args, **kwargs)
+        for t in trajs:   # exploitation episodes now score Perf 0
+            if t.policy_id != "random":
+                for st in t.steps:
+                    st.reward = 0.0
+        return trajs, man
+
+    monkeypatch.setattr(datasets, "collect", no_gain)
+    assert run(["collect", "--alg", "0", "--mu", "0.5", "--d", "6",
+                "--t", "5", "--seed", "1", "--functions", "1,12",
+                "--out", str(tmp_path / "ds")]) == 0
+    assert "warning: exploitation episodes (scripted_de_schedule) do not " \
+           "beat random" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["collect", "eval", "ablate"])
+def test_workers_below_one_is_usage_error(command, tmp_path, capsys):
+    rc = run([command, "--workers", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

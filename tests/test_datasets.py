@@ -405,6 +405,74 @@ def test_reader_missing_field(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# collection on worker processes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alg_id", algorithms.ALGORITHM_IDS)
+@pytest.mark.parametrize("kind", datasets.EXPLOITATION_KINDS + ("random",))
+def test_collect_bytes_do_not_depend_on_workers(tmp_path, alg_id, kind):
+    mu = 0.0 if kind == "random" else 0.5
+    policies = ("scripted_de_schedule" if kind == "random" else kind,
+                "random")
+
+    def files(workers):
+        out = tmp_path / f"w{workers}"
+        collect(alg_id, tiny_split(), policies, mu=mu, D=4, T=2, seed=3,
+                out_dir=out, calibration_episodes=4, workers=workers)
+        return [(out / name).read_bytes()
+                for name in (datasets.TRAJECTORY_FILE,
+                             datasets.MANIFEST_FILE)]
+
+    assert files(1) == files(2)
+
+
+def _count_episodes(monkeypatch, log):
+    """Make every env.run_episode, in any process, log its seed namespace."""
+    true_run = env.run_episode
+
+    def counted(alg_id, problem, policy, T, seed, **kw):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{seed[1]}\n")
+        return true_run(alg_id, problem, policy, T, seed, **kw)
+
+    monkeypatch.setattr(env, "run_episode", counted)
+
+
+def _filter_attempts(log):
+    return log.read_text().split().count(str(datasets._NS_FILTER))
+
+
+def test_filtered_random_on_workers_never_exceeds_max_attempts(
+        tmp_path, monkeypatch):
+    # no return lies strictly above 1, so every attempt fails; 3 attempts
+    # on 2 workers are a round of 2 and a round of 1
+    log = tmp_path / "episodes"
+    _count_episodes(monkeypatch, log)
+    monkeypatch.setattr(datasets, "filter_threshold", lambda perfs, q: 1.0)
+    with pytest.raises(RuntimeError, match=r"0/1 episodes after 3 attempts"):
+        collect(0, tiny_split(), ("filtered_random", "random"), mu=1.0, D=1,
+                T=2, seed=0, calibration_episodes=3, max_attempt_factor=3,
+                workers=2)
+    assert _filter_attempts(log) == 3
+
+
+def test_filtered_random_on_workers_overshoots_by_less_than_a_round(
+        tmp_path, monkeypatch):
+    runs = {}
+    for workers in (1, 2):
+        log = tmp_path / f"episodes{workers}"
+        _count_episodes(monkeypatch, log)
+        trajs, _ = collect(0, tiny_split(), ("filtered_random", "random"),
+                           mu=0.5, D=6, T=3, seed=9, calibration_episodes=6,
+                           workers=workers)
+        runs[workers] = (_filter_attempts(log),
+                         [serialize_trajectory(t) for t in trajs])
+    (serial, kept1), (parallel, kept2) = runs[1], runs[2]
+    assert kept1 == kept2
+    assert serial <= parallel <= serial + 1
+
+
+# ---------------------------------------------------------------------------
 # manifest + load_dataset
 # ---------------------------------------------------------------------------
 

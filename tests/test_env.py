@@ -1,7 +1,11 @@
 """Tests for the control-loop environment: state features, reward,
 action decoding, and episode running."""
 
+import functools
+import os
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -253,6 +257,22 @@ def test_mask_bins():
     assert env.mask_bins(by_name["cm1"]) == 2
 
 
+@pytest.mark.parametrize("bin_idx", [3.7, 0.5, 14.999])
+def test_decode_rejects_non_integral_bin(bin_idx):
+    spec = alg.alg_spec(0)[0]
+    with pytest.raises(ValueError, match=f"non-integral bin .* for {spec.name}$"):
+        env.decode_action(spec, bin_idx)
+
+
+def test_decode_config_rejects_instead_of_truncating():
+    specs = alg.alg_spec(0)
+    with pytest.raises(ValueError, match=f"non-integral bin 3.7 for "
+                                         f"{specs[0].name}$"):
+        env.decode_config(specs, [3.7, 2.9, 1.5])
+    assert env.decode_config(specs, [3.0, 2.0, 1.0]) == \
+        env.decode_config(specs, [3, 2, 1])
+
+
 def test_decode_config_length_check():
     specs = alg.alg_spec(0)
     with pytest.raises(ValueError):
@@ -347,3 +367,82 @@ def test_episode_integral_float_bins_play_as_ints(sphere5):
                           seed=0)
     assert [st.actions.tolist() for st in got.steps] == [[3, 2, 1]] * 3
     assert got.perf == want.perf
+
+
+# ---------------------------------------------------------------------------
+# run_episodes
+
+def _index_and_pid(i):
+    return i, os.getpid()
+
+
+def test_resolve_workers():
+    assert env.resolve_workers(None) == len(os.sched_getaffinity(0))
+    assert env.resolve_workers(3) == 3
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            env.resolve_workers(bad)
+
+
+def test_run_episodes_keeps_job_order():
+    jobs = [functools.partial(_index_and_pid, i) for i in range(7)]
+    serial = env.run_episodes(jobs, workers=1)
+    # one worker runs every job here, in this process
+    assert serial == [(i, os.getpid()) for i in range(7)]
+    parallel = env.run_episodes(jobs, workers=2)
+    assert [i for i, _ in parallel] == list(range(7))
+    pids = {pid for _, pid in parallel}
+    assert os.getpid() not in pids and len(pids) <= 2
+    assert env.run_episodes([], workers=2) == []
+
+
+def test_run_episodes_reaches_closures_through_fork():
+    # a lambda over a local array does not pickle; fork hands it over
+    data = np.arange(5.0)
+    jobs = [lambda k=k: float(data[k] ** 2) for k in range(5)]
+    assert env.run_episodes(jobs, workers=2) == [0.0, 1.0, 4.0, 9.0, 16.0]
+
+
+@pytest.mark.parametrize("workers, ran", [(1, 5), (2, 6), (3, 6), (4, 8)])
+def test_run_episodes_stops_after_the_round(workers, ran):
+    # stop is asked after each round of `workers` jobs
+    jobs = [functools.partial(int, i) for i in range(10)]
+    seen = []
+
+    def stop(batch):
+        seen.append(list(batch))
+        return 4 in batch
+
+    got = env.run_episodes(jobs, workers=workers, stop=stop)
+    assert got == list(range(ran))
+    assert sum(seen, []) == got
+    assert all(len(b) <= workers for b in seen)
+
+
+def _fail(k, delay=0.0):
+    time.sleep(delay)
+    raise FloatingPointError(f"overflow in episode {k}")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_episodes_job_exception_surfaces(workers):
+    # episode 3 fails first in time, episode 2 first in job order
+    jobs = [functools.partial(int, 0), functools.partial(int, 1),
+            functools.partial(_fail, 2, 0.2), functools.partial(_fail, 3)]
+    with pytest.raises(FloatingPointError, match="^overflow in episode 2$"):
+        env.run_episodes(jobs, workers=workers)
+
+
+def test_run_episodes_dead_worker_raises_instead_of_hanging():
+    jobs = [functools.partial(os._exit, 3), functools.partial(int, 1)]
+    with pytest.raises(BrokenProcessPool):
+        env.run_episodes(jobs, workers=2)
+
+
+def test_run_episodes_worker_episode_error_surfaces(sphere5):
+    # a policy error raised inside a worker's episode keeps type and text
+    jobs = [functools.partial(env.run_episode, 0, sphere5,
+                              lambda s, t: [0, 0, 2.5], 3, seed)
+            for seed in range(2)]
+    with pytest.raises(ValueError, match="^non-integral bin 2.5 for Cr$"):
+        env.run_episodes(jobs, workers=2)

@@ -429,6 +429,27 @@ def cmd_collect(cfg: RunConfig) -> int:
     return 0
 
 
+def _model_config(cfg: RunConfig, manifest) -> qmodel.ModelConfig:
+    """A fresh model's shape: K and M from the dataset, widths from cfg."""
+    return qmodel.ModelConfig(K=manifest.K, M=manifest.M,
+                              d_model=cfg.d_model, d_state=cfg.d_state,
+                              depth=cfg.depth)
+
+
+def _loss_config(cfg: RunConfig, config: qmodel.ModelConfig, lam,
+                 beta) -> training.LossConfig:
+    return training.LossConfig(
+        K=config.K, M=config.M, beta=beta, lam=lam, gamma=cfg.gamma,
+        batch_size=cfg.batch, epochs=cfg.epochs, learning_rate=cfg.lr,
+        weight_decay=cfg.wd)
+
+
+def _test_instances(cfg: RunConfig, split: problems.ProblemSplit) -> list:
+    return [problems.make_instance(fid, split.dims[fid],
+                                   seed=cfg.instance_seed)
+            for fid in split.test_ids]
+
+
 def cmd_train(cfg: RunConfig) -> int:
     if cfg.data is None:
         raise UsageError("train requires --data")
@@ -445,16 +466,11 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"resuming from {cfg.resume} at epoch {start_epoch} "
               f"(model config from checkpoint)")
     else:
-        config = qmodel.ModelConfig(K=manifest.K, M=manifest.M,
-                                    d_model=cfg.d_model,
-                                    d_state=cfg.d_state, depth=cfg.depth)
-        params = qmodel.init_qmodel(config, seed=[cfg.seed, 0])
+        params = qmodel.init_qmodel(_model_config(cfg, manifest),
+                                    seed=[cfg.seed, 0])
         opt = training.AdamWState.for_params(params)
 
-    loss_cfg = training.LossConfig(
-        K=params.config.K, M=params.config.M, beta=cfg.beta, lam=cfg.lam,
-        gamma=cfg.gamma, batch_size=cfg.batch, epochs=cfg.epochs,
-        learning_rate=cfg.lr, weight_decay=cfg.wd)
+    loss_cfg = _loss_config(cfg, params.config, cfg.lam, cfg.beta)
     t0 = time.perf_counter()
     params, history = training.train(trajs, params, loss_cfg,
                                      seed=[cfg.seed, 1, start_epoch],
@@ -492,10 +508,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         alg_id = cfg.alg
     else:
         alg_id = int(extra.get("alg_id", cfg.alg))
-    split = build_split(cfg)
-    instances = [problems.make_instance(fid, split.dims[fid],
-                                        seed=cfg.instance_seed)
-                 for fid in split.test_ids]
+    instances = _test_instances(cfg, build_split(cfg))
     if not instances:
         raise UsageError("no test functions to evaluate on")
 
@@ -520,20 +533,13 @@ def cmd_eval(cfg: RunConfig) -> int:
 def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag):
     """Fresh model, train on trajs, return (mean, std) of greedy Perf
     over the split's test problems x cfg.runs."""
-    config = qmodel.ModelConfig(K=manifest.K, M=manifest.M,
-                                d_model=cfg.d_model, d_state=cfg.d_state,
-                                depth=cfg.depth)
+    config = _model_config(cfg, manifest)
     params = qmodel.init_qmodel(config, seed=[cfg.seed, 2])
-    loss_cfg = training.LossConfig(
-        K=manifest.K, M=manifest.M, beta=beta, lam=lam, gamma=cfg.gamma,
-        batch_size=cfg.batch, epochs=cfg.epochs, learning_rate=cfg.lr,
-        weight_decay=cfg.wd)
-    params, _ = training.train(trajs, params, loss_cfg,
+    params, _ = training.train(trajs, params,
+                               _loss_config(cfg, config, lam, beta),
                                seed=[cfg.seed, 3, seed_tag])
-    instances = [problems.make_instance(fid, split.dims[fid],
-                                        seed=cfg.instance_seed)
-                 for fid in split.test_ids]
-    rows = evaluate_policies(params, manifest.alg_id, instances, cfg.runs,
+    rows = evaluate_policies(params, manifest.alg_id,
+                             _test_instances(cfg, split), cfg.runs,
                              cfg.t, manifest.M, [cfg.seed, 4],
                              include_random=False, workers=cfg.workers)
     perfs = [r[2] for r in rows]

@@ -17,9 +17,12 @@ violations with line numbers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
+import io
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -80,16 +83,6 @@ def _hold(bins: np.ndarray):
     return lambda state, t: bins.copy()
 
 
-@dataclass(frozen=True)
-class FilteredRandomPolicy:
-    """Collect-level directive: keep random episodes whose return exceeds
-    the given quantile of a calibration batch.  Not a per-step callback;
-    ``collect`` interprets it."""
-
-    quantile: float = 0.5
-    calibration_episodes: int = 100
-
-
 def filter_threshold(perfs, quantile: float) -> float:
     """Return threshold below/at which calibration episodes are discarded."""
     perfs = np.asarray(perfs, dtype=float)
@@ -99,8 +92,7 @@ def filter_threshold(perfs, quantile: float) -> float:
 
 
 def exploitation_policy(kind: str, alg_id: int, seed, T: int,
-                        n_bins: int = DEFAULT_BINS, jitter: float = 0.02,
-                        quantile: float = 0.5, calibration_episodes: int = 100):
+                        n_bins: int = DEFAULT_BINS, jitter: float = 0.02):
     """Exploitation behavior for dataset collection.
 
     ``scripted_de_schedule`` returns a policy callback implementing a
@@ -110,11 +102,12 @@ def exploitation_policy(kind: str, alg_id: int, seed, T: int,
     fixed seeded preference.  ``scripted_constant`` returns a policy
     that plays one seeded ``constant_setting`` for the whole episode
     (``collect`` additionally calibrates a pool of such settings and
-    keeps the above-quantile ones).  ``filtered_random`` returns a
-    FilteredRandomPolicy directive consumed by ``collect``.
+    keeps the above-quantile ones).  ``filtered_random`` has no per-step
+    policy: ``collect`` filters random episodes by return itself.
     """
     if kind == "filtered_random":
-        return FilteredRandomPolicy(quantile, calibration_episodes)
+        raise ValueError("filtered_random is filtered inside collect; it "
+                         "has no per-step policy")
     if kind == "scripted_constant":
         return _hold(constant_setting(np.random.default_rng(seed),
                                       algorithms.alg_spec(alg_id), n_bins))
@@ -218,11 +211,19 @@ def trajectory_from_obj(obj: dict) -> Trajectory:
     if missing or "steps" not in obj:
         missing += [] if "steps" in obj else ["steps"]
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    steps = [StepRecord(state=np.asarray(st["s"], dtype=float),
-                        actions=np.asarray(st["a"], dtype=np.int64),
-                        reward=float(st["r"]),
-                        best_so_far_f=float(st["bsf"]))
-             for st in obj["steps"]]
+    steps = []
+    for t, st in enumerate(obj["steps"]):
+        bins = np.asarray(st["a"])
+        if bins.dtype != np.int64:
+            if bins.dtype.kind not in "iuf" or not np.all(
+                    np.isfinite(bins) & (bins == np.trunc(bins))):
+                raise ValueError(f"step {t}: field 'a' holds a "
+                                 f"non-integral bin: {st['a']!r}")
+            bins = bins.astype(np.int64)
+        steps.append(StepRecord(state=np.asarray(st["s"], dtype=float),
+                                actions=bins,
+                                reward=float(st["r"]),
+                                best_so_far_f=float(st["bsf"])))
     return Trajectory(
         alg_id=int(obj["alg_id"]), K=int(obj["K"]), M=int(obj["M"]),
         function_id=int(obj["function_id"]), dim=int(obj["dim"]),
@@ -253,6 +254,9 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
     if traj.K != len(specs):
         fail(f"K={traj.K} does not match algorithm {traj.alg_id} "
              f"({len(specs)} dims)")
+    for name in ("f_best_init", "f_star"):
+        if not math.isfinite(getattr(traj, name)):
+            fail(f"field '{name}' is not finite")
     masks = [env.mask_bins(s, traj.M) for s in specs]
 
     prev = traj.f_best_init
@@ -260,9 +264,14 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
     for t, st in enumerate(traj.steps):
         if st.state.shape != (9,):
             fail(f"step {t}: state has shape {st.state.shape}")
+        if not all(map(math.isfinite, st.state.tolist())):
+            fail(f"step {t}: field 's' is not finite")
+        for name, v in (("r", st.reward), ("bsf", st.best_so_far_f)):
+            if not math.isfinite(v):
+                fail(f"step {t}: field '{name}' is not finite")
         if st.actions.shape != (traj.K,):
             fail(f"step {t}: action vector has length {st.actions.shape}")
-        for i, (b, m) in enumerate(zip(st.actions, masks)):
+        for i, (b, m) in enumerate(zip(st.actions.tolist(), masks)):
             if not 0 <= b < m:
                 fail(f"step {t}: bin {b} out of range [0, {m}) "
                      f"for {specs[i].name}")
@@ -280,51 +289,68 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
         fail(f"cumulative reward {total!r} exceeds 1")
 
 
-def write_trajectories(path, trajs):
-    data = "".join(serialize_trajectory(t) + "\n" for t in trajs)
-    Path(path).write_bytes(data.encode("utf-8"))
+def _parse_lines(lines, validate: bool):
+    """Trajectories of a stream of JSON lines; errors carry line numbers."""
+    trajs = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") \
+                from None
+        try:
+            traj = trajectory_from_obj(obj)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if validate:
+            validate_trajectory(traj, where=f"line {lineno}")
+        trajs.append(traj)
+    return trajs
 
 
 def read_trajectories(path, validate: bool = True):
     """Parse a line-delimited trajectory file; errors carry line numbers."""
-    trajs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") \
-                    from None
-            try:
-                traj = trajectory_from_obj(obj)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if validate:
-                validate_trajectory(traj, where=f"line {lineno}")
-            trajs.append(traj)
-    return trajs
+        return _parse_lines(fh, validate)
+
+
+def _jsonl(trajs) -> bytes:
+    """The canonical ``trajectories.jsonl`` bytes of trajs."""
+    return "".join(serialize_trajectory(t) + "\n" for t in trajs) \
+        .encode("utf-8")
 
 
 def _checksum(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_dataset(out_dir, trajs, manifest: DatasetManifest):
+def _policy_counts(trajs) -> dict:
+    return dict(collections.Counter(t.policy_id for t in trajs))
+
+
+def _write_files(out_dir, payload: bytes, manifest: DatasetManifest):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = "".join(serialize_trajectory(t) + "\n" for t in trajs)
-    payload = data.encode("utf-8")
-    manifest.checksum = _checksum(payload)
     (out / TRAJECTORY_FILE).write_bytes(payload)
     (out / MANIFEST_FILE).write_text(manifest.to_json(), encoding="utf-8")
+
+
+def write_dataset(out_dir, trajs, manifest: DatasetManifest):
+    """Write trajs and manifest, setting the manifest's checksum."""
+    payload = _jsonl(trajs)
+    manifest.checksum = _checksum(payload)
+    _write_files(out_dir, payload, manifest)
     return manifest
 
 
 def load_dataset(dataset_dir, validate: bool = True):
-    """Read (trajectories, manifest), verifying checksum, version, counts."""
+    """Read (trajectories, manifest), verifying checksum, version, counts.
+
+    The trajectory file is read once; the parsed lines are the bytes
+    whose checksum was verified."""
     root = Path(dataset_dir)
     manifest = DatasetManifest.from_json(
         (root / MANIFEST_FILE).read_text(encoding="utf-8"))
@@ -334,13 +360,12 @@ def load_dataset(dataset_dir, validate: bool = True):
     if digest != manifest.checksum:
         raise ValueError(f"checksum mismatch: manifest {manifest.checksum} "
                          f"!= file {digest}")
-    trajs = read_trajectories(root / TRAJECTORY_FILE, validate=validate)
+    with io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8") as lines:
+        trajs = _parse_lines(lines, validate)
     if len(trajs) != manifest.D:
         raise ValueError(f"{len(trajs)} trajectories on disk, "
                          f"manifest says {manifest.D}")
-    counts = {}
-    for t in trajs:
-        counts[t.policy_id] = counts.get(t.policy_id, 0) + 1
+    counts = _policy_counts(trajs)
     if counts != manifest.policy_counts:
         raise ValueError(f"policy counts {counts} do not match manifest "
                          f"{manifest.policy_counts}")
@@ -491,18 +516,14 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         raise ValueError(
             f"unknown exploitation policy kind: {exploit_kind!r}")
 
-    counts = {}
-    for t in trajs:
-        counts[t.policy_id] = counts.get(t.policy_id, 0) + 1
-    specs = algorithms.alg_spec(alg_id)
-    data = "".join(serialize_trajectory(t) + "\n" for t in trajs)
+    payload = _jsonl(trajs)
     manifest = DatasetManifest(
-        format_version=FORMAT_VERSION, alg_id=alg_id, K=len(specs),
-        M=n_bins, T=T, D=D, mu=float(mu), seed=seed,
-        n_exploitation=n_exploit, n_exploration=D - n_exploit,
-        policy_counts=counts, checksum=_checksum(data.encode("utf-8")),
+        format_version=FORMAT_VERSION, alg_id=alg_id,
+        K=len(algorithms.alg_spec(alg_id)), M=n_bins, T=T, D=D, mu=float(mu),
+        seed=seed, n_exploitation=n_exploit, n_exploration=D - n_exploit,
+        policy_counts=_policy_counts(trajs), checksum=_checksum(payload),
         train_ids=list(split.train_ids))
     manifest.validate()
     if out_dir is not None:
-        write_dataset(out_dir, trajs, manifest)
+        _write_files(out_dir, payload, manifest)
     return trajs, manifest

@@ -391,14 +391,3 @@ _FUNCTIONS = {
     16: _f16, 17: _f17, 18: _f18, 19: _f19, 20: _f20, 21: _f21, 22: _f22,
     23: _f23, 24: _f24,
 }
-
-FUNCTION_NAMES = {
-    1: "sphere", 2: "ellipsoidal", 3: "rastrigin", 4: "buche_rastrigin",
-    5: "linear_slope", 6: "attractive_sector", 7: "step_ellipsoidal",
-    8: "rosenbrock", 9: "rosenbrock_rotated", 10: "ellipsoidal_rotated",
-    11: "discus", 12: "bent_cigar", 13: "sharp_ridge", 14: "different_powers",
-    15: "rastrigin_rotated", 16: "weierstrass", 17: "schaffers_f7",
-    18: "schaffers_f7_ill", 19: "griewank_rosenbrock", 20: "schwefel",
-    21: "gallagher_101", 22: "gallagher_21", 23: "katsuura",
-    24: "lunacek_bi_rastrigin",
-}

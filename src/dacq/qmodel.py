@@ -134,7 +134,6 @@ class QModelCache:
     params: QModelParams
     version: int
     X_in: np.ndarray          # (B, L, input_dim)
-    xs_per_block: list        # inputs fed to each block, (B, L, d_model)
     block_caches: list
     Y: np.ndarray             # (B, L, d_model) after residual stack
     O: np.ndarray             # (B, L, M)
@@ -149,17 +148,16 @@ def _stack_forward(params: QModelParams, X_in, h0s):
     Returns (Q, new_hiddens, partial cache fields).
     """
     x = X_in @ params.W_embed + params.b_embed
-    xs_per_block, block_caches, h_outs = [], [], []
+    block_caches, h_outs = [], []
     if h0s is None:
         h0s = [None] * len(params.blocks)
     for blk, h0 in zip(params.blocks, h0s):
-        xs_per_block.append(x)
         ys, h_fin, cache = ssm.ssm_forward_sequential(blk, h0, x)
         x = x + ys
         block_caches.append(cache)
         h_outs.append(h_fin)
     Q, O, Hpre = _heads(params, x)
-    return Q, h_outs, xs_per_block, block_caches, x, O, Hpre
+    return Q, h_outs, block_caches, x, O, Hpre
 
 
 def _heads(params: QModelParams, Y):
@@ -230,13 +228,12 @@ def assemble_inputs(states, actions, width: int) -> np.ndarray:
     return X
 
 
-def q_values_batch(params: QModelParams, states, actions, X_in=None):
+def q_values_batch(params: QModelParams, states, actions):
     """Teacher-forced Q-values for a batch of trajectories.
 
     states: (B, T, 9); actions: (B, T, K).  Hidden state threads across
     all T*K decision steps, starting from zeros per trajectory.  Returns
-    (Q (B, T, K, M), cache).  X_in short-circuits input assembly when the
-    caller has already built the token stream.
+    (Q (B, T, K, M), cache).
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions)
@@ -245,21 +242,11 @@ def q_values_batch(params: QModelParams, states, actions, X_in=None):
     B, T, K = actions.shape
     if K != params.config.K:
         raise ValueError(f"trajectory K={K} != model K={params.config.K}")
-    if X_in is None:
-        X_in = assemble_inputs(states, actions, params.config.token_width)
-    Q, _, xs_per_block, block_caches, Y, O, Hpre = \
-        _stack_forward(params, X_in, None)
-    cache = QModelCache(params, params.version, X_in, xs_per_block,
-                        block_caches, Y, O, Hpre, (B, T, K))
+    X_in = assemble_inputs(states, actions, params.config.token_width)
+    Q, _, block_caches, Y, O, Hpre = _stack_forward(params, X_in, None)
+    cache = QModelCache(params, params.version, X_in, block_caches, Y, O,
+                        Hpre, (B, T, K))
     return Q.reshape(B, T, K, params.config.M), cache
-
-
-def q_values_for_trajectory(params: QModelParams, traj):
-    """Q-values for one recorded trajectory under teacher forcing."""
-    states = np.stack([s.state for s in traj.steps])[None]
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    Q, cache = q_values_batch(params, states, actions)
-    return Q[0], cache
 
 
 def model_backward(cache: QModelCache, grad_Q):

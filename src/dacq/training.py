@@ -123,16 +123,6 @@ def q_loss_batch(Q, actions, rewards, masks, cfg: LossConfig, targets=None):
     return loss, components, dQ
 
 
-def q_loss(qslices, traj, cfg: LossConfig):
-    """Single-trajectory convenience wrapper: (loss, components)."""
-    Q = np.asarray(qslices, dtype=np.float64)[None]
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    rewards = np.array([s.reward for s in traj.steps])[None]
-    masks = bin_masks(traj.alg_id, cfg.M)
-    loss, components, _ = q_loss_batch(Q, actions, rewards, masks, cfg)
-    return loss, components
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -172,20 +162,21 @@ def adamw_step(params, grads, opt: AdamWState, lr: float,
 # ---------------------------------------------------------------------------
 # training loop
 
-def _dataset_arrays(dataset):
-    T = dataset[0].T
-    K = dataset[0].K
-    alg_id = dataset[0].alg_id
-    M = dataset[0].M
-    for tr in dataset:
-        if (tr.T, tr.K, tr.alg_id, tr.M) != (T, K, alg_id, M):
+def trajectory_arrays(trajs):
+    """Stack trajectories of one shape into (states (D, T, 9), actions
+    (D, T, K), rewards (D, T)); they must share T, K, alg_id and M."""
+    first = trajs[0]
+    for tr in trajs:
+        if (tr.T, tr.K, tr.alg_id, tr.M) != (first.T, first.K, first.alg_id,
+                                             first.M):
             raise ValueError("mixed trajectory shapes in dataset")
-        if len(tr.steps) != T:
+        if len(tr.steps) != first.T:
             raise ValueError("trajectory step count does not match T")
-    states = np.stack([[s.state for s in tr.steps] for tr in dataset])
-    actions = np.stack([[s.actions for s in tr.steps] for tr in dataset])
-    rewards = np.array([[s.reward for s in tr.steps] for tr in dataset])
-    return states, actions, rewards.astype(np.float64), alg_id, M
+    states = np.stack([[s.state for s in tr.steps] for tr in trajs])
+    actions = np.stack([[s.actions for s in tr.steps] for tr in trajs])
+    rewards = np.array([[s.reward for s in tr.steps] for tr in trajs],
+                       dtype=np.float64)
+    return states, actions, rewards
 
 
 def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
@@ -199,7 +190,8 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     """
     if not dataset:
         raise ValueError("empty dataset")
-    states, actions, rewards, alg_id, M = _dataset_arrays(dataset)
+    states, actions, rewards = trajectory_arrays(dataset)
+    alg_id, M = dataset[0].alg_id, dataset[0].M
     if params.config.K != actions.shape[2]:
         raise ValueError("model K does not match dataset")
     if params.config.M != M:
@@ -207,7 +199,6 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     if cfg.K != params.config.K or cfg.M != params.config.M:
         raise ValueError("loss config K/M do not match the model")
     masks = bin_masks(alg_id, M)
-    X_all = qmodel.assemble_inputs(states, actions, params.config.token_width)
     D = len(dataset)
     if opt is None:
         opt = AdamWState.for_params(params)
@@ -219,8 +210,7 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
                    "conservative": 0.0}
         for start in range(0, D, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            Q, cache = qmodel.q_values_batch(params, states[idx], actions[idx],
-                                             X_in=X_all[idx])
+            Q, cache = qmodel.q_values_batch(params, states[idx], actions[idx])
             loss, comps, dQ = q_loss_batch(Q, actions[idx], rewards[idx],
                                            masks, cfg)
             grads = qmodel.model_backward(cache, dQ)
@@ -379,9 +369,7 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
     recompute only the heads, which gives the same losses as a full
     forward.
     """
-    states = np.stack([s.state for s in traj.steps])[None]
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    rewards = np.array([[s.reward for s in traj.steps]])
+    states, actions, rewards = trajectory_arrays([traj])
     masks = bin_masks(traj.alg_id, cfg.M)
 
     Q0, cache = qmodel.q_values_batch(params, states, actions)

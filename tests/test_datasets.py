@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,7 @@ import pytest
 from dacq import algorithms, datasets, env, problems
 from dacq.datasets import (DatasetManifest, collect, exploitation_policy,
                            filter_threshold, load_dataset, random_policy,
-                           read_trajectories, serialize_trajectory,
-                           write_trajectories)
+                           read_trajectories, serialize_trajectory)
 
 S0 = np.zeros(9)
 
@@ -138,11 +140,9 @@ def test_exploitation_unknown_kind():
         exploitation_policy("greedy_oracle", 0, seed=0, T=5)
 
 
-def test_filtered_random_is_a_directive():
-    fr = exploitation_policy("filtered_random", 0, seed=0, T=5,
-                             quantile=0.25, calibration_episodes=40)
-    assert isinstance(fr, datasets.FilteredRandomPolicy)
-    assert fr.quantile == 0.25 and fr.calibration_episodes == 40
+def test_filtered_random_has_no_step_policy():
+    with pytest.raises(ValueError, match="filtered inside collect"):
+        exploitation_policy("filtered_random", 0, seed=0, T=5)
 
 
 def test_filter_threshold_median_keeps_half():
@@ -315,6 +315,11 @@ def test_collect_scripted_constant_deterministic():
 # serialization
 # ---------------------------------------------------------------------------
 
+def write_trajectories(path, trajs):
+    """Write trajs as a canonical trajectory file."""
+    Path(path).write_bytes(datasets._jsonl(trajs))
+
+
 def test_round_trip_bit_exact(tmp_path):
     trajs, _ = collect(1, tiny_split(), ("scripted_de_schedule", "random"),
                        mu=0.5, D=4, T=3, seed=41)
@@ -391,6 +396,49 @@ def test_reader_rejects_out_of_range_bin(tmp_path):
     path = tmp_path / "t.jsonl"
     write_trajectories(path, [bad])
     with pytest.raises(ValueError, match=r"line 1.*bin 16"):
+        read_trajectories(path)
+
+
+def test_reader_rejects_non_integral_bin(tmp_path):
+    obj = datasets.trajectory_to_obj(
+        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    obj["steps"][0]["a"] = [3.7, 1, 2]
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 1: step 0: field 'a'.*3\.7"):
+        read_trajectories(path)
+
+
+def test_reader_accepts_integral_float_bin(tmp_path):
+    obj = datasets.trajectory_to_obj(
+        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    obj["steps"][0]["a"] = [3.0, 1, 2]
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    (traj,) = read_trajectories(path)
+    assert traj.steps[0].actions.dtype == np.int64
+    assert traj.steps[0].actions.tolist() == [3, 1, 2]
+
+
+def _nan_in(traj, field):
+    if field == "s":
+        traj.steps[0].state[4] = np.nan
+    elif field == "r":
+        traj.steps[0].reward = np.nan
+    elif field == "bsf":
+        traj.steps[0].best_so_far_f = np.nan
+    else:
+        setattr(traj, field, np.nan)
+
+
+@pytest.mark.parametrize("field", ["s", "r", "bsf", "f_best_init", "f_star"])
+def test_reader_rejects_non_finite_number(tmp_path, field):
+    bad = _hand_trajectory(rewards=[0.5, 0.25], bsfs=[0.5, 0.25])
+    _nan_in(bad, field)
+    path = tmp_path / "t.jsonl"
+    write_trajectories(path, [bad])
+    with pytest.raises(ValueError,
+                       match=rf"line 1: .*field '{field}' is not finite"):
         read_trajectories(path)
 
 
@@ -483,6 +531,79 @@ def test_load_dataset_round_trip(tmp_path):
     assert man2.checksum == man.checksum
     assert [serialize_trajectory(t) for t in back] == \
            [serialize_trajectory(t) for t in trajs]
+
+
+def _spy_trajectory_opens(monkeypatch):
+    """Record every open of a trajectory file, by open() or Path."""
+    opened = []
+    true_open = io.open
+
+    def spy(file, *args, **kwargs):
+        if str(file).endswith(datasets.TRAJECTORY_FILE):
+            opened.append(file)
+        return true_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", spy)
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
+def test_load_dataset_reads_trajectory_file_once(tmp_path, monkeypatch):
+    collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+            mu=0.5, D=4, T=3, seed=55, out_dir=tmp_path)
+    opened = _spy_trajectory_opens(monkeypatch)
+    back, _ = load_dataset(tmp_path)
+    assert len(back) == 4
+    assert len(opened) == 1
+
+
+def test_load_dataset_parses_the_checksummed_bytes(tmp_path, monkeypatch):
+    # the file is emptied right after its bytes are read: what load_dataset
+    # returns must come from those bytes, not from a second read
+    trajs, _ = collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+                       mu=0.5, D=4, T=3, seed=56, out_dir=tmp_path)
+    true_read = Path.read_bytes
+
+    def read_then_empty(self):
+        data = true_read(self)
+        if self.name == datasets.TRAJECTORY_FILE:
+            self.write_bytes(b"")
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_empty)
+    back, _ = load_dataset(tmp_path)
+    assert [serialize_trajectory(t) for t in back] == \
+           [serialize_trajectory(t) for t in trajs]
+
+
+def test_load_dataset_line_numbers_from_checksummed_bytes(tmp_path):
+    trajs, man = collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+                         mu=0.0, D=3, T=3, seed=57)
+    obj = datasets.trajectory_to_obj(trajs[2])
+    obj["steps"][1]["a"][0] = 99
+    lines = [serialize_trajectory(t) for t in trajs[:2]] + [json.dumps(obj)]
+    # CRLF line ends are read like LF ones, as by a file opened in text mode
+    (tmp_path / datasets.TRAJECTORY_FILE).write_bytes(
+        "\r\n".join(lines).encode("utf-8") + b"\r\n")
+    man.checksum = datasets._checksum(
+        (tmp_path / datasets.TRAJECTORY_FILE).read_bytes())
+    (tmp_path / datasets.MANIFEST_FILE).write_text(man.to_json())
+    with pytest.raises(ValueError, match=r"line 3: step 1: bin 99"):
+        load_dataset(tmp_path)
+
+
+def test_collect_writes_the_bytes_it_checksummed(tmp_path):
+    trajs, man = collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+                         mu=0.5, D=4, T=3, seed=58, out_dir=tmp_path / "c")
+    payload = (tmp_path / "c" / datasets.TRAJECTORY_FILE).read_bytes()
+    assert datasets._checksum(payload) == man.checksum
+    again = datasets.write_dataset(
+        tmp_path / "w", trajs, DatasetManifest(**{**man.__dict__,
+                                                  "checksum": ""}))
+    assert again.checksum == man.checksum
+    for name in (datasets.TRAJECTORY_FILE, datasets.MANIFEST_FILE):
+        assert (tmp_path / "w" / name).read_bytes() == \
+            (tmp_path / "c" / name).read_bytes()
 
 
 def test_load_dataset_checksum_mismatch(tmp_path):

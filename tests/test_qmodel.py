@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dacq import algorithms as alg
-from dacq import env, qmodel
+from dacq import env, qmodel, training
 from dacq.qmodel import START, ModelConfig
 
 
@@ -181,8 +181,10 @@ def test_single_step_single_dim_trajectory():
                           instance_seed=0, episode_seed=0, T=1, policy_id="",
                           f_best_init=1.0, f_star=0.0,
                           steps=[env.StepRecord(s, np.array([4]), 0.0, 1.0)])
-    Q, _ = qmodel.q_values_for_trajectory(p, traj)
-    assert Q.shape == (1, 1, 16)
+    states, actions, _ = training.trajectory_arrays([traj])
+    Q, _ = qmodel.q_values_batch(p, states, actions)
+    assert Q.shape == (1, 1, 1, 16)
+    Q = Q[0]
     q_direct, _ = qmodel.q_step(p, s, qmodel.tokenize(START), p.zero_hidden())
     assert_allclose(Q[0, 0], q_direct, atol=1e-12, rtol=0)
 

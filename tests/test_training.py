@@ -120,17 +120,45 @@ def test_loss_gradient_matches_fd_with_frozen_targets():
         assert abs(dQ[idx] - (up - dn) / (2 * h)) < 1e-8
 
 
-def test_loss_wrapper_uses_algorithm_masks(sphere5):
+def test_trajectory_arrays_stack_steps(sphere5):
     traj = short_trajectory(sphere5)
-    cfg = LossConfig(K=3, M=16)
-    rng = np.random.default_rng(3)
-    qs = rng.normal(size=(4, 3, 16))
-    loss, comps = training.q_loss(qs, traj, cfg)
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    rewards = np.array([[s.reward for s in traj.steps]])
-    want, _, _ = training.q_loss_batch(qs[None], actions, rewards,
-                                       training.bin_masks(0, 16), cfg)
-    assert loss == want
+    states, actions, rewards = training.trajectory_arrays([traj, traj])
+    assert states.shape == (2, 4, 9) and states.dtype == np.float64
+    assert actions.shape == (2, 4, 3) and actions.dtype == np.int64
+    assert rewards.shape == (2, 4) and rewards.dtype == np.float64
+    for t, st in enumerate(traj.steps):
+        assert_array_equal(states[1, t], st.state)
+        assert_array_equal(actions[1, t], st.actions)
+        assert rewards[1, t] == st.reward
+
+
+def test_trajectory_arrays_reject_mixed_shapes(sphere5):
+    traj = short_trajectory(sphere5)
+    other = short_trajectory(sphere5)
+    other.M = 32
+    with pytest.raises(ValueError, match="mixed trajectory shapes"):
+        training.trajectory_arrays([traj, other])
+    other = short_trajectory(sphere5)
+    other.steps = other.steps[:-1]
+    with pytest.raises(ValueError, match="step count does not match T"):
+        training.trajectory_arrays([traj, other])
+
+
+def test_stacked_trajectory_loss_uses_algorithm_masks(sphere5):
+    # alg 1 has discrete dims: bins past a dim's choices must not enter
+    # the backup targets, whatever their Q
+    traj = env.run_episode(1, sphere5, random_policy_fn(1, 3), T=3, seed=3)
+    cfg = LossConfig(K=10, M=16)
+    _, actions, rewards = training.trajectory_arrays([traj])
+    masks = training.bin_masks(traj.alg_id, cfg.M)
+    Q = np.random.default_rng(3).normal(size=(1, 3, 10, 16))
+    high = Q.copy()
+    for i, m in enumerate(masks):
+        high[..., i, m:] = 1e6
+    assert masks.min() < 16
+    assert_array_equal(training.compute_targets(high, rewards, masks, cfg),
+                       training.compute_targets(Q, rewards, masks, cfg))
+    _, comps, _ = training.q_loss_batch(Q, actions, rewards, masks, cfg)
     assert set(comps) == {"bellman_intra", "bellman_td", "conservative"}
 
 

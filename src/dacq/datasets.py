@@ -204,33 +204,57 @@ def trajectory_to_obj(traj: Trajectory) -> dict:
     }
 
 
+def _field(obj: dict, key: str, convert):
+    """convert(obj[key]); a missing or unconvertible field raises a
+    ValueError that names it."""
+    try:
+        return convert(obj[key])
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _bins(a) -> np.ndarray:
+    bins = np.asarray(a)
+    if bins.dtype != np.int64:
+        if bins.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(bins) & (bins == np.trunc(bins))):
+            raise ValueError(f"non-integral bin: {a!r}")
+        bins = bins.astype(np.int64)
+    return bins
+
+
 def trajectory_from_obj(obj: dict) -> Trajectory:
+    if not isinstance(obj, dict):
+        raise ValueError(f"trajectory is not a JSON object: {obj!r}")
     meta_keys = ("alg_id", "K", "M", "function_id", "dim", "instance_seed",
                  "episode_seed", "T", "policy_id", "f_best_init", "f_star")
-    missing = [k for k in meta_keys if k not in obj]
-    if missing or "steps" not in obj:
-        missing += [] if "steps" in obj else ["steps"]
+    missing = [k for k in meta_keys + ("steps",) if k not in obj]
+    if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    if not isinstance(obj["steps"], list):
+        raise ValueError(f"field 'steps' is not a list: {obj['steps']!r}")
     steps = []
     for t, st in enumerate(obj["steps"]):
-        bins = np.asarray(st["a"])
-        if bins.dtype != np.int64:
-            if bins.dtype.kind not in "iuf" or not np.all(
-                    np.isfinite(bins) & (bins == np.trunc(bins))):
-                raise ValueError(f"step {t}: field 'a' holds a "
-                                 f"non-integral bin: {st['a']!r}")
-            bins = bins.astype(np.int64)
-        steps.append(StepRecord(state=np.asarray(st["s"], dtype=float),
-                                actions=bins,
-                                reward=float(st["r"]),
-                                best_so_far_f=float(st["bsf"])))
+        if not isinstance(st, dict):
+            raise ValueError(f"step {t} is not a JSON object: {st!r}")
+        try:
+            steps.append(StepRecord(
+                state=_field(st, "s", lambda v: np.asarray(v, float)),
+                actions=_field(st, "a", _bins),
+                reward=_field(st, "r", float),
+                best_so_far_f=_field(st, "bsf", float)))
+        except ValueError as exc:
+            raise ValueError(f"step {t}: {exc}") from None
     return Trajectory(
-        alg_id=int(obj["alg_id"]), K=int(obj["K"]), M=int(obj["M"]),
-        function_id=int(obj["function_id"]), dim=int(obj["dim"]),
-        instance_seed=obj["instance_seed"], episode_seed=obj["episode_seed"],
-        T=int(obj["T"]), policy_id=str(obj["policy_id"]),
-        f_best_init=float(obj["f_best_init"]), f_star=float(obj["f_star"]),
-        steps=steps)
+        alg_id=_field(obj, "alg_id", int), K=_field(obj, "K", int),
+        M=_field(obj, "M", int), function_id=_field(obj, "function_id", int),
+        dim=_field(obj, "dim", int), instance_seed=obj["instance_seed"],
+        episode_seed=obj["episode_seed"], T=_field(obj, "T", int),
+        policy_id=str(obj["policy_id"]),
+        f_best_init=_field(obj, "f_best_init", float),
+        f_star=_field(obj, "f_star", float), steps=steps)
 
 
 def serialize_trajectory(traj: Trajectory) -> str:

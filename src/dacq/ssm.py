@@ -19,9 +19,14 @@ The sequential forward and the backward walk time in chunks whose
 (batch, steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS
 elements (or one step, if that is more).  Each chunk's Abar,
 E = expm1(delta * A) / A and Bbar are built from the cached delta and
-B(u), used, and dropped; the backward rebuilds them chunk by chunk in
-reverse (recomputation, not caching).  The only cached array of that size
-is the state trajectory hs.
+B(u), used, and dropped.  The forward keeps the hidden state only where
+a chunk starts (and h_final) and emits y one chunk at a time.  The
+backward walks the chunks in reverse: it rebuilds the chunk's Abar, E and
+Bbar, re-runs the chunk's recurrence from its stored start state, and
+uses those states at once (recomputation, not caching, as in Mamba's
+scan).  So no cached array has a (batch, length, d_model, d_state) shape
+unless a chunk is a single step, which it is once batch * d_model *
+d_state reaches SCAN_CHUNK_ELEMENTS (batch 16 at d_model 64, d_state 16).
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import numpy as np
 #: discretized tensors that the sequential forward and the backward build
 #: (128 KiB of float64; a chunk holds at least one step).  Of 2**12 to
 #: 2**16 it was the fastest at both the desk (4, 150, 32, 8) and the
-#: paper (4, 1500, 64, 16) shape.
+#: paper (4, 1500, 64, 16) shape.  The forward keeps one hidden state per
+#: chunk, so a chunk of c steps stores 1/c of the state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -111,20 +117,24 @@ def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
 class SsmCache:
     """Forward intermediates retained for the backward pass.
 
-    Abar, E and Bbar are not kept: ssm_backward rebuilds them chunk by
-    chunk from delta and Bix, so hs is the only (B, L, D, N) array.
+    The hidden state is kept only at the time-chunk bounds: h_starts[:, k]
+    enters chunks[k] and h_starts[:, -1] is h_final.  ssm_backward
+    re-runs each chunk's recurrence from its start state, rebuilding
+    Abar, E and Bbar from delta and Bix; y_pre saves it the emission.
     """
 
     params: SsmParams
     version: int
     unbatched: bool
+    chunks: list          # (t0, t1) time bounds of each chunk
     xs: np.ndarray        # (B, L, D)
     u: np.ndarray         # (B, L, D)
     sig: np.ndarray       # (B, L, D) sigmoid of the delta pre-activation
     delta: np.ndarray     # (B, L, D)
     Bix: np.ndarray       # (B, L, N) input-dependent B
     Cix: np.ndarray       # (B, L, N) input-dependent C
-    hs: np.ndarray        # (B, L+1, D, N), hs[:, 0] = h0
+    y_pre: np.ndarray     # (B, L, D) output before W_out
+    h_starts: np.ndarray  # (B, len(chunks) + 1, D, N)
 
 
 def _normalize_inputs(params: SsmParams, h0, xs):
@@ -179,10 +189,23 @@ def _chunks(nb, L, D, N):
     return [(t0, min(t0 + c, L)) for t0 in range(0, L, c)]
 
 
+def _run_states(Abar, Bbar, u, h, out):
+    """Run the recurrence over the first out.shape[1] steps of a chunk
+    from state h: out[:, i] = Abar_i * h + Bbar_i * u_i, then h = out[:, i].
+    Returns out, the states after each step; out may be Bbar itself."""
+    n = out.shape[1]
+    np.multiply(Bbar[:, :n], u[:, :n, :, None], out=out)
+    step = np.empty_like(h)
+    for i in range(n):
+        out[:, i] += np.multiply(Abar[:, i], h, out=step)
+        h = out[:, i]
+    return out
+
+
 def _emit(params: SsmParams, hs_steps, Cix, u):
-    # y[b,l,d] = sum_n h[b,l,d,n] C[b,l,n] + D_skip[d] u[b,l,d]
-    y = np.einsum("bldn,bln->bld", hs_steps, Cix) + params.D_skip * u
-    return y @ params.W_out + params.b_out
+    """Output before W_out: y[b,l,d] = sum_n h[b,l,d,n] C[b,l,n]
+    + D_skip[d] u[b,l,d]."""
+    return np.einsum("bldn,bln->bld", hs_steps, Cix) + params.D_skip * u
 
 
 def ssm_forward_sequential(params: SsmParams, h0, xs):
@@ -192,20 +215,19 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
     N = params.d_state
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
     A = -np.exp(params.A_log)
-    hs = np.empty((nb, L + 1, D, N))
-    hs[:, 0] = h0
-    for t0, t1 in _chunks(nb, L, D, N):
-        Abar, _, Bu = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
-        Bu *= u[:, t0:t1, :, None]
-        for t in range(t0, t1):
-            # h_t = Abar_t * h_{t-1} + Bbar_t * u_t, written in place
-            h = hs[:, t + 1]
-            np.multiply(Abar[:, t - t0], hs[:, t], out=h)
-            h += Bu[:, t - t0]
-    ys = _emit(params, hs[:, 1:], Cix, u)
-    h_final = hs[:, -1]
-    cache = SsmCache(params, params.version, unbatched, xs, u, sig, delta,
-                     Bix, Cix, hs)
+    chunks = _chunks(nb, L, D, N)
+    h_starts = np.empty((nb, len(chunks) + 1, D, N))
+    h_starts[:, 0] = h0
+    y_pre = np.empty((nb, L, D))
+    for k, (t0, t1) in enumerate(chunks):
+        Abar, _, Bbar = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
+        hc = _run_states(Abar, Bbar, u[:, t0:t1], h_starts[:, k], Bbar)
+        h_starts[:, k + 1] = hc[:, -1]
+        y_pre[:, t0:t1] = _emit(params, hc, Cix[:, t0:t1], u[:, t0:t1])
+    ys = y_pre @ params.W_out + params.b_out
+    h_final = h_starts[:, -1]
+    cache = SsmCache(params, params.version, unbatched, chunks, xs, u, sig,
+                     delta, Bix, Cix, y_pre, h_starts)
     if unbatched:
         return ys[0], h_final[0], cache
     return ys, h_final, cache
@@ -228,7 +250,7 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
         b[:, offset:] = b[:, offset:] + a[:, offset:] * b[:, :-offset]
         a[:, offset:] = a[:, offset:] * a[:, :-offset]
         offset *= 2
-    ys = _emit(params, b, Cix, u)
+    ys = _emit(params, b, Cix, u) @ params.W_out + params.b_out
     h_final = b[:, -1]
     if unbatched:
         return ys[0], h_final[0]
@@ -248,7 +270,7 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
         raise ValueError("stale cache: parameters were updated after the "
                          "forward pass")
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
-    Bix, Cix, hs = cache.Bix, cache.Cix, cache.hs
+    Bix, Cix = cache.Bix, cache.Cix
     A = -np.exp(p.A_log)
     nb, L, D = xs.shape
     N = p.d_state
@@ -270,28 +292,37 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
             gh = gh[None]
 
     # output mixing
-    y_pre = np.einsum("bldn,bln->bld", hs[:, 1:], Cix) + p.D_skip * u
-    gW_out = np.einsum("bld,ble->de", y_pre, gys)
+    gW_out = np.einsum("bld,ble->de", cache.y_pre, gys)
     gb_out = gys.sum((0, 1))
     gy = gys @ p.W_out.T
 
     # through the emission: y = h.C + D_skip*u
-    gC = np.einsum("bld,bldn->bln", gy, hs[:, 1:])
     gD_skip = (gy * u).sum((0, 1))
     gu = gy * p.D_skip
 
     # reverse recurrence over chunks, last first: rebuild the chunk's
-    # Abar, E and Bbar, accumulate the total dL/dh_t of its steps in ghs,
-    # then take the chunk's share of every gradient.  Abar = exp(delta*A),
+    # Abar, E and Bbar, re-run its states hc from the stored ones,
+    # accumulate the total dL/dh_t of its steps in ghs, then take the
+    # chunk's share of every gradient (gC from the states after each
+    # step, X from the states before).  Abar = exp(delta*A),
     # Bbar = E*B with E = expm1(delta*A)/A: from dAbar/ddelta = A*Abar,
     # dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A and dA/dA_log = A, with
     # X = (gAbar*A + gE)*Abar, gdelta = sum_n X and
     # gA_log = sum delta*X - sum gE*E
     gB = np.empty((nb, L, N))
+    gC = np.empty((nb, L, N))
     gdelta = np.empty((nb, L, D))
     gA_log = np.zeros((D, N))
-    for t0, t1 in reversed(_chunks(nb, L, D, N)):
+    for k in reversed(range(len(cache.chunks))):
+        t0, t1 = cache.chunks[k]
         Abar, E, Bbar = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
+        # the states around the chunk's steps: the first and last are
+        # stored, the ones between are re-run
+        hc = np.empty((nb, t1 - t0 + 1, D, N))
+        hc[:, 0] = cache.h_starts[:, k]
+        hc[:, -1] = cache.h_starts[:, k + 1]
+        _run_states(Abar, Bbar, u[:, t0:t1], hc[:, 0], hc[:, 1:-1])
+        gC[:, t0:t1] = np.einsum("bld,bldn->bln", gy[:, t0:t1], hc[:, 1:])
         # dL/dh_t = gy_t C_t + Abar_{t+1} dL/dh_{t+1}, written in place;
         # gh carries Abar_t dL/dh_t to the step before
         ghs = gy[:, t0:t1, :, None] * Cix[:, t0:t1, None, :]
@@ -305,7 +336,7 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
         gB[:, t0:t1] = np.einsum("bldn,bldn->bln", gE, E)
         gE *= Bix[:, t0:t1, None, :]
         X = ghs                 # X = (ghs*h*A + gE)*Abar, in place
-        X *= hs[:, t0:t1]
+        X *= hc[:, :-1]
         X *= A
         X += gE
         X *= Abar

@@ -450,19 +450,35 @@ def ssm_forward_ref(ten, h0, xs):
 
 
 # ---------------------------------------------------------------------------
-# selective-SSM backward, whole sequence at once
+# selective-SSM states and backward, whole sequence at once
+
+def ssm_states_ref(cache):
+    """The full (B, L + 1, D, N) state trajectory of the forward pass that
+    made cache, rebuilt over the whole sequence from its inputs:
+    hs[:, 0] = h0 and hs[:, t + 1] = Abar_t hs[:, t] + Bbar_t u_t."""
+    A = -np.exp(cache.params.A_log)
+    P = cache.delta[..., None] * A
+    Abar = np.exp(P)
+    Bu = np.expm1(P) / A * cache.Bix[..., None, :] * cache.u[..., None]
+    nb, L, D, N = Bu.shape
+    hs = np.empty((nb, L + 1, D, N))
+    hs[:, 0] = cache.h_starts[:, 0]
+    for t in range(L):
+        hs[:, t + 1] = Abar[:, t] * hs[:, t] + Bu[:, t]
+    return hs
+
 
 def ssm_backward_ref(cache, grad_ys, grad_h_final=None):
-    """Full-tensor backward of the selective SSM: Abar, E, Bbar and the
-    dL/dh_t of every step are built over the whole sequence at once.
-    Same arguments and returns as ``dacq.ssm.ssm_backward``."""
+    """Full-tensor backward of the selective SSM: the states, Abar, E,
+    Bbar and the dL/dh_t of every step are built over the whole sequence
+    at once.  Same arguments and returns as ``dacq.ssm.ssm_backward``."""
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
                          "forward pass")
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
     Bix, Cix = cache.Bix, cache.Cix
-    hs = cache.hs
+    hs = ssm_states_ref(cache)
     A = -np.exp(p.A_log)
     P = delta[..., None] * A
     Abar = np.exp(P)

@@ -244,6 +244,69 @@ def test_train_missing_dataset_dir_runtime_error(tmp_path, capsys):
     assert rc == 1
 
 
+def _malformed_copy(ds_dir, out, edit):
+    """A copy of ds_dir whose second line is edit(obj) of its object, with
+    the manifest checksum updated, so the parser meets the bad line."""
+    lines = (ds_dir / datasets.TRAJECTORY_FILE).read_text().splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    payload = ("\n".join(lines) + "\n").encode()
+    man = json.loads((ds_dir / datasets.MANIFEST_FILE).read_text())
+    man["checksum"] = datasets._checksum(payload)
+    out.mkdir()
+    (out / datasets.TRAJECTORY_FILE).write_bytes(payload)
+    (out / datasets.MANIFEST_FILE).write_text(json.dumps(man))
+    return out
+
+
+def _without(key):
+    def edit(obj):
+        del obj["steps"][2][key]
+        return obj
+    return edit
+
+
+def _step(value):
+    def edit(obj):
+        obj["steps"][2] = value
+        return obj
+    return edit
+
+
+MALFORMED_LINES = {
+    **{f"no {k}": (_without(k), f"step 2: missing field '{k}'")
+       for k in ("a", "s", "r", "bsf")},
+    "steps 5": (lambda obj: {**obj, "steps": 5},
+                "field 'steps' is not a list"),
+    "step 5": (_step(5), "step 2 is not a JSON object"),
+    "step [1]": (_step([1]), "step 2 is not a JSON object"),
+    "line 5": (lambda obj: 5, "trajectory is not a JSON object"),
+    "line [1]": (lambda obj: [1], "trajectory is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LINES)
+def test_train_malformed_line_is_one_error_line(ds_dir, tmp_path, capsys,
+                                                case):
+    edit, message = MALFORMED_LINES[case]
+    bad = _malformed_copy(ds_dir, tmp_path / "bad", edit)
+    rc = run(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: line 2: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_malformed_dataset_fails_one_check(ds_dir, tmp_path, capsys):
+    bad = _malformed_copy(ds_dir, tmp_path / "bad", _step([1]))
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0",
+              "--data", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL  dataset_revalidation: line 2: step 2 is not "
+                     "a JSON object: [1]"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

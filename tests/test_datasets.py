@@ -452,6 +452,57 @@ def test_reader_missing_field(tmp_path):
         read_trajectories(path)
 
 
+def _drop(key):
+    def edit(obj):
+        del obj["steps"][0][key]
+    return edit
+
+
+def _set_step(value):
+    def edit(obj):
+        obj["steps"][0] = value
+    return edit
+
+
+#: malformed lines -> the message naming the line and the field
+MALFORMED = {
+    **{f"missing {k}": (_drop(k), rf"line 1: step 0: missing field '{k}'")
+       for k in ("a", "s", "r", "bsf")},
+    "steps not a list": (lambda obj: obj.update(steps=5),
+                         r"line 1: field 'steps' is not a list: 5"),
+    "step is a number": (_set_step(5),
+                         r"line 1: step 0 is not a JSON object: 5"),
+    "step is a list": (_set_step([1]),
+                       r"line 1: step 0 is not a JSON object: \[1\]"),
+    "reward is null": (lambda obj: obj["steps"][0].update(r=None),
+                       r"line 1: step 0: field 'r': .*NoneType"),
+    "dim is a list": (lambda obj: obj.update(dim=[3]),
+                      r"line 1: field 'dim': .*list"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_reader_names_line_and_field_of_malformed_trajectory(tmp_path, case):
+    edit, message = MALFORMED[case]
+    obj = datasets.trajectory_to_obj(
+        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    edit(obj)
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_trajectories(path)
+
+
+@pytest.mark.parametrize("line", ["5", "[1]", '"x"', "null"])
+def test_reader_rejects_non_object_line(tmp_path, line):
+    good = serialize_trajectory(_hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    path = tmp_path / "t.jsonl"
+    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=r"line 2: trajectory is not a JSON object"):
+        read_trajectories(path)
+
+
 # ---------------------------------------------------------------------------
 # collection on worker processes
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dacq import algorithms as alg
-from dacq import env, qmodel, training
+from dacq import env, qmodel, ssm, training
 from dacq.qmodel import START, ModelConfig
 
 
@@ -189,6 +189,17 @@ def test_single_step_single_dim_trajectory():
     assert_allclose(Q[0, 0], q_direct, atol=1e-12, rtol=0)
 
 
+def assert_step_replay_matches(p, states, actions, Q):
+    """Q (T, K, M) equals q_step replayed over the decision steps."""
+    h = p.zero_hidden()
+    tok = qmodel.tokenize(START)
+    for t, (state, bins) in enumerate(zip(states, actions)):
+        for i, b in enumerate(bins):
+            q, h = qmodel.q_step(p, state, tok, h)
+            assert_allclose(Q[t, i], q, atol=1e-12, rtol=0)
+            tok = qmodel.tokenize(int(b))
+
+
 def test_teacher_forcing_matches_step_replay():
     p = tiny_model(seed=11)
     rng = np.random.default_rng(12)
@@ -196,13 +207,36 @@ def test_teacher_forcing_matches_step_replay():
     states = rng.normal(size=(T, 9))
     actions = rng.integers(0, 16, size=(T, K))
     Q, _ = qmodel.q_values_batch(p, states[None], actions[None])
-    h = p.zero_hidden()
-    tok = qmodel.tokenize(START)
-    for t in range(T):
-        for i in range(K):
-            q, h = qmodel.q_step(p, states[t], tok, h)
-            assert_allclose(Q[0, t, i], q, atol=1e-12, rtol=0)
-            tok = qmodel.tokenize(int(actions[t, i]))
+    assert_step_replay_matches(p, states, actions, Q[0])
+
+
+def test_teacher_forcing_across_scan_chunks(monkeypatch):
+    # a chunk budget of 5 steps splits the T*K = 12 decision steps into
+    # chunks of 5, 5 and 2: the states kept at the chunk starts carry the
+    # recurrence across chunk edges, forward and in the backward's re-run
+    p = tiny_model(seed=11, depth=2)
+    rng = np.random.default_rng(12)
+    T, K = 4, 3
+    states = rng.normal(size=(T, 9))
+    actions = rng.integers(0, 16, size=(T, K))
+    grad_Q = rng.normal(size=(1, T, K, 16))
+    Q_one, cache_one = qmodel.q_values_batch(p, states[None], actions[None])
+    assert [len(c.chunks) for c in cache_one.block_caches] == [1, 1]
+    want = qmodel.model_backward(cache_one, grad_Q)
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS",
+                        5 * p.config.d_model * p.config.d_state)
+    Q, cache = qmodel.q_values_batch(p, states[None], actions[None])
+    assert [len(c.chunks) for c in cache.block_caches] == [3, 3]
+    assert_array_equal(Q, Q_one)
+    got = qmodel.model_backward(cache, grad_Q)
+    for k in want:
+        if k.endswith("A_log"):
+            # summed over (b, l) one chunk at a time
+            err = np.max(np.abs(got[k] - want[k]))
+            assert err <= 1e-13 * np.max(np.abs(want[k])), (k, err)
+        else:
+            assert_array_equal(got[k], want[k], err_msg=k)
+    assert_step_replay_matches(p, states, actions, Q[0])
 
 
 def test_batch_independence():

@@ -6,13 +6,15 @@ machine-parseable CSV (plus a human summary on stdout).  Exit codes:
 default) picks sizes that run a full pipeline in minutes on a laptop;
 ``--profile paper`` selects the full-scale settings.  Flags override an
 optional ``--config`` file (JSON object or ``key = value`` lines), which
-overrides the profile.  Every flag is declared once in ``FLAGS`` (its
-dest is the ``RunConfig`` field it sets) and each command lists the
-flags it takes in ``COMMANDS``; ``build_parser`` only reads the two
-tables.  Set ``DACQ_THREADS`` before the process starts to cap BLAS
-thread pools (applied when the package is imported, and exported again
-by ``main`` so child processes inherit it; an
-``OPENBLAS_NUM_THREADS``-style variable already set keeps its value).
+overrides the profile.  Each setting is one row of ``FLAGS`` holding
+its argparse keywords, its default (by profile where desk and paper
+differ) and its rule; each command lists its flags in ``COMMANDS``.  A
+config-file value goes through its flag's type as the flag's text would;
+one that does not convert or breaks its row's rule is a usage error.
+Set ``DACQ_THREADS`` before the process starts to cap BLAS thread pools
+(applied when the package is imported, and exported again by ``main``
+so child processes inherit it; an ``OPENBLAS_NUM_THREADS``-style
+variable already set keeps its value).
 ``--workers N`` runs the independent episodes of collect, eval and
 ablate on N forked processes (default: the CPUs this process may use);
 no output file depends on it.
@@ -24,6 +26,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -39,111 +42,118 @@ class UsageError(ValueError):
     """Bad flag/config values; mapped to exit code 2."""
 
 
-#: profile-scoped defaults; everything else comes from BASE_DEFAULTS
-PROFILES = {
-    "desk": dict(t=50, d=500, epochs=100, batch=32, d_model=32, d_state=8,
-                 depth=1, runs=19, dim=5, bins=16),
-    "paper": dict(t=500, d=10_000, epochs=300, batch=64, d_model=64,
-                  d_state=16, depth=1, runs=19, dim=None, bins=16),
+def _ids(text) -> tuple:
+    """argparse type of a function-id list: distinct ids in 1..24."""
+    try:
+        ids = tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        ids = ()
+    if not ids or len(set(ids)) < len(ids) \
+            or not all(f in range(1, 25) for f in ids):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct comma-separated ids in 1..24, got {text!r}")
+    return ids
+
+
+PROFILES = ("desk", "paper")
+
+#: one row per setting: ``--name`` (``_`` spelled ``-``) sets ``cfg.name``.
+#: ``type``, ``help`` and ``choices`` go to argparse.  ``default`` is a
+#: value or a dict by profile (None: unset).  The rule: ``choices``, the
+#: inclusive bounds ``lo``/``hi`` and ``value > gt``.  ``config`` names
+#: the file that ``resolve_config`` merges beneath the flags.
+FLAGS = {
+    "seed": dict(type=int, default=0),
+    "out": dict(type=str),
+    "profile": dict(type=str, choices=PROFILES, default="desk"),
+    "config": dict(type=str,
+                   help="JSON or key=value config file; flags override it"),
+    "data": dict(type=str, help="dataset directory (verify: optional, "
+                                "revalidated when given)"),
+    "ckpt": dict(type=str),
+    "resume": dict(type=str),
+    "alg": dict(type=int, choices=algorithms.ALGORITHM_IDS, default=0),
+    "mu": dict(type=float, default=0.5, lo=0, hi=1),
+    "d": dict(type=int, default=dict(desk=500, paper=10_000), lo=1),
+    "t": dict(type=int, default=dict(desk=50, paper=500), lo=1),
+    "bins": dict(type=int, default=16, lo=2, hi=env.MAX_BINS),
+    "dim": dict(type=int, choices=problems.SUPPORTED_DIMS,
+                default=dict(desk=5, paper=None)),
+    "functions": dict(type=_ids, help="comma-separated training function ids"),
+    "test_functions": dict(type=_ids),
+    "policy": dict(type=str, choices=datasets.EXPLOITATION_KINDS,
+                   default="scripted_de_schedule",
+                   help="exploitation policy kind"),
+    "quantile": dict(type=float, default=0.5, lo=0, hi=1,
+                     help="return quantile of the calibration episodes that "
+                          "filtered_random and scripted_constant must beat"),
+    "calibration": dict(type=int, default=100, lo=1,
+                        help="number of calibration episodes for "
+                             "filtered_random and scripted_constant"),
+    "jitter": dict(type=float, default=0.02, lo=0),
+    "epochs": dict(type=int, default=dict(desk=100, paper=300), lo=1),
+    "batch": dict(type=int, default=dict(desk=32, paper=64), lo=1),
+    "lr": dict(type=float, default=5e-3, lo=0),
+    "wd": dict(type=float, default=0.01, lo=0),
+    "beta": dict(type=float, default=10.0, lo=0),
+    "lam": dict(type=float, default=1.0, lo=0),
+    "gamma": dict(type=float, default=0.99, gt=0, hi=1),
+    "d_model": dict(type=int, default=dict(desk=32, paper=64), lo=1),
+    "d_state": dict(type=int, default=dict(desk=8, paper=16), lo=1),
+    "depth": dict(type=int, default=1, lo=1),
+    "runs": dict(type=int, default=19, lo=1),
+    "mdps": dict(type=int, default=100, lo=1),
+    "tol_decomp": dict(type=float, default=1e-8, gt=0),
+    "scan_seeds": dict(type=int, default=20, lo=1),
+    "instance_seed": dict(type=int, default=0),
+    "workers": dict(type=int, lo=1,
+                    help="episode worker processes (default: the CPUs this "
+                         "process may use); outputs do not depend on it"),
 }
 
-BASE_DEFAULTS = dict(
-    seed=0, out=None, data=None, ckpt=None, resume=None, alg=0, mu=0.5,
-    functions=None, test_functions=None, policy="scripted_de_schedule",
-    quantile=0.5, calibration=100, jitter=0.02, lr=5e-3, wd=0.01, beta=10.0,
-    lam=1.0, gamma=0.99, mdps=100, tol_decomp=1e-8, scan_seeds=20,
-    instance_seed=0, workers=None,
-)
+#: the row keys that ``build_parser`` hands to ``add_argument``
+_ARGPARSE_KEYS = ("type", "help", "choices")
+
+#: a row's rule keys: (key, test of a value against its bound, wording)
+_RULES = (("choices", lambda value, choices: value in choices, "one of"),
+          ("lo", operator.ge, ">="), ("gt", operator.gt, ">"),
+          ("hi", operator.le, "<="))
 
 
-@dataclass
-class RunConfig:
-    """Merged, validated configuration for one command invocation."""
-
-    command: str
-    profile: str
-    seed: int
-    out: str | None
-    data: str | None
-    ckpt: str | None
-    resume: str | None
-    alg: int
-    mu: float
-    d: int
-    t: int
-    bins: int
-    dim: int | None
-    functions: tuple | None
-    test_functions: tuple | None
-    policy: str
-    quantile: float
-    calibration: int
-    jitter: float
-    epochs: int
-    batch: int
-    lr: float
-    wd: float
-    beta: float
-    lam: float
-    gamma: float
-    d_model: int
-    d_state: int
-    depth: int
-    runs: int
-    mdps: int
-    tol_decomp: float
-    scan_seeds: int
-    instance_seed: int
-    workers: int | None
-    explicit: frozenset = frozenset()  # flag names given on the command line
-
-    def validate(self):
-        def need(cond, msg):
-            if not cond:
-                raise UsageError(msg)
-        need(self.alg in algorithms.ALGORITHM_IDS,
-             f"--alg must be one of {algorithms.ALGORITHM_IDS}, got {self.alg}")
-        need(0.0 <= self.mu <= 1.0, f"--mu must be in [0, 1], got {self.mu}")
-        need(self.d >= 1, "--d must be >= 1")
-        need(self.t >= 1, "--t must be >= 1")
-        need(2 <= self.bins <= env.MAX_BINS,
-             f"--bins must be in [2, {env.MAX_BINS}]")
-        need(self.dim is None or self.dim in problems.SUPPORTED_DIMS,
-             f"--dim must be one of {problems.SUPPORTED_DIMS}")
-        for name in ("functions", "test_functions"):
-            ids = getattr(self, name)
-            if ids is not None:
-                need(len(ids) > 0 and all(f in range(1, 25) for f in ids),
-                     f"--{name.replace('_', '-')} must list ids in 1..24")
-        need(self.policy in datasets.EXPLOITATION_KINDS,
-             f"--policy must be one of {datasets.EXPLOITATION_KINDS}")
-        need(0.0 <= self.quantile <= 1.0, "--quantile must be in [0, 1]")
-        need(self.calibration >= 1, "--calibration must be >= 1")
-        need(self.jitter >= 0.0, "--jitter must be >= 0")
-        need(self.epochs >= 1, "--epochs must be >= 1")
-        need(self.batch >= 1, "--batch must be >= 1")
-        need(self.lr >= 0.0 and self.wd >= 0.0, "--lr/--wd must be >= 0")
-        need(self.beta >= 0.0 and self.lam >= 0.0, "--beta/--lam must be >= 0")
-        need(0.0 < self.gamma <= 1.0, "--gamma must be in (0, 1]")
-        need(min(self.d_model, self.d_state, self.depth) >= 1,
-             "model dims must be >= 1")
-        need(self.runs >= 1, "--runs must be >= 1")
-        need(self.mdps >= 1 and self.scan_seeds >= 1,
-             "--mdps/--scan-seeds must be >= 1")
-        need(self.tol_decomp > 0.0, "--tol-decomp must be > 0")
-        need(self.workers is None or self.workers >= 1,
-             "--workers must be >= 1")
-        return self
+def defaults(profile) -> dict:
+    """Every setting's default under ``profile``."""
+    out = {}
+    for name, row in FLAGS.items():
+        value = row.get("default")
+        out[name] = value[profile] if isinstance(value, dict) else value
+    return out
 
 
-def _parse_id_list(value):
-    if value is None or isinstance(value, (tuple, list)):
-        return None if value is None else tuple(int(v) for v in value)
+def check_value(name, value):
+    """Raise UsageError unless ``value`` meets the rule of row ``name``;
+    None (unset) meets every rule."""
+    for key, ok, wording in _RULES:
+        bound = FLAGS[name].get(key)
+        if value is not None and bound is not None and not ok(value, bound):
+            raise UsageError(f"--{name.replace('_', '-')} must be "
+                             f"{wording} {bound}, got {value!r}")
+
+
+def _file_value(key, value):
+    """A config-file value converted by its flag's type, as argparse
+    converts the flag's text (a JSON list joined with commas)."""
+    if value is None:
+        raise UsageError(f"config key {key!r}: null is not a value")
+    text = (",".join(map(str, value)) if isinstance(value, list)
+            else str(value))
+    convert = FLAGS[key].get("type", str)
     try:
-        return tuple(int(p) for p in str(value).split(",") if p.strip())
+        return convert(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from None
     except ValueError:
-        raise UsageError(f"expected comma-separated ids, got {value!r}") \
-            from None
+        raise UsageError(f"config key {key!r}: invalid {convert.__name__} "
+                         f"value: {text!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -173,34 +183,29 @@ def load_config_file(path) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = load_config_file(args.config) if args.config else {}
-    profile = args.profile or file_cfg.get("profile") or "desk"
-    if profile not in PROFILES:
-        raise UsageError(f"unknown profile {profile!r} "
-                         f"(choose from {tuple(PROFILES)})")
-    merged = dict(BASE_DEFAULTS)
-    merged.update(PROFILES[profile])
-    known = set(FLAGS) - {"config", "profile"}
-    for key, value in file_cfg.items():
-        if key == "profile":
-            continue
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        merged[key] = value
-    explicit = set()
-    for key, value in vars(args).items():
-        if key in ("command", "config", "profile") or value is None:
-            continue
-        merged[key] = value
-        explicit.add(key)
-    merged["functions"] = _parse_id_list(merged.get("functions"))
-    merged["test_functions"] = _parse_id_list(merged.get("test_functions"))
-    return RunConfig(command=args.command, profile=profile,
-                     explicit=frozenset(explicit), **merged).validate()
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The profile's defaults, then the config file, then the flags given
+    on the command line (``cfg.explicit``), each value checked against
+    its row."""
+    given = {k: v for k, v in vars(args).items()
+             if k != "command" and v is not None}
+    merged = {}
+    if given.get("config"):
+        for key, value in load_config_file(given["config"]).items():
+            if key not in FLAGS or key == "config":
+                raise UsageError(f"unknown config key {key!r}")
+            merged[key] = _file_value(key, value)
+    merged.update(given)
+    profile = merged.setdefault("profile", FLAGS["profile"]["default"])
+    check_value("profile", profile)
+    merged = {**defaults(profile), **merged}
+    for name, value in merged.items():
+        check_value(name, value)
+    return argparse.Namespace(command=args.command,
+                              explicit=frozenset(given), **merged)
 
 
-def build_split(cfg: RunConfig) -> problems.ProblemSplit:
+def build_split(cfg) -> problems.ProblemSplit:
     base = problems.default_split()
     train = cfg.functions if cfg.functions is not None else base.train_ids
     test = (cfg.test_functions if cfg.test_functions is not None
@@ -396,7 +401,7 @@ def _log_rollouts(command, rows, elapsed, workers, per_function=False):
             log(f"mean perf f{fid}", [r for r in rows if r[0] == fid])
 
 
-def cmd_collect(cfg: RunConfig) -> int:
+def cmd_collect(cfg) -> int:
     out = _outdir(cfg)
     split = build_split(cfg)
     t0 = time.perf_counter()
@@ -429,14 +434,14 @@ def cmd_collect(cfg: RunConfig) -> int:
     return 0
 
 
-def _model_config(cfg: RunConfig, manifest) -> qmodel.ModelConfig:
+def _model_config(cfg, manifest) -> qmodel.ModelConfig:
     """A fresh model's shape: K and M from the dataset, widths from cfg."""
     return qmodel.ModelConfig(K=manifest.K, M=manifest.M,
                               d_model=cfg.d_model, d_state=cfg.d_state,
                               depth=cfg.depth)
 
 
-def _loss_config(cfg: RunConfig, config: qmodel.ModelConfig, lam,
+def _loss_config(cfg, config: qmodel.ModelConfig, lam,
                  beta) -> training.LossConfig:
     return training.LossConfig(
         K=config.K, M=config.M, beta=beta, lam=lam, gamma=cfg.gamma,
@@ -444,13 +449,13 @@ def _loss_config(cfg: RunConfig, config: qmodel.ModelConfig, lam,
         weight_decay=cfg.wd)
 
 
-def _test_instances(cfg: RunConfig, split: problems.ProblemSplit) -> list:
+def _test_instances(cfg, split: problems.ProblemSplit) -> list:
     return [problems.make_instance(fid, split.dims[fid],
                                    seed=cfg.instance_seed)
             for fid in split.test_ids]
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg) -> int:
     if cfg.data is None:
         raise UsageError("train requires --data")
     out = _outdir(cfg)
@@ -497,7 +502,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg) -> int:
     if cfg.ckpt is None:
         raise UsageError("eval requires --ckpt")
     out = _outdir(cfg)
@@ -568,7 +573,7 @@ def _remix(trajs, mu):
     return subset, n_ex
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
+def cmd_ablate(cfg) -> int:
     if cfg.data is None:
         raise UsageError("ablate requires --data")
     out = _outdir(cfg)
@@ -633,7 +638,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     return 0
 
 
-def run_verification(cfg: RunConfig):
+def run_verification(cfg):
     """Execute the verification suite; returns a list of
     (check, passed, metric_string)."""
     checks = []
@@ -707,7 +712,7 @@ def run_verification(cfg: RunConfig):
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg) -> int:
     checks = run_verification(cfg)
     for name, passed, metric in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {metric}")
@@ -724,55 +729,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-#: every flag, as argparse keywords: ``--name`` (``_`` spelled ``-``)
-#: sets the RunConfig field ``name``; ``config`` alone is not a field but
-#: the file that ``resolve_config`` merges beneath the flags
-FLAGS = {
-    "seed": dict(type=int),
-    "out": dict(type=str),
-    "profile": dict(choices=tuple(PROFILES)),
-    "config": dict(type=str,
-                   help="JSON or key=value config file; flags override it"),
-    "data": dict(type=str, help="dataset directory (verify: optional, "
-                                "revalidated when given)"),
-    "ckpt": dict(type=str),
-    "resume": dict(type=str),
-    "alg": dict(type=int),
-    "mu": dict(type=float),
-    "d": dict(type=int),
-    "t": dict(type=int),
-    "bins": dict(type=int),
-    "dim": dict(type=int),
-    "functions": dict(type=str, help="comma-separated training function ids"),
-    "test_functions": dict(type=str),
-    "policy": dict(type=str, help="exploitation policy kind"),
-    "quantile": dict(type=float,
-                     help="return quantile of the calibration episodes that "
-                          "filtered_random and scripted_constant must beat"),
-    "calibration": dict(type=int,
-                        help="number of calibration episodes for "
-                             "filtered_random and scripted_constant"),
-    "jitter": dict(type=float),
-    "epochs": dict(type=int),
-    "batch": dict(type=int),
-    "lr": dict(type=float),
-    "wd": dict(type=float),
-    "beta": dict(type=float),
-    "lam": dict(type=float),
-    "gamma": dict(type=float),
-    "d_model": dict(type=int),
-    "d_state": dict(type=int),
-    "depth": dict(type=int),
-    "runs": dict(type=int),
-    "mdps": dict(type=int),
-    "tol_decomp": dict(type=float),
-    "scan_seeds": dict(type=int),
-    "instance_seed": dict(type=int),
-    "workers": dict(type=int,
-                    help="episode worker processes (default: the CPUs this "
-                         "process may use); outputs do not depend on it"),
-}
 
 _SHARED = ("seed", "out", "profile", "config")
 
@@ -811,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help_)
         for name in _SHARED + names:
             sp.add_argument("--" + name.replace("_", "-"), dest=name,
-                            **FLAGS[name])
+                            **{k: v for k, v in FLAGS[name].items()
+                               if k in _ARGPARSE_KEYS})
     return parser
 
 

@@ -4,11 +4,14 @@ Everything else in tests/ builds toward the contracts pinned here: the
 decomposed per-dimension backup is exactly equivalent to the joint one,
 the hand-derived gradients are correct, the parallel scan matches the
 recurrence, episode rewards account for exactly the normalized
-improvement, the loss reproduces its worked unit values, offline
-training at desk scale beats the random policy on functions it never
-saw, the ablation harness emits complete report structures, the CLI
-pipeline is byte-deterministic, and every evolutionary operator matches
-a scalar reference loop.
+improvement, the loss reproduces its worked unit values, the ablation
+harness emits complete report structures, the CLI pipeline is
+byte-deterministic, and every evolutionary operator matches a scalar
+reference loop.
+
+The package's headline claim, that offline training at desk scale beats
+the random policy on functions it never saw, has no test here (there is
+no section 6): it is unchecked, and measured by hand it currently fails.
 """
 
 import csv

@@ -1,8 +1,8 @@
 import argparse
 import csv
-import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dacq import checkpoint, cli, datasets, problems, qmodel, ssm, training
+from dacq import checkpoint, cli, datasets, env, problems, qmodel, ssm, \
+    training
 
 
 def run(argv):
@@ -36,12 +37,7 @@ def read_csv(path):
 # flag table
 # ---------------------------------------------------------------------------
 
-def test_flag_table_matches_run_config():
-    # a flag whose dest is not a RunConfig field would reach
-    # RunConfig(**merged) as a TypeError traceback instead of exit code 2
-    settable = {f.name for f in dataclasses.fields(cli.RunConfig)} \
-        - {"command", "explicit"}
-    assert set(cli.FLAGS) - {"config"} == settable
+def test_flag_table_matches_parser():
     used = set(cli._SHARED).union(*(names for _, _, names
                                      in cli.COMMANDS.values()))
     assert used == set(cli.FLAGS)
@@ -53,6 +49,35 @@ def test_flag_table_matches_run_config():
                  if a.dest != "help"]
         assert flags == [(["--" + n.replace("_", "-")], n) for n in
                          cli._SHARED + cli.COMMANDS[command][2]]
+        # no argparse default, so resolve_config sees which flags were given
+        assert all(a.default is None for a in sp._actions
+                   if a.dest != "help")
+
+
+@pytest.mark.parametrize("profile", cli.PROFILES)
+def test_every_default_meets_its_rule(profile):
+    for name, value in cli.defaults(profile).items():
+        row = cli.FLAGS[name]
+        if isinstance(row.get("default"), dict):
+            assert set(row["default"]) == set(cli.PROFILES), name
+        cli.check_value(name, value)
+        if value is not None:
+            # the default is what its flag's text would parse to
+            parsed = row["type"](str(value))
+            assert parsed == value and type(parsed) is type(value), name
+
+
+def test_readme_commands_parse_and_resolve():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").replace("\\\n", " ")
+    lines = [ln.strip() for ln in text.splitlines()
+             if ln.strip().startswith("dacq ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = cli.build_parser().parse_args(
+            shlex.split(line, comments=True)[1:])
+        cfg = cli.resolve_config(args)
+        assert cfg.command == args.command and cfg.explicit, line
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +148,7 @@ def test_config_file_json_form(tmp_path):
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # "explicit" is a RunConfig field but not a flag
+    # "explicit" is an attribute of the resolved config but not a flag
     cfgfile = tmp_path / "c.cfg"
     for key in ("learning_rate_max", "explicit"):
         cfgfile.write_text(f"{key} = 1\n")
@@ -131,6 +156,46 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                   str(tmp_path / "o")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, key", [
+    ("c.cfg", "mu = abc\n", "mu"),
+    ("c.json", json.dumps({"d": 4.5}), "d"),
+    ("c.json", json.dumps({"seed": "x"}), "seed"),
+    ("c.json", json.dumps({"functions": [3, 3]}), "functions"),
+    ("c.json", json.dumps({"dim": None}), "dim"),
+])
+def test_bad_config_value_is_one_line_usage_error(
+        tmp_path, capsys, name, text, key):
+    # a file value goes through its flag's type, as the flag's text would
+    cfgfile = tmp_path / name
+    cfgfile.write_text(text)
+    rc = run(["collect", "--config", str(cfgfile), "--out",
+              str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"usage error: config key {key!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["collect", "--functions", "1,1"],
+    ["eval", "--ckpt", "none.ckpt", "--test-functions", "17,17"],
+])
+def test_repeated_function_ids_are_usage_error(argv, tmp_path, capsys,
+                                               monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(env, "run_episodes", no_episodes)
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}: expected distinct " \
+           f"comma-separated ids in 1..24, got {argv[-1]!r}" in err
+    assert "invalid" not in err
 
 
 def test_threads_env_exported(tmp_path, monkeypatch):

@@ -16,7 +16,8 @@ Set ``DACQ_THREADS`` before the process starts to cap BLAS thread pools
 so child processes inherit it; an ``OPENBLAS_NUM_THREADS``-style
 variable already set keeps its value).
 ``--workers N`` runs the independent episodes of collect, eval and
-ablate on N forked processes (default: the CPUs this process may use);
+ablate, and the trajectories of each training minibatch of train and
+ablate, on N forked processes (default: the CPUs this process may use);
 no output file depends on it.
 """
 
@@ -63,7 +64,7 @@ PROFILES = ("desk", "paper")
 #: inclusive bounds ``lo``/``hi`` and ``value > gt``.  ``config`` names
 #: the file that ``resolve_config`` merges beneath the flags.
 FLAGS = {
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=int, default=0, lo=0),
     "out": dict(type=str),
     "profile": dict(type=str, choices=PROFILES, default="desk"),
     "config": dict(type=str,
@@ -105,10 +106,11 @@ FLAGS = {
     "mdps": dict(type=int, default=100, lo=1),
     "tol_decomp": dict(type=float, default=1e-8, gt=0),
     "scan_seeds": dict(type=int, default=20, lo=1),
-    "instance_seed": dict(type=int, default=0),
+    "instance_seed": dict(type=int, default=0, lo=0),
     "workers": dict(type=int, lo=1,
-                    help="episode worker processes (default: the CPUs this "
-                         "process may use); outputs do not depend on it"),
+                    help="worker processes for episodes and training "
+                         "minibatches (default: the CPUs this process may "
+                         "use); outputs do not depend on it"),
 }
 
 #: the row keys that ``build_parser`` hands to ``add_argument``
@@ -479,7 +481,7 @@ def cmd_train(cfg) -> int:
     t0 = time.perf_counter()
     params, history = training.train(trajs, params, loss_cfg,
                                      seed=[cfg.seed, 1, start_epoch],
-                                     opt=opt)
+                                     opt=opt, workers=cfg.workers)
     elapsed = time.perf_counter() - t0
 
     end_epoch = start_epoch + cfg.epochs
@@ -542,7 +544,8 @@ def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag):
     params = qmodel.init_qmodel(config, seed=[cfg.seed, 2])
     params, _ = training.train(trajs, params,
                                _loss_config(cfg, config, lam, beta),
-                               seed=[cfg.seed, 3, seed_tag])
+                               seed=[cfg.seed, 3, seed_tag],
+                               workers=cfg.workers)
     rows = evaluate_policies(params, manifest.alg_id,
                              _test_instances(cfg, split), cfg.runs,
                              cfg.t, manifest.M, [cfg.seed, 4],
@@ -740,7 +743,7 @@ COMMANDS = {
                  "workers")),
     "train": (cmd_train, "train the decomposed Q-model",
               ("data", "resume", "epochs", "batch", "lr", "wd", "beta", "lam",
-               "gamma", "d_model", "d_state", "depth")),
+               "gamma", "d_model", "d_state", "depth", "workers")),
     "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
                        "the random baseline",
              ("ckpt", "alg", "t", "dim", "runs", "test_functions",

@@ -3,13 +3,14 @@
 Exposes the nine-feature optimization state, the relative-improvement
 reward, the bin-grid action decoding, an episode runner that threads
 a policy callback through T generations of one algorithm on one problem,
-and an order-preserving map that runs independent episodes in worker
-processes.
+and an order-preserving map over forked worker processes that runs
+independent episodes (and, for ``training.train``, trajectory slices).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -249,24 +250,24 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
 
 
 # ---------------------------------------------------------------------------
-# independent episodes in worker processes
+# independent work in worker processes
 
-#: the job list of the running ``run_episodes`` pool, set in each worker
-_JOBS = ()
-
-
-def _install_jobs(jobs):
-    global _JOBS
-    _JOBS = jobs
+#: the context the running ``fork_pool`` workers were forked with
+_CONTEXT = None
 
 
-def _run_job(i):
-    return _JOBS[i]()
+def _install_context(context):
+    global _CONTEXT
+    _CONTEXT = context
+
+
+def _call(fn, item):
+    return fn(_CONTEXT, item)
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count of ``run_episodes``: None means the CPUs this process
-    may run on; anything below 1 is a ValueError."""
+    """Worker count of ``run_episodes`` and ``training.train``: None means
+    the CPUs this process may run on; anything below 1 is a ValueError."""
     if workers is None:
         return len(os.sched_getaffinity(0))
     if workers < 1:
@@ -274,18 +275,43 @@ def resolve_workers(workers=None) -> int:
     return int(workers)
 
 
+@contextlib.contextmanager
+def fork_pool(n: int, context):
+    """Yield ``pmap(fn, items)``, the list of ``fn(context, item)`` in item
+    order.
+
+    With ``n`` <= 1 every call runs here and no process starts.
+    Otherwise the calls run on ``n`` processes forked from this one at the
+    first ``pmap``, before the pool starts any thread: ``context`` reaches
+    them through fork, so it may hold closures and large arrays and is
+    never pickled, while ``fn`` (a module-level function, found by name),
+    each item and each result are.  A call's exception surfaces from
+    ``pmap`` with its type and message; when several fail, the first in
+    item order does.  A worker that dies raises ``BrokenProcessPool`` (a
+    RuntimeError) instead of hanging.  Every worker has ended when the
+    block exits, normally or by an exception.
+    """
+    if n <= 1:
+        yield lambda fn, items: [fn(context, item) for item in items]
+        return
+    with ProcessPoolExecutor(
+            n, mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_context, initargs=(context,)) as pool:
+        yield lambda fn, items: list(pool.map(functools.partial(_call, fn),
+                                              items))
+
+
+def _run_job(jobs, i):
+    return jobs[i]()
+
+
 def run_episodes(jobs, workers=None, stop=None) -> list:
     """Run zero-argument episode jobs and return their results in job order.
 
-    With one worker, or at most one job, the jobs run here in order and no
-    process starts.  Otherwise they run on ``min(workers, len(jobs))``
-    processes forked from this one before the pool starts any thread: the
-    jobs reach the workers through fork, so closures need not pickle, and
-    only results are pickled back.  Each episode carries its own seed, so
-    the results do not depend on ``workers``.  A job's exception surfaces
-    here with its type and message; when several jobs fail, the first in
-    job order does, as in a serial loop.  A worker that dies raises
-    ``BrokenProcessPool`` (a RuntimeError) instead of hanging the map.
+    The jobs run through ``fork_pool`` on ``min(workers, len(jobs))``
+    processes (none with one worker or at most one job), so closures need
+    not pickle and only results are pickled back.  Each episode carries
+    its own seed, so the results do not depend on ``workers``.
 
     ``stop(batch)``, if given, is called with each round's results and
     ends the map when it returns True.  A round is ``workers`` jobs (one
@@ -295,18 +321,11 @@ def run_episodes(jobs, workers=None, stop=None) -> list:
     jobs = list(jobs)
     n = min(resolve_workers(workers), len(jobs))
     size = max(n, 1) if stop is not None else max(len(jobs), 1)
-    with contextlib.ExitStack() as stack:
-        pool = None
-        if n > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                n, mp_context=multiprocessing.get_context("fork"),
-                initializer=_install_jobs, initargs=(jobs,)))
-        results = []
+    results = []
+    with fork_pool(n, jobs) as pmap:
         for lo in range(0, len(jobs), size):
-            idx = range(lo, min(lo + size, len(jobs)))
-            batch = (list(pool.map(_run_job, idx)) if pool
-                     else [jobs[i]() for i in idx])
+            batch = pmap(_run_job, range(lo, min(lo + size, len(jobs))))
             results += batch
             if stop is not None and stop(batch):
                 break
-        return results
+    return results

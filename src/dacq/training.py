@@ -179,14 +179,45 @@ def trajectory_arrays(trajs):
     return states, actions, rewards
 
 
+def _trajectory_grads(data, job):
+    """Gradients and loss components of each trajectory of a slice, in
+    slice order.
+
+    ``data`` is (states, actions, rewards, masks, cfg) of the dataset and
+    ``job`` is (params, indices, batch): each trajectory runs forward,
+    loss and backward alone, with dL/dQ divided by its minibatch's size
+    ``batch``, so its arithmetic does not depend on its batch-mates.
+    """
+    states, actions, rewards, masks, cfg = data
+    params, indices, batch = job
+    out = []
+    for i in indices:
+        one = slice(i, i + 1)
+        Q, cache = qmodel.q_values_batch(params, states[one], actions[one])
+        _, comps, dQ = q_loss_batch(Q, actions[one], rewards[one], masks,
+                                    cfg)
+        dQ /= batch
+        out.append((qmodel.model_backward(cache, dQ), comps))
+    return out
+
+
 def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
-          opt: AdamWState | None = None):
+          opt: AdamWState | None = None, workers=None):
     """Epochs of shuffled whole-trajectory minibatches under AdamW.
 
     Returns (params, history) where history is a list of per-epoch dicts
     with the mean loss and branch means.  Deterministic given inputs.
     Pass an existing AdamWState (mutated in place) to continue a run with
     its accumulated moments; by default a fresh state is used.
+
+    A trajectory is the unit of work: each one runs forward, loss and
+    backward at batch 1 (see ``_trajectory_grads``), the minibatch's
+    gradients are added in batch order and its loss components averaged
+    over it.  A minibatch is cut into contiguous slices over
+    ``min(workers, batch_size, D)`` processes (``workers`` None: the CPUs
+    this process may use), forked once per call through ``env.fork_pool``;
+    each step sends them only the parameters.  Parameters, moments and
+    history are the same bits for every ``workers``.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -203,26 +234,37 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     if opt is None:
         opt = AdamWState.for_params(params)
     rng = np.random.default_rng(seed)
+    n = min(env.resolve_workers(workers), cfg.batch_size, D)
     history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(D)
-        tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
-                   "conservative": 0.0}
-        for start in range(0, D, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            Q, cache = qmodel.q_values_batch(params, states[idx], actions[idx])
-            loss, comps, dQ = q_loss_batch(Q, actions[idx], rewards[idx],
-                                           masks, cfg)
-            grads = qmodel.model_backward(cache, dQ)
-            adamw_step(params, grads, opt, cfg.learning_rate,
-                       weight_decay=cfg.weight_decay)
-            w = len(idx)
-            tallies["loss"] += loss * w
-            for k, v in comps.items():
-                tallies[k] += v * w
-        history.append({k: v / D for k, v in tallies.items()})
-        if not np.isfinite(history[-1]["loss"]):
-            raise FloatingPointError("training loss diverged")
+    with env.fork_pool(n, (states, actions, rewards, masks, cfg)) as pmap:
+        for _ in range(cfg.epochs):
+            order = rng.permutation(D)
+            tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
+                       "conservative": 0.0}
+            for start in range(0, D, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                jobs = [(params, part, len(idx))
+                        for part in np.array_split(idx, min(n, len(idx)))]
+                per_traj = [r for rs in pmap(_trajectory_grads, jobs)
+                            for r in rs]
+                grads = per_traj[0][0]
+                for g, _ in per_traj[1:]:
+                    for k, v in g.items():
+                        grads[k] += v
+                adamw_step(params, grads, opt, cfg.learning_rate,
+                           weight_decay=cfg.weight_decay)
+                comps = {k: np.array([c[k] for _, c in per_traj])
+                         for k in ("bellman_intra", "bellman_td",
+                                   "conservative")}
+                loss = float((comps["bellman_intra"] + comps["bellman_td"]
+                              + comps["conservative"]).mean())
+                w = len(idx)
+                tallies["loss"] += loss * w
+                for k, v in comps.items():
+                    tallies[k] += float(v.mean()) * w
+            history.append({k: v / D for k, v in tallies.items()})
+            if not np.isfinite(history[-1]["loss"]):
+                raise FloatingPointError("training loss diverged")
     return params, history
 
 

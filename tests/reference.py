@@ -5,6 +5,10 @@ Everything here is deliberately written with plain Python loops and
 definitions, so that agreement with the vectorized package code is
 meaningful.  Slow and simple on purpose.
 
+The batched training loop is the package's earlier ``training.train``,
+which ran each minibatch as one batch; the per-trajectory loop must
+match it up to the order in which weight gradients are added.
+
 The loop oracles section keeps the package's earlier row and digit
 loops (Halton radical inverse, row-at-a-time pairwise distances, the
 Katsuura double loop).  They compute each element with the same
@@ -593,6 +597,53 @@ def q_loss_ref(Q, actions, rewards, masks, beta, lam, gamma):
                         total += lam / 2.0 * Q[b][t][i][j] ** 2
         per_traj.append(total)
     return sum(per_traj) / B
+
+
+# ---------------------------------------------------------------------------
+# batched training loop: the earlier ``training.train``, verbatim
+
+def train_batched_ref(dataset, params, cfg, seed=0, opt=None):
+    """Epochs of shuffled whole-trajectory minibatches under AdamW, each
+    minibatch one batched forward, loss and backward."""
+    from dacq import qmodel
+    from dacq.training import (AdamWState, adamw_step, bin_masks,
+                               q_loss_batch, trajectory_arrays)
+    if not dataset:
+        raise ValueError("empty dataset")
+    states, actions, rewards = trajectory_arrays(dataset)
+    alg_id, M = dataset[0].alg_id, dataset[0].M
+    if params.config.K != actions.shape[2]:
+        raise ValueError("model K does not match dataset")
+    if params.config.M != M:
+        raise ValueError("model M does not match dataset")
+    if cfg.K != params.config.K or cfg.M != params.config.M:
+        raise ValueError("loss config K/M do not match the model")
+    masks = bin_masks(alg_id, M)
+    D = len(dataset)
+    if opt is None:
+        opt = AdamWState.for_params(params)
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(D)
+        tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
+                   "conservative": 0.0}
+        for start in range(0, D, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            Q, cache = qmodel.q_values_batch(params, states[idx], actions[idx])
+            loss, comps, dQ = q_loss_batch(Q, actions[idx], rewards[idx],
+                                           masks, cfg)
+            grads = qmodel.model_backward(cache, dQ)
+            adamw_step(params, grads, opt, cfg.learning_rate,
+                       weight_decay=cfg.weight_decay)
+            w = len(idx)
+            tallies["loss"] += loss * w
+            for k, v in comps.items():
+                tallies[k] += v * w
+        history.append({k: v / D for k, v in tallies.items()})
+        if not np.isfinite(history[-1]["loss"]):
+            raise FloatingPointError("training loss diverged")
+    return params, history
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_collect_bad_mu_is_usage_error(tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--instance-seed"])
+def test_collect_negative_seed_is_usage_error(flag, tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run(["collect", "--d", "4", "--t", "3", flag, "-1",
+              "--out", str(out)])
+    assert rc == 2
+    assert f"{flag} must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_collect_rerun_same_flags_identical(ds_dir, tmp_path):
     out2 = tmp_path / "d2"
     rc = run(["collect", "--alg", "0", "--mu", "0.5", "--d", "10",
@@ -268,6 +278,19 @@ def test_train_outputs(ds_dir, tmp_path):
     params, opt, extra = checkpoint.load_checkpoint(out / "model.ckpt")
     assert extra["epoch"] == 5 and extra["alg_id"] == 0
     assert opt is not None and opt.step > 0
+
+
+def test_train_bytes_do_not_depend_on_workers(ds_dir, tmp_path):
+    # 10 trajectories at batch 4: two slices per minibatch at two workers,
+    # and a short last minibatch
+    outs = [tmp_path / f"w{w}" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert run(["train", "--data", str(ds_dir), "--out", str(out),
+                    "--epochs", "3", "--batch", "4", "--d-model", "12",
+                    "--d-state", "4", "--seed", "2",
+                    "--workers", str(w)]) == 0
+    for name in ("model.ckpt", "loss.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_train_resume_continues_epoch_numbering(ds_dir, tmp_path):
@@ -478,7 +501,7 @@ def test_collect_warns_when_exploitation_does_not_beat_random(tmp_path,
            "beat random" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["collect", "eval", "ablate"])
+@pytest.mark.parametrize("command", ["collect", "train", "eval", "ablate"])
 def test_workers_below_one_is_usage_error(command, tmp_path, capsys):
     rc = run([command, "--workers", "0", "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -1,6 +1,9 @@
 """Tests for the loss, optimizer, training loop, tabular decomposition
 check, and gradient checker."""
 
+import multiprocessing
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -280,6 +283,97 @@ def test_train_history_shape(sphere5):
                           "conservative"}
         assert abs(h["loss"] - (h["bellman_intra"] + h["bellman_td"]
                                 + h["conservative"])) < 1e-9
+
+
+def synthetic_trajectories(D, T, seed=0):
+    """Alg-0 shaped trajectories with random states, bins and rewards."""
+    rng = np.random.default_rng(seed)
+    return [env.Trajectory(
+        alg_id=0, K=3, M=16, function_id=1, dim=5, instance_seed=0,
+        episode_seed=[seed, e], T=T, policy_id="random", f_best_init=1.0,
+        f_star=0.0, steps=[env.StepRecord(rng.random(9),
+                                          rng.integers(0, 16, 3),
+                                          float(rng.random() / T), 0.0)
+                           for _ in range(T)])
+        for e in range(D)]
+
+
+def train_run(trajs, cfg, workers, train=training.train):
+    model = small_model(5)
+    opt = training.AdamWState.for_params(model)
+    kwargs = {} if workers is None else {"workers": workers}
+    _, history = train(trajs, model, cfg, seed=7, opt=opt, **kwargs)
+    return model, opt, history
+
+
+def test_train_does_not_depend_on_workers():
+    # D = 7 at batch 5: slices of 2, 2 and 1 at three workers, and a short
+    # last minibatch of two trajectories
+    trajs = synthetic_trajectories(7, 6, seed=1)
+    cfg = small_cfg(batch_size=5, epochs=3)
+    runs = [train_run(trajs, cfg, w) for w in (1, 2, 3)]
+    model1, opt1, history1 = runs[0]
+    for model, opt, history in runs[1:]:
+        assert history == history1
+        assert opt.step == opt1.step == 6
+        for k, v in model1.tensors().items():
+            assert_array_equal(model.tensors()[k], v, err_msg=k)
+            assert_array_equal(opt.m[k], opt1.m[k], err_msg=k)
+            assert_array_equal(opt.v[k], opt1.v[k], err_msg=k)
+
+
+def test_train_matches_batched_reference():
+    trajs = synthetic_trajectories(7, 6, seed=2)
+    cfg = small_cfg(batch_size=3, epochs=4)
+    model, _, history = train_run(trajs, cfg, 2)
+    ref_model, _, ref_history = train_run(
+        trajs, cfg, None, train=reference.train_batched_ref)
+    # only the order in which weight gradients are added differs
+    for k, v in ref_model.tensors().items():
+        assert_allclose(model.tensors()[k], v, rtol=1e-12, atol=0, err_msg=k)
+    assert len(history) == len(ref_history) == 4
+    for h, ref in zip(history, ref_history):
+        assert h.keys() == ref.keys()
+        assert_allclose(list(h.values()), list(ref.values()), rtol=1e-12,
+                        atol=0)
+    # a step's loss comes from the parameters before it, so one epoch of
+    # one minibatch reports the same bits
+    one = small_cfg(batch_size=7, epochs=1)
+    assert (train_run(trajs, one, 1)[2]
+            == train_run(trajs, one, None,
+                         train=reference.train_batched_ref)[2])
+
+
+def test_train_step_memory_does_not_grow_with_batch():
+    T = 100
+    trajs = synthetic_trajectories(8, T, seed=3)
+    model = qmodel.init_qmodel(ModelConfig(K=3, M=16, d_model=16, d_state=8),
+                               0)
+
+    def step_peak(batch):
+        cfg = small_cfg(batch_size=batch, epochs=1)
+        tracemalloc.start()
+        try:
+            training.train(trajs[:batch], model, cfg, workers=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = step_peak(2), step_peak(8)
+    assert large <= 1.5 * small, (small, large)
+
+
+def test_no_worker_outlives_train():
+    trajs = synthetic_trajectories(4, 5, seed=4)
+    train_run(trajs, small_cfg(epochs=2), 2)
+    assert multiprocessing.active_children() == []
+
+    for tr in trajs:   # a reward that overflows the TD loss
+        tr.steps[0].reward = 1e300
+    with pytest.raises(FloatingPointError, match="diverged"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train_run(trajs, small_cfg(epochs=2), 2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

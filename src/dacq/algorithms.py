@@ -8,8 +8,7 @@ information-sharing slots.  ``alg_spec``, ``init_state`` and ``step``
 only read that table.
 
 * alg 0 (K=3): DE/current-to-rand/1/exponential on one population of 100,
-  uniform init, clip bound control.  The population-size reduction stage
-  is wired but its floor defaults to the initial size (no shrink).
+  uniform init, clip bound control, no size reduction.
 * alg 1 (K=10): GA sub-population (MPX, Gaussian mutation, roulette,
   size 50 shrinking linearly to 10) plus DE/best/2/binomial sub-population
   (size 200), Halton init, per-sub-population bound control and
@@ -81,10 +80,9 @@ class SubPopulation:
 
 @dataclass(frozen=True)
 class Assembly:
-    """One algorithm.  ``lpsr`` holds (sub-population, final size) pairs;
-    a final size of None is the caller's ``alg0_np_final``, defaulting to
-    the initial size.  ``share`` names the per-sub-population sharing
-    target hyper-parameters (empty: no sharing)."""
+    """One algorithm.  ``lpsr`` holds (sub-population, final size) pairs
+    (empty: no size reduction).  ``share`` names the per-sub-population
+    sharing target hyper-parameters (empty: no sharing)."""
 
     specs: tuple[HyperParameterSpec, ...]
     init: str                 # "uniform" | "halton"
@@ -101,8 +99,7 @@ ASSEMBLIES = {
     0: Assembly(
         _specs(("F1", "F2", "Cr")), "uniform",
         (SubPopulation(100, "current_to_rand_1", "exponential", None,
-                       "greedy_pairwise", dict(f1="F1", f2="F2", cr="Cr")),),
-        lpsr=((0, None),)),
+                       "greedy_pairwise", dict(f1="F1", f2="F2", cr="Cr")),)),
     1: Assembly(
         _specs(("Cr1", "Xr_mpx", "sigma", "bc1", "cm1",
                 "F1", "F2", "Cr2", "bc2", "cm2"),
@@ -179,14 +176,12 @@ class AlgorithmState:
         return p.best_so_far_x
 
 
-def init_state(alg_id: int, problem, seed, horizon: int = 500,
-               alg0_np_final: int | None = None) -> AlgorithmState:
+def init_state(alg_id: int, problem, seed,
+               horizon: int = 500) -> AlgorithmState:
     """Sample and evaluate the initial (sub-)populations.
 
     alg 0 draws uniformly; algs 1 and 2 draw one scrambled Halton sequence
-    and split it into the declared sub-population sizes.  alg0_np_final
-    switches on population shrinking for alg 0 (defaults to the initial
-    size, i.e. inactive).
+    and split it into the declared sub-population sizes.
     """
     asm = _assembly(alg_id)
     rng = np.random.default_rng(seed)
@@ -198,16 +193,11 @@ def init_state(alg_id: int, problem, seed, horizon: int = 500,
         whole = ea_ops.halton_init(sum(sizes), problem.dim, bounds, seed=rng).X
     pops = [Population(X.copy())
             for X in np.split(whole, np.cumsum(sizes)[:-1])]
-    plans = []
-    for i, final in asm.lpsr:
-        if final is None:
-            final = sizes[i] if alg0_np_final is None else alg0_np_final
-        plans.append((i, sizes[i], final))
+    plans = tuple((i, sizes[i], final) for i, final in asm.lpsr)
     evals = 0
     for p in pops:
         evals += ea_ops.evaluate_population(p, problem)
-    return AlgorithmState(alg_id, pops, 0, horizon, 0, False, evals,
-                          tuple(plans))
+    return AlgorithmState(alg_id, pops, 0, horizon, 0, False, evals, plans)
 
 
 def step(alg_id: int, state: AlgorithmState, config, problem, rng):

@@ -22,6 +22,27 @@ from .training import AdamWState
 MAGIC = b"DACQCKPT"
 CKPT_VERSION = 2   # 2: SSM blocks store A_log (A = -exp(A_log)) in place of A
 
+#: magic, uint32 version and uint64 header length
+_FIXED_HEADER = 20
+
+
+def _tensor_list(v) -> bool:
+    """A list of [name, shape] pairs, each shape a list of sizes >= 0."""
+    return isinstance(v, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+        and isinstance(e[1], list)
+        and all(isinstance(n, int) and n >= 0 for n in e[1]) for e in v)
+
+
+#: JSON header key -> (test of its value, wording)
+_HEADER_FIELDS = {
+    "config": (lambda v: isinstance(v, dict), "an object"),
+    "tensors": (_tensor_list, "a list of [name, shape] pairs"),
+    "opt_step": (lambda v: v is None or isinstance(v, int),
+                 "an integer or null"),
+    "extra": (lambda v: isinstance(v, dict), "an object"),
+}
+
 
 def _payload_order(params: QModelParams, opt: AdamWState | None):
     named = list(params.tensors().items())
@@ -52,23 +73,51 @@ def save_checkpoint(path, params: QModelParams,
 
 
 def load_checkpoint(path):
-    """Returns (params, opt_or_None, extra dict); validates structure."""
+    """Returns (params, opt_or_None, extra dict).  A file that is not a
+    whole checkpoint of this version, or whose header or tensors do not
+    fit its model config, raises a ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version, = struct.unpack_from("<I", raw, 8)
+    if len(raw) < _FIXED_HEADER:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
+    version, hlen = struct.unpack_from("<IQ", raw, 8)
     if version != CKPT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} is not "
                          f"supported; this dacq reads only version "
                          f"{CKPT_VERSION} and does not convert others")
-    hlen, = struct.unpack_from("<Q", raw, 12)
-    header = json.loads(raw[20:20 + hlen].decode("utf-8"))
-    config = ModelConfig(**header["config"])
-    params = init_qmodel(config, seed=0)
+    try:
+        header = json.loads(
+            raw[_FIXED_HEADER:_FIXED_HEADER + hlen].decode("utf-8"))
+    except ValueError as exc:   # also UnicodeDecodeError
+        raise ValueError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for key, (ok, wording) in _HEADER_FIELDS.items():
+        if key not in header:
+            raise ValueError(f"{path}: header lacks {key}")
+        if not ok(header[key]):
+            raise ValueError(f"{path}: header field {key} must be {wording}")
+    try:
+        params = init_qmodel(ModelConfig(**header["config"]), seed=0)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model config "
+                         f"{header['config']!r}: {exc}") from None
+    # every tensor the file must hold -> the array it is read into
+    targets = dict(params.tensors())
+    opt = None
+    if header["opt_step"] is not None:
+        opt = AdamWState.for_params(params)
+        opt.step = int(header["opt_step"])
+        for prefix, store in (("m", opt.m), ("v", opt.v)):
+            targets.update((f"{prefix}.{k}", v) for k, v in store.items())
 
     tensors = {}
-    offset = 20 + hlen
+    offset = _FIXED_HEADER + hlen
     for name, shape in header["tensors"]:
+        if name not in targets:
+            raise ValueError(f"{path}: tensor {name} is not defined by the "
+                             f"model config")
         n = int(np.prod(shape)) if shape else 1
         end = offset + 8 * n
         if end > len(raw):
@@ -79,7 +128,7 @@ def load_checkpoint(path):
     if offset != len(raw):
         raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    for name, arr in params.tensors().items():
+    for name, arr in targets.items():
         if name not in tensors:
             raise ValueError(f"{path}: missing tensor {name}")
         if tensors[name].shape != arr.shape:
@@ -87,15 +136,4 @@ def load_checkpoint(path):
                              f"{tensors[name].shape}, expected {arr.shape}")
         arr[...] = tensors[name]
     params.bump()
-
-    opt = None
-    if header["opt_step"] is not None:
-        opt = AdamWState.for_params(params)
-        opt.step = int(header["opt_step"])
-        for k in opt.m:
-            for prefix, store in (("m", opt.m), ("v", opt.v)):
-                full = f"{prefix}.{k}"
-                if full not in tensors:
-                    raise ValueError(f"{path}: missing tensor {full}")
-                store[k][...] = tensors[full]
     return params, opt, header["extra"]

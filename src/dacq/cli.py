@@ -678,7 +678,7 @@ def run_verification(cfg):
         rng = np.random.default_rng([cfg.seed, 6, s])
         ten = ssm.init_ssm_params(rng, d_model=8, d_state=4)
         for L in (1, 7, 64, 2048):
-            xs = rng.standard_normal((L, 8))
+            xs = rng.standard_normal((L, 8))[None]
             ys_seq, _, _ = ssm.ssm_forward_sequential(ten, None, xs)
             ys_par, _ = ssm.ssm_forward_scan(ten, None, xs)
             worst = max(worst, float(np.max(np.abs(ys_seq - ys_par))))

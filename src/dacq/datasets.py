@@ -23,7 +23,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,9 @@ MANIFEST_FILE = "manifest.json"
 
 EXPLOITATION_KINDS = ("scripted_de_schedule", "scripted_constant",
                       "filtered_random")
+
+#: ``filtered_random`` gives up after this many attempts per episode it keeps
+MAX_ATTEMPT_FACTOR = 50
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +94,15 @@ def filter_threshold(perfs, quantile: float) -> float:
     return float(np.quantile(perfs, quantile))
 
 
-def exploitation_policy(kind: str, alg_id: int, seed, T: int,
+def exploitation_policy(alg_id: int, seed, T: int,
                         n_bins: int = DEFAULT_BINS, jitter: float = 0.02):
-    """Exploitation behavior for dataset collection.
-
-    ``scripted_de_schedule`` returns a policy callback implementing a
-    known-good DE heuristic on the bin grid: F-like dims (and sigma)
+    """The ``scripted_de_schedule`` behavior: a policy callback playing a
+    known-good DE heuristic on the bin grid.  F-like dims (and sigma)
     anneal from 0.9 toward 0.3 across the episode with small seeded
     Gaussian jitter, Cr-like dims hold at 0.9, and discrete dims keep a
-    fixed seeded preference.  ``scripted_constant`` returns a policy
-    that plays one seeded ``constant_setting`` for the whole episode
-    (``collect`` additionally calibrates a pool of such settings and
-    keeps the above-quantile ones).  ``filtered_random`` has no per-step
-    policy: ``collect`` filters random episodes by return itself.
+    fixed seeded preference.  The other exploitation kinds are built by
+    ``collect``.
     """
-    if kind == "filtered_random":
-        raise ValueError("filtered_random is filtered inside collect; it "
-                         "has no per-step policy")
-    if kind == "scripted_constant":
-        return _hold(constant_setting(np.random.default_rng(seed),
-                                      algorithms.alg_spec(alg_id), n_bins))
-    if kind != "scripted_de_schedule":
-        raise ValueError(f"unknown exploitation policy kind: {kind!r}")
-
     specs = algorithms.alg_spec(alg_id)
     rng = np.random.default_rng(seed)
     # fixed per-episode preference for every discrete dim
@@ -144,6 +133,23 @@ def exploitation_policy(kind: str, alg_id: int, seed, T: int,
 # manifest
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+#: a manifest field's annotation -> (test of its JSON value, wording)
+_JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict[str, int]": (lambda v: isinstance(v, dict)
+                       and all(map(_is_int, v.values())),
+                       "an object of integer counts"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  "a list of integers"),
+}
+
+
 @dataclass
 class DatasetManifest:
     format_version: int
@@ -156,9 +162,9 @@ class DatasetManifest:
     seed: int
     n_exploitation: int
     n_exploration: int
-    policy_counts: dict
+    policy_counts: dict[str, int]
     checksum: str
-    train_ids: list
+    train_ids: list[int]
 
     def validate(self):
         if self.format_version != FORMAT_VERSION:
@@ -176,11 +182,22 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
+        """Parse a manifest; a missing or unknown field, or a field of the
+        wrong JSON type, raises a ValueError that names it."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("bad manifest: not a JSON object")
         try:
-            return cls(**obj)
+            manifest = cls(**obj)
         except TypeError as exc:
             raise ValueError(f"bad manifest: {exc}") from None
+        for f in fields(cls):
+            ok, wording = _JSON_TYPES[f.type]
+            value = getattr(manifest, f.name)
+            if not ok(value):
+                raise ValueError(f"bad manifest: field {f.name!r} must be "
+                                 f"{wording}, got {value!r}")
+        return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +422,9 @@ def load_dataset(dataset_dir, validate: bool = True):
 _NS_MAIN, _NS_CAL, _NS_FILTER = 0, 1, 2
 
 
-def _episode(alg_id, problem, make_policy, T, seed_ids, n_bins, normalize,
-             policy_id):
+def _episode(alg_id, problem, make_policy, T, seed_ids, n_bins, policy_id):
     return env.run_episode(alg_id, problem, make_policy(), T, list(seed_ids),
-                           n_bins=n_bins, normalize=normalize,
-                           policy_id=policy_id)
+                           n_bins=n_bins, policy_id=policy_id)
 
 
 def _above(threshold, job):
@@ -421,8 +436,7 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
             D: int, T: int, seed: int, out_dir=None,
             n_bins: int = DEFAULT_BINS, instance_seed: int = 0,
             jitter: float = 0.02, quantile: float = 0.5,
-            calibration_episodes: int = 100, max_attempt_factor: int = 50,
-            normalize: bool = True, workers=None):
+            calibration_episodes: int = 100, workers=None):
     """Collect a mu-mixed offline dataset.
 
     ``policies`` is ``(exploitation_kind, "random")``.  The first
@@ -437,7 +451,7 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     ``filtered_random`` calibrates on random episodes, then keeps the
     first ``round(mu*D)`` fresh random episodes whose return is strictly
     above the threshold, out of at most
-    ``max_attempt_factor * round(mu*D)`` attempts.  ``scripted_constant``
+    ``MAX_ATTEMPT_FACTOR * round(mu*D)`` attempts.  ``scripted_constant``
     calibrates one seeded ``constant_setting`` per episode, keeps the
     settings whose return is strictly above the threshold as its pool,
     and gives exploitation episode ``e`` the setting
@@ -457,6 +471,9 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     if not split.train_ids:
         raise ValueError("no training problems in split")
     exploit_kind, explore_kind = policies
+    if exploit_kind not in EXPLOITATION_KINDS:
+        raise ValueError(
+            f"unknown exploitation policy kind: {exploit_kind!r}")
     if explore_kind != "random":
         raise ValueError(f"exploration policy must be 'random', "
                          f"got {explore_kind!r}")
@@ -471,7 +488,7 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         order; the job builds its policy when it runs."""
         return functools.partial(
             _episode, alg_id, instances[e % len(instances)], make_policy, T,
-            [seed, ns, e], n_bins, normalize, policy_id)
+            [seed, ns, e], n_bins, policy_id)
 
     def random_job(ns, e, policy_id):
         return job(ns, e, functools.partial(random_policy, alg_id,
@@ -484,9 +501,8 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     elif exploit_kind == "scripted_de_schedule":
         trajs = env.run_episodes(
             [job(_NS_MAIN, e, functools.partial(
-                     exploitation_policy, exploit_kind, alg_id,
-                     seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins,
-                     jitter=jitter), exploit_kind)
+                     exploitation_policy, alg_id, seed=[seed, _NS_MAIN, e, 1],
+                     T=T, n_bins=n_bins, jitter=jitter), exploit_kind)
              for e in range(n_exploit)] + explore, workers)
     elif exploit_kind == "scripted_constant":
         specs = algorithms.alg_spec(alg_id)
@@ -508,15 +524,15 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         trajs = env.run_episodes(
             [job(_NS_MAIN, e, functools.partial(_hold, pool[e % len(pool)]),
                  exploit_kind) for e in range(n_exploit)] + explore, workers)
-    elif exploit_kind == "filtered_random":
-        # the random episodes do not depend on the threshold, so they
-        # share the calibration's map
+    else:
+        # filtered_random: the random episodes do not depend on the
+        # threshold, so they share the calibration's map
         ran = env.run_episodes(
             [random_job(_NS_CAL, i, "random")
              for i in range(calibration_episodes)] + explore, workers)
         threshold = filter_threshold(
             [t.perf for t in ran[:calibration_episodes]], quantile)
-        max_attempts = max_attempt_factor * n_exploit
+        max_attempts = MAX_ATTEMPT_FACTOR * n_exploit
         passed = 0
 
         def enough(batch):
@@ -536,9 +552,6 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                 f"episodes after {max_attempts} attempts "
                 f"(threshold {threshold})")
         trajs = kept + ran[calibration_episodes:]
-    else:
-        raise ValueError(
-            f"unknown exploitation policy kind: {exploit_kind!r}")
 
     payload = _jsonl(trajs)
     manifest = DatasetManifest(

@@ -24,7 +24,9 @@ from .algorithms import AlgorithmState, HyperParameterSpec
 #: default number of grid bins for continuous hyper-parameters
 DEFAULT_BINS = 16
 
-#: tokens occupy 5 bits, so at most 32 bins can be represented
+#: the largest ``--bins`` the CLI accepts, the top of ``ablate``'s bin
+#: sweep (16, 32); the model needs no cap, its action token has
+#: ``ModelConfig.token_width`` bits (6 at 32 bins)
 MAX_BINS = 32
 
 #: element budget of one (rows, cols) plane of pair distances in ``cal_state``
@@ -69,7 +71,7 @@ class Trajectory:
 
 
 def cal_state(alg_state: AlgorithmState, problem, T: int,
-              f_best_init: float, normalize: bool = True) -> np.ndarray:
+              f_best_init: float) -> np.ndarray:
     """Nine summary features of the current optimizer state.
 
     s1 mean pairwise distance, s2 mean distance to the generation best,
@@ -77,8 +79,9 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     the best-so-far value, s5 mean gap to the generation best, s6
     objective std, s7 remaining-budget fraction, s8 stagnation fraction,
     s9 improved-last-generation flag.  Features are computed over the
-    union of all sub-populations.  With normalize=True, s1-s3 are divided
-    by the search-space diameter and s4-s6 by (f_best_init - f_star).
+    union of all sub-populations.  s1-s3 are divided by the search-space
+    diameter and s4-s6 by the span f_best_init - f_star (s4-s6 are 0 when
+    the span is not positive).
 
     s1 is summed in blocks of the upper triangle (see
     ``_mean_pairwise_distance``), so its last bits depend on
@@ -103,14 +106,12 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     s9 = 1.0 if alg_state.improved_last_step else 0.0
 
     out = np.array([s1, s2, s3, s4, s5, s6, s7, s8, s9], dtype=np.float64)
-    if normalize:
-        diameter = np.sqrt(problem.dim) * (problem.upper - problem.lower)
-        out[0:3] /= diameter
-        span = f_best_init - problem.f_opt
-        if span > 0:
-            out[3:6] /= span
-        else:
-            out[3:6] = 0.0
+    out[0:3] /= np.sqrt(problem.dim) * (problem.upper - problem.lower)
+    span = f_best_init - problem.f_opt
+    if span > 0:
+        out[3:6] /= span
+    else:
+        out[3:6] = 0.0
     return out
 
 
@@ -203,8 +204,7 @@ def decode_config(specs, bins, n_bins: int = DEFAULT_BINS) -> list:
 
 
 def run_episode(alg_id: int, problem, policy, T: int, seed,
-                n_bins: int = DEFAULT_BINS, normalize: bool = True,
-                policy_id: str = "") -> Trajectory:
+                n_bins: int = DEFAULT_BINS, policy_id: str = "") -> Trajectory:
     """Run one controlled episode.
 
     policy(state_vector, t) must return K integral bin indices (a
@@ -226,7 +226,7 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
 
     steps = []
     for t in range(T):
-        s = cal_state(state, problem, T, f_best_init, normalize)
+        s = cal_state(state, problem, T, f_best_init)
         raw = np.asarray(policy(s, t))
         if raw.shape != (len(specs),):
             raise ValueError(f"policy returned shape {raw.shape}, "

@@ -178,9 +178,9 @@ def _lam(alpha, d):
     return alpha ** (0.5 * np.arange(d) / (d - 1))
 
 
-def _pen(X, lower=LOWER, upper=UPPER):
-    """Boundary penalty: sum of squared out-of-range excess."""
-    over = np.maximum(0.0, np.abs(X) - upper)
+def _pen(X):
+    """Boundary penalty: sum of squared excess of |x| over UPPER."""
+    over = np.maximum(0.0, np.abs(X) - UPPER)
     return np.sum(over * over, axis=-1)
 
 

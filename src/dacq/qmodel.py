@@ -17,12 +17,11 @@ the bins need, so the all-ones pattern is free to act as the start token
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ssm
-from .ssm import SsmParams
 
 #: sentinel accepted by tokenize for the sequence-start token
 START = "START"
@@ -72,8 +71,8 @@ def detokenize(bits) -> object:
     return int(sum(int(b) << (len(bits) - 1 - j) for j, b in enumerate(bits)))
 
 
-def leaky_relu(x, slope: float = LEAKY_SLOPE):
-    return np.where(x > 0, x, slope * x)
+def leaky_relu(x):
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
 
 
 @dataclass
@@ -104,11 +103,10 @@ class QModelParams:
         for blk in self.blocks:
             blk.bump()
 
-    def zero_hidden(self, batch: int | None = None) -> list:
+    def zero_hidden(self) -> list:
+        """One (d_model, d_state) zero state per block, as q_step takes."""
         c = self.config
-        if batch is None:
-            return [np.zeros((c.d_model, c.d_state)) for _ in self.blocks]
-        return [np.zeros((batch, c.d_model, c.d_state)) for _ in self.blocks]
+        return [np.zeros((c.d_model, c.d_state)) for _ in self.blocks]
 
 
 def init_qmodel(config: ModelConfig, seed) -> QModelParams:

@@ -13,7 +13,9 @@ The recurrence (per channel d, state n):
 A is diagonal and stored through its log, a (d_model, d_state) array
 A_log, as in S4D and Mamba.  A < 0 holds for every A_log, so
 0 <= Abar < 1 (up to rounding) and Bbar is the exact zero-order hold with
-no special case at A = 0.  All arrays are float64.
+no special case at A = 0.  All arrays are float64.  Every pass takes a
+batch: xs is (batch, L, d_model) and h0 is None (zeros) or
+(batch, d_model, d_state); a single sequence is a batch of one.
 
 The sequential forward and the backward walk time in chunks whose
 (batch, steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS
@@ -115,7 +117,8 @@ def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
 
 @dataclass
 class SsmCache:
-    """Forward intermediates retained for the backward pass.
+    """Forward intermediates retained for the backward pass, each with the
+    batch axis B of the forward's xs first.
 
     The hidden state is kept only at the time-chunk bounds: h_starts[:, k]
     enters chunks[k] and h_starts[:, -1] is h_final.  ssm_backward
@@ -125,7 +128,6 @@ class SsmCache:
 
     params: SsmParams
     version: int
-    unbatched: bool
     chunks: list          # (t0, t1) time bounds of each chunk
     xs: np.ndarray        # (B, L, D)
     u: np.ndarray         # (B, L, D)
@@ -137,29 +139,23 @@ class SsmCache:
     h_starts: np.ndarray  # (B, len(chunks) + 1, D, N)
 
 
-def _normalize_inputs(params: SsmParams, h0, xs):
+def _check_inputs(params: SsmParams, h0, xs):
+    """(xs, h0) as float64 arrays, h0 None made zeros; a shape that is not
+    xs (B, L, D) and h0 (B, D, N) raises ValueError."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 2:
-        unbatched = True
-        xs = xs[None]
-    elif xs.ndim == 3:
-        unbatched = False
-    else:
-        raise ValueError(f"xs must be (L, D) or (batch, L, D), got {xs.shape}")
+    if xs.ndim != 3:
+        raise ValueError(f"xs must be (batch, L, D), got {xs.shape}")
     nb, L, D = xs.shape
     if D != params.d_model:
         raise ValueError(f"input dim {D} != d_model {params.d_model}")
     N = params.d_state
     if h0 is None:
-        h0 = np.zeros((nb, D, N))
-    else:
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.ndim == 2:
-            h0 = np.broadcast_to(h0[None], (nb, D, N)).copy()
-        if h0.shape != (nb, D, N):
-            raise ValueError(f"h0 shape {h0.shape} incompatible with "
-                             f"({nb}, {D}, {N})")
-    return xs, h0, unbatched
+        return xs, np.zeros((nb, D, N))
+    h0 = np.asarray(h0, dtype=np.float64)
+    if h0.shape != (nb, D, N):
+        raise ValueError(f"h0 shape {h0.shape} incompatible with "
+                         f"({nb}, {D}, {N})")
+    return xs, h0
 
 
 def _input_projections(params: SsmParams, xs):
@@ -209,8 +205,9 @@ def _emit(params: SsmParams, hs_steps, Cix, u):
 
 
 def ssm_forward_sequential(params: SsmParams, h0, xs):
-    """Step-by-step evaluation; returns (ys, h_final, cache)."""
-    xs, h0, unbatched = _normalize_inputs(params, h0, xs)
+    """Step-by-step evaluation of xs (B, L, D) from h0 (None: zeros, or
+    (B, D, N)); returns (ys (B, L, D), h_final (B, D, N), cache)."""
+    xs, h0 = _check_inputs(params, h0, xs)
     nb, L, D = xs.shape
     N = params.d_state
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
@@ -226,10 +223,8 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
         y_pre[:, t0:t1] = _emit(params, hc, Cix[:, t0:t1], u[:, t0:t1])
     ys = y_pre @ params.W_out + params.b_out
     h_final = h_starts[:, -1]
-    cache = SsmCache(params, params.version, unbatched, chunks, xs, u, sig,
-                     delta, Bix, Cix, y_pre, h_starts)
-    if unbatched:
-        return ys[0], h_final[0], cache
+    cache = SsmCache(params, params.version, chunks, xs, u, sig, delta, Bix,
+                     Cix, y_pre, h_starts)
     return ys, h_final, cache
 
 
@@ -238,8 +233,8 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
     the sequential path up to floating-point reassociation.  It holds the
     whole (B, L, D, N) discretization at once and serves as a
     verification oracle, not as a fast path."""
-    xs, h0, unbatched = _normalize_inputs(params, h0, xs)
-    nb, L, D = xs.shape
+    xs, h0 = _check_inputs(params, h0, xs)
+    L = xs.shape[1]
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
     a, _, Bbar = _discretize(delta, -np.exp(params.A_log), Bix)
     b = Bbar * u[..., None]
@@ -251,19 +246,15 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
         a[:, offset:] = a[:, offset:] * a[:, :-offset]
         offset *= 2
     ys = _emit(params, b, Cix, u) @ params.W_out + params.b_out
-    h_final = b[:, -1]
-    if unbatched:
-        return ys[0], h_final[0]
-    return ys, h_final
+    return ys, b[:, -1]
 
 
-def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
+def ssm_backward(cache: SsmCache, grad_ys):
     """Reverse-mode gradients of the sequential forward pass.
 
     Returns (grads: name->array matching params.tensors(), grad_h0,
-    grad_xs).  grad_ys must match the forward ys shape; grad_h_final is
-    the gradient arriving at the carried final hidden state, if any, and
-    must match the h_final shape.
+    grad_xs).  grad_ys must match the forward ys shape; no gradient
+    reaches h_final.
     """
     p = cache.params
     if cache.version != p.version:
@@ -276,20 +267,9 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
-    if cache.unbatched:
-        gys = gys[None]
     if gys.shape != (nb, L, D):
-        raise ValueError(f"grad_ys shape {grad_ys.shape} does not match ys")
-    if grad_h_final is None:
-        gh = np.zeros((nb, D, N))
-    else:
-        gh = np.array(grad_h_final, dtype=np.float64)
-        want = (D, N) if cache.unbatched else (nb, D, N)
-        if gh.shape != want:
-            raise ValueError(f"grad_h_final shape {gh.shape} does not match "
-                             f"h_final {want}")
-        if cache.unbatched:
-            gh = gh[None]
+        raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
+    gh = np.zeros((nb, D, N))
 
     # output mixing
     gW_out = np.einsum("bld,ble->de", cache.y_pre, gys)
@@ -343,7 +323,6 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
         gdelta[:, t0:t1] = X.sum(-1)
         gA_log += (np.einsum("bldn,bld->dn", X, delta[:, t0:t1])
                    - np.einsum("bldn,bldn->dn", gE, E))
-    grad_h0 = gh
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
@@ -365,6 +344,4 @@ def ssm_backward(cache: SsmCache, grad_ys, grad_h_final=None):
     grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
              "W_delta": gW_delta, "b_delta": gb_delta, "W_B": gW_B,
              "W_C": gW_C, "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
-    if cache.unbatched:
-        return grads, grad_h0[0], gxs[0]
-    return grads, grad_h0, gxs
+    return grads, gh, gxs

@@ -306,21 +306,24 @@ def random_tabular_mdp(seed, n_states: int, K: int, M: int,
     return TabularMdp(n_states, K, M, R, P, gamma)
 
 
-def full_value_iteration(mdp: TabularMdp, tol: float = 1e-14,
-                         max_iter: int = 100_000) -> np.ndarray:
+#: the tabular iterations stop when no entry moves by _VI_TOL, or after
+#: _VI_MAX_ITER sweeps
+_VI_TOL, _VI_MAX_ITER = 1e-14, 100_000
+
+
+def full_value_iteration(mdp: TabularMdp) -> np.ndarray:
     """Exact Q over joint actions: Q = R + gamma P max_a' Q."""
     Q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(max_iter):
+    for _ in range(_VI_MAX_ITER):
         V = Q.max(1)
         Qn = mdp.R + mdp.gamma * mdp.P @ V
-        if np.max(np.abs(Qn - Q)) < tol:
+        if np.max(np.abs(Qn - Q)) < _VI_TOL:
             return Qn
         Q = Qn
     return Q
 
 
-def decomposed_fixed_point(mdp: TabularMdp, tol: float = 1e-14,
-                           max_iter: int = 100_000):
+def decomposed_fixed_point(mdp: TabularMdp):
     """Jacobi iteration of the per-dimension operator.
 
     Maintains K tables Q_i(s, a_{1:i}); each sweep rebuilds
@@ -331,7 +334,7 @@ def decomposed_fixed_point(mdp: TabularMdp, tol: float = 1e-14,
     S, K, M = mdp.n_states, mdp.K, mdp.M
     tables = [np.zeros((S,) + (M,) * (i + 1)) for i in range(K)]
     R = mdp.R.reshape((S,) + (M,) * K)
-    for _ in range(max_iter):
+    for _ in range(_VI_MAX_ITER):
         V1 = tables[0].max(-1)                       # max_{a_1} Q_1
         new = [None] * K
         boot = (mdp.P @ V1).reshape((S,) + (M,) * K)
@@ -340,7 +343,7 @@ def decomposed_fixed_point(mdp: TabularMdp, tol: float = 1e-14,
             new[i] = tables[i + 1].max(-1)
         delta = max(np.max(np.abs(n - t)) for n, t in zip(new, tables))
         tables = new
-        if delta < tol:
+        if delta < _VI_TOL:
             break
     return tables
 
@@ -396,17 +399,16 @@ def _frozen_loss(params, states, actions, rewards, masks, cfg, targets):
 _HEAD_TENSORS = ("W_proj", "b_proj", "W_head", "b_head")
 
 
-def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
-               h_fd: float = 1e-4) -> dict:
+def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     """Central finite differences vs the analytic semi-gradient.
 
     The detached backup targets are computed once at the unperturbed
     parameters and frozen for every FD evaluation, matching the
     semi-gradient the analytic path implements.  Checks every parameter
-    coordinate; reports the max relative error over coordinates with
-    |g| > 1e-6.  Each error |g - fd| is first reduced by the FD rounding
-    floor eps*|loss|/h_fd, the error a central difference of a loss
-    rounded to eps*|loss| can show on an exact gradient.  A head
+    coordinate at the step h = 1e-4; reports the max relative error over
+    coordinates with |g| > 1e-6.  Each error |g - fd| is first reduced by
+    the FD rounding floor eps*|loss|/h, the error a central difference of
+    a loss rounded to eps*|loss| can show on an exact gradient.  A head
     coordinate's FD losses reuse the unperturbed stack output and
     recompute only the heads, which gives the same losses as a full
     forward.
@@ -419,7 +421,8 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
     loss, _, dQ = q_loss_batch(Q0, actions, rewards, masks, cfg,
                                targets=targets)
     grads = qmodel.model_backward(cache, dQ)
-    floor = np.finfo(np.float64).eps * abs(loss) / h_fd
+    h = 1e-4
+    floor = np.finfo(np.float64).eps * abs(loss) / h
 
     def frozen_loss(head_only):
         if not head_only:
@@ -438,12 +441,12 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig,
         flat = arr.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h_fd
+            flat[i] = orig + h
             up = frozen_loss(head_only)
-            flat[i] = orig - h_fd
+            flat[i] = orig - h
             dn = frozen_loss(head_only)
             flat[i] = orig
-            fd = (up - dn) / (2 * h_fd)
+            fd = (up - dn) / (2 * h)
             if abs(g[i]) > 1e-6:
                 rel = (max(abs(g[i] - fd) - floor, 0.0)
                        / max(abs(g[i]), abs(fd)))

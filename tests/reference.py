@@ -472,7 +472,7 @@ def ssm_states_ref(cache):
     return hs
 
 
-def ssm_backward_ref(cache, grad_ys, grad_h_final=None):
+def ssm_backward_ref(cache, grad_ys):
     """Full-tensor backward of the selective SSM: the states, Abar, E,
     Bbar and the dL/dh_t of every step are built over the whole sequence
     at once.  Same arguments and returns as ``dacq.ssm.ssm_backward``."""
@@ -493,17 +493,9 @@ def ssm_backward_ref(cache, grad_ys, grad_h_final=None):
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
-    if cache.unbatched:
-        gys = gys[None]
     if gys.shape != (nb, L, D):
-        raise ValueError(f"grad_ys shape {grad_ys.shape} does not match ys")
-    if grad_h_final is None:
-        gh = np.zeros((nb, D, N))
-    else:
-        gh = np.asarray(grad_h_final, dtype=np.float64)
-        if cache.unbatched:
-            gh = gh[None]
-        gh = gh.copy()
+        raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
+    gh = np.zeros((nb, D, N))
 
     # output mixing
     y_pre = np.einsum("bldn,bln->bld", hs[:, 1:], Cix) + p.D_skip * u
@@ -562,8 +554,6 @@ def ssm_backward_ref(cache, grad_ys, grad_h_final=None):
     grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
              "W_delta": gW_delta, "b_delta": gb_delta, "W_B": gW_B,
              "W_C": gW_C, "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
-    if cache.unbatched:
-        return grads, grad_h0[0], gxs[0]
     return grads, grad_h0, gxs
 
 

@@ -173,14 +173,15 @@ def test_alg1_ga_reaches_floor(sphere5):
     assert st.sub_pops[1].size == 200
 
 
-def test_alg0_optional_shrink(sphere5):
+def test_alg0_keeps_its_population_size(sphere5):
+    # alg 0 has no size-reduction plan: its one population stays at 100
     T = 10
-    st = alg.init_state(0, sphere5, seed=8, horizon=T, alg0_np_final=20)
+    st = alg.init_state(0, sphere5, seed=8, horizon=T)
+    assert st.lpsr_plans == ()
     rng = np.random.default_rng(1)
-    for t in range(1, T + 1):
+    for _ in range(T):
         st, ev = alg.step(0, st, [0.5, 0.5, 0.5], sphere5, rng)
-        assert st.sub_pops[0].size == ea_ops.lpsr_target(t, T, 100, 20)
-    assert st.sub_pops[0].size == 20
+        assert st.sub_pops[0].size == 100 and ev == 100
 
 
 def test_alg2_sharing_spreads_best(sphere5):
@@ -261,8 +262,7 @@ _ORDER_EXPECTED = {
         ("crossover", ("exponential", 0.03, None, None)),
         ("bound_control", "clip"),
         ("evaluate_population", 100),
-        ("select", "greedy_pairwise"),
-        ("lpsr", (100, 100))],
+        ("select", "greedy_pairwise")],
     1: [("crossover", ("mpx", 0.01, None, "rank")),
         ("ga_mutate", ("gaussian", 0.03, None)),
         ("bound_control", "reflect"),

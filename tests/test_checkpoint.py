@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -102,3 +103,81 @@ def test_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ValueError, match="trailing"):
         checkpoint.load_checkpoint(path)
+
+
+def rewrite_header(path, edit, extra_payload=b""):
+    """Pass the JSON header of the checkpoint at path through edit and
+    append extra_payload to its tensor bytes."""
+    raw = path.read_bytes()
+    hlen, = struct.unpack_from("<Q", raw, 12)
+    header = json.loads(raw[20:20 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode()
+    path.write_bytes(raw[:12] + struct.pack("<Q", len(hbytes)) + hbytes
+                     + raw[20 + hlen:] + extra_payload)
+
+
+def assert_rejected(path, message):
+    with pytest.raises(ValueError) as exc:
+        checkpoint.load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: {message}"), exc.value
+
+
+def test_rejects_file_shorter_than_fixed_header(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<I", 2) + b"\x00")
+    assert_rejected(path, "truncated header (13 bytes)")
+
+
+def test_rejects_unreadable_header(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<IQ", 2, 64) + b"{")
+    assert_rejected(path, "unreadable header")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("config"), "header lacks config"),
+    (lambda h: h.update(extra=[]), "header field extra must be an object"),
+    (lambda h: h.update(opt_step="3"),
+     "header field opt_step must be an integer or null"),
+    (lambda h: h.update(tensors=5), "header field tensors must be a list"),
+    (lambda h: h["tensors"][0].__setitem__(1, "x"),
+     "header field tensors must be a list of [name, shape] pairs"),
+    (lambda h: h["tensors"][0].pop(), "header field tensors must be a list"),
+], ids=["no config", "extra list", "opt_step string", "tensors int",
+        "shape string", "no shape"])
+def test_rejects_malformed_header_field(tmp_path, edit, message):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, make_params(7))
+    rewrite_header(path, edit)
+    assert_rejected(path, message)
+
+
+def test_rejects_unknown_config_key(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, make_params(8))
+    rewrite_header(path, lambda h: h["config"].update(width=3))
+    assert_rejected(path, "bad model config")
+
+
+def test_rejects_tensor_the_config_does_not_define(tmp_path):
+    # the depth-2 config has blocks 0 and 1, so a third block's tensor
+    # belongs to no parameter
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, make_params(9))
+    rewrite_header(path, lambda h: h["tensors"].append(["blocks.2.b_in",
+                                                        [2]]),
+                   extra_payload=bytes(16))
+    assert_rejected(path, "tensor blocks.2.b_in is not defined by the model "
+                          "config")
+
+
+def test_rejects_optimizer_moment_of_wrong_shape(tmp_path):
+    # a moment must have its parameter's shape, not one that broadcasts
+    # to it
+    params = make_params(10)
+    opt = training.AdamWState.for_params(params)
+    opt.m["b_embed"] = np.full(1, 7.0)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, opt=opt)
+    assert_rejected(path, "tensor m.b_embed has shape (1,), expected (10,)")

@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -384,6 +385,42 @@ def test_train_malformed_line_is_one_error_line(ds_dir, tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _manifest_copy(ds_dir, out, field, value):
+    """A copy of ds_dir whose manifest has field set to value."""
+    out.mkdir()
+    (out / datasets.TRAJECTORY_FILE).write_bytes(
+        (ds_dir / datasets.TRAJECTORY_FILE).read_bytes())
+    man = json.loads((ds_dir / datasets.MANIFEST_FILE).read_text())
+    man[field] = value
+    (out / datasets.MANIFEST_FILE).write_text(json.dumps(man))
+    return out
+
+
+@pytest.mark.parametrize("field, value, wording", [
+    ("mu", "0.5", "a number"), ("policy_counts", [1], "an object of integer "
+                                                       "counts")])
+def test_train_manifest_field_of_wrong_type_is_one_error_line(
+        ds_dir, tmp_path, capsys, field, value, wording):
+    bad = _manifest_copy(ds_dir, tmp_path / "bad", field, value)
+    rc = run(["train", "--data", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: bad manifest: field {field!r} must be {wording}, "
+                   f"got {value!r}\n")
+
+
+def test_verify_manifest_field_of_wrong_type_fails_one_check(
+        ds_dir, tmp_path, capsys):
+    bad = _manifest_copy(ds_dir, tmp_path / "bad", "mu", "0.5")
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0",
+              "--data", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL  dataset_revalidation: bad manifest: field 'mu' "
+                     "must be a number, got '0.5'"]
+
+
 def test_verify_malformed_dataset_fails_one_check(ds_dir, tmp_path, capsys):
     bad = _malformed_copy(ds_dir, tmp_path / "bad", _step([1]))
     rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0",
@@ -440,6 +477,16 @@ def test_eval_missing_checkpoint_exit1(tmp_path, capsys):
     rc = run(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
               "--out", str(tmp_path / "o"), "--runs", "1", "--t", "3"])
     assert rc == 1
+
+
+def test_eval_malformed_checkpoint_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint.MAGIC + struct.pack("<IQ", 2, 2) + b"{}")
+    rc = run(["eval", "--ckpt", str(bad), "--out", str(tmp_path / "o"),
+              "--t", "3", "--runs", "1", "--test-functions", "15"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {bad}: header lacks config\n"
 
 
 def test_eval_wrong_alg_mismatch_exit1(ckpt_path, tmp_path, capsys):

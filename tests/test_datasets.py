@@ -58,8 +58,7 @@ def test_random_policy_seed_reproducible():
 
 def test_scripted_schedule_endpoints_alg0():
     T = 20
-    pol = exploitation_policy("scripted_de_schedule", 0, seed=0, T=T,
-                              jitter=0.0)
+    pol = exploitation_policy(0, seed=0, T=T, jitter=0.0)
     # 0.9 on the 16-point grid of [0,1] is nearest to bin 14
     assert list(pol(S0, 0)) == [14, 14, 14]
     # F dims end at 0.3, exactly between bins 4 and 5 on the 16-point
@@ -68,15 +67,13 @@ def test_scripted_schedule_endpoints_alg0():
 
 
 def test_scripted_schedule_single_step_episode():
-    pol = exploitation_policy("scripted_de_schedule", 0, seed=0, T=1,
-                              jitter=0.0)
+    pol = exploitation_policy(0, seed=0, T=1, jitter=0.0)
     assert list(pol(S0, 0)) == [14, 14, 14]
 
 
 def test_scripted_discrete_preference_is_fixed():
     specs = algorithms.alg_spec(1)
-    pol = exploitation_policy("scripted_de_schedule", 1, seed=3, T=10,
-                              jitter=0.0)
+    pol = exploitation_policy(1, seed=3, T=10, jitter=0.0)
     draws = np.array([pol(S0, t) for t in range(10)])
     for i, s in enumerate(specs):
         if s.kind == "discrete":
@@ -85,8 +82,7 @@ def test_scripted_discrete_preference_is_fixed():
 
 
 def test_scripted_jitter_stream_is_seeded():
-    mk = lambda seed: exploitation_policy("scripted_de_schedule", 1,
-                                          seed=seed, T=30, jitter=0.02)
+    mk = lambda seed: exploitation_policy(1, seed=seed, T=30, jitter=0.02)
     a, b, c = mk(4), mk(4), mk(5)
     sa = np.array([a(S0, t) for t in range(30)])
     sb = np.array([b(S0, t) for t in range(30)])
@@ -98,15 +94,21 @@ def test_scripted_jitter_stream_is_seeded():
 def test_scripted_bins_always_valid_under_jitter():
     specs = algorithms.alg_spec(2)
     ms = [env.mask_bins(s) for s in specs]
-    pol = exploitation_policy("scripted_de_schedule", 2, seed=9, T=25,
-                              jitter=0.3)  # exaggerated jitter
+    pol = exploitation_policy(2, seed=9, T=25, jitter=0.3)  # exaggerated
     for t in range(25):
         bins = pol(S0, t)
         assert all(0 <= b < m for b, m in zip(bins, ms))
 
 
+def constant_policy(alg_id, seed):
+    """The scripted_constant behavior that collect plays: one seeded
+    constant_setting held for the whole episode."""
+    return datasets._hold(datasets.constant_setting(
+        np.random.default_rng(seed), algorithms.alg_spec(alg_id)))
+
+
 def test_scripted_constant_holds_one_setting_in_box():
-    pol = exploitation_policy("scripted_constant", 0, seed=5, T=12)
+    pol = constant_policy(0, seed=5)
     draws = np.array([pol(S0, t) for t in range(12)])
     assert (draws == draws[0]).all()
     f1, f2, cr = draws[0]
@@ -116,18 +118,16 @@ def test_scripted_constant_holds_one_setting_in_box():
 
 
 def test_scripted_constant_seeded_and_diverse():
-    first = exploitation_policy("scripted_constant", 0, seed=5, T=4)(S0, 0)
-    again = exploitation_policy("scripted_constant", 0, seed=5, T=4)(S0, 0)
+    first = constant_policy(0, seed=5)(S0, 0)
+    again = constant_policy(0, seed=5)(S0, 0)
     assert np.array_equal(first, again)
-    settings = {tuple(exploitation_policy("scripted_constant", 0,
-                                          seed=s, T=1)(S0, 0))
-                for s in range(20)}
+    settings = {tuple(constant_policy(0, seed=s)(S0, 0)) for s in range(20)}
     assert len(settings) > 5
 
 
 def test_scripted_constant_discrete_dims_valid():
     specs = algorithms.alg_spec(1)
-    pol = exploitation_policy("scripted_constant", 1, seed=3, T=6)
+    pol = constant_policy(1, seed=3)
     draws = np.array([pol(S0, t) for t in range(6)])
     assert (draws == draws[0]).all()
     for i, s in enumerate(specs):
@@ -136,13 +136,10 @@ def test_scripted_constant_discrete_dims_valid():
 
 
 def test_exploitation_unknown_kind():
-    with pytest.raises(ValueError, match="unknown exploitation"):
-        exploitation_policy("greedy_oracle", 0, seed=0, T=5)
-
-
-def test_filtered_random_has_no_step_policy():
-    with pytest.raises(ValueError, match="filtered inside collect"):
-        exploitation_policy("filtered_random", 0, seed=0, T=5)
+    # rejected before any episode runs, also when no episode would use it
+    for mu in (0.0, 0.5):
+        with pytest.raises(ValueError, match="unknown exploitation"):
+            collect(0, tiny_split(), ("greedy_oracle", "random"), mu, 2, 2, 0)
 
 
 def test_filter_threshold_median_keeps_half():
@@ -164,8 +161,7 @@ def test_scripted_beats_random_on_sphere():
             perfs.append(traj.perf)
         return float(np.mean(perfs))
 
-    scripted = mean_perf(lambda s: exploitation_policy(
-        "scripted_de_schedule", 0, seed=s, T=T))
+    scripted = mean_perf(lambda s: exploitation_policy(0, seed=s, T=T))
     random = mean_perf(lambda s: random_policy(0, seed=s))
     assert scripted > random
 
@@ -281,8 +277,7 @@ def test_collect_scripted_constant_pool_is_above_quantile_settings():
     cands, perfs = [], []
     for i in range(n_cal):
         inst = problems.make_instance(split.train_ids[i % 2], 5, seed=0)
-        pol = exploitation_policy("scripted_constant", 0, seed=[43, 1, i, 1],
-                                  T=T)
+        pol = constant_policy(0, seed=[43, 1, i, 1])
         cands.append(pol(S0, 0))
         perfs.append(env.run_episode(0, inst, pol, T, seed=[43, 1, i]).perf)
     thr = filter_threshold(perfs, 0.5)
@@ -548,10 +543,10 @@ def test_filtered_random_on_workers_never_exceeds_max_attempts(
     log = tmp_path / "episodes"
     _count_episodes(monkeypatch, log)
     monkeypatch.setattr(datasets, "filter_threshold", lambda perfs, q: 1.0)
+    monkeypatch.setattr(datasets, "MAX_ATTEMPT_FACTOR", 3)
     with pytest.raises(RuntimeError, match=r"0/1 episodes after 3 attempts"):
         collect(0, tiny_split(), ("filtered_random", "random"), mu=1.0, D=1,
-                T=2, seed=0, calibration_episodes=3, max_attempt_factor=3,
-                workers=2)
+                T=2, seed=0, calibration_episodes=3, workers=2)
     assert _filter_attempts(log) == 3
 
 
@@ -708,3 +703,23 @@ def test_manifest_validation_rules():
         man.validate()
     man.policy_counts = {"scripted_de_schedule": 5, "random": 5}
     man.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu", "0.5"), ("policy_counts", [1]), ("policy_counts", {"random": "2"}),
+    ("seed", 1.5), ("alg_id", True), ("train_ids", ["1"]), ("checksum", 5)])
+def test_load_dataset_names_manifest_field_of_wrong_type(tmp_path, field,
+                                                         value):
+    collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+            mu=0.0, D=2, T=2, seed=55, out_dir=tmp_path)
+    mf = tmp_path / datasets.MANIFEST_FILE
+    obj = json.loads(mf.read_text())
+    obj[field] = value
+    mf.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=f"bad manifest: field '{field}'"):
+        load_dataset(tmp_path)
+
+
+def test_manifest_must_be_a_json_object():
+    with pytest.raises(ValueError, match="bad manifest: not a JSON object"):
+        DatasetManifest.from_json("[1]")

@@ -5,6 +5,7 @@ import functools
 import os
 import time
 import tracemalloc
+from types import SimpleNamespace
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -39,6 +40,14 @@ def sphere5():
     return make_identity_instance(1, 5)
 
 
+def unit_problem(f_best_init):
+    """Stand-in problem whose search-space diameter sqrt(dim)*(upper-lower)
+    and span f_best_init - f_opt are exactly 1, so cal_state's features
+    are the raw ones."""
+    return SimpleNamespace(dim=1, lower=0.0, upper=1.0,
+                           f_opt=f_best_init - 1.0)
+
+
 # ---------------------------------------------------------------------------
 # cal_state
 
@@ -49,7 +58,7 @@ def test_cal_state_matches_scalar_oracle(sphere5):
     bsf_x = rng.uniform(-5, 5, 5)
     bsf_f = fit.min() - 1.0
     st = fake_state(X, fit, bsf_x, bsf_f, t=7, stag=4, improved=False)
-    got = env.cal_state(st, sphere5, T=50, f_best_init=0.0, normalize=False)
+    got = env.cal_state(st, unit_problem(0.0), T=50, f_best_init=0.0)
     want = reference.cal_state_ref(X.tolist(), fit.tolist(), bsf_x.tolist(),
                                    bsf_f, 7, 50, 4, False)
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -61,14 +70,14 @@ def test_cal_state_normalization(sphere5):
     fit = rng.uniform(10, 60, 8)
     bsf_x, bsf_f = X[0], fit.min()
     st = fake_state(X, fit, bsf_x, bsf_f)
-    raw = env.cal_state(st, sphere5, T=50, f_best_init=100.0, normalize=False)
-    nrm = env.cal_state(st, sphere5, T=50, f_best_init=100.0, normalize=True)
+    raw = env.cal_state(st, unit_problem(100.0), T=50, f_best_init=100.0)
+    nrm = env.cal_state(st, sphere5, T=50, f_best_init=100.0)
     diameter = np.sqrt(5) * 10.0
     assert_allclose(nrm[:3], raw[:3] / diameter, rtol=1e-15)
     assert_allclose(nrm[3:6], raw[3:6] / 100.0, rtol=1e-15)
     assert_array_equal(nrm[6:], raw[6:])
     # degenerate normalizer zeroes the objective features
-    degen = env.cal_state(st, sphere5, T=50, f_best_init=0.0, normalize=True)
+    degen = env.cal_state(st, sphere5, T=50, f_best_init=0.0)
     assert_array_equal(degen[3:6], [0.0, 0.0, 0.0])
 
 
@@ -82,7 +91,7 @@ def test_cal_state_collapsed_population(sphere5):
     X = np.tile([[1.0, 2.0, 0.0, -1.0, 3.0]], (6, 1))
     fit = np.full(6, 15.0)
     st = fake_state(X, fit, X[0], 15.0)
-    s = env.cal_state(st, sphere5, T=50, f_best_init=20.0, normalize=False)
+    s = env.cal_state(st, sphere5, T=50, f_best_init=20.0)
     assert s[0] == 0.0 and s[1] == 0.0 and s[5] == 0.0
 
 
@@ -91,7 +100,7 @@ def test_cal_state_gap_ordering(sphere5):
     X = rng.uniform(-5, 5, (12, 5))
     fit = rng.uniform(5, 50, 12)
     st = fake_state(X, fit, X[3], fit.min() - 2.0)
-    s = env.cal_state(st, sphere5, T=50, f_best_init=60.0, normalize=False)
+    s = env.cal_state(st, sphere5, T=50, f_best_init=60.0)
     assert s[3] >= s[4] >= 0.0
 
 
@@ -104,7 +113,7 @@ def test_cal_state_union_of_sub_pops(sphere5):
     pa = Population(Xa, fa, bsf_x.copy(), bsf_f)
     pb = Population(Xb, fb, bsf_x.copy(), bsf_f)
     st = alg.AlgorithmState(1, [pa, pb], 1, 50, 0, False, 0)
-    got = env.cal_state(st, sphere5, T=50, f_best_init=1.0, normalize=False)
+    got = env.cal_state(st, unit_problem(1.0), T=50, f_best_init=1.0)
     X = np.vstack([Xa, Xb])
     fit = np.concatenate([fa, fb])
     want = reference.cal_state_ref(X.tolist(), fit.tolist(), bsf_x.tolist(),
@@ -125,8 +134,7 @@ def _s1(X):
     rng = np.random.default_rng(X.shape)
     fit = rng.uniform(0, 50, X.shape[0])
     st = fake_state(X, fit, X[0], fit.min())
-    got = env.cal_state(st, make_identity_instance(1, X.shape[1]), T=50,
-                        f_best_init=0.0, normalize=False)
+    got = env.cal_state(st, unit_problem(0.0), T=50, f_best_init=0.0)
     return got[0]
 
 

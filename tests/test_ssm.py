@@ -37,11 +37,11 @@ def test_discretize_half_life():
         W_delta=np.zeros((1, 1)),
         b_delta=ssm.softplus_inv(np.array([math.log(2.0)])),
         W_B=one, W_C=one, D_skip=np.zeros(1), W_out=one, b_out=np.zeros(1))
-    _, h1, cache = ssm.ssm_forward_sequential(p, one, one)
+    _, h1, cache = ssm.ssm_forward_sequential(p, one[None], one[None])
     Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
     assert_allclose(Abar[0, 0], [[0.5]], rtol=1e-14)
     assert_allclose(Bbar[0, 0], [[0.5]], rtol=1e-14)
-    assert_allclose(h1, [[1.0]], rtol=1e-14)
+    assert_allclose(h1, [[[1.0]]], rtol=1e-14)
 
 
 def test_discretize_matches_ode_integration():
@@ -55,7 +55,7 @@ def test_discretize_matches_ode_integration():
     p.A_log[0, 0] = -20.0
     x = rng.normal(size=(1, D))
     h0 = rng.normal(size=(D, N))
-    _, want, cache = ssm.ssm_forward_sequential(p, h0, x)
+    _, want, cache = ssm.ssm_forward_sequential(p, h0[None], x[None])
     A = -np.exp(p.A_log)
     delta, B, u = cache.delta[0, 0], cache.Bix[0, 0], cache.u[0, 0]
 
@@ -73,7 +73,7 @@ def test_discretize_matches_ode_integration():
         k3 = f(h + 0.5 * dt * k2)
         k4 = f(h + dt * k3)
         h = h + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.max(np.abs(h - want)) < 1e-8
+    assert np.max(np.abs(h - want[0])) < 1e-8
 
 
 def test_stable_by_construction():
@@ -82,7 +82,7 @@ def test_stable_by_construction():
     p = small_params(29)
     p.A_log[:] = np.linspace(-20.0, 20.0, p.A_log.size).reshape(p.A_log.shape)
     x_row = np.random.default_rng(30).normal(size=8) * 3
-    xs = np.tile(x_row, (2048, 1))
+    xs = np.tile(x_row, (1, 2048, 1))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
     hs = reference.ssm_states_ref(cache)
@@ -101,17 +101,18 @@ def test_stable_by_construction():
 
 def test_zero_input_zero_state_gives_zero_output():
     p = small_params()
-    xs = np.zeros((5, 8))
+    xs = np.zeros((1, 5, 8))
     ys, h_final, _ = ssm.ssm_forward_sequential(p, None, xs)
-    assert_array_equal(ys, np.zeros((5, 8)))
-    assert_array_equal(h_final, np.zeros((8, 4)))
+    assert_array_equal(ys, np.zeros((1, 5, 8)))
+    assert_array_equal(h_final, np.zeros((1, 8, 4)))
 
 
 def test_empty_batch_and_empty_sequence():
     p = small_params()
     for xs, ys_shape, gh0_shape in ((np.zeros((0, 5, 8)), (0, 5, 8),
                                      (0, 8, 4)),
-                                    (np.zeros((0, 8)), (0, 8), (8, 4))):
+                                    (np.zeros((1, 0, 8)), (1, 0, 8),
+                                     (1, 8, 4))):
         ys, _, cache = ssm.ssm_forward_sequential(p, None, xs)
         assert ys.shape == ys_shape
         _, gh0, gxs = ssm.ssm_backward(cache, np.zeros(ys_shape))
@@ -123,10 +124,10 @@ def test_memoryless_limit_is_time_independent():
     p = small_params(1)
     p.A_log[:] = np.log(1e6)
     x_row = np.random.default_rng(2).normal(size=8)
-    xs = np.tile(x_row, (4, 1))
+    xs = np.tile(x_row, (1, 4, 1))
     ys, _, _ = ssm.ssm_forward_sequential(p, None, xs)
     for t in range(1, 4):
-        assert_array_equal(ys[t], ys[0])
+        assert_array_equal(ys[0, t], ys[0, 0])
 
 
 def test_sequential_matches_scalar_oracle():
@@ -134,11 +135,11 @@ def test_sequential_matches_scalar_oracle():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(7, 6))
     h0 = rng.normal(size=(6, 3))
-    ys, h_final, _ = ssm.ssm_forward_sequential(p, h0, xs)
+    ys, h_final, _ = ssm.ssm_forward_sequential(p, h0[None], xs[None])
     ten = {k: v.tolist() for k, v in p.tensors().items()}
     ys_ref, h_ref = reference.ssm_forward_ref(ten, h0.tolist(), xs.tolist())
-    assert_allclose(ys, ys_ref, rtol=1e-12, atol=1e-12)
-    assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
+    assert_allclose(ys[0], ys_ref, rtol=1e-12, atol=1e-12)
+    assert_allclose(h_final[0], h_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_batched_equals_per_sequence():
@@ -148,30 +149,33 @@ def test_batched_equals_per_sequence():
     h0 = rng.normal(size=(3, 8, 4))
     ys, hf, _ = ssm.ssm_forward_sequential(p, h0, xs)
     for b in range(3):
-        yb, hb, _ = ssm.ssm_forward_sequential(p, h0[b], xs[b])
-        assert_array_equal(ys[b], yb)
-        assert_array_equal(hf[b], hb)
+        one = slice(b, b + 1)
+        yb, hb, _ = ssm.ssm_forward_sequential(p, h0[one], xs[one])
+        assert_array_equal(ys[one], yb)
+        assert_array_equal(hf[one], hb)
 
 
 def test_hidden_state_continuity():
     p = small_params(9)
     rng = np.random.default_rng(10)
-    xs = rng.normal(size=(10, 8))
+    xs = rng.normal(size=(10, 8))[None]
     full_ys, full_h, _ = ssm.ssm_forward_sequential(p, None, xs)
-    y1, h_mid, _ = ssm.ssm_forward_sequential(p, None, xs[:4])
-    y2, h_end, _ = ssm.ssm_forward_sequential(p, h_mid, xs[4:])
-    assert_allclose(np.vstack([y1, y2]), full_ys, atol=1e-12, rtol=0)
+    y1, h_mid, _ = ssm.ssm_forward_sequential(p, None, xs[:, :4])
+    y2, h_end, _ = ssm.ssm_forward_sequential(p, h_mid, xs[:, 4:])
+    assert_allclose(np.concatenate([y1, y2], axis=1), full_ys, atol=1e-12,
+                    rtol=0)
     assert_allclose(h_end, full_h, atol=1e-12, rtol=0)
 
 
 def test_forward_shape_errors():
+    # xs is (B, L, D) and h0 (B, D, N): one sequence is a batch of one
     p = small_params()
-    with pytest.raises(ValueError):
-        ssm.ssm_forward_sequential(p, None, np.zeros(8))
-    with pytest.raises(ValueError):
-        ssm.ssm_forward_sequential(p, None, np.zeros((4, 7)))
-    with pytest.raises(ValueError):
-        ssm.ssm_forward_sequential(p, np.zeros((3, 3)), np.zeros((4, 8)))
+    for xs in (np.zeros(8), np.zeros((4, 8)), np.zeros((1, 4, 7))):
+        with pytest.raises(ValueError):
+            ssm.ssm_forward_sequential(p, None, xs)
+    for h0 in (np.zeros((3, 3)), np.zeros((8, 4)), np.zeros((2, 8, 4))):
+        with pytest.raises(ValueError):
+            ssm.ssm_forward_sequential(p, h0, np.zeros((1, 4, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +185,8 @@ def test_forward_shape_errors():
 def test_scan_matches_sequential(L):
     p = small_params(12)
     rng = np.random.default_rng(L)
-    xs = rng.normal(size=(L, 8))
-    h0 = rng.normal(size=(8, 4))
+    xs = rng.normal(size=(L, 8))[None]
+    h0 = rng.normal(size=(8, 4))[None]
     ys_seq, hf_seq, _ = ssm.ssm_forward_sequential(p, h0, xs)
     ys_scan, hf_scan = ssm.ssm_forward_scan(p, h0, xs)
     assert np.max(np.abs(ys_seq - ys_scan)) <= 1e-6
@@ -203,27 +207,20 @@ def test_scan_batched_and_deterministic():
 # ---------------------------------------------------------------------------
 # backward
 
-def loss_and_grads(p, h0, xs, Wr, Sr):
-    ys, hf, cache = ssm.ssm_forward_sequential(p, h0, xs)
-    loss = float((ys * Wr).sum() + (hf * Sr).sum())
-    grads, gh0, gxs = ssm.ssm_backward(cache, Wr, Sr)
-    return loss, grads, gh0, gxs
-
-
-def loss_only(p, h0, xs, Wr, Sr):
-    ys, hf, _ = ssm.ssm_forward_sequential(p, h0, xs)
-    return float((ys * Wr).sum() + (hf * Sr).sum())
+def loss_only(p, h0, xs, Wr):
+    ys, _, _ = ssm.ssm_forward_sequential(p, h0, xs)
+    return float((ys * Wr).sum())
 
 
 def test_zero_upstream_gradient():
     p = small_params(15)
-    xs = np.random.default_rng(16).normal(size=(5, 8))
+    xs = np.random.default_rng(16).normal(size=(1, 5, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    grads, gh0, gxs = ssm.ssm_backward(cache, np.zeros((5, 8)))
+    grads, gh0, gxs = ssm.ssm_backward(cache, np.zeros((1, 5, 8)))
     for g in grads.values():
         assert_array_equal(g, np.zeros_like(g))
-    assert_array_equal(gh0, np.zeros((8, 4)))
-    assert_array_equal(gxs, np.zeros((5, 8)))
+    assert_array_equal(gh0, np.zeros((1, 8, 4)))
+    assert_array_equal(gxs, np.zeros((1, 5, 8)))
 
 
 def test_single_step_scalar_hand_chain_rule():
@@ -240,9 +237,9 @@ def test_single_step_scalar_hand_chain_rule():
         W_B=np.array([[w_b]]), W_C=np.array([[w_c]]),
         D_skip=np.array([d_skip]), W_out=np.array([[w_out]]),
         b_out=np.array([b_out]))
-    ys, hf, cache = ssm.ssm_forward_sequential(p, np.array([[h0]]),
-                                               np.array([[x]]))
-    grads, gh0, gxs = ssm.ssm_backward(cache, np.array([[1.0]]))
+    ys, hf, cache = ssm.ssm_forward_sequential(p, np.array([[[h0]]]),
+                                               np.array([[[x]]]))
+    grads, gh0, gxs = ssm.ssm_backward(cache, np.array([[[1.0]]]))
 
     a = -math.exp(a_log)
     u = x * w_in + b_in
@@ -254,7 +251,7 @@ def test_single_step_scalar_hand_chain_rule():
     bbar = e * Bv
     h1 = abar * h0 + bbar * u
     y = h1 * Cv + d_skip * u
-    assert_allclose(ys, [[y * w_out + b_out]], rtol=1e-14)
+    assert_allclose(ys, [[[y * w_out + b_out]]], rtol=1e-14)
 
     # hand chain rule, outermost first
     dy = w_out
@@ -285,19 +282,19 @@ def test_single_step_scalar_hand_chain_rule():
     assert_allclose(grads["b_delta"], [dz], rtol=1e-13)
     assert_allclose(grads["W_in"], [[du * x]], rtol=1e-13)
     assert_allclose(grads["b_in"], [du], rtol=1e-13)
-    assert_allclose(gh0, [[dh1 * abar]], rtol=1e-13)
-    assert_allclose(gxs, [[dx]], rtol=1e-13)
+    assert_allclose(gh0, [[[dh1 * abar]]], rtol=1e-13)
+    assert_allclose(gxs, [[[dx]]], rtol=1e-13)
 
 
 def test_backward_matches_finite_differences():
     p = small_params(17)
     rng = np.random.default_rng(18)
     L = 6
-    xs = rng.normal(size=(L, 8))
-    h0 = rng.normal(size=(8, 4)) * 0.3
-    Wr = rng.normal(size=(L, 8))
-    Sr = rng.normal(size=(8, 4))
-    _, grads, gh0, gxs = loss_and_grads(p, h0, xs, Wr, Sr)
+    xs = rng.normal(size=(1, L, 8))
+    h0 = rng.normal(size=(1, 8, 4)) * 0.3
+    Wr = rng.normal(size=(1, L, 8))
+    _, _, cache = ssm.ssm_forward_sequential(p, h0, xs)
+    grads, gh0, gxs = ssm.ssm_backward(cache, Wr)
 
     h = 1e-4
     worst = 0.0
@@ -307,9 +304,9 @@ def test_backward_matches_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_only(p, h0, xs, Wr, Sr)
+            up = loss_only(p, h0, xs, Wr)
             flat[i] = orig - h
-            dn = loss_only(p, h0, xs, Wr, Sr)
+            dn = loss_only(p, h0, xs, Wr)
             flat[i] = orig
             fd = (up - dn) / (2 * h)
             an = g.ravel()[i]
@@ -325,9 +322,9 @@ def test_backward_matches_finite_differences():
         for i in range(0, flat.size, 3):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_only(p, h0, xs, Wr, Sr)
+            up = loss_only(p, h0, xs, Wr)
             flat[i] = orig - h
-            dn = loss_only(p, h0, xs, Wr, Sr)
+            dn = loss_only(p, h0, xs, Wr)
             flat[i] = orig
             fd = (up - dn) / (2 * h)
             an = g.ravel()[i]
@@ -347,8 +344,9 @@ def test_backward_batched_sums_per_sequence():
     assert gh0.shape == (2, 8, 4) and gxs.shape == (2, 4, 8)
     total = {k: np.zeros_like(v) for k, v in grads.items()}
     for b in range(2):
-        _, _, cb = ssm.ssm_forward_sequential(p, None, xs[b])
-        gb, _, _ = ssm.ssm_backward(cb, gy[b])
+        one = slice(b, b + 1)
+        _, _, cb = ssm.ssm_forward_sequential(p, None, xs[one])
+        gb, _, _ = ssm.ssm_backward(cb, gy[one])
         for k in total:
             total[k] += gb[k]
     for k in total:
@@ -357,27 +355,23 @@ def test_backward_batched_sums_per_sequence():
 
 def test_stale_cache_rejected():
     p = small_params(21)
-    xs = np.random.default_rng(22).normal(size=(3, 8))
+    xs = np.random.default_rng(22).normal(size=(1, 3, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     p.bump()
     with pytest.raises(ValueError):
-        ssm.ssm_backward(cache, np.zeros((3, 8)))
+        ssm.ssm_backward(cache, np.zeros((1, 3, 8)))
 
 
 def test_backward_shape_check():
-    # a grad_h_final of the wrong shape is named against h_final's shape
-    # before the reverse loop can broadcast it
+    # a grad_ys of another shape than ys is named before the reverse loop
+    # can broadcast it
     p = small_params(23)
-    for lead in ((), (2,)):
-        xs = np.random.default_rng(24).normal(size=lead + (3, 8))
+    for nb in (1, 2):
+        xs = np.random.default_rng(24).normal(size=(nb, 3, 8))
         _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-        with pytest.raises(ValueError):
-            ssm.ssm_backward(cache, np.zeros(lead + (4, 8)))
-        want = re.escape(str(lead + (8, 4)))
-        for bad in (lead + (4, 8), (1, 8, 4), (3, 8, 4), (4,)):
-            with pytest.raises(ValueError, match=want):
-                ssm.ssm_backward(cache, np.zeros(lead + (3, 8)),
-                                 np.zeros(bad))
+        for bad in ((nb, 4, 8), (3, 8), (3 - nb, 3, 8)):
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                ssm.ssm_backward(cache, np.zeros(bad))
 
 
 CHUNK = 4
@@ -385,30 +379,27 @@ CHUNK = 4
 
 @pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
 @pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("with_ghf", [False, True])
-def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched,
-                                                    with_ghf):
+def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched):
     # a budget of CHUNK steps forces many chunks at a tiny shape.  The
     # chunked forward and backward do the arithmetic of the full-tensor
     # ones element for element; only grads["A_log"], which sums over
-    # (b, l), adds its terms one chunk at a time
+    # (b, l), adds its terms one chunk at a time.  Unbatched is a batch
+    # of one sequence, as training runs it
     D, N = 5, 3
     nb = 2 if batched else 1
-    lead = (nb,) if batched else ()
     p = small_params(31, d_model=D, d_state=N)
     rng = np.random.default_rng([32, L, nb])
-    xs = rng.normal(size=lead + (L, D))
-    h0 = rng.normal(size=lead + (D, N))
-    gy = rng.normal(size=lead + (L, D))
-    ghf = rng.normal(size=lead + (D, N)) if with_ghf else None
+    xs = rng.normal(size=(nb, L, D))
+    h0 = rng.normal(size=(nb, D, N))
+    gy = rng.normal(size=(nb, L, D))
 
     # one chunk: the whole-sequence forward to compare against
     monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", L * nb * D * N)
     ys_ref, hf_ref, cache_ref = ssm.ssm_forward_sequential(p, h0, xs)
-    want, gh0_ref, gxs_ref = reference.ssm_backward_ref(cache_ref, gy, ghf)
+    want, gh0_ref, gxs_ref = reference.ssm_backward_ref(cache_ref, gy)
     monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", CHUNK * nb * D * N)
     ys, hf, cache = ssm.ssm_forward_sequential(p, h0, xs)
-    got, gh0, gxs = ssm.ssm_backward(cache, gy, ghf)
+    got, gh0, gxs = ssm.ssm_backward(cache, gy)
 
     assert_array_equal(ys, ys_ref)
     assert_array_equal(hf, hf_ref)
@@ -472,18 +463,17 @@ def test_backward_reuses_only_its_own_buffers(batched):
     # the upstream gradients change
     p = small_params(27)
     rng = np.random.default_rng(28)
-    lead = (2,) if batched else ()
-    xs = rng.normal(size=lead + (6, 8))
-    gy = rng.normal(size=lead + (6, 8))
-    ghf = rng.normal(size=lead + (8, 4))
+    nb = 2 if batched else 1
+    xs = rng.normal(size=(nb, 6, 8))
+    gy = rng.normal(size=(nb, 6, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     arrays = {k: v for k, v in vars(cache).items()
               if isinstance(v, np.ndarray)}
     arrays.update(("param." + k, v) for k, v in p.tensors().items())
-    arrays.update(grad_ys=gy, grad_h_final=ghf)
+    arrays.update(grad_ys=gy)
     before = {k: v.tobytes() for k, v in arrays.items()}
-    g1, gh0_1, gxs_1 = ssm.ssm_backward(cache, gy, ghf)
-    g2, gh0_2, gxs_2 = ssm.ssm_backward(cache, gy, ghf)
+    g1, gh0_1, gxs_1 = ssm.ssm_backward(cache, gy)
+    g2, gh0_2, gxs_2 = ssm.ssm_backward(cache, gy)
     for k in g1:
         assert g1[k].tobytes() == g2[k].tobytes(), k
     assert gh0_1.tobytes() == gh0_2.tobytes()
@@ -494,7 +484,7 @@ def test_backward_reuses_only_its_own_buffers(batched):
 
 def test_hidden_state_stays_finite():
     p = small_params(25)
-    xs = np.random.default_rng(26).normal(size=(200, 8)) * 3
+    xs = np.random.default_rng(26).normal(size=(1, 200, 8)) * 3
     ys, hf, cache = ssm.ssm_forward_sequential(p, None, xs)
     assert np.all(np.isfinite(ys)) and np.all(np.isfinite(hf))
     assert np.all(np.isfinite(reference.ssm_states_ref(cache)))

@@ -451,7 +451,7 @@ def test_grad_check_zero_configuration(sphere5):
 def test_grad_check_random_model(sphere5):
     model = small_model(6)
     traj = short_trajectory(sphere5, T=3, seed=6)
-    report = training.grad_check(model, traj, small_cfg(), h_fd=1e-4)
+    report = training.grad_check(model, traj, small_cfg())
     assert report["checked"] > 200
     assert report["max_rel_error"] <= 1e-4, report
 
@@ -468,7 +468,7 @@ def test_grad_check_detects_small_injected_error(sphere5, monkeypatch):
     monkeypatch.setattr(qmodel, "model_backward", scaled)
     model = small_model(6)
     traj = short_trajectory(sphere5, T=3, seed=6)
-    report = training.grad_check(model, traj, small_cfg(), h_fd=1e-4)
+    report = training.grad_check(model, traj, small_cfg())
     assert report["checked"] > 200
     assert report["max_rel_error"] > 1e-4, report
     assert report["worst_coord"] == ("blocks.0.A_log", 0)

@@ -5,7 +5,10 @@ Each algorithm is declared once, as one entry of the ``ASSEMBLIES``
 table: its ordered hyper-parameters, its init, its sub-populations with
 their operators, its population-size reduction (LPSR) plan and its
 information-sharing slots.  ``alg_spec``, ``init_state`` and ``step``
-only read that table.
+only read that table.  A hyper-parameter is a name plus, when discrete,
+its tuple of choices; every other hyper-parameter is continuous on
+[0, 1], which ``env`` covers with a uniform grid of bins whose ends are
+0 and 1.
 
 * alg 0 (K=3): DE/current-to-rand/1/exponential on one population of 100,
   uniform init, clip bound control, no size reduction.
@@ -41,26 +44,22 @@ from .ea_ops import OperatorParams, Population
 
 @dataclass(frozen=True)
 class HyperParameterSpec:
-    """One controllable dimension of an algorithm's configuration space."""
+    """One controllable dimension of an algorithm's configuration space.
+
+    A dimension with ``choices`` is discrete and takes one of them; one
+    without is continuous and takes a value in [0, 1].  Its position in
+    ``alg_spec`` is its position in the action sequence.
+    """
 
     name: str
-    kind: str                 # "continuous" | "discrete"
-    index: int                # 1-based position in the action sequence
-    lo: float = 0.0
-    hi: float = 1.0
-    choices: tuple = ()       # concrete values when discrete
-
-    @property
-    def n_choices(self) -> int:
-        return len(self.choices)
+    choices: tuple = ()
 
 
 def _specs(names, **choices) -> tuple[HyperParameterSpec, ...]:
     """Specs in action order; names absent from ``choices`` are
-    continuous on [0, 1]."""
-    return tuple(HyperParameterSpec(n, "discrete", i, choices=tuple(choices[n]))
-                 if n in choices else HyperParameterSpec(n, "continuous", i)
-                 for i, n in enumerate(names, start=1))
+    continuous."""
+    return tuple(HyperParameterSpec(n, tuple(choices.get(n, ())))
+                 for n in names)
 
 
 @dataclass(frozen=True)
@@ -146,9 +145,9 @@ def validate_config(specs: list[HyperParameterSpec], config) -> None:
     if len(config) != len(specs):
         raise ValueError(f"config length {len(config)} != K={len(specs)}")
     for spec, value in zip(specs, config):
-        if spec.kind == "continuous":
-            if not (spec.lo <= float(value) <= spec.hi):
-                raise ValueError(f"{spec.name}={value} outside [{spec.lo}, {spec.hi}]")
+        if not spec.choices:
+            if not 0.0 <= float(value) <= 1.0:
+                raise ValueError(f"{spec.name}={value} outside [0, 1]")
         elif value not in spec.choices:
             raise ValueError(f"{spec.name}={value!r} not among {spec.choices}")
 

@@ -255,28 +255,26 @@ def _outdir(cfg) -> Path:
 
 class GreedyModelPolicy:
     """Episode policy: greedy autoregressive decode per generation, hidden
-    state and last action token carried across the whole episode."""
+    state and last action bin carried across the whole episode."""
 
     def __init__(self, params: qmodel.QModelParams, alg_id: int,
                  n_bins: int):
-        self.specs = algorithms.alg_spec(alg_id)
-        if params.config.K != len(self.specs):
+        self.masks = env.bin_masks(alg_id, n_bins).tolist()
+        if params.config.K != len(self.masks):
             raise ValueError(
                 f"checkpoint decodes K={params.config.K} dims but "
-                f"algorithm {alg_id} has {len(self.specs)}")
+                f"algorithm {alg_id} has {len(self.masks)}")
         if params.config.M != n_bins:
             raise ValueError(f"checkpoint bin count {params.config.M} != "
                              f"requested {n_bins}")
         self.params = params
         self.hiddens = params.zero_hidden()
-        self.prev = None
+        self.prev = -1
 
     def __call__(self, state, t):
         bins, self.hiddens, _ = qmodel.decode_episode_actions(
-            self.params, state, self.specs, self.hiddens,
-            prev_token=self.prev)
-        self.prev = qmodel.tokenize(int(bins[-1]),
-                                    self.params.config.token_width)
+            self.params, state, self.masks, self.hiddens, self.prev)
+        self.prev = int(bins[-1])
         return bins
 
 
@@ -561,9 +559,9 @@ def _remix(trajs, mu):
     exploit = [t for t in trajs if t.policy_id != "random"]
     explore = [t for t in trajs if t.policy_id == "random"]
     if mu == 0.0:
-        subset, n_ex = explore, 0
+        subset = explore
     elif mu == 1.0:
-        subset, n_ex = exploit, len(exploit)
+        subset = exploit
     else:
         if not exploit or not explore:
             raise ValueError("dataset lacks the policy mix needed for the "
@@ -573,7 +571,7 @@ def _remix(trajs, mu):
         subset = exploit[:n_ex] + explore[:usable - n_ex]
     if not subset:
         raise ValueError(f"no trajectories available at mu={mu}")
-    return subset, n_ex
+    return subset
 
 
 def cmd_ablate(cfg) -> int:
@@ -602,12 +600,8 @@ def cmd_ablate(cfg) -> int:
     # exploitation-share sweep, re-mixed from the stored labels
     mu_rows = []
     for r, mu in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-        subset, n_ex = _remix(trajs, mu)
-        man_r = datasets.DatasetManifest(
-            **{**manifest.__dict__, "D": len(subset), "mu": mu,
-               "n_exploitation": n_ex,
-               "n_exploration": len(subset) - n_ex})
-        mean, std = _train_eval_once(subset, man_r, cfg, split,
+        subset = _remix(trajs, mu)
+        mean, std = _train_eval_once(subset, manifest, cfg, split,
                                      cfg.lam, cfg.beta, seed_tag=20 + r)
         mu_rows.append((mu, len(subset), mean, std))
         print(f"mu={mu:g} (D={len(subset)}): perf {mean:.6f} +/- {std:.6f}")

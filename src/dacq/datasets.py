@@ -53,8 +53,7 @@ def random_policy(alg_id: int, seed, n_bins: int = DEFAULT_BINS):
 
     Returns a ``policy(state, t) -> (K,) bins`` callback for run_episode.
     """
-    specs = algorithms.alg_spec(alg_id)
-    ms = [env.mask_bins(s, n_bins) for s in specs]
+    ms = env.bin_masks(alg_id, n_bins).tolist()
     rng = np.random.default_rng(seed)
 
     def _policy(state, t):
@@ -70,14 +69,16 @@ def constant_setting(rng, specs, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     Returns the (K,) bin vector."""
     bins = np.empty(len(specs), dtype=np.int64)
     for i, spec in enumerate(specs):
-        if spec.kind == "discrete":
-            bins[i] = int(rng.integers(spec.n_choices))
-        elif spec.name.startswith("Cr"):
-            bins[i] = int(np.rint(rng.uniform(0.7, 1.0) * (n_bins - 1)))
+        if spec.choices:
+            bins[i] = int(rng.integers(len(spec.choices)))
+            continue
+        if spec.name.startswith("Cr"):
+            lo, hi = 0.7, 1.0
         elif spec.name.startswith("F"):
-            bins[i] = int(np.rint(rng.uniform(0.3, 0.95) * (n_bins - 1)))
+            lo, hi = 0.3, 0.95
         else:
-            bins[i] = int(np.rint(rng.uniform(0.2, 0.8) * (n_bins - 1)))
+            lo, hi = 0.2, 0.8
+        bins[i] = env.nearest_bin(rng.uniform(lo, hi), n_bins)
     return bins
 
 
@@ -106,14 +107,14 @@ def exploitation_policy(alg_id: int, seed, T: int,
     specs = algorithms.alg_spec(alg_id)
     rng = np.random.default_rng(seed)
     # fixed per-episode preference for every discrete dim
-    pref = {i: int(rng.integers(s.n_choices))
-            for i, s in enumerate(specs) if s.kind == "discrete"}
+    pref = {i: int(rng.integers(len(s.choices)))
+            for i, s in enumerate(specs) if s.choices}
 
     def _policy(state, t):
         frac = min(t / (T - 1), 1.0) if T > 1 else 0.0
         bins = np.empty(len(specs), dtype=np.int64)
         for i, spec in enumerate(specs):
-            if spec.kind == "discrete":
+            if spec.choices:
                 bins[i] = pref[i]
                 continue
             if spec.name.startswith("Cr"):
@@ -122,8 +123,7 @@ def exploitation_policy(alg_id: int, seed, T: int,
                 v = 0.9 - 0.6 * frac
             if jitter > 0.0:
                 v += rng.normal(0.0, jitter)
-            v = min(max(v, 0.0), 1.0)
-            bins[i] = int(np.rint(v * (n_bins - 1)))
+            bins[i] = env.nearest_bin(min(max(v, 0.0), 1.0), n_bins)
         return bins
 
     return _policy
@@ -170,6 +170,9 @@ class DatasetManifest:
         if self.format_version != FORMAT_VERSION:
             raise ValueError(f"format version {self.format_version} != "
                              f"supported {FORMAT_VERSION}")
+        if not 0.0 <= self.mu <= 1.0:   # also false for NaN
+            raise ValueError(f"bad manifest: field 'mu' must be in [0, 1], "
+                             f"got {self.mu!r}")
         if self.n_exploitation != int(round(self.mu * self.D)):
             raise ValueError("exploitation count does not match round(mu*D)")
         if self.n_exploitation + self.n_exploration != self.D:
@@ -298,7 +301,7 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
     for name in ("f_best_init", "f_star"):
         if not math.isfinite(getattr(traj, name)):
             fail(f"field '{name}' is not finite")
-    masks = [env.mask_bins(s, traj.M) for s in specs]
+    masks = env.bin_masks(traj.alg_id, traj.M).tolist()
 
     prev = traj.f_best_init
     total = 0.0

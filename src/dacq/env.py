@@ -170,8 +170,23 @@ def reward(f_best_prev: float, f_best_now: float,
 
 
 def mask_bins(spec: HyperParameterSpec, n_bins: int = DEFAULT_BINS) -> int:
-    """Number of valid bins for one hyper-parameter dimension."""
-    return n_bins if spec.kind == "continuous" else spec.n_choices
+    """Number of valid bins of one dimension: one per choice when it is
+    discrete, ``n_bins`` grid points when it is continuous."""
+    return len(spec.choices) or n_bins
+
+
+def bin_masks(alg_id: int, n_bins: int) -> np.ndarray:
+    """(K,) valid-bin counts of one algorithm's dimensions at ``n_bins``
+    grid bins: bins 0..m_i-1 of dimension i are its actions."""
+    return np.array([mask_bins(s, n_bins) for s in algorithms.alg_spec(alg_id)],
+                    dtype=np.int64)
+
+
+def nearest_bin(value: float, n_bins: int) -> int:
+    """The grid bin of a continuous dimension nearest to ``value`` in
+    [0, 1] (a tie rounds to the even bin); ``decode_action`` maps it
+    back to the grid point."""
+    return int(np.rint(value * (n_bins - 1)))
 
 
 def _check_bin(spec: HyperParameterSpec, bin_idx,
@@ -188,13 +203,11 @@ def _check_bin(spec: HyperParameterSpec, bin_idx,
 
 def decode_action(spec: HyperParameterSpec, bin_idx: int,
                   n_bins: int = DEFAULT_BINS):
-    """Concrete value for one bin: continuous dims use a uniform grid
-    whose endpoints are the bounds; discrete dims index their choices.
-    An out-of-range or non-integral bin raises ValueError."""
+    """Concrete value for one bin: a discrete dimension's choice, or for a
+    continuous one the point ``b / (n_bins - 1)`` of the uniform grid on
+    [0, 1].  An out-of-range or non-integral bin raises ValueError."""
     b = _check_bin(spec, bin_idx, n_bins)
-    if spec.kind == "continuous":
-        return spec.lo + b * (spec.hi - spec.lo) / (n_bins - 1)
-    return spec.choices[b]
+    return spec.choices[b] if spec.choices else b / (n_bins - 1)
 
 
 def decode_config(specs, bins, n_bins: int = DEFAULT_BINS) -> list:
@@ -211,14 +224,12 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
     non-integral or out-of-range bin raises ValueError naming its
     hyper-parameter); they are decoded on the per-dimension grids and fed
     to the optimizer each generation.
-    The seed (int, list of ints, or SeedSequence) splits into independent
-    init and stepping streams.
+    The seed (int or list of ints) splits into independent init and
+    stepping streams.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    init_ss, step_ss = ss.spawn(2)
+    init_ss, step_ss = np.random.SeedSequence(seed).spawn(2)
     state = algorithms.init_state(alg_id, problem, init_ss, horizon=T)
     rng = np.random.default_rng(step_ss)
     specs = algorithms.alg_spec(alg_id)
@@ -242,8 +253,7 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
         alg_id=alg_id, K=len(specs), M=n_bins,
         function_id=problem.function_id, dim=problem.dim,
         instance_seed=problem.seed,
-        episode_seed=seed if not isinstance(seed, np.random.SeedSequence)
-        else seed.entropy,
+        episode_seed=seed,
         T=T, policy_id=policy_id,
         f_best_init=float(f_best_init), f_star=float(problem.f_opt),
         steps=steps)

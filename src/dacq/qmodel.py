@@ -5,14 +5,18 @@ with the binary token of the previously chosen action bin, runs it through
 residual selective-SSM blocks with a carried hidden state, and emits an
 M-bin Q-value slice:
 
-    E   = [s, token] @ W_embed + b_embed
+    E   = [s, token(prev)] @ W_embed + b_embed
     x   = E; x = x + block_k(x)  for each block
     O   = x @ W_proj + b_proj                (decision information, dim M)
     Q   = leaky_relu(O @ W_head + b_head)    (W_head: M x M)
 
-Action bins are tokenized in big-endian binary using one more bit than
-the bins need, so the all-ones pattern is free to act as the start token
-(M=16: bins 00000-01111, start 11111).
+The model takes bins, not tokens: ``q_step`` the previous bin of one
+decision, ``assemble_inputs`` the recorded bins of whole trajectories,
+and both build their input rows with one encoder, ``_input_rows``.
+token(b) is the big-endian two's-complement binary of b with one more
+bit than the bins need.  Bin -1 stands for the start of an episode,
+before any bin was chosen; its token is all ones, a pattern no bin in
+[0, M) has (M=16: bins 00000-01111, start 11111).
 """
 
 from __future__ import annotations
@@ -22,9 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ssm
-
-#: sentinel accepted by tokenize for the sequence-start token
-START = "START"
 
 LEAKY_SLOPE = 0.01
 
@@ -51,24 +52,17 @@ class ModelConfig:
                 "d_state": self.d_state, "depth": self.depth}
 
 
-def tokenize(bin_idx, width: int = 5) -> np.ndarray:
-    """Big-endian binary token of one action bin, or all-ones for START."""
-    if bin_idx is START:
-        return np.ones(width)
-    b = int(bin_idx)
-    if not 0 <= b < (1 << (width - 1)):
-        raise ValueError(f"bin {b} not representable in {width}-bit tokens "
-                         f"(valid: 0..{(1 << (width - 1)) - 1})")
-    return np.array([(b >> (width - 1 - j)) & 1 for j in range(width)],
-                    dtype=np.float64)
+def _input_rows(states, prev, width: int) -> np.ndarray:
+    """Model input rows [state, token(prev)], shape prev.shape + (9 + width,).
 
-
-def detokenize(bits) -> object:
-    """Inverse of tokenize; the all-ones pattern maps back to START."""
-    bits = np.asarray(bits)
-    if np.all(bits == 1):
-        return START
-    return int(sum(int(b) << (len(bits) - 1 - j) for j, b in enumerate(bits)))
+    states: (..., 9) broadcast against prev; prev: int64 bins, -1 for the
+    start.  An arithmetic right shift keeps a negative number's sign bits,
+    so every bit of token(-1) is 1.
+    """
+    X = np.empty(prev.shape + (9 + width,))
+    X[..., :9] = states
+    X[..., 9:] = (prev[..., None] >> (width - 1 - np.arange(width))) & 1
+    return X
 
 
 def leaky_relu(x):
@@ -165,48 +159,49 @@ def _heads(params: QModelParams, Y):
     return leaky_relu(Hpre), O, Hpre
 
 
-def q_step(params: QModelParams, state, prev_token, hiddens):
-    """One decision step: returns (q_values (M,), new hidden states)."""
+def q_step(params: QModelParams, state, prev_bin: int, hiddens):
+    """One decision step after bin ``prev_bin`` (-1: the episode's first
+    decision): returns (q_values (M,), new hidden states)."""
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (9,) or not np.all(np.isfinite(state)):
         raise ValueError("state must be a finite 9-vector")
-    tok = np.asarray(prev_token, dtype=np.float64)
-    if tok.shape != (params.config.token_width,):
-        raise ValueError(f"token width {tok.shape} != "
-                         f"{params.config.token_width}")
-    X_in = np.concatenate([state, tok])[None, None, :]
+    width = params.config.token_width
+    if not -1 <= prev_bin < 1 << (width - 1):
+        raise ValueError(f"previous bin {prev_bin} outside "
+                         f"[-1, {1 << (width - 1)}) of {width}-bit tokens")
+    X_in = _input_rows(state, np.array(prev_bin, dtype=np.int64),
+                       width)[None, None]
     h0s = [h[None] for h in hiddens]
     Q, h_outs, *_ = _stack_forward(params, X_in, h0s)
     return Q[0, 0], [h[0] for h in h_outs]
 
 
-def decode_episode_actions(params: QModelParams, state, specs, hiddens,
-                           prev_token=None):
+def decode_episode_actions(params: QModelParams, state, masks, hiddens,
+                           prev_bin: int = -1):
     """Greedy autoregressive decoding of all K bins for one time step.
 
-    prev_token is the token of the final bin of the previous time step;
-    None means this is the first step of the episode (START token).
+    masks: (K,) valid-bin counts (``env.bin_masks``); dimension i picks
+    the best of its bins 0..masks[i]-1.  prev_bin is the final bin of the
+    previous time step, -1 at the first step of the episode.
     Returns (bins (K,), carried hidden states, qslices (K, M)).
     """
-    width = params.config.token_width
-    tok = tokenize(START, width) if prev_token is None else prev_token
-    bins = np.empty(len(specs), dtype=np.int64)
-    qslices = np.empty((len(specs), params.config.M))
-    for i, spec in enumerate(specs):
-        q, hiddens = q_step(params, state, tok, hiddens)
-        m = params.config.M if spec.kind == "continuous" else spec.n_choices
-        bins[i] = int(np.argmax(q[:m]))   # ties break to the lowest index
+    bins = np.empty(len(masks), dtype=np.int64)
+    qslices = np.empty((len(masks), params.config.M))
+    for i, m in enumerate(masks):
+        q, hiddens = q_step(params, state, prev_bin, hiddens)
+        prev_bin = int(np.argmax(q[:m]))   # ties break to the lowest index
+        bins[i] = prev_bin
         qslices[i] = q
-        tok = tokenize(int(bins[i]), width)
     return bins, hiddens, qslices
 
 
 def assemble_inputs(states, actions, width: int) -> np.ndarray:
     """Teacher-forcing input sequence for whole trajectories.
 
-    states: (B, T, 9); actions: (B, T, K) recorded bins.  Decision step
-    (t, i) sees token(a_{i-1}^t), with step (0, 0) seeing START and step
-    (t, 0) seeing token(a_K^{t-1}).  Returns (B, T*K, 9 + width).
+    states: (B, T, 9); actions: (B, T, K) recorded bins in
+    [0, 2**(width-1)).  Decision step (t, i) sees a_{i-1}^t, with step
+    (0, 0) seeing the start bin -1 and step (t, 0) seeing a_K^{t-1}.
+    Returns (B, T*K, 9 + width).
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -215,15 +210,9 @@ def assemble_inputs(states, actions, width: int) -> np.ndarray:
                              and actions.max() < (1 << (width - 1))):
         raise ValueError("action bin outside token range")
     prev = np.empty((B, T * K), dtype=np.int64)
-    prev[:, 0] = -1                     # sentinel: START
+    prev[:, 0] = -1
     prev[:, 1:] = actions.reshape(B, T * K)[:, :-1]
-    shifts = width - 1 - np.arange(width)
-    bits = (prev[..., None] >> shifts) & 1
-    tokens = np.where(prev[..., None] < 0, 1.0, bits.astype(np.float64))
-    X = np.empty((B, T * K, 9 + width))
-    X[:, :, :9] = np.repeat(states, K, axis=1)
-    X[:, :, 9:] = tokens
-    return X
+    return _input_rows(np.repeat(states, K, axis=1), prev, width)
 
 
 def q_values_batch(params: QModelParams, states, actions):

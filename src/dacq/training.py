@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algorithms, env, qmodel
+from . import env, qmodel
 
 
 @dataclass
@@ -43,12 +43,6 @@ class LossConfig:
             raise ValueError("beta and lambda must be nonnegative")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0, 1]")
-
-
-def bin_masks(alg_id: int, M: int) -> np.ndarray:
-    """(K,) effective bin counts for one algorithm at bin resolution M."""
-    return np.array([env.mask_bins(s, M) for s in algorithms.alg_spec(alg_id)],
-                    dtype=np.int64)
 
 
 def _masked_max(Q, masks):
@@ -126,6 +120,11 @@ def q_loss_batch(Q, actions, rewards, masks, cfg: LossConfig, targets=None):
 # ---------------------------------------------------------------------------
 # optimizer
 
+#: AdamW's moment decay rates and denominator guard
+ADAMW_BETAS = (0.9, 0.999)
+ADAMW_EPS = 1e-8
+
+
 @dataclass
 class AdamWState:
     m: dict = field(default_factory=dict)
@@ -139,10 +138,9 @@ class AdamWState:
 
 
 def adamw_step(params, grads, opt: AdamWState, lr: float,
-               betas=(0.9, 0.999), eps: float = 1e-8,
                weight_decay: float = 0.01) -> None:
     """In-place decoupled-weight-decay Adam update; bumps param version."""
-    b1, b2 = betas
+    b1, b2 = ADAMW_BETAS
     opt.step += 1
     bc1 = 1.0 - b1 ** opt.step
     bc2 = 1.0 - b2 ** opt.step
@@ -155,7 +153,7 @@ def adamw_step(params, grads, opt: AdamWState, lr: float,
         v *= b2
         v += (1 - b2) * g * g
         p *= 1.0 - lr * weight_decay
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAMW_EPS)
     params.bump()
 
 
@@ -229,7 +227,7 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
         raise ValueError("model M does not match dataset")
     if cfg.K != params.config.K or cfg.M != params.config.M:
         raise ValueError("loss config K/M do not match the model")
-    masks = bin_masks(alg_id, M)
+    masks = env.bin_masks(alg_id, M)
     D = len(dataset)
     if opt is None:
         opt = AdamWState.for_params(params)
@@ -414,7 +412,7 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     forward.
     """
     states, actions, rewards = trajectory_arrays([traj])
-    masks = bin_masks(traj.alg_id, cfg.M)
+    masks = env.bin_masks(traj.alg_id, cfg.M)
 
     Q0, cache = qmodel.q_values_batch(params, states, actions)
     targets = compute_targets(Q0, rewards, masks, cfg)

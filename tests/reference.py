@@ -596,8 +596,9 @@ def train_batched_ref(dataset, params, cfg, seed=0, opt=None):
     """Epochs of shuffled whole-trajectory minibatches under AdamW, each
     minibatch one batched forward, loss and backward."""
     from dacq import qmodel
-    from dacq.training import (AdamWState, adamw_step, bin_masks,
-                               q_loss_batch, trajectory_arrays)
+    from dacq.env import bin_masks
+    from dacq.training import (AdamWState, adamw_step, q_loss_batch,
+                               trajectory_arrays)
     if not dataset:
         raise ValueError("empty dataset")
     states, actions, rewards = trajectory_arrays(dataset)

@@ -1,5 +1,7 @@
 """Tests for the three controllable algorithm assemblies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -12,10 +14,10 @@ from dacq.problems import make_identity_instance, make_instance
 def random_config(specs, rng):
     out = []
     for s in specs:
-        if s.kind == "continuous":
-            out.append(float(rng.uniform(s.lo, s.hi)))
+        if s.choices:
+            out.append(s.choices[int(rng.integers(len(s.choices)))])
         else:
-            out.append(s.choices[int(rng.integers(s.n_choices))])
+            out.append(float(rng.uniform(0.0, 1.0)))
     return out
 
 
@@ -30,8 +32,12 @@ def sphere5():
 def test_spec_sizes_and_kinds():
     s0, s1, s2 = alg.alg_spec(0), alg.alg_spec(1), alg.alg_spec(2)
     assert [len(s0), len(s1), len(s2)] == [3, 10, 16]
-    assert all(s.kind == "continuous" for s in s0)
-    assert [s.index for s in s2] == list(range(1, 17))
+    assert all(s.choices == () for s in s0)    # continuous on [0, 1]
+    assert [s.name for s in s2] == [
+        "Cr1", "Xr_mpx", "eta_m", "eta_c", "Xr_sbx", "sigma", "F1_3", "F2_3",
+        "Cr3", "F1_4", "F2_4", "Cr4", "cm1", "cm2", "cm3", "cm4"]
+    assert [f.name for f in dataclasses.fields(alg.HyperParameterSpec)] \
+        == ["name", "choices"]
     by_name = {s.name: s for s in s1}
     assert by_name["bc1"].choices == ea_ops.BOUND_METHODS
     assert by_name["cm2"].choices == (0, 1)
@@ -39,9 +45,9 @@ def test_spec_sizes_and_kinds():
     by_name2 = {s.name: s for s in s2}
     assert by_name2["eta_c"].choices == (1, 2, 3)
     assert by_name2["cm4"].choices == (0, 1, 2, 3)
-    # continuous ranges are all the unit interval
-    assert all(s.lo == 0.0 and s.hi == 1.0
-               for s in s0 + s1 + s2 if s.kind == "continuous")
+    # the discrete dims are exactly the ones with choices
+    assert [s.name for s in s1 if s.choices] == ["Xr_mpx", "bc1", "cm1",
+                                                 "bc2", "cm2"]
 
 
 def test_unknown_alg_id():
@@ -57,10 +63,11 @@ def test_validate_config():
     alg.validate_config(specs, good)
     with pytest.raises(ValueError):
         alg.validate_config(specs, good[:-1])
-    bad = list(good)
-    bad[0] = 1.5
-    with pytest.raises(ValueError):
-        alg.validate_config(specs, bad)
+    for edge in (0.0, 1.0):
+        alg.validate_config(specs, [edge] + good[1:])
+    for outside in (1.5, -0.1):
+        with pytest.raises(ValueError, match="Cr1=.* outside \\[0, 1\\]"):
+            alg.validate_config(specs, [outside] + good[1:])
     bad = list(good)
     bad[3] = "wrap"
     with pytest.raises(ValueError):

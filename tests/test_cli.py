@@ -398,7 +398,8 @@ def _manifest_copy(ds_dir, out, field, value):
 
 @pytest.mark.parametrize("field, value, wording", [
     ("mu", "0.5", "a number"), ("policy_counts", [1], "an object of integer "
-                                                       "counts")])
+                                                       "counts"),
+    ("mu", float("inf"), "in [0, 1]"), ("mu", float("nan"), "in [0, 1]")])
 def test_train_manifest_field_of_wrong_type_is_one_error_line(
         ds_dir, tmp_path, capsys, field, value, wording):
     bad = _manifest_copy(ds_dir, tmp_path / "bad", field, value)
@@ -407,6 +408,19 @@ def test_train_manifest_field_of_wrong_type_is_one_error_line(
     assert rc == 1
     assert err == (f"error: bad manifest: field {field!r} must be {wording}, "
                    f"got {value!r}\n")
+
+
+def test_verify_non_finite_manifest_mu_fails_one_check(ds_dir, tmp_path,
+                                                       capsys):
+    bad = _manifest_copy(ds_dir, tmp_path / "bad", "mu", float("inf"))
+    assert '"mu": Infinity' in (bad / datasets.MANIFEST_FILE).read_text()
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0",
+              "--data", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL  dataset_revalidation: bad manifest: field 'mu' "
+                     "must be in [0, 1], got inf"]
 
 
 def test_verify_manifest_field_of_wrong_type_fails_one_check(

@@ -76,9 +76,9 @@ def test_scripted_discrete_preference_is_fixed():
     pol = exploitation_policy(1, seed=3, T=10, jitter=0.0)
     draws = np.array([pol(S0, t) for t in range(10)])
     for i, s in enumerate(specs):
-        if s.kind == "discrete":
+        if s.choices:
             assert len(set(draws[:, i])) == 1
-            assert 0 <= draws[0, i] < s.n_choices
+            assert 0 <= draws[0, i] < len(s.choices)
 
 
 def test_scripted_jitter_stream_is_seeded():
@@ -707,7 +707,10 @@ def test_manifest_validation_rules():
 
 @pytest.mark.parametrize("field, value", [
     ("mu", "0.5"), ("policy_counts", [1]), ("policy_counts", {"random": "2"}),
-    ("seed", 1.5), ("alg_id", True), ("train_ids", ["1"]), ("checksum", 5)])
+    ("seed", 1.5), ("alg_id", True), ("train_ids", ["1"]), ("checksum", 5),
+    # a number outside [0, 1]; json writes NaN and Infinity as Python reads
+    ("mu", float("nan")), ("mu", float("inf")), ("mu", -float("inf")),
+    ("mu", 1.5), ("mu", -0.25)])
 def test_load_dataset_names_manifest_field_of_wrong_type(tmp_path, field,
                                                          value):
     collect(0, tiny_split(), ("scripted_de_schedule", "random"),

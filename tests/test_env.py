@@ -265,6 +265,29 @@ def test_mask_bins():
     assert env.mask_bins(by_name["cm1"]) == 2
 
 
+def test_bin_masks():
+    assert_array_equal(env.bin_masks(0, 16), [16, 16, 16])
+    assert_array_equal(env.bin_masks(1, 16),
+                       [16, 2, 16, 5, 2, 16, 16, 16, 5, 2])
+    assert env.bin_masks(0, 32).tolist() == [32, 32, 32]
+    for alg_id in alg.ALGORITHM_IDS:
+        assert env.bin_masks(alg_id, 16).tolist() == [
+            env.mask_bins(s) for s in alg.alg_spec(alg_id)]
+
+
+@pytest.mark.parametrize("n_bins", [16, 32])
+def test_nearest_bin_inverts_the_grid(n_bins):
+    spec = alg.alg_spec(0)[0]
+    for b in range(n_bins):
+        assert env.nearest_bin(env.decode_action(spec, b, n_bins),
+                               n_bins) == b
+        assert env.decode_action(spec, b, n_bins) == b / (n_bins - 1)
+    assert env.nearest_bin(0.0, n_bins) == 0
+    assert env.nearest_bin(1.0, n_bins) == n_bins - 1
+    # a tie rounds to the even bin: 0.5 sits between bins 7 and 8 of 16
+    assert env.nearest_bin(0.5, 16) == 8
+
+
 @pytest.mark.parametrize("bin_idx", [3.7, 0.5, 14.999])
 def test_decode_rejects_non_integral_bin(bin_idx):
     spec = alg.alg_spec(0)[0]

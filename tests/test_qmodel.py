@@ -1,4 +1,4 @@
-"""Tests for the autoregressive Q-network: tokens, stepping, greedy
+"""Tests for the autoregressive Q-network: input rows, stepping, greedy
 decoding, teacher forcing, and whole-model gradients."""
 
 import numpy as np
@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dacq import algorithms as alg
 from dacq import env, qmodel, ssm, training
-from dacq.qmodel import START, ModelConfig
+from dacq.qmodel import ModelConfig
 
 
 def tiny_model(K=3, seed=0, d_model=8, d_state=4, M=16, depth=1):
@@ -25,30 +25,50 @@ def zero_model(K=3, M=16, b_head=None):
 
 
 # ---------------------------------------------------------------------------
-# tokens
+# input rows: [state, token(previous bin)], bin -1 being the start
+
+def token_rows(prev, width=5):
+    """The token part of the encoder's rows for a list of previous bins."""
+    prev = np.asarray(prev, dtype=np.int64)
+    return qmodel._input_rows(np.zeros(9), prev, width)[..., 9:]
+
 
 def test_tokenize_examples():
-    assert_array_equal(qmodel.tokenize(0), [0, 0, 0, 0, 0])
-    assert_array_equal(qmodel.tokenize(15), [0, 1, 1, 1, 1])
-    assert_array_equal(qmodel.tokenize(START), [1, 1, 1, 1, 1])
-    assert_array_equal(qmodel.tokenize(5), [0, 0, 1, 0, 1])
+    rows = qmodel._input_rows(np.arange(9.0), np.array([0, 15, -1, 5]), 5)
+    assert rows.shape == (4, 14)
+    assert_array_equal(rows[:, :9], np.tile(np.arange(9.0), (4, 1)))
+    assert_array_equal(rows[:, 9:], [[0, 0, 0, 0, 0], [0, 1, 1, 1, 1],
+                                     [1, 1, 1, 1, 1], [0, 0, 1, 0, 1]])
+    assert rows.dtype == np.float64
+    # wider tokens hold more bins
+    assert_array_equal(token_rows([31], width=6), [[0, 1, 1, 1, 1, 1]])
 
 
 def test_tokenize_range_errors():
-    with pytest.raises(ValueError):
-        qmodel.tokenize(16)
-    with pytest.raises(ValueError):
-        qmodel.tokenize(-1)
-    # wider tokens accept more bins
-    assert_array_equal(qmodel.tokenize(31, width=6), [0, 1, 1, 1, 1, 1])
+    # q_step takes bins in [-1, 2**(width-1)); -1 is the start
+    p = tiny_model()
+    h = p.zero_hidden()
+    for b in (16, -2, 1 << 40):
+        with pytest.raises(ValueError, match="outside"):
+            qmodel.q_step(p, np.zeros(9), b, h)
+    # assemble_inputs takes recorded bins in [0, 2**(width-1)): the start
+    # bin -1 is no recorded action
+    for bad in ([[3, 16], [0, 0]], [[3, 4], [0, 16]], [[3, -1], [0, 0]],
+                [[-1, 4], [0, 0]]):
+        with pytest.raises(ValueError, match="token range"):
+            qmodel.assemble_inputs(np.zeros((1, 2, 9)), np.array([bad]), 5)
 
 
-def test_token_round_trip():
-    for b in range(16):
-        assert qmodel.detokenize(qmodel.tokenize(b)) == b
-    assert qmodel.detokenize(qmodel.tokenize(START)) is START
-    for b in range(32):
-        assert qmodel.detokenize(qmodel.tokenize(b, width=6)) == b
+@pytest.mark.parametrize("width", [5, 6])
+def test_token_rows_distinct(width):
+    # every bin of the width, and the start, gets its own token
+    prev = np.arange(-1, 1 << (width - 1))
+    toks = token_rows(prev, width)
+    assert len({tuple(t) for t in toks}) == len(prev)
+    assert set(np.unique(toks)) <= {0.0, 1.0}
+    assert_array_equal(toks[0], np.ones(width))
+    # the leading bit is 1 for the start only
+    assert_array_equal(toks[:, 0], prev < 0)
 
 
 def test_token_width_scales_with_bins():
@@ -64,13 +84,13 @@ def test_token_width_scales_with_bins():
 def test_zero_weights_give_b_head():
     b_head = np.abs(np.random.default_rng(0).normal(size=16)) + 0.1
     p = zero_model(b_head=b_head)
-    q, _ = qmodel.q_step(p, np.zeros(9), qmodel.tokenize(START), p.zero_hidden())
+    q, _ = qmodel.q_step(p, np.zeros(9), -1, p.zero_hidden())
     assert_allclose(q, b_head, rtol=1e-15)
 
 
 def test_negative_b_head_is_leaky_scaled():
     p = zero_model(b_head=np.full(16, -2.0))
-    q, _ = qmodel.q_step(p, np.zeros(9), qmodel.tokenize(START), p.zero_hidden())
+    q, _ = qmodel.q_step(p, np.zeros(9), -1, p.zero_hidden())
     assert_allclose(q, np.full(16, -0.02), rtol=1e-15)
 
 
@@ -78,10 +98,9 @@ def test_q_step_is_pure():
     p = tiny_model(seed=3)
     rng = np.random.default_rng(1)
     s = rng.normal(size=9)
-    tok = qmodel.tokenize(7)
     h = [rng.normal(size=(8, 4)) for _ in p.blocks]
-    q1, h1 = qmodel.q_step(p, s, tok, h)
-    q2, h2 = qmodel.q_step(p, s, tok, h)
+    q1, h1 = qmodel.q_step(p, s, 7, h)
+    q2, h2 = qmodel.q_step(p, s, 7, h)
     assert_array_equal(q1, q2)
     for a, b in zip(h1, h2):
         assert_array_equal(a, b)
@@ -91,11 +110,11 @@ def test_q_step_input_validation():
     p = tiny_model()
     h = p.zero_hidden()
     with pytest.raises(ValueError):
-        qmodel.q_step(p, np.full(9, np.nan), qmodel.tokenize(0), h)
+        qmodel.q_step(p, np.full(9, np.nan), 0, h)
     with pytest.raises(ValueError):
-        qmodel.q_step(p, np.zeros(8), qmodel.tokenize(0), h)
+        qmodel.q_step(p, np.zeros(8), 0, h)
     with pytest.raises(ValueError):
-        qmodel.q_step(p, np.zeros(9), np.ones(6), h)
+        qmodel.q_step(p, np.zeros(9), 16, h)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +122,8 @@ def test_q_step_input_validation():
 
 def test_tie_breaks_to_lowest_bin():
     p = zero_model(b_head=np.zeros(16))
-    specs = alg.alg_spec(0)
-    bins, _, _ = qmodel.decode_episode_actions(p, np.zeros(9), specs,
+    bins, _, _ = qmodel.decode_episode_actions(p, np.zeros(9),
+                                               env.bin_masks(0, 16),
                                                p.zero_hidden())
     assert_array_equal(bins, [0, 0, 0])
 
@@ -114,15 +133,14 @@ def test_discrete_mask_restricts_argmax():
     b_head[3] = 10.0   # globally best bin is 3
     b_head[1] = 1.0
     p = zero_model(K=10, b_head=b_head)
-    specs = alg.alg_spec(1)
-    bins, _, qs = qmodel.decode_episode_actions(p, np.zeros(9), specs,
+    masks = env.bin_masks(1, 16)
+    bins, _, qs = qmodel.decode_episode_actions(p, np.zeros(9), masks,
                                                 p.zero_hidden())
-    by_name = {s.name: i for i, s in enumerate(specs)}
+    by_name = {s.name: i for i, s in enumerate(alg.alg_spec(1))}
     assert bins[by_name["F1"]] == 3          # continuous: all 16 bins
     assert bins[by_name["cm1"]] == 1         # only first 2 bins visible
     assert bins[by_name["bc1"]] == 3         # 5 visible, 3 still in range
-    for i, s in enumerate(specs):
-        assert 0 <= bins[i] < env.mask_bins(s)
+    assert np.all((0 <= bins) & (bins < masks))
     assert qs.shape == (10, 16)
 
 
@@ -130,25 +148,28 @@ def test_greedy_decode_invariant_under_monotone_transform():
     p = tiny_model(seed=5)
     rng = np.random.default_rng(6)
     s = rng.normal(size=9)
-    specs = alg.alg_spec(0)
-    bins_a, _, _ = qmodel.decode_episode_actions(p, s, specs, p.zero_hidden())
+    masks = env.bin_masks(0, 16)
+    bins_a, _, _ = qmodel.decode_episode_actions(p, s, masks, p.zero_hidden())
     # scaling the head output positively preserves every argmax
     p.W_head *= 3.0
     p.b_head[:] = p.b_head * 3.0 + 0.5
-    bins_b, _, _ = qmodel.decode_episode_actions(p, s, specs, p.zero_hidden())
+    bins_b, _, _ = qmodel.decode_episode_actions(p, s, masks, p.zero_hidden())
     assert_array_equal(bins_a, bins_b)
 
 
-def test_decode_feeds_chosen_tokens_forward():
-    # teacher forcing on the greedy actions reproduces the greedy QSlices
-    p = tiny_model(seed=7)
+@pytest.mark.parametrize("alg_id", alg.ALGORITHM_IDS)
+def test_decode_feeds_chosen_tokens_forward(alg_id):
+    # teacher forcing on the greedy actions reproduces the greedy QSlices,
+    # also where discrete masks cut the argmax below M
+    masks = env.bin_masks(alg_id, 16)
+    p = tiny_model(K=len(masks), seed=7)
     rng = np.random.default_rng(8)
     s1, s2 = rng.normal(size=(2, 9))
-    specs = alg.alg_spec(0)
     h = p.zero_hidden()
-    bins1, h, qs1 = qmodel.decode_episode_actions(p, s1, specs, h)
-    tok = qmodel.tokenize(int(bins1[-1]))
-    bins2, h, qs2 = qmodel.decode_episode_actions(p, s2, specs, h, tok)
+    bins1, h, qs1 = qmodel.decode_episode_actions(p, s1, masks, h)
+    bins2, h, qs2 = qmodel.decode_episode_actions(p, s2, masks, h,
+                                                  int(bins1[-1]))
+    assert np.all(bins1 < masks) and np.all(bins2 < masks)
     Q, _ = qmodel.q_values_batch(p, np.stack([s1, s2])[None],
                                  np.stack([bins1, bins2])[None])
     assert_allclose(Q[0, 0], qs1, atol=1e-12, rtol=0)
@@ -163,10 +184,10 @@ def test_assemble_inputs_token_stream():
     actions = np.array([[[3, 5], [7, 1]]])
     X = qmodel.assemble_inputs(states, actions, width=5)
     assert X.shape == (1, 4, 14)
-    assert_array_equal(X[0, 0, 9:], qmodel.tokenize(START))
-    assert_array_equal(X[0, 1, 9:], qmodel.tokenize(3))
-    assert_array_equal(X[0, 2, 9:], qmodel.tokenize(5))
-    assert_array_equal(X[0, 3, 9:], qmodel.tokenize(7))
+    assert_array_equal(X[0, :, 9:], [[1, 1, 1, 1, 1],    # start
+                                     [0, 0, 0, 1, 1],    # 3
+                                     [0, 0, 1, 0, 1],    # 5
+                                     [0, 0, 1, 1, 1]])   # 7
     assert_array_equal(X[0, 0, :9], states[0, 0])
     assert_array_equal(X[0, 3, :9], states[0, 1])
     with pytest.raises(ValueError):
@@ -185,19 +206,19 @@ def test_single_step_single_dim_trajectory():
     Q, _ = qmodel.q_values_batch(p, states, actions)
     assert Q.shape == (1, 1, 1, 16)
     Q = Q[0]
-    q_direct, _ = qmodel.q_step(p, s, qmodel.tokenize(START), p.zero_hidden())
+    q_direct, _ = qmodel.q_step(p, s, -1, p.zero_hidden())
     assert_allclose(Q[0, 0], q_direct, atol=1e-12, rtol=0)
 
 
 def assert_step_replay_matches(p, states, actions, Q):
     """Q (T, K, M) equals q_step replayed over the decision steps."""
     h = p.zero_hidden()
-    tok = qmodel.tokenize(START)
+    prev = -1
     for t, (state, bins) in enumerate(zip(states, actions)):
         for i, b in enumerate(bins):
-            q, h = qmodel.q_step(p, state, tok, h)
+            q, h = qmodel.q_step(p, state, prev, h)
             assert_allclose(Q[t, i], q, atol=1e-12, rtol=0)
-            tok = qmodel.tokenize(int(b))
+            prev = int(b)
 
 
 def test_teacher_forcing_matches_step_replay():

@@ -21,9 +21,7 @@ def sphere5():
 
 
 def random_policy_fn(alg_id, seed):
-    from dacq import algorithms as alg
-    specs = alg.alg_spec(alg_id)
-    masks = [env.mask_bins(s) for s in specs]
+    masks = env.bin_masks(alg_id, 16).tolist()
     rng = np.random.default_rng(seed)
     return lambda s, t: [int(rng.integers(m)) for m in masks]
 
@@ -153,7 +151,7 @@ def test_stacked_trajectory_loss_uses_algorithm_masks(sphere5):
     traj = env.run_episode(1, sphere5, random_policy_fn(1, 3), T=3, seed=3)
     cfg = LossConfig(K=10, M=16)
     _, actions, rewards = training.trajectory_arrays([traj])
-    masks = training.bin_masks(traj.alg_id, cfg.M)
+    masks = env.bin_masks(traj.alg_id, cfg.M)
     Q = np.random.default_rng(3).normal(size=(1, 3, 10, 16))
     high = Q.copy()
     for i, m in enumerate(masks):
@@ -172,13 +170,6 @@ def test_loss_config_validation():
         LossConfig(K=3, gamma=0.0)
     with pytest.raises(ValueError):
         LossConfig(K=3, gamma=1.5)
-
-
-def test_bin_masks():
-    assert_array_equal(training.bin_masks(0, 16), [16, 16, 16])
-    assert_array_equal(training.bin_masks(1, 16),
-                       [16, 2, 16, 5, 2, 16, 16, 16, 5, 2])
-    assert training.bin_masks(0, 32).tolist() == [32, 32, 32]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,7 @@ def test_grad_check_zero_configuration(sphere5):
     rewards = np.zeros((1, 3))
     Q, cache = qmodel.q_values_batch(model, states, actions)
     loss, _, dQ = training.q_loss_batch(Q, actions, rewards,
-                                        training.bin_masks(0, 16), cfg)
+                                        env.bin_masks(0, 16), cfg)
     assert loss == 0.0
     grads = qmodel.model_backward(cache, dQ)
     for g in grads.values():
@@ -482,7 +473,7 @@ def test_grad_check_fd_truncation_is_second_order(sphere5):
     states = np.stack([s.state for s in traj.steps])[None]
     actions = np.stack([s.actions for s in traj.steps])[None]
     rewards = np.array([[s.reward for s in traj.steps]])
-    masks = training.bin_masks(0, 16)
+    masks = env.bin_masks(0, 16)
     Q0, cache = qmodel.q_values_batch(model, states, actions)
     targets = training.compute_targets(Q0, rewards, masks, cfg)
     _, _, dQ = training.q_loss_batch(Q0, actions, rewards, masks, cfg,

@@ -6,16 +6,21 @@ configuration, ordered tensor names + shapes, optimizer step, free-form
 extra dict), then the raw float64 little-endian tensor payloads in header
 order.  Optimizer first/second moments are stored as ``m.<name>`` /
 ``v.<name>`` tensors after the parameters.  Round trips are bit-exact.
+Each field of the header (``_Header``) and of its model config
+(``ModelConfig``) is checked against its declared type by
+``datasets.read_record``, the rule for every stored record.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .datasets import read_record
 from .qmodel import ModelConfig, QModelParams, init_qmodel
 from .training import AdamWState
 
@@ -26,22 +31,12 @@ CKPT_VERSION = 2   # 2: SSM blocks store A_log (A = -exp(A_log)) in place of A
 _FIXED_HEADER = 20
 
 
-def _tensor_list(v) -> bool:
-    """A list of [name, shape] pairs, each shape a list of sizes >= 0."""
-    return isinstance(v, list) and all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-        and isinstance(e[1], list)
-        and all(isinstance(n, int) and n >= 0 for n in e[1]) for e in v)
-
-
-#: JSON header key -> (test of its value, wording)
-_HEADER_FIELDS = {
-    "config": (lambda v: isinstance(v, dict), "an object"),
-    "tensors": (_tensor_list, "a list of [name, shape] pairs"),
-    "opt_step": (lambda v: v is None or isinstance(v, int),
-                 "an integer or null"),
-    "extra": (lambda v: isinstance(v, dict), "an object"),
-}
+@dataclass
+class _Header:
+    config: dict        # a ModelConfig, read the same way
+    tensors: list[tuple[str, list[int]]]
+    opt_step: int | None
+    extra: dict
 
 
 def _payload_order(params: QModelParams, opt: AdamWState | None):
@@ -56,13 +51,12 @@ def save_checkpoint(path, params: QModelParams,
                     opt: AdamWState | None = None,
                     extra: dict | None = None) -> None:
     named = _payload_order(params, opt)
-    header = {
-        "config": params.config.as_dict(),
-        "tensors": [[name, list(arr.shape)] for name, arr in named],
-        "opt_step": None if opt is None else int(opt.step),
-        "extra": dict(extra or {}),
-    }
-    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header = _Header(
+        config=asdict(params.config),
+        tensors=[[name, list(arr.shape)] for name, arr in named],
+        opt_step=None if opt is None else int(opt.step),
+        extra=extra or {})
+    hbytes = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
@@ -87,34 +81,29 @@ def load_checkpoint(path):
                          f"supported; this dacq reads only version "
                          f"{CKPT_VERSION} and does not convert others")
     try:
-        header = json.loads(
+        obj = json.loads(
             raw[_FIXED_HEADER:_FIXED_HEADER + hlen].decode("utf-8"))
     except ValueError as exc:   # also UnicodeDecodeError
         raise ValueError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: header is not a JSON object")
-    for key, (ok, wording) in _HEADER_FIELDS.items():
-        if key not in header:
-            raise ValueError(f"{path}: header lacks {key}")
-        if not ok(header[key]):
-            raise ValueError(f"{path}: header field {key} must be {wording}")
     try:
-        params = init_qmodel(ModelConfig(**header["config"]), seed=0)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: bad model config "
-                         f"{header['config']!r}: {exc}") from None
-    # every tensor the file must hold -> the array it is read into
-    targets = dict(params.tensors())
+        header = read_record(_Header, obj, "header")
+        config = read_record(ModelConfig, header.config, "model config")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        params = init_qmodel(config, seed=0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad model config: {exc}") from None
     opt = None
-    if header["opt_step"] is not None:
+    if header.opt_step is not None:
         opt = AdamWState.for_params(params)
-        opt.step = int(header["opt_step"])
-        for prefix, store in (("m", opt.m), ("v", opt.v)):
-            targets.update((f"{prefix}.{k}", v) for k, v in store.items())
+        opt.step = header.opt_step
+    # every tensor the file must hold -> the array it is read into
+    targets = dict(_payload_order(params, opt))
 
     tensors = {}
     offset = _FIXED_HEADER + hlen
-    for name, shape in header["tensors"]:
+    for name, shape in header.tensors:
         if name not in targets:
             raise ValueError(f"{path}: tensor {name} is not defined by the "
                              f"model config")
@@ -136,4 +125,4 @@ def load_checkpoint(path):
                              f"{tensors[name].shape}, expected {arr.shape}")
         arr[...] = tensors[name]
     params.bump()
-    return params, opt, header["extra"]
+    return params, opt, header.extra

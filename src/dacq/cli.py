@@ -473,6 +473,7 @@ def cmd_train(cfg) -> int:
     else:
         params = qmodel.init_qmodel(_model_config(cfg, manifest),
                                     seed=[cfg.seed, 0])
+    if opt is None:   # fresh, or resumed from a file without moments
         opt = training.AdamWState.for_params(params)
 
     loss_cfg = _loss_config(cfg, params.config, cfg.lam, cfg.beta)

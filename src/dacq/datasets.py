@@ -11,8 +11,11 @@ its episodes in worker processes without changing content.
 On disk a dataset is a directory with ``trajectories.jsonl`` (one episode
 per line, UTF-8, floats printed as shortest round-trip decimals) and a
 sibling ``manifest.json`` carrying counts, parameters, and a sha256 of the
-trajectory file.  The reader re-validates every invariant and reports
-violations with line numbers.
+trajectory file.  One rule reads every stored record, ``read_record``:
+each field of a manifest, a trajectory line, a checkpoint header and its
+model config is checked against its dataclass's declared type.  A
+manifest must agree with its lines; the reader re-validates every
+invariant and names the line that breaks one.
 """
 
 from __future__ import annotations
@@ -130,24 +133,64 @@ def exploitation_policy(alg_id: int, seed, T: int,
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# stored records: manifests, trajectory lines, checkpoint headers
 # ---------------------------------------------------------------------------
 
 def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return type(v) is int   # a JSON true is a bool, not an int
 
 
-#: a manifest field's annotation -> (test of its JSON value, wording)
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+#: a stored field's annotation -> (test of its JSON value, wording)
 _JSON_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
     "dict[str, int]": (lambda v: isinstance(v, dict)
                        and all(map(_is_int, v.values())),
                        "an object of integer counts"),
-    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                  "a list of integers"),
+    "list[int]": (_is_int_list, "a list of integers"),
+    "list[float]": (lambda v: isinstance(v, list) and all(
+        type(x) in (int, float) for x in v), "a list of numbers"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "int | list[int]": (lambda v: _is_int(v) or _is_int_list(v),
+                        "an integer or a list of integers"),
+    "list[tuple[str, list[int]]]": (lambda v: isinstance(v, list) and all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+        and _is_int_list(e[1]) and min(e[1], default=0) >= 0 for e in v),
+        "a list of [name, shape] pairs"),
 }
+
+
+def _field(obj: dict, key: str, json_type: str):
+    """obj[key] if it is present and of json_type (a key of
+    ``_JSON_TYPES``); else a ValueError that names the field."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    ok, wording = _JSON_TYPES[json_type]
+    if not ok(obj[key]):
+        raise ValueError(f"field {key!r} must be {wording}, "
+                         f"got {obj[key]!r}")
+    return obj[key]
+
+
+def read_record(cls, obj, what: str):
+    """cls(**obj) for the JSON value obj of a stored record: each field of
+    the dataclass cls present and of its annotation's JSON type, and no
+    other key; else a ValueError that names the record and the field."""
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError(f"not a JSON object: {obj!r}")
+        for f in fields(cls):
+            _field(obj, f.name, f.type)
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:   # TypeError: an unknown key
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 @dataclass
@@ -185,22 +228,8 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
-        """Parse a manifest; a missing or unknown field, or a field of the
-        wrong JSON type, raises a ValueError that names it."""
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("bad manifest: not a JSON object")
-        try:
-            manifest = cls(**obj)
-        except TypeError as exc:
-            raise ValueError(f"bad manifest: {exc}") from None
-        for f in fields(cls):
-            ok, wording = _JSON_TYPES[f.type]
-            value = getattr(manifest, f.name)
-            if not ok(value):
-                raise ValueError(f"bad manifest: field {f.name!r} must be "
-                                 f"{wording}, got {value!r}")
-        return manifest
+        """Parse a manifest through ``read_record``."""
+        return read_record(cls, json.loads(text), "manifest")
 
 
 # ---------------------------------------------------------------------------
@@ -208,73 +237,42 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 def trajectory_to_obj(traj: Trajectory) -> dict:
-    """Flat JSON-ready object: meta fields plus a steps array."""
-    return {
-        "alg_id": int(traj.alg_id), "K": int(traj.K), "M": int(traj.M),
-        "function_id": int(traj.function_id), "dim": int(traj.dim),
-        "instance_seed": traj.instance_seed,
-        "episode_seed": traj.episode_seed,
-        "T": int(traj.T), "policy_id": traj.policy_id,
-        "f_best_init": float(traj.f_best_init),
-        "f_star": float(traj.f_star),
-        "steps": [{"s": [float(v) for v in st.state],
-                   "a": [int(b) for b in st.actions],
-                   "r": float(st.reward),
-                   "bsf": float(st.best_so_far_f)} for st in traj.steps],
-    }
+    """Flat JSON-ready object: the fields of ``Trajectory``, each step an
+    object of its state ``s``, bins ``a``, reward ``r`` and best ``bsf``."""
+    obj = {f.name: getattr(traj, f.name) for f in fields(Trajectory)}
+    obj["steps"] = [{"s": st.state.tolist(), "a": st.actions.tolist(),
+                     "r": float(st.reward), "bsf": float(st.best_so_far_f)}
+                    for st in traj.steps]
+    return obj
 
 
-def _field(obj: dict, key: str, convert):
-    """convert(obj[key]); a missing or unconvertible field raises a
-    ValueError that names it."""
-    try:
-        return convert(obj[key])
-    except KeyError:
-        raise ValueError(f"missing field {key!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
-
-
-def _bins(a) -> np.ndarray:
+def _bins(a: list) -> np.ndarray:
     bins = np.asarray(a)
     if bins.dtype != np.int64:
         if bins.dtype.kind not in "iuf" or not np.all(
                 np.isfinite(bins) & (bins == np.trunc(bins))):
-            raise ValueError(f"non-integral bin: {a!r}")
+            raise ValueError(f"field 'a' holds a non-integral bin: {a!r}")
         bins = bins.astype(np.int64)
     return bins
 
 
-def trajectory_from_obj(obj: dict) -> Trajectory:
-    if not isinstance(obj, dict):
-        raise ValueError(f"trajectory is not a JSON object: {obj!r}")
-    meta_keys = ("alg_id", "K", "M", "function_id", "dim", "instance_seed",
-                 "episode_seed", "T", "policy_id", "f_best_init", "f_star")
-    missing = [k for k in meta_keys + ("steps",) if k not in obj]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    if not isinstance(obj["steps"], list):
-        raise ValueError(f"field 'steps' is not a list: {obj['steps']!r}")
+def trajectory_from_obj(obj) -> Trajectory:
+    """A parsed line's Trajectory: fields by read_record, steps by _field."""
+    traj = read_record(Trajectory, obj, "trajectory")
     steps = []
-    for t, st in enumerate(obj["steps"]):
+    for t, st in enumerate(traj.steps):
         if not isinstance(st, dict):
             raise ValueError(f"step {t} is not a JSON object: {st!r}")
         try:
             steps.append(StepRecord(
-                state=_field(st, "s", lambda v: np.asarray(v, float)),
-                actions=_field(st, "a", _bins),
-                reward=_field(st, "r", float),
-                best_so_far_f=_field(st, "bsf", float)))
+                state=np.asarray(_field(st, "s", "list[float]"), float),
+                actions=_bins(_field(st, "a", "list[float]")),
+                reward=float(_field(st, "r", "float")),
+                best_so_far_f=float(_field(st, "bsf", "float"))))
         except ValueError as exc:
             raise ValueError(f"step {t}: {exc}") from None
-    return Trajectory(
-        alg_id=_field(obj, "alg_id", int), K=_field(obj, "K", int),
-        M=_field(obj, "M", int), function_id=_field(obj, "function_id", int),
-        dim=_field(obj, "dim", int), instance_seed=obj["instance_seed"],
-        episode_seed=obj["episode_seed"], T=_field(obj, "T", int),
-        policy_id=str(obj["policy_id"]),
-        f_best_init=_field(obj, "f_best_init", float),
-        f_star=_field(obj, "f_star", float), steps=steps)
+    traj.steps = steps
+    return traj
 
 
 def serialize_trajectory(traj: Trajectory) -> str:
@@ -334,8 +332,7 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
 
 
 def _parse_lines(lines, validate: bool):
-    """Trajectories of a stream of JSON lines; errors carry line numbers."""
-    trajs = []
+    """(line number, trajectory) per non-blank line; errors name the line."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -351,14 +348,13 @@ def _parse_lines(lines, validate: bool):
             raise ValueError(f"line {lineno}: {exc}") from None
         if validate:
             validate_trajectory(traj, where=f"line {lineno}")
-        trajs.append(traj)
-    return trajs
+        yield lineno, traj
 
 
 def read_trajectories(path, validate: bool = True):
     """Parse a line-delimited trajectory file; errors carry line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_lines(fh, validate)
+        return [traj for _, traj in _parse_lines(fh, validate)]
 
 
 def _jsonl(trajs) -> bytes:
@@ -391,7 +387,8 @@ def write_dataset(out_dir, trajs, manifest: DatasetManifest):
 
 
 def load_dataset(dataset_dir, validate: bool = True):
-    """Read (trajectories, manifest), verifying checksum, version, counts.
+    """Read (trajectories, manifest), verifying checksum, version, counts
+    and that each line has the manifest's alg_id, K, M, T and train_ids.
 
     The trajectory file is read once; the parsed lines are the bytes
     whose checksum was verified."""
@@ -404,8 +401,20 @@ def load_dataset(dataset_dir, validate: bool = True):
     if digest != manifest.checksum:
         raise ValueError(f"checksum mismatch: manifest {manifest.checksum} "
                          f"!= file {digest}")
+    agreed = {k: getattr(manifest, k) for k in ("alg_id", "K", "M", "T")}
+    trajs = []
     with io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8") as lines:
-        trajs = _parse_lines(lines, validate)
+        for lineno, traj in _parse_lines(lines, validate):
+            for key, want in agreed.items():
+                if getattr(traj, key) != want:
+                    raise ValueError(f"line {lineno}: field {key!r} is "
+                                     f"{getattr(traj, key)!r}, manifest "
+                                     f"says {want!r}")
+            if traj.function_id not in manifest.train_ids:
+                raise ValueError(f"line {lineno}: field 'function_id' is "
+                                 f"{traj.function_id!r}, not one of the "
+                                 f"manifest's train_ids {manifest.train_ids}")
+            trajs.append(traj)
     if len(trajs) != manifest.D:
         raise ValueError(f"{len(trajs)} trajectories on disk, "
                          f"manifest says {manifest.D}")

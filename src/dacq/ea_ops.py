@@ -216,7 +216,7 @@ def sbx_kernel(X, donor, partner_idx, u, swap, eta_c):
 def draw_partners(rng, fitness: np.ndarray, NP: int, xr: str) -> np.ndarray:
     """Partner row per offspring row: uniform, or rank-weighted toward
     better fitness (weight NP - rank, best rank 0)."""
-    if xr == "uniform" or xr is None:
+    if xr == "uniform":
         return rng.integers(0, NP, size=NP)
     if xr == "rank":
         order = np.argsort(fitness, kind="stable")

@@ -45,7 +45,10 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
-    """A full controlled episode plus the metadata needed to replay it."""
+    """A full controlled episode plus the metadata needed to replay it.
+
+    A stored line holds each field in its annotated JSON type
+    (``datasets.read_record``)."""
 
     alg_id: int
     K: int
@@ -53,7 +56,7 @@ class Trajectory:
     function_id: int
     dim: int
     instance_seed: int | None
-    episode_seed: object       # int or list of ints
+    episode_seed: int | list[int]
     T: int
     policy_id: str
     f_best_init: float

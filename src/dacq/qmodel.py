@@ -47,10 +47,6 @@ class ModelConfig:
     def input_dim(self) -> int:
         return 9 + self.token_width
 
-    def as_dict(self) -> dict:
-        return {"K": self.K, "M": self.M, "d_model": self.d_model,
-                "d_state": self.d_state, "depth": self.depth}
-
 
 def _input_rows(states, prev, width: int) -> np.ndarray:
     """Model input rows [state, token(prev)], shape prev.shape + (9 + width,).

@@ -135,17 +135,29 @@ def test_rejects_unreadable_header(tmp_path):
     assert_rejected(path, "unreadable header")
 
 
+_PAIRS = "bad header: field 'tensors' must be a list of [name, shape] pairs"
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: h.pop("config"), "header lacks config"),
-    (lambda h: h.update(extra=[]), "header field extra must be an object"),
+    (lambda h: h.pop("config"), "bad header: missing field 'config'"),
+    (lambda h: h.update(extra=[]),
+     "bad header: field 'extra' must be an object, got []"),
     (lambda h: h.update(opt_step="3"),
-     "header field opt_step must be an integer or null"),
-    (lambda h: h.update(tensors=5), "header field tensors must be a list"),
-    (lambda h: h["tensors"][0].__setitem__(1, "x"),
-     "header field tensors must be a list of [name, shape] pairs"),
-    (lambda h: h["tensors"][0].pop(), "header field tensors must be a list"),
-], ids=["no config", "extra list", "opt_step string", "tensors int",
-        "shape string", "no shape"])
+     "bad header: field 'opt_step' must be an integer or null, got '3'"),
+    (lambda h: h.update(opt_step=True),
+     "bad header: field 'opt_step' must be an integer or null, got True"),
+    (lambda h: h.update(tensors=5), f"{_PAIRS}, got 5"),
+    (lambda h: h["tensors"][0].__setitem__(1, "x"), f"{_PAIRS}, got [["),
+    (lambda h: h["tensors"][0].pop(), f"{_PAIRS}, got [["),
+    (lambda h: h["config"].update(M=16.0),
+     "bad model config: field 'M' must be an integer, got 16.0"),
+    (lambda h: h["config"].update(K=True),
+     "bad model config: field 'K' must be an integer, got True"),
+    (lambda h: h["config"].pop("depth"),
+     "bad model config: missing field 'depth'"),
+], ids=["no config", "extra list", "opt_step string", "opt_step true",
+        "tensors int", "shape string", "no shape", "config M float",
+        "config K true", "config no depth"])
 def test_rejects_malformed_header_field(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     checkpoint.save_checkpoint(path, make_params(7))
@@ -157,7 +169,9 @@ def test_rejects_unknown_config_key(tmp_path):
     path = tmp_path / "m.ckpt"
     checkpoint.save_checkpoint(path, make_params(8))
     rewrite_header(path, lambda h: h["config"].update(width=3))
-    assert_rejected(path, "bad model config")
+    assert_rejected(path, "bad model config: ")
+    with pytest.raises(ValueError, match="width"):
+        checkpoint.load_checkpoint(path)
 
 
 def test_rejects_tensor_the_config_does_not_define(tmp_path):

@@ -309,6 +309,21 @@ def test_train_resume_continues_epoch_numbering(ds_dir, tmp_path):
     assert extra["epoch"] == 5
 
 
+def test_train_resume_without_moments_saves_fresh_moments(ds_dir, tmp_path):
+    # a checkpoint saved without optimizer state starts fresh moments,
+    # and the resumed run saves them: 2 epochs of 3 minibatches of 10
+    start = tmp_path / "start.ckpt"
+    checkpoint.save_checkpoint(start, qmodel.init_qmodel(
+        qmodel.ModelConfig(K=3, M=16, d_model=12, d_state=4), seed=0))
+    rc = run(["train", "--data", str(ds_dir), "--out", str(tmp_path / "o"),
+              "--resume", str(start), "--epochs", "2", "--batch", "4",
+              "--seed", "2"])
+    assert rc == 0
+    _, opt, _ = checkpoint.load_checkpoint(tmp_path / "o" / "model.ckpt")
+    assert opt is not None and opt.step == 6
+    assert all(np.any(v != 0.0) for v in opt.v.values())
+
+
 def test_train_lr_zero_leaves_parameters_at_init(ds_dir, tmp_path):
     out = tmp_path / "run"
     rc = run(["train", "--data", str(ds_dir), "--out", str(out),
@@ -365,11 +380,11 @@ MALFORMED_LINES = {
     **{f"no {k}": (_without(k), f"step 2: missing field '{k}'")
        for k in ("a", "s", "r", "bsf")},
     "steps 5": (lambda obj: {**obj, "steps": 5},
-                "field 'steps' is not a list"),
+                "bad trajectory: field 'steps' must be a list, got 5"),
     "step 5": (_step(5), "step 2 is not a JSON object"),
     "step [1]": (_step([1]), "step 2 is not a JSON object"),
-    "line 5": (lambda obj: 5, "trajectory is not a JSON object"),
-    "line [1]": (lambda obj: [1], "trajectory is not a JSON object"),
+    "line 5": (lambda obj: 5, "bad trajectory: not a JSON object"),
+    "line [1]": (lambda obj: [1], "bad trajectory: not a JSON object"),
 }
 
 
@@ -433,6 +448,18 @@ def test_verify_manifest_field_of_wrong_type_fails_one_check(
     fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
     assert fails == ["FAIL  dataset_revalidation: bad manifest: field 'mu' "
                      "must be a number, got '0.5'"]
+
+
+def test_verify_manifest_disagreeing_with_lines_fails_one_check(
+        ds_dir, tmp_path, capsys):
+    bad = _manifest_copy(ds_dir, tmp_path / "bad", "T", 7)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0",
+              "--data", str(bad)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL  dataset_revalidation: line 1: field 'T' is 5, "
+                     "manifest says 7"]
 
 
 def test_verify_malformed_dataset_fails_one_check(ds_dir, tmp_path, capsys):
@@ -500,7 +527,23 @@ def test_eval_malformed_checkpoint_is_one_error_line(tmp_path, capsys):
               "--t", "3", "--runs", "1", "--test-functions", "15"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == f"error: {bad}: header lacks config\n"
+    assert err == f"error: {bad}: bad header: missing field 'config'\n"
+
+
+def test_eval_checkpoint_config_of_wrong_type_is_one_error_line(tmp_path,
+                                                               capsys):
+    header = json.dumps({"config": {"K": 3, "M": 16.0, "d_model": 12,
+                                    "d_state": 4, "depth": 1},
+                         "tensors": [], "opt_step": None, "extra": {}})
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint.MAGIC + struct.pack("<IQ", 2, len(header))
+                    + header.encode())
+    rc = run(["eval", "--ckpt", str(bad), "--out", str(tmp_path / "o"),
+              "--t", "3", "--runs", "1", "--test-functions", "15"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: {bad}: bad model config: field 'M' must be an "
+                   f"integer, got 16.0\n")
 
 
 def test_eval_wrong_alg_mismatch_exit1(ckpt_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import builtins
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -464,15 +465,39 @@ MALFORMED = {
     **{f"missing {k}": (_drop(k), rf"line 1: step 0: missing field '{k}'")
        for k in ("a", "s", "r", "bsf")},
     "steps not a list": (lambda obj: obj.update(steps=5),
-                         r"line 1: field 'steps' is not a list: 5"),
+                         r"line 1: bad trajectory: field 'steps' must be a "
+                         r"list, got 5"),
     "step is a number": (_set_step(5),
                          r"line 1: step 0 is not a JSON object: 5"),
     "step is a list": (_set_step([1]),
                        r"line 1: step 0 is not a JSON object: \[1\]"),
     "reward is null": (lambda obj: obj["steps"][0].update(r=None),
-                       r"line 1: step 0: field 'r': .*NoneType"),
+                       r"line 1: step 0: field 'r' must be a number, "
+                       r"got None"),
+    # True would read as the reward 1.0 this best-so-far earns
+    "reward is true": (lambda obj: obj["steps"][0].update(r=True, bsf=0.0),
+                       r"line 1: step 0: field 'r' must be a number, "
+                       r"got True"),
+    "state holds a string": (
+        lambda obj: obj["steps"][0].update(s=["1"] + [0.0] * 8),
+        r"line 1: step 0: field 's' must be a list of numbers, "
+        r"got \['1', 0\.0"),
     "dim is a list": (lambda obj: obj.update(dim=[3]),
-                      r"line 1: field 'dim': .*list"),
+                      r"line 1: bad trajectory: field 'dim' must be an "
+                      r"integer, got \[3\]"),
+    **{f"{k} is {v!r}": (
+        lambda obj, k=k, v=v: obj.update({k: v}),
+        rf"line 1: bad trajectory: field '{k}' must be an integer, "
+        rf"got {v!r}") for k, v in (("T", 1.9), ("function_id", 1.5),
+                                    ("dim", 5.2))},
+    "instance_seed is 'x'": (
+        lambda obj: obj.update(instance_seed="x"),
+        r"line 1: bad trajectory: field 'instance_seed' must be an integer "
+        r"or null, got 'x'"),
+    "episode_seed is {}": (
+        lambda obj: obj.update(episode_seed={}),
+        r"line 1: bad trajectory: field 'episode_seed' must be an integer "
+        r"or a list of integers, got \{\}"),
 }
 
 
@@ -494,7 +519,8 @@ def test_reader_rejects_non_object_line(tmp_path, line):
     path = tmp_path / "t.jsonl"
     path.write_text(f"{good}\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError,
-                       match=r"line 2: trajectory is not a JSON object"):
+                       match=rf"line 2: bad trajectory: not a JSON object: "
+                             rf"{re.escape(repr(json.loads(line)))}$"):
         read_trajectories(path)
 
 
@@ -685,6 +711,25 @@ def test_load_dataset_count_mismatch(tmp_path):
     obj["checksum"] = datasets._checksum(data)
     mf.write_text(json.dumps(obj))
     with pytest.raises(ValueError, match="manifest says 3"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("T", 7, r"line 1: field 'T' is 3, manifest says 7"),
+    ("alg_id", 1, r"line 1: field 'alg_id' is 0, manifest says 1"),
+    ("M", 32, r"line 1: field 'M' is 16, manifest says 32"),
+    ("K", 10, r"line 1: field 'K' is 3, manifest says 10"),
+    ("train_ids", [99], r"line 1: field 'function_id' is \d+, not one of "
+                        r"the manifest's train_ids \[99\]")])
+def test_load_dataset_rejects_manifest_that_disagrees_with_lines(
+        tmp_path, field, value, message):
+    collect(0, tiny_split(), ("scripted_de_schedule", "random"),
+            mu=0.0, D=2, T=3, seed=59, out_dir=tmp_path)
+    mf = tmp_path / datasets.MANIFEST_FILE
+    obj = json.loads(mf.read_text())
+    obj[field] = value
+    mf.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=message):
         load_dataset(tmp_path)
 
 

@@ -275,6 +275,11 @@ def test_rank_partner_prefers_fit_rows():
     assert counts[best] == counts.max()
 
 
+def test_draw_partners_rejects_unmapped_selector():
+    with pytest.raises(ValueError, match="unknown partner selector None"):
+        ea.draw_partners(np.random.default_rng(0), np.zeros(4), 4, None)
+
+
 def test_crossover_errors():
     pop = make_pop()
     with pytest.raises(ValueError):

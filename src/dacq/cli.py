@@ -27,6 +27,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import operator
 import sys
 import time
@@ -57,6 +58,11 @@ def _ids(text) -> tuple:
 
 
 PROFILES = ("desk", "paper")
+
+#: objective features s4-s6 are divided by ``f_best_init - f_star`` but
+#: not bounded; a function whose s4-s6 exceed this on any step is named
+#: in a ``collect`` warning, as such scales have blown up training losses
+OBJECTIVE_FEATURE_LIMIT = 100.0
 
 #: one row per setting: ``--name`` (``_`` spelled ``-``) sets ``cfg.name``.
 #: ``type``, ``help`` and ``choices`` go to argparse.  ``default`` is a
@@ -401,6 +407,25 @@ def _log_rollouts(command, rows, elapsed, workers, per_function=False):
             log(f"mean perf f{fid}", [r for r in rows if r[0] == fid])
 
 
+def _log_state_ranges(trajs):
+    """Each state feature's maximum over the dataset, and a warning naming
+    every function whose s4-s6 exceed ``OBJECTIVE_FEATURE_LIMIT``, on
+    stderr: the dataset's bytes stay as they are."""
+    states = np.array([s.state for t in trajs for s in t.steps])
+    fids = np.array([t.function_id for t in trajs for _ in t.steps])
+    print("state max: " + "  ".join(
+        f"s{i + 1} {v:.6g}" for i, v in enumerate(states.max(axis=0))),
+        file=sys.stderr)
+    tops = {fid: states[fids == fid, 3:6].max() for fid in np.unique(fids)}
+    over = [f"f{fid} ({v:.6g})" for fid, v in tops.items()
+            if v > OBJECTIVE_FEATURE_LIMIT]
+    if over:
+        print(f"warning: state features s4-s6 exceed "
+              f"{OBJECTIVE_FEATURE_LIMIT:g} on {', '.join(over)}; they are "
+              f"not bounded, and training on such scales can diverge",
+              file=sys.stderr)
+
+
 def cmd_collect(cfg) -> int:
     out = _outdir(cfg)
     split = build_split(cfg)
@@ -414,6 +439,7 @@ def cmd_collect(cfg) -> int:
     rows = [(t.function_id, t.policy_id, t.perf) for t in trajs]
     _log_rollouts("collect", rows, time.perf_counter() - t0, cfg.workers,
                   per_function=True)
+    _log_state_ranges(trajs)
     means = _mean_perfs(rows)
     if cfg.policy in means and "random" in means \
             and means[cfg.policy] <= means["random"]:
@@ -700,6 +726,23 @@ def run_verification(cfg):
                    f"max |sum r - relative improvement| {worst_tel:.3e} "
                    f"over 20 episodes"))
 
+    # s1's Gram plane runs NumPy's einsum, whose SIMD and FMA use varies
+    # by CPU: check it and its guard against exact pair distances here
+    errors, n = [], 60
+    for dim in (5, 20):
+        for kind in ("uniform", "clustered", "duplicates"):
+            X = _s1_population(np.random.default_rng([cfg.seed, 10, dim]),
+                               kind, n, dim)
+            rows = X.tolist()
+            want = math.fsum(math.dist(rows[i], rows[j])
+                             for i in range(n) for j in range(i + 1, n))
+            want /= n * (n - 1) / 2
+            got = env._mean_pairwise_distance(X)
+            errors.append(abs(got - want) / want)
+    worst_s1 = float(np.max(errors))  # NaN, if any, propagates
+    checks.append(("s1_exact", worst_s1 <= env.S1_REL_ERROR,
+                   f"max rel err {worst_s1:.3e} over 6 populations"))
+
     if cfg.data is not None:
         try:
             trajs, manifest = datasets.load_dataset(cfg.data)
@@ -708,6 +751,20 @@ def run_verification(cfg):
         except (ValueError, OSError) as exc:
             checks.append(("dataset_revalidation", False, str(exc)))
     return checks
+
+
+def _s1_population(rng, kind, n, dim) -> np.ndarray:
+    """A seeded (n, dim) population for the ``s1_exact`` check: uniform,
+    clustered within 1e-9 of one point, or uniform with a quarter of its
+    rows repeating others exactly and a quarter 1e-12 from one."""
+    if kind == "clustered":
+        return rng.uniform(-5, 5, dim) + 1e-9 * rng.standard_normal((n, dim))
+    X = rng.uniform(-5, 5, (n, dim))
+    if kind == "duplicates":
+        q = n // 4
+        X[:q] = X[q:2 * q]
+        X[2 * q:3 * q] = X[3 * q:] + 1e-12 * rng.standard_normal((q, dim))
+    return X
 
 
 def cmd_verify(cfg) -> int:

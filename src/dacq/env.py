@@ -32,6 +32,10 @@ MAX_BINS = 32
 #: element budget of one (rows, cols) plane of pair distances in ``cal_state``
 S1_BLOCK_ELEMENTS = 16384
 
+#: relative error bound of each pair distance in ``cal_state``'s s1; the
+#: Gram-plane guard threshold follows from it, the dimension and eps
+S1_REL_ERROR = 1e-13
+
 
 @dataclass
 class StepRecord:
@@ -86,10 +90,14 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     diameter and s4-s6 by the span f_best_init - f_star (s4-s6 are 0 when
     the span is not positive).
 
-    s1 is summed in blocks of the upper triangle (see
-    ``_mean_pairwise_distance``), so its last bits depend on
-    ``S1_BLOCK_ELEMENTS``; its scratch memory is two planes of that many
-    floats.
+    s1 is summed in blocks of the upper triangle from a centred Gram
+    plane (see ``_mean_pairwise_distance``).  A guard recomputes the pairs
+    the plane cannot resolve from exact differences, so each pair
+    distance is within ``S1_REL_ERROR`` (1e-13) relative of the exact
+    one; the last bits depend on ``S1_BLOCK_ELEMENTS``.  The dot products
+    run in ``np.einsum``, not BLAS, so s1 does not depend on the BLAS
+    thread count.  Scratch memory is three planes of ``S1_BLOCK_ELEMENTS``
+    elements (two of floats, one of bools) plus the centred population.
     """
     X = np.vstack([p.X for p in alg_state.sub_pops])
     fit = np.concatenate([p.fitness for p in alg_state.sub_pops])
@@ -121,38 +129,62 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
 def _mean_pairwise_distance(X: np.ndarray) -> float:
     """State feature s1: mean Euclidean distance over the pairs i < j.
 
+    Squared distances come from a centred Gram plane: with
+    ``c_i = x_i - mean(X)`` and ``s_i = |c_i|^2``, a pair's
+    ``G_ij = s_i + s_j - 2 c_i.c_j``.  By the dot-product error bound, G
+    is off by at most about ``(dim + 2) eps (s_i + s_j)``, so every pair
+    with ``G_ij >= tau (s_i + s_j)``, ``tau = (dim + 3) eps / (2
+    S1_REL_ERROR)``, has its distance correct to ``S1_REL_ERROR``
+    (1e-13) relative.  The guard recomputes each other pair, duplicates
+    and near-duplicates among them, from the exact differences of its
+    rows, summed in coordinate order.  Centring keeps ``s_i`` of the
+    order of the population's spread, so a clustered late-stage
+    population is not guarded pair by pair.  The dot products come from
+    ``np.einsum``, NumPy's own C loops, never BLAS: BLAS kernels give
+    different bits at different thread counts, which would tie dataset
+    bytes to ``OPENBLAS_NUM_THREADS``.
+
     The upper triangle is walked in blocks: rows i0..i0+m-1 against
     columns i0+1..n-1, with m as large as keeps the (m, n-1-i0) plane
-    within S1_BLOCK_ELEMENTS floats (at least one row).  For each pair the
-    squared coordinate differences are added in coordinate order
-    0..dim-1, then square-rooted.  Distances are exact differences, no
-    Gram-matrix shortcut: that loses digits when late-stage populations
-    cluster, and BLAS would tie the result to its thread count.  The
-    strictly lower corner of a block holds the pairs j <= i and is zeroed;
-    the block is then summed whole and the block sums are added in row
-    order.  Scratch memory is two planes, 256 KiB at the default budget.
+    within S1_BLOCK_ELEMENTS floats (at least one row).  The strictly
+    lower corner of a block holds the pairs j <= i and is zeroed; the
+    block is then summed whole and the block sums are added in row
+    order.  Scratch memory is two float planes and one boolean plane (272
+    KiB at the default budget) plus the centred population, ``n * dim``
+    floats.
     """
-    n = X.shape[0]
+    n, dim = X.shape
     if n < 2:
         return 0.0
-    XT = X.T
+    CT = np.subtract(X.T, X.mean(axis=0)[:, None], order="C")
+    s = np.einsum("ki,ki->i", CT, CT)
+    tau = (dim + 3) * np.finfo(np.float64).eps / (2 * S1_REL_ERROR)
     # a block's m * cols is at most the budget, or n - 1 when one row
     # alone exceeds it
-    plane_buf, sq_buf = np.empty((2, max(n - 1, S1_BLOCK_ELEMENTS)))
+    plane_buf, bound_buf = np.empty((2, max(n - 1, S1_BLOCK_ELEMENTS)))
     total = 0.0
     i0 = 0
     while i0 < n - 1:
         cols = n - 1 - i0
         m = min(cols, max(1, S1_BLOCK_ELEMENTS // cols))
         plane = plane_buf[:m * cols].reshape(m, cols)
-        sq = sq_buf[:m * cols].reshape(m, cols)
-        a, b = XT[:, i0:i0 + m, None], XT[:, None, i0 + 1:]
-        np.subtract(a[0], b[0], out=plane)
-        plane *= plane
-        for k in range(1, XT.shape[0]):
-            np.subtract(a[k], b[k], out=sq)
-            sq *= sq
-            plane += sq
+        bound = bound_buf[:m * cols].reshape(m, cols)
+        rows, right = slice(i0, i0 + m), slice(i0 + 1, n)
+        np.add(s[rows, None], s[right], out=bound)
+        np.einsum("ki,kj->ij", -2.0 * CT[:, rows], CT[:, right], out=plane)
+        plane += bound
+        flat = plane.reshape(-1)
+        # the pairs j = i, G ~ 0, are zeroed below: keep them unguarded
+        flat[cols::cols + 1] = np.inf
+        bound *= tau
+        guarded = np.flatnonzero(plane < bound)
+        if guarded.size:
+            d = X[i0 + guarded // cols] - X[i0 + 1 + guarded % cols]
+            d *= d
+            exact = d[:, 0].copy()
+            for k in range(1, dim):
+                exact += d[:, k]
+            flat[guarded] = exact
         np.sqrt(plane, out=plane)
         plane[:, :m][np.tri(m, k=-1, dtype=bool)] = 0.0
         total += plane.sum()

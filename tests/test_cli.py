@@ -126,6 +126,28 @@ def test_collect_rerun_same_flags_identical(ds_dir, tmp_path):
         assert (out2 / name).read_bytes() == (ds_dir / name).read_bytes()
 
 
+def test_collect_reports_state_maxima_and_names_unbounded_functions(
+        ds_dir, tmp_path, capsys):
+    # s4-s6 are not bounded: this run reaches s4 1.3e3 and s6 2.4e3 on
+    # f12, s4 67 on f1
+    out = tmp_path / "d"
+    rc = run(["collect", "--alg", "0", "--d", "10", "--t", "5",
+              "--functions", "1,12", "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 0
+    line = next(ln for ln in err.splitlines() if ln.startswith("state max: "))
+    words = line.removeprefix("state max: ").split()
+    maxima = dict(zip(words[::2], map(float, words[1::2])))
+    assert list(maxima) == [f"s{i}" for i in range(1, 10)]
+    assert 1328 < maxima["s4"] < 1329 and 2353 < maxima["s6"] < 2354
+    warnings = [ln for ln in err.splitlines() if ln.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert " f12 (" in warnings[0] and " f1 (" not in warnings[0]
+    # the report goes to stderr only: the files are the fixture's bytes
+    for name in ("trajectories.jsonl", "manifest.json"):
+        assert (out / name).read_bytes() == (ds_dir / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config file merging
 # ---------------------------------------------------------------------------
@@ -234,6 +256,17 @@ print(count)
 """
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    dacq, without thread caps."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "DACQ_THREADS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 @pytest.mark.parametrize("dacq_threads, openblas_threads, expected", [
     ("1", None, 1),
     ("1", "2", 2),   # an explicit OPENBLAS_NUM_THREADS wins
@@ -244,11 +277,7 @@ def test_threads_env_caps_blas_pool(dacq_threads, openblas_threads,
     # once, when numpy loads: check the pool of a fresh interpreter
     if expected > (os.cpu_count() or 1):
         pytest.skip("OpenBLAS caps its pool at the number of cores")
-    env = {k: v for k, v in os.environ.items()
-           if not k.endswith("_NUM_THREADS")}
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = _child_env()
     env["DACQ_THREADS"] = dacq_threads
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
@@ -259,6 +288,41 @@ def test_threads_env_caps_blas_pool(dacq_threads, openblas_threads,
     if count == "None":
         pytest.skip("numpy is not linked against OpenBLAS")
     assert int(count) == expected
+
+
+_COLLECT_TRAIN = """
+import hashlib
+from dacq import datasets, problems, qmodel, training
+split = problems.ProblemSplit((1, 12), (), {1: 20, 12: 20})
+trajs, manifest = datasets.collect(
+    2, split, ("scripted_de_schedule", "random"), mu=0.5, D=2, T=3, seed=1,
+    workers=1)
+params = qmodel.init_qmodel(
+    qmodel.ModelConfig(K=16, M=16, d_model=16, d_state=4), seed=[1, 0])
+params, _ = training.train(
+    trajs, params, training.LossConfig(K=16, M=16, batch_size=2, epochs=1),
+    seed=[1, 1], workers=1)
+digest = hashlib.sha256()
+for name, arr in sorted(params.tensors().items()):
+    digest.update(name.encode() + arr.tobytes())
+print(manifest.checksum, digest.hexdigest())
+"""
+
+
+def test_bytes_do_not_depend_on_blas_threads():
+    # a BLAS kernel gives different bits at different thread counts for
+    # some shapes, so a path that decides dataset or checkpoint bytes
+    # must not call one: an alg-2 collect at dim 20 (s1 over 500 rows)
+    # and a one-epoch train in fresh interpreters, 1 and 2 BLAS threads
+    env = _child_env()
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _COLLECT_TRAIN],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    assert len(outs[0]) == 2 and outs[0] == outs[1], outs
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +741,20 @@ def test_verify_injected_small_gradient_error_fails(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL  grad_check" in out
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-12, float("nan")])
+def test_verify_s1_error_fails(monkeypatch, capsys, factor):
+    # a 1e-12 relative error, as an unguarded Gram plane makes on
+    # near-duplicate rows, or a NaN from the square root of a negative
+    # plane entry
+    true_s1 = env._mean_pairwise_distance
+    monkeypatch.setattr(env, "_mean_pairwise_distance",
+                        lambda X: true_s1(X) * factor)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  s1_exact" in out
 
 
 def test_verify_crosses_scan_chunks(monkeypatch, capsys):

@@ -166,6 +166,22 @@ def test_cal_state_s1_small_blocks(monkeypatch, rows):
         assert abs(got - want) <= 1e-13 * want, (n, rows, got, want)
 
 
+@pytest.mark.parametrize("dim", [5, 20])
+def test_cal_state_s1_duplicate_rows(dim):
+    # a quarter of the rows repeat others exactly and a quarter sit 1e-12
+    # from one: the Gram plane reads rounding noise for those pairs, so
+    # only the guard's exact differences keep s1 within 1e-13
+    for n in (60, 500):
+        rng = np.random.default_rng([dim, n, 17])
+        X = rng.uniform(-5, 5, (n, dim))
+        q = n // 4
+        X[:q] = X[q:2 * q]
+        X[2 * q:3 * q] = X[3 * q:] + 1e-12 * rng.standard_normal((q, dim))
+        X = X[rng.permutation(n)]
+        got, want = _s1(X), reference.mean_pairwise_distance_ref(X)
+        assert abs(got - want) <= 1e-13 * want, (n, dim, got, want)
+
+
 def test_cal_state_scratch_memory_bounded():
     # an (n, n, dim) difference tensor at n=500, dim=50 would take 95 MiB
     rng = np.random.default_rng(5)

@@ -11,7 +11,7 @@ M-bin Q-value slice:
     Q   = leaky_relu(O @ W_head + b_head)    (W_head: M x M)
 
 The model takes bins, not tokens: ``q_step`` the previous bin of one
-decision, ``assemble_inputs`` the recorded bins of whole trajectories,
+decision, ``assemble_inputs`` the recorded bins of one whole trajectory,
 and both build their input rows with one encoder, ``_input_rows``.
 token(b) is the big-endian two's-complement binary of b with one more
 bit than the bins need.  Bin -1 stands for the start of an episode,
@@ -121,18 +121,18 @@ class QModelCache:
 
     params: QModelParams
     version: int
-    X_in: np.ndarray          # (B, L, input_dim)
+    X_in: np.ndarray          # (T*K, input_dim)
     block_caches: list
-    Y: np.ndarray             # (B, L, d_model) after residual stack
-    O: np.ndarray             # (B, L, M)
-    Hpre: np.ndarray          # (B, L, M) pre-activation Q
-    shape: tuple              # (B, T, K)
+    Y: np.ndarray             # (T*K, d_model) after residual stack
+    O: np.ndarray             # (T*K, M)
+    Hpre: np.ndarray          # (T*K, M) pre-activation Q
 
 
 def _stack_forward(params: QModelParams, X_in, h0s):
     """Embed, run residual blocks, apply the two heads.
 
-    X_in: (B, L, input_dim); h0s: per-block hidden states or None.
+    X_in: (L, input_dim); h0s: per-block (d_model, d_state) hidden
+    states or None.
     Returns (Q, new_hiddens, partial cache fields).
     """
     x = X_in @ params.W_embed + params.b_embed
@@ -165,11 +165,9 @@ def q_step(params: QModelParams, state, prev_bin: int, hiddens):
     if not -1 <= prev_bin < 1 << (width - 1):
         raise ValueError(f"previous bin {prev_bin} outside "
                          f"[-1, {1 << (width - 1)}) of {width}-bit tokens")
-    X_in = _input_rows(state, np.array(prev_bin, dtype=np.int64),
-                       width)[None, None]
-    h0s = [h[None] for h in hiddens]
-    Q, h_outs, *_ = _stack_forward(params, X_in, h0s)
-    return Q[0, 0], [h[0] for h in h_outs]
+    X_in = _input_rows(state, np.array([prev_bin], dtype=np.int64), width)
+    Q, h_outs, *_ = _stack_forward(params, X_in, hiddens)
+    return Q[0], h_outs
 
 
 def decode_episode_actions(params: QModelParams, state, masks, hiddens,
@@ -192,66 +190,62 @@ def decode_episode_actions(params: QModelParams, state, masks, hiddens,
 
 
 def assemble_inputs(states, actions, width: int) -> np.ndarray:
-    """Teacher-forcing input sequence for whole trajectories.
+    """Teacher-forcing input sequence for one whole trajectory.
 
-    states: (B, T, 9); actions: (B, T, K) recorded bins in
-    [0, 2**(width-1)).  Decision step (t, i) sees a_{i-1}^t, with step
-    (0, 0) seeing the start bin -1 and step (t, 0) seeing a_K^{t-1}.
-    Returns (B, T*K, 9 + width).
+    states: (T, 9); actions: (T, K) recorded bins in [0, 2**(width-1)).
+    Decision step (t, i) sees a_{i-1}^t, with step (0, 0) seeing the start
+    bin -1 and step (t, 0) seeing a_K^{t-1}.  Returns (T*K, 9 + width).
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
-    B, T, K = actions.shape
+    K = actions.shape[1]
     if actions.size and not (0 <= actions.min()
                              and actions.max() < (1 << (width - 1))):
         raise ValueError("action bin outside token range")
-    prev = np.empty((B, T * K), dtype=np.int64)
-    prev[:, 0] = -1
-    prev[:, 1:] = actions.reshape(B, T * K)[:, :-1]
-    return _input_rows(np.repeat(states, K, axis=1), prev, width)
+    prev = np.empty(actions.size, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = actions.ravel()[:-1]
+    return _input_rows(np.repeat(states, K, axis=0), prev, width)
 
 
 def q_values_batch(params: QModelParams, states, actions):
-    """Teacher-forced Q-values for a batch of trajectories.
+    """Teacher-forced Q-values of one trajectory.
 
-    states: (B, T, 9); actions: (B, T, K).  Hidden state threads across
-    all T*K decision steps, starting from zeros per trajectory.  Returns
-    (Q (B, T, K, M), cache).
+    states: (T, 9); actions: (T, K).  Hidden state threads across all T*K
+    decision steps, starting from zeros.  Returns (Q (T, K, M), cache).
     """
     states = np.asarray(states, dtype=np.float64)
     actions = np.asarray(actions)
-    if actions.ndim != 3 or states.ndim != 3:
-        raise ValueError("states must be (B, T, 9) and actions (B, T, K)")
-    B, T, K = actions.shape
+    if actions.ndim != 2 or states.ndim != 2:
+        raise ValueError("states must be (T, 9) and actions (T, K)")
+    T, K = actions.shape
     if K != params.config.K:
         raise ValueError(f"trajectory K={K} != model K={params.config.K}")
     X_in = assemble_inputs(states, actions, params.config.token_width)
     Q, _, block_caches, Y, O, Hpre = _stack_forward(params, X_in, None)
     cache = QModelCache(params, params.version, X_in, block_caches, Y, O,
-                        Hpre, (B, T, K))
-    return Q.reshape(B, T, K, params.config.M), cache
+                        Hpre)
+    return Q.reshape(T, K, params.config.M), cache
 
 
 def model_backward(cache: QModelCache, grad_Q):
     """Gradients of a scalar loss through the whole model.
 
-    grad_Q: (B, T, K, M) upstream gradient.  Returns a dict matching
+    grad_Q: (T, K, M) upstream gradient.  Returns a dict matching
     params.tensors() keys.
     """
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
                          "forward pass")
-    B, T, K = cache.shape
-    M = p.config.M
-    gQ = np.asarray(grad_Q, dtype=np.float64).reshape(B, T * K, M)
+    gQ = np.asarray(grad_Q, dtype=np.float64).reshape(cache.Hpre.shape)
 
     gHpre = gQ * np.where(cache.Hpre > 0, 1.0, LEAKY_SLOPE)
-    gW_head = np.einsum("blm,blk->mk", cache.O, gHpre)
-    gb_head = gHpre.sum((0, 1))
+    gW_head = np.einsum("lm,lk->mk", cache.O, gHpre)
+    gb_head = gHpre.sum(0)
     gO = gHpre @ p.W_head.T
-    gW_proj = np.einsum("bld,blm->dm", cache.Y, gO)
-    gb_proj = gO.sum((0, 1))
+    gW_proj = np.einsum("ld,lm->dm", cache.Y, gO)
+    gb_proj = gO.sum(0)
     gx = gO @ p.W_proj.T
 
     grads = {}
@@ -261,8 +255,8 @@ def model_backward(cache: QModelCache, grad_Q):
             grads[f"blocks.{i}.{name}"] = arr
         gx = gx + gxs   # residual: gradient flows around and through
 
-    gW_embed = np.einsum("bli,bld->id", cache.X_in, gx)
-    gb_embed = gx.sum((0, 1))
+    gW_embed = np.einsum("li,ld->id", cache.X_in, gx)
+    gb_embed = gx.sum(0)
     grads.update({"W_embed": gW_embed, "b_embed": gb_embed,
                   "W_proj": gW_proj, "b_proj": gb_proj,
                   "W_head": gW_head, "b_head": gb_head})

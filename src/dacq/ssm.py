@@ -13,22 +13,20 @@ The recurrence (per channel d, state n):
 A is diagonal and stored through its log, a (d_model, d_state) array
 A_log, as in S4D and Mamba.  A < 0 holds for every A_log, so
 0 <= Abar < 1 (up to rounding) and Bbar is the exact zero-order hold with
-no special case at A = 0.  All arrays are float64.  Every pass takes a
-batch: xs is (batch, L, d_model) and h0 is None (zeros) or
-(batch, d_model, d_state); a single sequence is a batch of one.
+no special case at A = 0.  All arrays are float64.  Every pass takes one
+sequence: xs is (L, d_model) and h0 is None (zeros) or (d_model, d_state).
 
 The sequential forward and the backward walk time in chunks whose
-(batch, steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS
-elements (or one step, if that is more).  Each chunk's Abar,
-E = expm1(delta * A) / A and Bbar are built from the cached delta and
-B(u), used, and dropped.  The forward keeps the hidden state only where
-a chunk starts (and h_final) and emits y one chunk at a time.  The
-backward walks the chunks in reverse: it rebuilds the chunk's Abar, E and
-Bbar, re-runs the chunk's recurrence from its stored start state, and
-uses those states at once (recomputation, not caching, as in Mamba's
-scan).  So no cached array has a (batch, length, d_model, d_state) shape
-unless a chunk is a single step, which it is once batch * d_model *
-d_state reaches SCAN_CHUNK_ELEMENTS (batch 16 at d_model 64, d_state 16).
+(steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS elements (or
+one step, if that is more).  Each chunk's Abar, E = expm1(delta * A) / A
+and Bbar are built from the cached delta and B(u), used, and dropped.
+The forward keeps the hidden state only where a chunk starts (and
+h_final) and emits y one chunk at a time.  The backward walks the chunks
+in reverse: it rebuilds the chunk's Abar, E and Bbar, re-runs the chunk's
+recurrence from its stored start state, and uses those states at once
+(recomputation, not caching, as in Mamba's scan).  So no cached array
+has a (length, d_model, d_state) shape unless a chunk is a single step,
+which it is once d_model * d_state reaches SCAN_CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: element budget of one time chunk of the (batch, steps, d_model, d_state)
+#: element budget of one time chunk of the (steps, d_model, d_state)
 #: discretized tensors that the sequential forward and the backward build
 #: (128 KiB of float64; a chunk holds at least one step).  Of 2**12 to
-#: 2**16 it was the fastest at both the desk (4, 150, 32, 8) and the
-#: paper (4, 1500, 64, 16) shape.  The forward keeps one hidden state per
+#: 2**16 it was the fastest on batches of 4 desk (150, 32, 8) and paper
+#: (1500, 64, 16) sequences.  The forward keeps one hidden state per
 #: chunk, so a chunk of c steps stores 1/c of the state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
 
@@ -117,11 +115,10 @@ def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
 
 @dataclass
 class SsmCache:
-    """Forward intermediates retained for the backward pass, each with the
-    batch axis B of the forward's xs first.
+    """Forward intermediates of one sequence retained for the backward pass.
 
-    The hidden state is kept only at the time-chunk bounds: h_starts[:, k]
-    enters chunks[k] and h_starts[:, -1] is h_final.  ssm_backward
+    The hidden state is kept only at the time-chunk bounds: h_starts[k]
+    enters chunks[k] and h_starts[-1] is h_final.  ssm_backward
     re-runs each chunk's recurrence from its start state, rebuilding
     Abar, E and Bbar from delta and Bix; y_pre saves it the emission.
     """
@@ -129,32 +126,31 @@ class SsmCache:
     params: SsmParams
     version: int
     chunks: list          # (t0, t1) time bounds of each chunk
-    xs: np.ndarray        # (B, L, D)
-    u: np.ndarray         # (B, L, D)
-    sig: np.ndarray       # (B, L, D) sigmoid of the delta pre-activation
-    delta: np.ndarray     # (B, L, D)
-    Bix: np.ndarray       # (B, L, N) input-dependent B
-    Cix: np.ndarray       # (B, L, N) input-dependent C
-    y_pre: np.ndarray     # (B, L, D) output before W_out
-    h_starts: np.ndarray  # (B, len(chunks) + 1, D, N)
+    xs: np.ndarray        # (L, D)
+    u: np.ndarray         # (L, D)
+    sig: np.ndarray       # (L, D) sigmoid of the delta pre-activation
+    delta: np.ndarray     # (L, D)
+    Bix: np.ndarray       # (L, N) input-dependent B
+    Cix: np.ndarray       # (L, N) input-dependent C
+    y_pre: np.ndarray     # (L, D) output before W_out
+    h_starts: np.ndarray  # (len(chunks) + 1, D, N)
 
 
 def _check_inputs(params: SsmParams, h0, xs):
     """(xs, h0) as float64 arrays, h0 None made zeros; a shape that is not
-    xs (B, L, D) and h0 (B, D, N) raises ValueError."""
+    xs (L, D) and h0 (D, N) raises ValueError."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3:
-        raise ValueError(f"xs must be (batch, L, D), got {xs.shape}")
-    nb, L, D = xs.shape
+    if xs.ndim != 2:
+        raise ValueError(f"xs must be (L, D), got {xs.shape}")
+    D = xs.shape[1]
     if D != params.d_model:
         raise ValueError(f"input dim {D} != d_model {params.d_model}")
     N = params.d_state
     if h0 is None:
-        return xs, np.zeros((nb, D, N))
+        return xs, np.zeros((D, N))
     h0 = np.asarray(h0, dtype=np.float64)
-    if h0.shape != (nb, D, N):
-        raise ValueError(f"h0 shape {h0.shape} incompatible with "
-                         f"({nb}, {D}, {N})")
+    if h0.shape != (D, N):
+        raise ValueError(f"h0 shape {h0.shape} incompatible with ({D}, {N})")
     return xs, h0
 
 
@@ -170,7 +166,7 @@ def _input_projections(params: SsmParams, xs):
 
 def _discretize(delta, A, Bix):
     """Abar = exp(delta*A), E = expm1(delta*A)/A and Bbar = E*B for
-    delta (B, c, D) and Bix (B, c, N); each result is (B, c, D, N)."""
+    delta (c, D) and Bix (c, N); each result is (c, D, N)."""
     P = delta[..., None] * A
     Abar = np.exp(P)
     E = np.expm1(P, out=P)
@@ -179,50 +175,50 @@ def _discretize(delta, A, Bix):
     return Abar, E, Bbar
 
 
-def _chunks(nb, L, D, N):
+def _chunks(L, D, N):
     """(t0, t1) bounds of the time chunks, each within the element budget."""
-    c = max(1, SCAN_CHUNK_ELEMENTS // max(1, nb * D * N))
+    c = max(1, SCAN_CHUNK_ELEMENTS // (D * N))
     return [(t0, min(t0 + c, L)) for t0 in range(0, L, c)]
 
 
 def _run_states(Abar, Bbar, u, h, out):
-    """Run the recurrence over the first out.shape[1] steps of a chunk
-    from state h: out[:, i] = Abar_i * h + Bbar_i * u_i, then h = out[:, i].
+    """Run the recurrence over the first len(out) steps of a chunk from
+    state h: out[i] = Abar_i * h + Bbar_i * u_i, then h = out[i].
     Returns out, the states after each step; out may be Bbar itself."""
-    n = out.shape[1]
-    np.multiply(Bbar[:, :n], u[:, :n, :, None], out=out)
+    n = len(out)
+    np.multiply(Bbar[:n], u[:n, :, None], out=out)
     step = np.empty_like(h)
     for i in range(n):
-        out[:, i] += np.multiply(Abar[:, i], h, out=step)
-        h = out[:, i]
+        out[i] += np.multiply(Abar[i], h, out=step)
+        h = out[i]
     return out
 
 
 def _emit(params: SsmParams, hs_steps, Cix, u):
-    """Output before W_out: y[b,l,d] = sum_n h[b,l,d,n] C[b,l,n]
-    + D_skip[d] u[b,l,d]."""
-    return np.einsum("bldn,bln->bld", hs_steps, Cix) + params.D_skip * u
+    """Output before W_out: y[l,d] = sum_n h[l,d,n] C[l,n]
+    + D_skip[d] u[l,d]."""
+    return np.einsum("ldn,ln->ld", hs_steps, Cix) + params.D_skip * u
 
 
 def ssm_forward_sequential(params: SsmParams, h0, xs):
-    """Step-by-step evaluation of xs (B, L, D) from h0 (None: zeros, or
-    (B, D, N)); returns (ys (B, L, D), h_final (B, D, N), cache)."""
+    """Step-by-step evaluation of xs (L, D) from h0 (None: zeros, or
+    (D, N)); returns (ys (L, D), h_final (D, N), cache)."""
     xs, h0 = _check_inputs(params, h0, xs)
-    nb, L, D = xs.shape
+    L, D = xs.shape
     N = params.d_state
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
     A = -np.exp(params.A_log)
-    chunks = _chunks(nb, L, D, N)
-    h_starts = np.empty((nb, len(chunks) + 1, D, N))
-    h_starts[:, 0] = h0
-    y_pre = np.empty((nb, L, D))
+    chunks = _chunks(L, D, N)
+    h_starts = np.empty((len(chunks) + 1, D, N))
+    h_starts[0] = h0
+    y_pre = np.empty((L, D))
     for k, (t0, t1) in enumerate(chunks):
-        Abar, _, Bbar = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
-        hc = _run_states(Abar, Bbar, u[:, t0:t1], h_starts[:, k], Bbar)
-        h_starts[:, k + 1] = hc[:, -1]
-        y_pre[:, t0:t1] = _emit(params, hc, Cix[:, t0:t1], u[:, t0:t1])
+        Abar, _, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1])
+        hc = _run_states(Abar, Bbar, u[t0:t1], h_starts[k], Bbar)
+        h_starts[k + 1] = hc[-1]
+        y_pre[t0:t1] = _emit(params, hc, Cix[t0:t1], u[t0:t1])
     ys = y_pre @ params.W_out + params.b_out
-    h_final = h_starts[:, -1]
+    h_final = h_starts[-1]
     cache = SsmCache(params, params.version, chunks, xs, u, sig, delta, Bix,
                      Cix, y_pre, h_starts)
     return ys, h_final, cache
@@ -231,22 +227,22 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
 def ssm_forward_scan(params: SsmParams, h0, xs):
     """Prefix-scan evaluation (inclusive Hillis-Steele); same outputs as
     the sequential path up to floating-point reassociation.  It holds the
-    whole (B, L, D, N) discretization at once and serves as a
-    verification oracle, not as a fast path."""
+    whole (L, D, N) discretization at once and serves as a verification
+    oracle, not as a fast path."""
     xs, h0 = _check_inputs(params, h0, xs)
-    L = xs.shape[1]
+    L = len(xs)
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
     a, _, Bbar = _discretize(delta, -np.exp(params.A_log), Bix)
     b = Bbar * u[..., None]
-    b[:, 0] += a[:, 0] * h0
+    b[0] += a[0] * h0
     offset = 1
     while offset < L:
         # full-slice RHS temporaries make the in-place update safe
-        b[:, offset:] = b[:, offset:] + a[:, offset:] * b[:, :-offset]
-        a[:, offset:] = a[:, offset:] * a[:, :-offset]
+        b[offset:] = b[offset:] + a[offset:] * b[:-offset]
+        a[offset:] = a[offset:] * a[:-offset]
         offset *= 2
     ys = _emit(params, b, Cix, u) @ params.W_out + params.b_out
-    return ys, b[:, -1]
+    return ys, b[-1]
 
 
 def ssm_backward(cache: SsmCache, grad_ys):
@@ -263,21 +259,21 @@ def ssm_backward(cache: SsmCache, grad_ys):
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
     Bix, Cix = cache.Bix, cache.Cix
     A = -np.exp(p.A_log)
-    nb, L, D = xs.shape
+    L, D = xs.shape
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
-    if gys.shape != (nb, L, D):
+    if gys.shape != (L, D):
         raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
-    gh = np.zeros((nb, D, N))
+    gh = np.zeros((D, N))
 
     # output mixing
-    gW_out = np.einsum("bld,ble->de", cache.y_pre, gys)
-    gb_out = gys.sum((0, 1))
+    gW_out = np.einsum("ld,le->de", cache.y_pre, gys)
+    gb_out = gys.sum(0)
     gy = gys @ p.W_out.T
 
     # through the emission: y = h.C + D_skip*u
-    gD_skip = (gy * u).sum((0, 1))
+    gD_skip = (gy * u).sum(0)
     gu = gy * p.D_skip
 
     # reverse recurrence over chunks, last first: rebuild the chunk's
@@ -289,56 +285,56 @@ def ssm_backward(cache: SsmCache, grad_ys):
     # dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A and dA/dA_log = A, with
     # X = (gAbar*A + gE)*Abar, gdelta = sum_n X and
     # gA_log = sum delta*X - sum gE*E
-    gB = np.empty((nb, L, N))
-    gC = np.empty((nb, L, N))
-    gdelta = np.empty((nb, L, D))
+    gB = np.empty((L, N))
+    gC = np.empty((L, N))
+    gdelta = np.empty((L, D))
     gA_log = np.zeros((D, N))
     for k in reversed(range(len(cache.chunks))):
         t0, t1 = cache.chunks[k]
-        Abar, E, Bbar = _discretize(delta[:, t0:t1], A, Bix[:, t0:t1])
+        Abar, E, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1])
         # the states around the chunk's steps: the first and last are
         # stored, the ones between are re-run
-        hc = np.empty((nb, t1 - t0 + 1, D, N))
-        hc[:, 0] = cache.h_starts[:, k]
-        hc[:, -1] = cache.h_starts[:, k + 1]
-        _run_states(Abar, Bbar, u[:, t0:t1], hc[:, 0], hc[:, 1:-1])
-        gC[:, t0:t1] = np.einsum("bld,bldn->bln", gy[:, t0:t1], hc[:, 1:])
+        hc = np.empty((t1 - t0 + 1, D, N))
+        hc[0] = cache.h_starts[k]
+        hc[-1] = cache.h_starts[k + 1]
+        _run_states(Abar, Bbar, u[t0:t1], hc[0], hc[1:-1])
+        gC[t0:t1] = np.einsum("ld,ldn->ln", gy[t0:t1], hc[1:])
         # dL/dh_t = gy_t C_t + Abar_{t+1} dL/dh_{t+1}, written in place;
         # gh carries Abar_t dL/dh_t to the step before
-        ghs = gy[:, t0:t1, :, None] * Cix[:, t0:t1, None, :]
+        ghs = gy[t0:t1, :, None] * Cix[t0:t1, None, :]
         for i in range(t1 - t0 - 1, -1, -1):
-            g = ghs[:, i]
+            g = ghs[i]
             g += gh
-            np.multiply(g, Abar[:, i], out=gh)
+            np.multiply(g, Abar[i], out=gh)
 
-        gu[:, t0:t1] += np.einsum("bldn,bldn->bld", ghs, Bbar)
-        gE = ghs * u[:, t0:t1, :, None]     # gBbar, then gE = gBbar*B
-        gB[:, t0:t1] = np.einsum("bldn,bldn->bln", gE, E)
-        gE *= Bix[:, t0:t1, None, :]
+        gu[t0:t1] += np.einsum("ldn,ldn->ld", ghs, Bbar)
+        gE = ghs * u[t0:t1, :, None]     # gBbar, then gE = gBbar*B
+        gB[t0:t1] = np.einsum("ldn,ldn->ln", gE, E)
+        gE *= Bix[t0:t1, None, :]
         X = ghs                 # X = (ghs*h*A + gE)*Abar, in place
-        X *= hc[:, :-1]
+        X *= hc[:-1]
         X *= A
         X += gE
         X *= Abar
-        gdelta[:, t0:t1] = X.sum(-1)
-        gA_log += (np.einsum("bldn,bld->dn", X, delta[:, t0:t1])
-                   - np.einsum("bldn,bldn->dn", gE, E))
+        gdelta[t0:t1] = X.sum(-1)
+        gA_log += (np.einsum("ldn,ld->dn", X, delta[t0:t1])
+                   - np.einsum("ldn,ldn->dn", gE, E))
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
-    gW_delta = np.einsum("bld,ble->de", u, gz)
-    gb_delta = gz.sum((0, 1))
+    gW_delta = np.einsum("ld,le->de", u, gz)
+    gb_delta = gz.sum(0)
     gu += gz @ p.W_delta.T
 
     # B = u@W_B, C = u@W_C
-    gW_B = np.einsum("bld,bln->dn", u, gB)
-    gW_C = np.einsum("bld,bln->dn", u, gC)
+    gW_B = np.einsum("ld,ln->dn", u, gB)
+    gW_C = np.einsum("ld,ln->dn", u, gC)
     gu += gB @ p.W_B.T
     gu += gC @ p.W_C.T
 
     # u = xs@W_in + b_in
-    gW_in = np.einsum("bld,ble->de", xs, gu)
-    gb_in = gu.sum((0, 1))
+    gW_in = np.einsum("ld,le->de", xs, gu)
+    gb_in = gu.sum(0)
     gxs = gu @ p.W_in.T
 
     grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,

@@ -7,8 +7,9 @@ The loss couples three branches per decision step (t, i):
 * conservative pull (every other bin):     lambda/2 Q_{i,j}^2
 
 All backup targets are gradient-detached; maxes respect per-dimension bin
-masks; the bootstrap beyond the final step is zero.  The per-trajectory
-loss is the sum over (t, i, j); a batch averages trajectories.
+masks; the bootstrap beyond the final step is zero.  The loss of a
+trajectory is the sum over (t, i, j); ``train`` averages the losses of a
+minibatch's trajectories.
 
 Also provides a hand-rolled AdamW, a tabular check that the decomposed
 per-dimension Bellman operator reaches the same values as full-action
@@ -53,67 +54,65 @@ def _masked_max(Q, masks):
 
 
 def compute_targets(Q, rewards, masks, cfg: LossConfig):
-    """Detached backup targets, (B, T, K).
+    """Detached backup targets of one trajectory, (T, K).
 
     Entries i < K-1 hold max_j Q_{i+1,j}^t; entry K-1 holds
     r^t + gamma * max_j Q_{1,j}^{t+1} with a zero terminal bootstrap.
     """
-    B, T, K, M = Q.shape
-    maxQ = _masked_max(Q, masks)               # (B, T, K)
-    targets = np.empty((B, T, K))
-    targets[:, :, :K - 1] = maxQ[:, :, 1:]
-    boot = np.zeros((B, T))
-    boot[:, :T - 1] = maxQ[:, 1:, 0]
-    targets[:, :, K - 1] = rewards + cfg.gamma * boot
+    T, K, M = Q.shape
+    maxQ = _masked_max(Q, masks)               # (T, K)
+    targets = np.empty((T, K))
+    targets[:, :K - 1] = maxQ[:, 1:]
+    boot = np.zeros(T)
+    boot[:T - 1] = maxQ[1:, 0]
+    targets[:, K - 1] = rewards + cfg.gamma * boot
     return targets
 
 
 def q_loss_batch(Q, actions, rewards, masks, cfg: LossConfig, targets=None):
-    """Loss, per-branch components, and dL/dQ for a trajectory batch.
+    """Loss, per-branch components, and dL/dQ of one trajectory.
 
-    Q: (B, T, K, M); actions: (B, T, K); rewards: (B, T); masks: (K,).
-    targets overrides the detached backup targets (used by grad_check to
-    freeze them).  Components are per-trajectory sums averaged over the
-    batch, matching the total.
+    Q: (T, K, M); actions: (T, K); rewards: (T,); masks: (K,).  targets
+    overrides the detached backup targets (used by grad_check to freeze
+    them).  The components are sums over the trajectory and add up to the
+    loss.
     """
     Q = np.asarray(Q, dtype=np.float64)
-    if Q.ndim != 4:
-        raise ValueError(f"Q must be (B, T, K, M), got {Q.shape}")
-    B, T, K, M = Q.shape
+    if Q.ndim != 3:
+        raise ValueError(f"Q must be (T, K, M), got {Q.shape}")
+    T, K, M = Q.shape
     actions = np.asarray(actions)
     rewards = np.asarray(rewards, dtype=np.float64)
     masks = np.asarray(masks, dtype=np.int64)
-    if actions.shape != (B, T, K) or rewards.shape != (B, T):
+    if actions.shape != (T, K) or rewards.shape != (T,):
         raise ValueError("actions/rewards shapes do not match Q")
     if masks.shape != (K,):
         raise ValueError("masks must have one entry per action dimension")
     if targets is None:
         targets = compute_targets(Q, rewards, masks, cfg)
 
-    Qa = np.take_along_axis(Q, actions[..., None], -1)[..., 0]  # (B, T, K)
+    Qa = np.take_along_axis(Q, actions[..., None], -1)[..., 0]  # (T, K)
     resid = Qa - targets
     coef = np.full(K, 1.0)
     coef[K - 1] = cfg.beta
-    bellman_terms = 0.5 * coef * resid * resid                  # (B, T, K)
-    intra = bellman_terms[:, :, :K - 1].sum((1, 2))
-    td = bellman_terms[:, :, K - 1].sum(1)
+    bellman_terms = 0.5 * coef * resid * resid                  # (T, K)
+    intra = bellman_terms[:, :K - 1].sum()
+    td = bellman_terms[:, K - 1].sum()
 
     chosen = np.zeros(Q.shape, dtype=bool)
     np.put_along_axis(chosen, actions[..., None], True, -1)
     cons_terms = 0.5 * cfg.lam * np.where(chosen, 0.0, Q * Q)
-    cons = cons_terms.sum((1, 2, 3))
+    cons = cons_terms.sum()
 
-    loss = float((intra + td + cons).mean())
-    components = {"bellman_intra": float(intra.mean()),
-                  "bellman_td": float(td.mean()),
-                  "conservative": float(cons.mean())}
+    loss = float(intra + td + cons)
+    components = {"bellman_intra": float(intra), "bellman_td": float(td),
+                  "conservative": float(cons)}
 
     dQ = np.where(chosen, 0.0, cfg.lam * Q)
-    dchosen = coef * resid                                      # (B, T, K)
+    dchosen = coef * resid                                      # (T, K)
     np.put_along_axis(dQ, actions[..., None],
                       np.take_along_axis(dQ, actions[..., None], -1)
                       + dchosen[..., None], -1)
-    dQ /= B
     return loss, components, dQ
 
 
@@ -190,10 +189,8 @@ def _trajectory_grads(data, job):
     params, indices, batch = job
     out = []
     for i in indices:
-        one = slice(i, i + 1)
-        Q, cache = qmodel.q_values_batch(params, states[one], actions[one])
-        _, comps, dQ = q_loss_batch(Q, actions[one], rewards[one], masks,
-                                    cfg)
+        Q, cache = qmodel.q_values_batch(params, states[i], actions[i])
+        _, comps, dQ = q_loss_batch(Q, actions[i], rewards[i], masks, cfg)
         dQ /= batch
         out.append((qmodel.model_backward(cache, dQ), comps))
     return out
@@ -209,9 +206,10 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     its accumulated moments; by default a fresh state is used.
 
     A trajectory is the unit of work: each one runs forward, loss and
-    backward at batch 1 (see ``_trajectory_grads``), the minibatch's
-    gradients are added in batch order and its loss components averaged
-    over it.  A minibatch is cut into contiguous slices over
+    backward alone (see ``_trajectory_grads``), the minibatch's gradients
+    are added in batch order and its loss components averaged over it.
+    A gradient that is not finite stops the run before the step that
+    would apply it.  A minibatch is cut into contiguous slices over
     ``min(workers, batch_size, D)`` processes (``workers`` None: the CPUs
     this process may use), forked once per call through ``env.fork_pool``;
     each step sends them only the parameters.  Parameters, moments and
@@ -235,11 +233,11 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     n = min(env.resolve_workers(workers), cfg.batch_size, D)
     history = []
     with env.fork_pool(n, (states, actions, rewards, masks, cfg)) as pmap:
-        for _ in range(cfg.epochs):
+        for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(D)
             tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
                        "conservative": 0.0}
-            for start in range(0, D, cfg.batch_size):
+            for step, start in enumerate(range(0, D, cfg.batch_size), 1):
                 idx = order[start:start + cfg.batch_size]
                 jobs = [(params, part, len(idx))
                         for part in np.array_split(idx, min(n, len(idx)))]
@@ -249,6 +247,11 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
                 for g, _ in per_traj[1:]:
                     for k, v in g.items():
                         grads[k] += v
+                for k in params.tensors():
+                    if not np.isfinite(grads[k]).all():
+                        raise FloatingPointError(
+                            f"training diverged: the gradient of {k} is not "
+                            f"finite at epoch {epoch}, step {step}")
                 adamw_step(params, grads, opt, cfg.learning_rate,
                            weight_decay=cfg.weight_decay)
                 comps = {k: np.array([c[k] for _, c in per_traj])
@@ -404,14 +407,15 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     parameters and frozen for every FD evaluation, matching the
     semi-gradient the analytic path implements.  Checks every parameter
     coordinate at the step h = 1e-4; reports the max relative error over
-    coordinates with |g| > 1e-6.  Each error |g - fd| is first reduced by
-    the FD rounding floor eps*|loss|/h, the error a central difference of
-    a loss rounded to eps*|loss| can show on an exact gradient.  A head
+    coordinates with |g| > 1e-6, an infinite one where g or the FD is not
+    finite.  Each error |g - fd| is first reduced by the FD rounding floor
+    eps*|loss|/h, the error a central difference of a loss rounded to
+    eps*|loss| can show on an exact gradient.  A head
     coordinate's FD losses reuse the unperturbed stack output and
     recompute only the heads, which gives the same losses as a full
     forward.
     """
-    states, actions, rewards = trajectory_arrays([traj])
+    states, actions, rewards = (a[0] for a in trajectory_arrays([traj]))
     masks = env.bin_masks(traj.alg_id, cfg.M)
 
     Q0, cache = qmodel.q_values_batch(params, states, actions)
@@ -445,13 +449,16 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
             dn = frozen_loss(head_only)
             flat[i] = orig
             fd = (up - dn) / (2 * h)
-            if abs(g[i]) > 1e-6:
+            if not (np.isfinite(g[i]) and np.isfinite(fd)):
+                rel = np.inf
+            elif abs(g[i]) > 1e-6:
                 rel = (max(abs(g[i] - fd) - floor, 0.0)
                        / max(abs(g[i]), abs(fd)))
-                checked += 1
-                if rel > worst:
-                    worst, worst_coord = rel, (name, i)
             else:
                 skipped += 1
+                continue
+            checked += 1
+            if rel > worst:
+                worst, worst_coord = rel, (name, i)
     return {"max_rel_error": worst, "worst_coord": worst_coord,
             "checked": checked, "skipped_small": skipped}

@@ -5,10 +5,6 @@ Everything here is deliberately written with plain Python loops and
 definitions, so that agreement with the vectorized package code is
 meaningful.  Slow and simple on purpose.
 
-The batched training loop is the package's earlier ``training.train``,
-which ran each minibatch as one batch; the per-trajectory loop must
-match it up to the order in which weight gradients are added.
-
 The loop oracles section keeps the package's earlier row and digit
 loops (Halton radical inverse, row-at-a-time pairwise distances, the
 Katsuura double loop).  They compute each element with the same
@@ -457,18 +453,18 @@ def ssm_forward_ref(ten, h0, xs):
 # selective-SSM states and backward, whole sequence at once
 
 def ssm_states_ref(cache):
-    """The full (B, L + 1, D, N) state trajectory of the forward pass that
+    """The full (L + 1, D, N) state trajectory of the forward pass that
     made cache, rebuilt over the whole sequence from its inputs:
-    hs[:, 0] = h0 and hs[:, t + 1] = Abar_t hs[:, t] + Bbar_t u_t."""
+    hs[0] = h0 and hs[t + 1] = Abar_t hs[t] + Bbar_t u_t."""
     A = -np.exp(cache.params.A_log)
     P = cache.delta[..., None] * A
     Abar = np.exp(P)
     Bu = np.expm1(P) / A * cache.Bix[..., None, :] * cache.u[..., None]
-    nb, L, D, N = Bu.shape
-    hs = np.empty((nb, L + 1, D, N))
-    hs[:, 0] = cache.h_starts[:, 0]
+    L, D, N = Bu.shape
+    hs = np.empty((L + 1, D, N))
+    hs[0] = cache.h_starts[0]
     for t in range(L):
-        hs[:, t + 1] = Abar[:, t] * hs[:, t] + Bu[:, t]
+        hs[t + 1] = Abar[t] * hs[t] + Bu[t]
     return hs
 
 
@@ -489,66 +485,66 @@ def ssm_backward_ref(cache, grad_ys):
     E = np.expm1(P, out=P)
     E /= A
     Bbar = E * Bix[..., None, :]
-    nb, L, D = xs.shape
+    L, D = xs.shape
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
-    if gys.shape != (nb, L, D):
+    if gys.shape != (L, D):
         raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
-    gh = np.zeros((nb, D, N))
+    gh = np.zeros((D, N))
 
     # output mixing
-    y_pre = np.einsum("bldn,bln->bld", hs[:, 1:], Cix) + p.D_skip * u
-    gW_out = np.einsum("bld,ble->de", y_pre, gys)
-    gb_out = gys.sum((0, 1))
+    y_pre = np.einsum("ldn,ln->ld", hs[1:], Cix) + p.D_skip * u
+    gW_out = np.einsum("ld,le->de", y_pre, gys)
+    gb_out = gys.sum(0)
     gy = gys @ p.W_out.T
 
     # through the emission: y = h.C + D_skip*u
-    gC = np.einsum("bld,bldn->bln", gy, hs[:, 1:])
-    gD_skip = (gy * u).sum((0, 1))
+    gC = np.einsum("ld,ldn->ln", gy, hs[1:])
+    gD_skip = (gy * u).sum(0)
     gu = gy * p.D_skip
 
     # reverse recurrence: accumulate total dL/dh_t for every t
-    ghs = np.empty((nb, L, D, N))
+    ghs = np.empty((L, D, N))
     for t in range(L - 1, -1, -1):
-        gh += gy[:, t, :, None] * Cix[:, t, None, :]
-        ghs[:, t] = gh
-        gh = gh * Abar[:, t]
+        gh += gy[t, :, None] * Cix[t, None, :]
+        ghs[t] = gh
+        gh = gh * Abar[t]
     grad_h0 = gh
 
-    gu += np.einsum("bldn,bldn->bld", ghs, Bbar)
+    gu += np.einsum("ldn,ldn->ld", ghs, Bbar)
 
     # Abar = exp(delta*A), Bbar = E*B with E = expm1(delta*A)/A: from
     # dAbar/ddelta = A*Abar, dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A
     # and dA/dA_log = A, with X = (gAbar*A + gE)*Abar,
     # gdelta = sum_n X and gA_log = sum delta*X - sum gE*E
     gE = ghs * u[..., None]     # gBbar, then gE = gBbar*B
-    gB = np.einsum("bldn,bldn->bln", gE, E)
-    gE *= Bix[:, :, None, :]
+    gB = np.einsum("ldn,ldn->ln", gE, E)
+    gE *= Bix[:, None, :]
     X = ghs                     # X = (ghs*h*A + gE)*Abar, in place
-    X *= hs[:, :-1]
+    X *= hs[:-1]
     X *= A
     X += gE
     X *= Abar
     gdelta = X.sum(-1)
-    gA_log = (np.einsum("bldn,bld->dn", X, delta)
-              - np.einsum("bldn,bldn->dn", gE, E))
+    gA_log = (np.einsum("ldn,ld->dn", X, delta)
+              - np.einsum("ldn,ldn->dn", gE, E))
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
-    gW_delta = np.einsum("bld,ble->de", u, gz)
-    gb_delta = gz.sum((0, 1))
+    gW_delta = np.einsum("ld,le->de", u, gz)
+    gb_delta = gz.sum(0)
     gu += gz @ p.W_delta.T
 
     # B = u@W_B, C = u@W_C
-    gW_B = np.einsum("bld,bln->dn", u, gB)
-    gW_C = np.einsum("bld,bln->dn", u, gC)
+    gW_B = np.einsum("ld,ln->dn", u, gB)
+    gW_C = np.einsum("ld,ln->dn", u, gC)
     gu += gB @ p.W_B.T
     gu += gC @ p.W_C.T
 
     # u = xs@W_in + b_in
-    gW_in = np.einsum("bld,ble->de", xs, gu)
-    gb_in = gu.sum((0, 1))
+    gW_in = np.einsum("ld,le->de", xs, gu)
+    gb_in = gu.sum(0)
     gxs = gu @ p.W_in.T
 
     grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
@@ -561,80 +557,27 @@ def ssm_backward_ref(cache, grad_ys):
 # decomposed conservative loss, triple loops
 
 def q_loss_ref(Q, actions, rewards, masks, beta, lam, gamma):
-    """Naive per-entry loss; Q nested (B, T, K, M); batch mean."""
-    B = len(Q)
-    per_traj = []
-    for b in range(B):
-        T, K = len(Q[b]), len(Q[b][0])
-        M = len(Q[b][0][0])
-        total = 0.0
-        for t in range(T):
-            for i in range(K):
-                a = actions[b][t][i]
-                if i < K - 1:
-                    target = max(Q[b][t][i + 1][:masks[i + 1]])
+    """Naive per-entry loss of one trajectory; Q nested (T, K, M)."""
+    T, K, M = len(Q), len(Q[0]), len(Q[0][0])
+    total = 0.0
+    for t in range(T):
+        for i in range(K):
+            a = actions[t][i]
+            if i < K - 1:
+                target = max(Q[t][i + 1][:masks[i + 1]])
+            else:
+                if t < T - 1:
+                    nxt = max(Q[t + 1][0][:masks[0]])
                 else:
-                    if t < T - 1:
-                        nxt = max(Q[b][t + 1][0][:masks[0]])
-                    else:
-                        nxt = 0.0
-                    target = rewards[b][t] + gamma * nxt
-                for j in range(M):
-                    if j == a:
-                        c = beta if i == K - 1 else 1.0
-                        total += c / 2.0 * (Q[b][t][i][j] - target) ** 2
-                    else:
-                        total += lam / 2.0 * Q[b][t][i][j] ** 2
-        per_traj.append(total)
-    return sum(per_traj) / B
-
-
-# ---------------------------------------------------------------------------
-# batched training loop: the earlier ``training.train``, verbatim
-
-def train_batched_ref(dataset, params, cfg, seed=0, opt=None):
-    """Epochs of shuffled whole-trajectory minibatches under AdamW, each
-    minibatch one batched forward, loss and backward."""
-    from dacq import qmodel
-    from dacq.env import bin_masks
-    from dacq.training import (AdamWState, adamw_step, q_loss_batch,
-                               trajectory_arrays)
-    if not dataset:
-        raise ValueError("empty dataset")
-    states, actions, rewards = trajectory_arrays(dataset)
-    alg_id, M = dataset[0].alg_id, dataset[0].M
-    if params.config.K != actions.shape[2]:
-        raise ValueError("model K does not match dataset")
-    if params.config.M != M:
-        raise ValueError("model M does not match dataset")
-    if cfg.K != params.config.K or cfg.M != params.config.M:
-        raise ValueError("loss config K/M do not match the model")
-    masks = bin_masks(alg_id, M)
-    D = len(dataset)
-    if opt is None:
-        opt = AdamWState.for_params(params)
-    rng = np.random.default_rng(seed)
-    history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(D)
-        tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
-                   "conservative": 0.0}
-        for start in range(0, D, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            Q, cache = qmodel.q_values_batch(params, states[idx], actions[idx])
-            loss, comps, dQ = q_loss_batch(Q, actions[idx], rewards[idx],
-                                           masks, cfg)
-            grads = qmodel.model_backward(cache, dQ)
-            adamw_step(params, grads, opt, cfg.learning_rate,
-                       weight_decay=cfg.weight_decay)
-            w = len(idx)
-            tallies["loss"] += loss * w
-            for k, v in comps.items():
-                tallies[k] += v * w
-        history.append({k: v / D for k, v in tallies.items()})
-        if not np.isfinite(history[-1]["loss"]):
-            raise FloatingPointError("training loss diverged")
-    return params, history
+                    nxt = 0.0
+                target = rewards[t] + gamma * nxt
+            for j in range(M):
+                if j == a:
+                    c = beta if i == K - 1 else 1.0
+                    total += c / 2.0 * (Q[t][i][j] - target) ** 2
+                else:
+                    total += lam / 2.0 * Q[t][i][j] ** 2
+    return total
 
 
 # ---------------------------------------------------------------------------

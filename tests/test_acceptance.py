@@ -71,7 +71,7 @@ def test_scan_matches_sequential_recurrence(L):
     for s in range(20):
         rng = np.random.default_rng([20260823, 4, L, s])
         ten = ssm.init_ssm_params(rng, 16, 8)
-        xs = rng.normal(size=(L, 16))[None]
+        xs = rng.normal(size=(L, 16))
         ys_seq, hT_seq, _ = ssm.ssm_forward_sequential(ten, None, xs)
         ys_par, hT_par = ssm.ssm_forward_scan(ten, None, xs)
         assert np.max(np.abs(ys_par - ys_seq)) <= 1e-6, (L, s)
@@ -115,9 +115,9 @@ def test_rewards_telescope_to_normalized_improvement():
 
 def test_loss_unit_values_exact():
     cfg = training.LossConfig(K=1, M=2, beta=10.0, lam=1.0, gamma=0.99)
-    Q = np.array([[[[1.0, 0.2]]]])
-    actions = np.array([[[0]]])
-    rewards = np.array([[0.5]])
+    Q = np.array([[[1.0, 0.2]]])
+    actions = np.array([[0]])
+    rewards = np.array([0.5])
     loss, comps, _ = training.q_loss_batch(Q, actions, rewards,
                                            np.array([2]), cfg)
     assert abs(loss - 1.27) <= 1e-12
@@ -125,8 +125,8 @@ def test_loss_unit_values_exact():
     assert abs(comps["conservative"] - 0.02) <= 1e-12
 
     zero_loss, zero_comps, dQ = training.q_loss_batch(
-        np.zeros((1, 3, 2, 4)), np.zeros((1, 3, 2), dtype=int),
-        np.zeros((1, 3)), np.array([4, 4]), training.LossConfig(K=2, M=4))
+        np.zeros((3, 2, 4)), np.zeros((3, 2), dtype=int),
+        np.zeros(3), np.array([4, 4]), training.LossConfig(K=2, M=4))
     assert zero_loss == 0.0
     assert all(v == 0.0 for v in zero_comps.values())
     assert np.all(dQ == 0.0)

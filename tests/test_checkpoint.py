@@ -49,8 +49,8 @@ def test_loaded_model_produces_identical_outputs(tmp_path):
     checkpoint.save_checkpoint(path, params)
     back, _, _ = checkpoint.load_checkpoint(path)
     rng = np.random.default_rng(5)
-    states = rng.standard_normal((2, 4, 9))
-    actions = rng.integers(0, 16, (2, 4, 3))
+    states = rng.standard_normal((4, 9))
+    actions = rng.integers(0, 16, (4, 3))
     Q1, _ = qmodel.q_values_batch(params, states, actions)
     Q2, _ = qmodel.q_values_batch(back, states, actions)
     assert np.array_equal(Q1, Q2)

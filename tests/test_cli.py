@@ -358,6 +358,27 @@ def test_train_bytes_do_not_depend_on_workers(ds_dir, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_train_non_finite_gradient_is_one_error_line(ds_dir, tmp_path,
+                                                     capsys, monkeypatch):
+    true_backward = qmodel.model_backward
+
+    def nan_w_in(cache, grad_Q):
+        grads = true_backward(cache, grad_Q)
+        grads["blocks.0.W_in"][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", nan_w_in)
+    out = tmp_path / "run"
+    rc = run(["train", "--data", str(ds_dir), "--out", str(out),
+              "--epochs", "2", "--batch", "4", "--d-model", "8",
+              "--d-state", "4", "--seed", "2", "--workers", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: training diverged: the gradient of blocks.0.W_in "
+                   "is not finite at epoch 1, step 1\n"), err
+    assert not (out / "model.ckpt").exists()
+
+
 def test_train_resume_continues_epoch_numbering(ds_dir, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run(["train", "--data", str(ds_dir), "--out", str(out1),
@@ -743,6 +764,39 @@ def test_verify_injected_small_gradient_error_fails(monkeypatch, capsys):
     assert "FAIL  grad_check" in out
 
 
+@pytest.mark.parametrize("value", [0.0, np.nan])
+def test_verify_zero_or_nan_gradient_fails(monkeypatch, capsys, value):
+    # an all-zero gradient leaves no coordinate to check, and a NaN one
+    # compares false against every bound: both must fail
+    true_backward = qmodel.model_backward
+
+    def constant(cache, grad_Q):
+        return {k: np.full_like(v, value)
+                for k, v in true_backward(cache, grad_Q).items()}
+
+    monkeypatch.setattr(qmodel, "model_backward", constant)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  grad_check" in out
+    assert out.count("FAIL") == 1, out
+
+
+def test_verify_nan_scan_fails(monkeypatch, capsys):
+    true_scan = ssm.ssm_forward_scan
+
+    def nan_scan(params, h0, xs):
+        ys, h_final = true_scan(params, h0, xs)
+        return np.full_like(ys, np.nan), h_final
+
+    monkeypatch.setattr(ssm, "ssm_forward_scan", nan_scan)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  scan_equivalence: max |scan - sequential| nan" in out
+    assert out.count("FAIL") == 1, out
+
+
 @pytest.mark.parametrize("factor", [1.0 + 1e-12, float("nan")])
 def test_verify_s1_error_fails(monkeypatch, capsys, factor):
     # a 1e-12 relative error, as an unguarded Gram plane makes on
@@ -766,8 +820,8 @@ def test_verify_crosses_scan_chunks(monkeypatch, capsys):
 
     def spy_forward(params, h0, xs):
         ys, hf, cache = true_forward(params, h0, xs)
-        nb, L, D = cache.xs.shape
-        n = len(ssm._chunks(nb, L, D, params.d_state))
+        L, D = cache.xs.shape
+        n = len(ssm._chunks(L, D, params.d_state))
         most[phase[0]] = max(most.get(phase[0], 0), n)
         return ys, hf, cache
 

@@ -56,7 +56,7 @@ def test_tokenize_range_errors():
     for bad in ([[3, 16], [0, 0]], [[3, 4], [0, 16]], [[3, -1], [0, 0]],
                 [[-1, 4], [0, 0]]):
         with pytest.raises(ValueError, match="token range"):
-            qmodel.assemble_inputs(np.zeros((1, 2, 9)), np.array([bad]), 5)
+            qmodel.assemble_inputs(np.zeros((2, 9)), np.array(bad), 5)
 
 
 @pytest.mark.parametrize("width", [5, 6])
@@ -170,28 +170,28 @@ def test_decode_feeds_chosen_tokens_forward(alg_id):
     bins2, h, qs2 = qmodel.decode_episode_actions(p, s2, masks, h,
                                                   int(bins1[-1]))
     assert np.all(bins1 < masks) and np.all(bins2 < masks)
-    Q, _ = qmodel.q_values_batch(p, np.stack([s1, s2])[None],
-                                 np.stack([bins1, bins2])[None])
-    assert_allclose(Q[0, 0], qs1, atol=1e-12, rtol=0)
-    assert_allclose(Q[0, 1], qs2, atol=1e-12, rtol=0)
+    Q, _ = qmodel.q_values_batch(p, np.stack([s1, s2]),
+                                 np.stack([bins1, bins2]))
+    assert_allclose(Q[0], qs1, atol=1e-12, rtol=0)
+    assert_allclose(Q[1], qs2, atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
 # teacher forcing
 
 def test_assemble_inputs_token_stream():
-    states = np.arange(18, dtype=float).reshape(1, 2, 9)
-    actions = np.array([[[3, 5], [7, 1]]])
+    states = np.arange(18, dtype=float).reshape(2, 9)
+    actions = np.array([[3, 5], [7, 1]])
     X = qmodel.assemble_inputs(states, actions, width=5)
-    assert X.shape == (1, 4, 14)
-    assert_array_equal(X[0, :, 9:], [[1, 1, 1, 1, 1],    # start
-                                     [0, 0, 0, 1, 1],    # 3
-                                     [0, 0, 1, 0, 1],    # 5
-                                     [0, 0, 1, 1, 1]])   # 7
-    assert_array_equal(X[0, 0, :9], states[0, 0])
-    assert_array_equal(X[0, 3, :9], states[0, 1])
+    assert X.shape == (4, 14)
+    assert_array_equal(X[:, 9:], [[1, 1, 1, 1, 1],    # start
+                                  [0, 0, 0, 1, 1],    # 3
+                                  [0, 0, 1, 0, 1],    # 5
+                                  [0, 0, 1, 1, 1]])   # 7
+    assert_array_equal(X[0, :9], states[0])
+    assert_array_equal(X[3, :9], states[1])
     with pytest.raises(ValueError):
-        qmodel.assemble_inputs(states, np.array([[[3, 16], [0, 0]]]), 5)
+        qmodel.assemble_inputs(states, np.array([[3, 16], [0, 0]]), 5)
 
 
 def test_single_step_single_dim_trajectory():
@@ -203,9 +203,8 @@ def test_single_step_single_dim_trajectory():
                           f_best_init=1.0, f_star=0.0,
                           steps=[env.StepRecord(s, np.array([4]), 0.0, 1.0)])
     states, actions, _ = training.trajectory_arrays([traj])
-    Q, _ = qmodel.q_values_batch(p, states, actions)
-    assert Q.shape == (1, 1, 1, 16)
-    Q = Q[0]
+    Q, _ = qmodel.q_values_batch(p, states[0], actions[0])
+    assert Q.shape == (1, 1, 16)
     q_direct, _ = qmodel.q_step(p, s, -1, p.zero_hidden())
     assert_allclose(Q[0, 0], q_direct, atol=1e-12, rtol=0)
 
@@ -227,8 +226,8 @@ def test_teacher_forcing_matches_step_replay():
     T, K = 4, 3
     states = rng.normal(size=(T, 9))
     actions = rng.integers(0, 16, size=(T, K))
-    Q, _ = qmodel.q_values_batch(p, states[None], actions[None])
-    assert_step_replay_matches(p, states, actions, Q[0])
+    Q, _ = qmodel.q_values_batch(p, states, actions)
+    assert_step_replay_matches(p, states, actions, Q)
 
 
 def test_teacher_forcing_across_scan_chunks(monkeypatch):
@@ -240,42 +239,31 @@ def test_teacher_forcing_across_scan_chunks(monkeypatch):
     T, K = 4, 3
     states = rng.normal(size=(T, 9))
     actions = rng.integers(0, 16, size=(T, K))
-    grad_Q = rng.normal(size=(1, T, K, 16))
-    Q_one, cache_one = qmodel.q_values_batch(p, states[None], actions[None])
+    grad_Q = rng.normal(size=(T, K, 16))
+    Q_one, cache_one = qmodel.q_values_batch(p, states, actions)
     assert [len(c.chunks) for c in cache_one.block_caches] == [1, 1]
     want = qmodel.model_backward(cache_one, grad_Q)
     monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS",
                         5 * p.config.d_model * p.config.d_state)
-    Q, cache = qmodel.q_values_batch(p, states[None], actions[None])
+    Q, cache = qmodel.q_values_batch(p, states, actions)
     assert [len(c.chunks) for c in cache.block_caches] == [3, 3]
     assert_array_equal(Q, Q_one)
     got = qmodel.model_backward(cache, grad_Q)
     for k in want:
         if k.endswith("A_log"):
-            # summed over (b, l) one chunk at a time
+            # summed over l one chunk at a time
             err = np.max(np.abs(got[k] - want[k]))
             assert err <= 1e-13 * np.max(np.abs(want[k])), (k, err)
         else:
             assert_array_equal(got[k], want[k], err_msg=k)
-    assert_step_replay_matches(p, states, actions, Q[0])
-
-
-def test_batch_independence():
-    p = tiny_model(seed=13)
-    rng = np.random.default_rng(14)
-    states = rng.normal(size=(3, 2, 9))
-    actions = rng.integers(0, 16, size=(3, 2, 3))
-    Q, _ = qmodel.q_values_batch(p, states, actions)
-    for b in range(3):
-        Qb, _ = qmodel.q_values_batch(p, states[b:b + 1], actions[b:b + 1])
-        assert_array_equal(Q[b], Qb[0])
+    assert_step_replay_matches(p, states, actions, Q)
 
 
 def test_k_mismatch_rejected():
     p = tiny_model(K=3)
     with pytest.raises(ValueError):
-        qmodel.q_values_batch(p, np.zeros((1, 2, 9)),
-                              np.zeros((1, 2, 4), dtype=int))
+        qmodel.q_values_batch(p, np.zeros((2, 9)),
+                              np.zeros((2, 4), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +278,9 @@ def test_model_backward_matches_finite_differences():
     p = tiny_model(seed=15, K=2, depth=1)
     rng = np.random.default_rng(16)
     T, K = 3, 2
-    states = rng.normal(size=(1, T, 9))
-    actions = rng.integers(0, 16, size=(1, T, K))
-    R = rng.normal(size=(1, T, K, 16))
+    states = rng.normal(size=(T, 9))
+    actions = rng.integers(0, 16, size=(T, K))
+    R = rng.normal(size=(T, K, 16))
     _, _, cache = scalar_loss(p, states, actions, R)
     grads = qmodel.model_backward(cache, R)
 
@@ -324,9 +312,9 @@ def test_model_backward_matches_finite_differences():
 def test_model_backward_depth_two():
     p = tiny_model(seed=17, K=2, depth=2)
     rng = np.random.default_rng(18)
-    states = rng.normal(size=(1, 2, 9))
-    actions = rng.integers(0, 16, size=(1, 2, 2))
-    R = rng.normal(size=(1, 2, 2, 16))
+    states = rng.normal(size=(2, 9))
+    actions = rng.integers(0, 16, size=(2, 2))
+    R = rng.normal(size=(2, 2, 16))
     _, _, cache = scalar_loss(p, states, actions, R)
     grads = qmodel.model_backward(cache, R)
     h = 1e-4
@@ -353,12 +341,12 @@ def test_model_backward_depth_two():
 def test_stale_model_cache_rejected():
     p = tiny_model(seed=19)
     rng = np.random.default_rng(20)
-    states = rng.normal(size=(1, 2, 9))
-    actions = rng.integers(0, 16, size=(1, 2, 3))
+    states = rng.normal(size=(2, 9))
+    actions = rng.integers(0, 16, size=(2, 3))
     _, cache = qmodel.q_values_batch(p, states, actions)
     p.bump()
     with pytest.raises(ValueError):
-        qmodel.model_backward(cache, np.zeros((1, 2, 3, 16)))
+        qmodel.model_backward(cache, np.zeros((2, 3, 16)))
 
 
 def test_tensor_names_are_stable():

@@ -37,11 +37,11 @@ def test_discretize_half_life():
         W_delta=np.zeros((1, 1)),
         b_delta=ssm.softplus_inv(np.array([math.log(2.0)])),
         W_B=one, W_C=one, D_skip=np.zeros(1), W_out=one, b_out=np.zeros(1))
-    _, h1, cache = ssm.ssm_forward_sequential(p, one[None], one[None])
+    _, h1, cache = ssm.ssm_forward_sequential(p, one, one)
     Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
-    assert_allclose(Abar[0, 0], [[0.5]], rtol=1e-14)
-    assert_allclose(Bbar[0, 0], [[0.5]], rtol=1e-14)
-    assert_allclose(h1, [[[1.0]]], rtol=1e-14)
+    assert_allclose(Abar[0], [[0.5]], rtol=1e-14)
+    assert_allclose(Bbar[0], [[0.5]], rtol=1e-14)
+    assert_allclose(h1, [[1.0]], rtol=1e-14)
 
 
 def test_discretize_matches_ode_integration():
@@ -55,9 +55,9 @@ def test_discretize_matches_ode_integration():
     p.A_log[0, 0] = -20.0
     x = rng.normal(size=(1, D))
     h0 = rng.normal(size=(D, N))
-    _, want, cache = ssm.ssm_forward_sequential(p, h0[None], x[None])
+    _, want, cache = ssm.ssm_forward_sequential(p, h0, x)
     A = -np.exp(p.A_log)
-    delta, B, u = cache.delta[0, 0], cache.Bix[0, 0], cache.u[0, 0]
+    delta, B, u = cache.delta[0], cache.Bix[0], cache.u[0]
 
     steps = 4000
     h = h0.copy()
@@ -73,7 +73,7 @@ def test_discretize_matches_ode_integration():
         k3 = f(h + 0.5 * dt * k2)
         k4 = f(h + dt * k3)
         h = h + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert np.max(np.abs(h - want[0])) < 1e-8
+    assert np.max(np.abs(h - want)) < 1e-8
 
 
 def test_stable_by_construction():
@@ -82,7 +82,7 @@ def test_stable_by_construction():
     p = small_params(29)
     p.A_log[:] = np.linspace(-20.0, 20.0, p.A_log.size).reshape(p.A_log.shape)
     x_row = np.random.default_rng(30).normal(size=8) * 3
-    xs = np.tile(x_row, (1, 2048, 1))
+    xs = np.tile(x_row, (2048, 1))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
     hs = reference.ssm_states_ref(cache)
@@ -92,8 +92,8 @@ def test_stable_by_construction():
     bu = np.abs(Bbar * cache.u[..., None])
     assert np.abs(hs).max() <= bu.max() / (1.0 - Abar.max())
     # with a constant input each (d, n) is its own geometric series
-    bound = bu[0, 0] / (1.0 - Abar[0, 0])
-    assert np.all(np.abs(hs[0]) <= bound * (1.0 + 1e-12))
+    bound = bu[0] / (1.0 - Abar[0])
+    assert np.all(np.abs(hs) <= bound * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +101,19 @@ def test_stable_by_construction():
 
 def test_zero_input_zero_state_gives_zero_output():
     p = small_params()
-    xs = np.zeros((1, 5, 8))
+    xs = np.zeros((5, 8))
     ys, h_final, _ = ssm.ssm_forward_sequential(p, None, xs)
-    assert_array_equal(ys, np.zeros((1, 5, 8)))
-    assert_array_equal(h_final, np.zeros((1, 8, 4)))
+    assert_array_equal(ys, np.zeros((5, 8)))
+    assert_array_equal(h_final, np.zeros((8, 4)))
 
 
-def test_empty_batch_and_empty_sequence():
+def test_empty_sequence():
     p = small_params()
-    for xs, ys_shape, gh0_shape in ((np.zeros((0, 5, 8)), (0, 5, 8),
-                                     (0, 8, 4)),
-                                    (np.zeros((1, 0, 8)), (1, 0, 8),
-                                     (1, 8, 4))):
-        ys, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-        assert ys.shape == ys_shape
-        _, gh0, gxs = ssm.ssm_backward(cache, np.zeros(ys_shape))
-        assert gh0.shape == gh0_shape and gxs.shape == xs.shape
+    xs = np.zeros((0, 8))
+    ys, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+    assert ys.shape == (0, 8)
+    _, gh0, gxs = ssm.ssm_backward(cache, np.zeros((0, 8)))
+    assert gh0.shape == (8, 4) and gxs.shape == xs.shape
 
 
 def test_memoryless_limit_is_time_independent():
@@ -124,10 +121,10 @@ def test_memoryless_limit_is_time_independent():
     p = small_params(1)
     p.A_log[:] = np.log(1e6)
     x_row = np.random.default_rng(2).normal(size=8)
-    xs = np.tile(x_row, (1, 4, 1))
+    xs = np.tile(x_row, (4, 1))
     ys, _, _ = ssm.ssm_forward_sequential(p, None, xs)
     for t in range(1, 4):
-        assert_array_equal(ys[0, t], ys[0, 0])
+        assert_array_equal(ys[t], ys[0])
 
 
 def test_sequential_matches_scalar_oracle():
@@ -135,47 +132,34 @@ def test_sequential_matches_scalar_oracle():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(7, 6))
     h0 = rng.normal(size=(6, 3))
-    ys, h_final, _ = ssm.ssm_forward_sequential(p, h0[None], xs[None])
+    ys, h_final, _ = ssm.ssm_forward_sequential(p, h0, xs)
     ten = {k: v.tolist() for k, v in p.tensors().items()}
     ys_ref, h_ref = reference.ssm_forward_ref(ten, h0.tolist(), xs.tolist())
-    assert_allclose(ys[0], ys_ref, rtol=1e-12, atol=1e-12)
-    assert_allclose(h_final[0], h_ref, rtol=1e-12, atol=1e-12)
-
-
-def test_batched_equals_per_sequence():
-    p = small_params(6)
-    rng = np.random.default_rng(8)
-    xs = rng.normal(size=(3, 9, 8))
-    h0 = rng.normal(size=(3, 8, 4))
-    ys, hf, _ = ssm.ssm_forward_sequential(p, h0, xs)
-    for b in range(3):
-        one = slice(b, b + 1)
-        yb, hb, _ = ssm.ssm_forward_sequential(p, h0[one], xs[one])
-        assert_array_equal(ys[one], yb)
-        assert_array_equal(hf[one], hb)
+    assert_allclose(ys, ys_ref, rtol=1e-12, atol=1e-12)
+    assert_allclose(h_final, h_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_hidden_state_continuity():
     p = small_params(9)
     rng = np.random.default_rng(10)
-    xs = rng.normal(size=(10, 8))[None]
+    xs = rng.normal(size=(10, 8))
     full_ys, full_h, _ = ssm.ssm_forward_sequential(p, None, xs)
-    y1, h_mid, _ = ssm.ssm_forward_sequential(p, None, xs[:, :4])
-    y2, h_end, _ = ssm.ssm_forward_sequential(p, h_mid, xs[:, 4:])
-    assert_allclose(np.concatenate([y1, y2], axis=1), full_ys, atol=1e-12,
+    y1, h_mid, _ = ssm.ssm_forward_sequential(p, None, xs[:4])
+    y2, h_end, _ = ssm.ssm_forward_sequential(p, h_mid, xs[4:])
+    assert_allclose(np.concatenate([y1, y2]), full_ys, atol=1e-12,
                     rtol=0)
     assert_allclose(h_end, full_h, atol=1e-12, rtol=0)
 
 
 def test_forward_shape_errors():
-    # xs is (B, L, D) and h0 (B, D, N): one sequence is a batch of one
+    # xs is (L, D) and h0 (D, N): one sequence, no batch axis
     p = small_params()
-    for xs in (np.zeros(8), np.zeros((4, 8)), np.zeros((1, 4, 7))):
+    for xs in (np.zeros(8), np.zeros((1, 4, 8)), np.zeros((4, 7))):
         with pytest.raises(ValueError):
             ssm.ssm_forward_sequential(p, None, xs)
-    for h0 in (np.zeros((3, 3)), np.zeros((8, 4)), np.zeros((2, 8, 4))):
+    for h0 in (np.zeros((3, 3)), np.zeros((1, 8, 4)), np.zeros((4, 8))):
         with pytest.raises(ValueError):
-            ssm.ssm_forward_sequential(p, h0, np.zeros((1, 4, 8)))
+            ssm.ssm_forward_sequential(p, h0, np.zeros((4, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +169,18 @@ def test_forward_shape_errors():
 def test_scan_matches_sequential(L):
     p = small_params(12)
     rng = np.random.default_rng(L)
-    xs = rng.normal(size=(L, 8))[None]
-    h0 = rng.normal(size=(8, 4))[None]
+    xs = rng.normal(size=(L, 8))
+    h0 = rng.normal(size=(8, 4))
     ys_seq, hf_seq, _ = ssm.ssm_forward_sequential(p, h0, xs)
     ys_scan, hf_scan = ssm.ssm_forward_scan(p, h0, xs)
     assert np.max(np.abs(ys_seq - ys_scan)) <= 1e-6
     assert np.max(np.abs(hf_seq - hf_scan)) <= 1e-6
 
 
-def test_scan_batched_and_deterministic():
+def test_scan_deterministic():
     p = small_params(13)
     rng = np.random.default_rng(14)
-    xs = rng.normal(size=(2, 33, 8))
+    xs = rng.normal(size=(33, 8))
     a1 = ssm.ssm_forward_scan(p, None, xs)
     a2 = ssm.ssm_forward_scan(p, None, xs)
     assert_array_equal(a1[0], a2[0])
@@ -214,13 +198,13 @@ def loss_only(p, h0, xs, Wr):
 
 def test_zero_upstream_gradient():
     p = small_params(15)
-    xs = np.random.default_rng(16).normal(size=(1, 5, 8))
+    xs = np.random.default_rng(16).normal(size=(5, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    grads, gh0, gxs = ssm.ssm_backward(cache, np.zeros((1, 5, 8)))
+    grads, gh0, gxs = ssm.ssm_backward(cache, np.zeros((5, 8)))
     for g in grads.values():
         assert_array_equal(g, np.zeros_like(g))
-    assert_array_equal(gh0, np.zeros((1, 8, 4)))
-    assert_array_equal(gxs, np.zeros((1, 5, 8)))
+    assert_array_equal(gh0, np.zeros((8, 4)))
+    assert_array_equal(gxs, np.zeros((5, 8)))
 
 
 def test_single_step_scalar_hand_chain_rule():
@@ -237,9 +221,9 @@ def test_single_step_scalar_hand_chain_rule():
         W_B=np.array([[w_b]]), W_C=np.array([[w_c]]),
         D_skip=np.array([d_skip]), W_out=np.array([[w_out]]),
         b_out=np.array([b_out]))
-    ys, hf, cache = ssm.ssm_forward_sequential(p, np.array([[[h0]]]),
-                                               np.array([[[x]]]))
-    grads, gh0, gxs = ssm.ssm_backward(cache, np.array([[[1.0]]]))
+    ys, hf, cache = ssm.ssm_forward_sequential(p, np.array([[h0]]),
+                                               np.array([[x]]))
+    grads, gh0, gxs = ssm.ssm_backward(cache, np.array([[1.0]]))
 
     a = -math.exp(a_log)
     u = x * w_in + b_in
@@ -251,7 +235,7 @@ def test_single_step_scalar_hand_chain_rule():
     bbar = e * Bv
     h1 = abar * h0 + bbar * u
     y = h1 * Cv + d_skip * u
-    assert_allclose(ys, [[[y * w_out + b_out]]], rtol=1e-14)
+    assert_allclose(ys, [[y * w_out + b_out]], rtol=1e-14)
 
     # hand chain rule, outermost first
     dy = w_out
@@ -282,17 +266,17 @@ def test_single_step_scalar_hand_chain_rule():
     assert_allclose(grads["b_delta"], [dz], rtol=1e-13)
     assert_allclose(grads["W_in"], [[du * x]], rtol=1e-13)
     assert_allclose(grads["b_in"], [du], rtol=1e-13)
-    assert_allclose(gh0, [[[dh1 * abar]]], rtol=1e-13)
-    assert_allclose(gxs, [[[dx]]], rtol=1e-13)
+    assert_allclose(gh0, [[dh1 * abar]], rtol=1e-13)
+    assert_allclose(gxs, [[dx]], rtol=1e-13)
 
 
 def test_backward_matches_finite_differences():
     p = small_params(17)
     rng = np.random.default_rng(18)
     L = 6
-    xs = rng.normal(size=(1, L, 8))
-    h0 = rng.normal(size=(1, 8, 4)) * 0.3
-    Wr = rng.normal(size=(1, L, 8))
+    xs = rng.normal(size=(L, 8))
+    h0 = rng.normal(size=(8, 4)) * 0.3
+    Wr = rng.normal(size=(L, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, h0, xs)
     grads, gh0, gxs = ssm.ssm_backward(cache, Wr)
 
@@ -334,70 +318,47 @@ def test_backward_matches_finite_differences():
                 assert abs(fd) < 1e-5
 
 
-def test_backward_batched_sums_per_sequence():
-    p = small_params(19)
-    rng = np.random.default_rng(20)
-    xs = rng.normal(size=(2, 4, 8))
-    gy = rng.normal(size=(2, 4, 8))
-    _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    grads, gh0, gxs = ssm.ssm_backward(cache, gy)
-    assert gh0.shape == (2, 8, 4) and gxs.shape == (2, 4, 8)
-    total = {k: np.zeros_like(v) for k, v in grads.items()}
-    for b in range(2):
-        one = slice(b, b + 1)
-        _, _, cb = ssm.ssm_forward_sequential(p, None, xs[one])
-        gb, _, _ = ssm.ssm_backward(cb, gy[one])
-        for k in total:
-            total[k] += gb[k]
-    for k in total:
-        assert_allclose(grads[k], total[k], rtol=1e-12, atol=1e-12)
-
-
 def test_stale_cache_rejected():
     p = small_params(21)
-    xs = np.random.default_rng(22).normal(size=(1, 3, 8))
+    xs = np.random.default_rng(22).normal(size=(3, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     p.bump()
     with pytest.raises(ValueError):
-        ssm.ssm_backward(cache, np.zeros((1, 3, 8)))
+        ssm.ssm_backward(cache, np.zeros((3, 8)))
 
 
 def test_backward_shape_check():
     # a grad_ys of another shape than ys is named before the reverse loop
     # can broadcast it
     p = small_params(23)
-    for nb in (1, 2):
-        xs = np.random.default_rng(24).normal(size=(nb, 3, 8))
-        _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-        for bad in ((nb, 4, 8), (3, 8), (3 - nb, 3, 8)):
-            with pytest.raises(ValueError, match=re.escape(str(bad))):
-                ssm.ssm_backward(cache, np.zeros(bad))
+    xs = np.random.default_rng(24).normal(size=(3, 8))
+    _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
+    for bad in ((4, 8), (3, 7), (1, 3, 8)):
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            ssm.ssm_backward(cache, np.zeros(bad))
 
 
 CHUNK = 4
 
 
 @pytest.mark.parametrize("L", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 2])
-@pytest.mark.parametrize("batched", [False, True])
-def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched):
+def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L):
     # a budget of CHUNK steps forces many chunks at a tiny shape.  The
     # chunked forward and backward do the arithmetic of the full-tensor
-    # ones element for element; only grads["A_log"], which sums over
-    # (b, l), adds its terms one chunk at a time.  Unbatched is a batch
-    # of one sequence, as training runs it
+    # ones element for element; only grads["A_log"], which sums over l,
+    # adds its terms one chunk at a time
     D, N = 5, 3
-    nb = 2 if batched else 1
     p = small_params(31, d_model=D, d_state=N)
-    rng = np.random.default_rng([32, L, nb])
-    xs = rng.normal(size=(nb, L, D))
-    h0 = rng.normal(size=(nb, D, N))
-    gy = rng.normal(size=(nb, L, D))
+    rng = np.random.default_rng([32, L, 1])
+    xs = rng.normal(size=(L, D))
+    h0 = rng.normal(size=(D, N))
+    gy = rng.normal(size=(L, D))
 
     # one chunk: the whole-sequence forward to compare against
-    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", L * nb * D * N)
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", L * D * N)
     ys_ref, hf_ref, cache_ref = ssm.ssm_forward_sequential(p, h0, xs)
     want, gh0_ref, gxs_ref = reference.ssm_backward_ref(cache_ref, gy)
-    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", CHUNK * nb * D * N)
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", CHUNK * D * N)
     ys, hf, cache = ssm.ssm_forward_sequential(p, h0, xs)
     got, gh0, gxs = ssm.ssm_backward(cache, gy)
 
@@ -408,7 +369,7 @@ def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched):
     bounds = [t0 for t0, _ in cache.chunks] + [L]
     assert len(cache.chunks) == -(-L // CHUNK)
     assert_array_equal(cache.h_starts,
-                       reference.ssm_states_ref(cache_ref)[:, bounds])
+                       reference.ssm_states_ref(cache_ref)[bounds])
     assert_array_equal(gh0, gh0_ref)
     assert_array_equal(gxs, gxs_ref)
     for k in want:
@@ -420,30 +381,30 @@ def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L, batched):
 
 
 def _memory_case():
-    # d_state 32 at batch 2 and d_model 16 makes a time chunk 16 steps
+    # d_state 32 at d_model 16 makes a time chunk 32 steps
     p = small_params(33, d_model=16, d_state=32)
     rng = np.random.default_rng(34)
-    return p, rng.normal(size=(2, 1024, 16)), rng.normal(size=(2, 1024, 16))
+    return p, rng.normal(size=(2048, 16)), rng.normal(size=(2048, 16))
 
 
 def test_cache_holds_no_per_step_state():
     # the states are kept at the 64 chunk starts and h_final only: no
-    # cache array comes near the B*L*D*N elements of a per-step trajectory
+    # cache array comes near the L*D*N elements of a per-step trajectory
     p, xs, _ = _memory_case()
-    nb, L, D = xs.shape
+    L, D = xs.shape
     _, hf, cache = ssm.ssm_forward_sequential(p, None, xs)
     assert len(cache.chunks) == 64
-    assert cache.h_starts.shape == (nb, 65, D, p.d_state)
-    assert_array_equal(cache.h_starts[:, -1], hf)
+    assert cache.h_starts.shape == (65, D, p.d_state)
+    assert_array_equal(cache.h_starts[-1], hf)
     arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
-    assert max(a.size for a in arrays) < nb * L * D * p.d_state // 8
+    assert max(a.size for a in arrays) < L * D * p.d_state // 8
 
 
 def test_forward_backward_memory_bounded():
-    # in units of one (B, L, D) array: the cache holds 5 such arrays, B(u)
+    # in units of one (L, D) array: the cache holds 5 such arrays, B(u)
     # and C(u) at 2 units each (N = 2D) and the chunk-start states at about
     # 2; the backward adds its gradient arrays (about 8 units) and scratch
-    # of a few 16-step chunks (1/2 unit each).  Measured: 22.2 units.
+    # of a few 32-step chunks (1/2 unit each).  Measured: 21.2 units.
     # Keeping every step's state instead, 32 units on its own, peaks at 52
     p, xs, gy = _memory_case()
     tracemalloc.start()
@@ -456,16 +417,14 @@ def test_forward_backward_memory_bounded():
     assert peak <= 26 * xs.nbytes, (peak, xs.nbytes)
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_backward_reuses_only_its_own_buffers(batched):
+def test_backward_reuses_only_its_own_buffers():
     # ssm_backward works in place on its own temporaries: a second call on
     # the same cache gives the same gradients, and neither the cache nor
     # the upstream gradients change
     p = small_params(27)
     rng = np.random.default_rng(28)
-    nb = 2 if batched else 1
-    xs = rng.normal(size=(nb, 6, 8))
-    gy = rng.normal(size=(nb, 6, 8))
+    xs = rng.normal(size=(6, 8))
+    gy = rng.normal(size=(6, 8))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
     arrays = {k: v for k, v in vars(cache).items()
               if isinstance(v, np.ndarray)}
@@ -484,7 +443,7 @@ def test_backward_reuses_only_its_own_buffers(batched):
 
 def test_hidden_state_stays_finite():
     p = small_params(25)
-    xs = np.random.default_rng(26).normal(size=(1, 200, 8)) * 3
+    xs = np.random.default_rng(26).normal(size=(200, 8)) * 3
     ys, hf, cache = ssm.ssm_forward_sequential(p, None, xs)
     assert np.all(np.isfinite(ys)) and np.all(np.isfinite(hf))
     assert np.all(np.isfinite(reference.ssm_states_ref(cache)))

@@ -36,9 +36,9 @@ def short_trajectory(sphere5, T=4, seed=0):
 
 def test_loss_all_zero():
     cfg = LossConfig(K=2, M=4)
-    Q = np.zeros((1, 3, 2, 4))
-    actions = np.zeros((1, 3, 2), dtype=int)
-    rewards = np.zeros((1, 3))
+    Q = np.zeros((3, 2, 4))
+    actions = np.zeros((3, 2), dtype=int)
+    rewards = np.zeros(3)
     loss, comps, dQ = training.q_loss_batch(Q, actions, rewards,
                                             np.array([4, 4]), cfg)
     assert loss == 0.0
@@ -49,9 +49,9 @@ def test_loss_all_zero():
 def test_loss_unit_example():
     # T=1, K=1, M=2: chosen q=1 vs target r=0.5, other bin 0.2
     cfg = LossConfig(K=1, M=2, beta=10.0, lam=1.0, gamma=0.99)
-    Q = np.array([[[[1.0, 0.2]]]])
-    actions = np.array([[[0]]])
-    rewards = np.array([[0.5]])
+    Q = np.array([[[1.0, 0.2]]])
+    actions = np.array([[0]])
+    rewards = np.array([0.5])
     loss, comps, _ = training.q_loss_batch(Q, actions, rewards,
                                            np.array([2]), cfg)
     assert abs(loss - 1.27) <= 1e-12
@@ -62,12 +62,12 @@ def test_loss_unit_example():
 
 def test_loss_matches_loop_oracle():
     rng = np.random.default_rng(0)
-    B, T, K, M = 2, 3, 4, 16
+    T, K, M = 3, 4, 16
     masks = np.array([16, 2, 5, 16])
-    Q = rng.normal(size=(B, T, K, M))
-    actions = np.stack([rng.integers(0, masks[i], size=(B, T))
+    Q = rng.normal(size=(T, K, M))
+    actions = np.stack([rng.integers(0, masks[i], size=T)
                         for i in range(K)], axis=-1)
-    rewards = rng.uniform(0, 0.2, (B, T))
+    rewards = rng.uniform(0, 0.2, T)
     cfg = LossConfig(K=K, M=M, beta=10.0, lam=1.0, gamma=0.99)
     loss, comps, _ = training.q_loss_batch(Q, actions, rewards, masks, cfg)
     want = reference.q_loss_ref(Q.tolist(), actions.tolist(), rewards.tolist(),
@@ -79,20 +79,20 @@ def test_loss_matches_loop_oracle():
 def test_loss_target_ignores_masked_bins():
     # a huge Q value sitting in a masked bin must not leak into targets
     cfg = LossConfig(K=2, M=4, gamma=0.5)
-    Q = np.zeros((1, 2, 2, 4))
-    Q[0, 0, 1, 3] = 100.0     # dim 2 masked to 2 bins: bin 3 invisible
-    Q[0, 0, 1, 1] = 2.0
+    Q = np.zeros((2, 2, 4))
+    Q[0, 1, 3] = 100.0     # dim 2 masked to 2 bins: bin 3 invisible
+    Q[0, 1, 1] = 2.0
     masks = np.array([4, 2])
-    targets = training.compute_targets(Q, np.zeros((1, 2)), masks, cfg)
-    assert targets[0, 0, 0] == 2.0
+    targets = training.compute_targets(Q, np.zeros(2), masks, cfg)
+    assert targets[0, 0] == 2.0
 
 
 def test_loss_nonnegative_and_positive_when_off_fixed_point():
     rng = np.random.default_rng(1)
     cfg = LossConfig(K=3, M=8)
-    Q = rng.normal(size=(2, 4, 3, 8))
-    actions = rng.integers(0, 8, size=(2, 4, 3))
-    rewards = rng.uniform(0, 1, (2, 4))
+    Q = rng.normal(size=(4, 3, 8))
+    actions = rng.integers(0, 8, size=(4, 3))
+    rewards = rng.uniform(0, 1, 4)
     loss, _, _ = training.q_loss_batch(Q, actions, rewards,
                                        np.array([8, 8, 8]), cfg)
     assert loss > 0
@@ -101,15 +101,15 @@ def test_loss_nonnegative_and_positive_when_off_fixed_point():
 def test_loss_gradient_matches_fd_with_frozen_targets():
     rng = np.random.default_rng(2)
     cfg = LossConfig(K=2, M=4)
-    Q = rng.normal(size=(2, 3, 2, 4))
-    actions = rng.integers(0, 4, size=(2, 3, 2))
-    rewards = rng.uniform(0, 1, (2, 3))
+    Q = rng.normal(size=(3, 2, 4))
+    actions = rng.integers(0, 4, size=(3, 2))
+    rewards = rng.uniform(0, 1, 3)
     masks = np.array([4, 4])
     targets = training.compute_targets(Q, rewards, masks, cfg)
     _, _, dQ = training.q_loss_batch(Q, actions, rewards, masks, cfg,
                                      targets=targets)
     h = 1e-6
-    for idx in [(0, 0, 0, 1), (1, 2, 1, 3), (0, 1, 1, 0), (1, 0, 0, 2)]:
+    for idx in [(0, 0, 1), (2, 1, 3), (1, 1, 0), (0, 0, 2)]:
         orig = Q[idx]
         Q[idx] = orig + h
         up, _, _ = training.q_loss_batch(Q, actions, rewards, masks, cfg,
@@ -150,9 +150,9 @@ def test_stacked_trajectory_loss_uses_algorithm_masks(sphere5):
     # the backup targets, whatever their Q
     traj = env.run_episode(1, sphere5, random_policy_fn(1, 3), T=3, seed=3)
     cfg = LossConfig(K=10, M=16)
-    _, actions, rewards = training.trajectory_arrays([traj])
+    _, actions, rewards = (a[0] for a in training.trajectory_arrays([traj]))
     masks = env.bin_masks(traj.alg_id, cfg.M)
-    Q = np.random.default_rng(3).normal(size=(1, 3, 10, 16))
+    Q = np.random.default_rng(3).normal(size=(3, 10, 16))
     high = Q.copy()
     for i, m in enumerate(masks):
         high[..., i, m:] = 1e6
@@ -289,11 +289,11 @@ def synthetic_trajectories(D, T, seed=0):
         for e in range(D)]
 
 
-def train_run(trajs, cfg, workers, train=training.train):
+def train_run(trajs, cfg, workers):
     model = small_model(5)
     opt = training.AdamWState.for_params(model)
-    kwargs = {} if workers is None else {"workers": workers}
-    _, history = train(trajs, model, cfg, seed=7, opt=opt, **kwargs)
+    _, history = training.train(trajs, model, cfg, seed=7, opt=opt,
+                                workers=workers)
     return model, opt, history
 
 
@@ -313,26 +313,101 @@ def test_train_does_not_depend_on_workers():
             assert_array_equal(opt.v[k], opt1.v[k], err_msg=k)
 
 
-def test_train_matches_batched_reference():
-    trajs = synthetic_trajectories(7, 6, seed=2)
-    cfg = small_cfg(batch_size=3, epochs=4)
-    model, _, history = train_run(trajs, cfg, 2)
-    ref_model, _, ref_history = train_run(
-        trajs, cfg, None, train=reference.train_batched_ref)
-    # only the order in which weight gradients are added differs
-    for k, v in ref_model.tensors().items():
-        assert_allclose(model.tensors()[k], v, rtol=1e-12, atol=0, err_msg=k)
-    assert len(history) == len(ref_history) == 4
-    for h, ref in zip(history, ref_history):
-        assert h.keys() == ref.keys()
-        assert_allclose(list(h.values()), list(ref.values()), rtol=1e-12,
-                        atol=0)
-    # a step's loss comes from the parameters before it, so one epoch of
-    # one minibatch reports the same bits
-    one = small_cfg(batch_size=7, epochs=1)
-    assert (train_run(trajs, one, 1)[2]
-            == train_run(trajs, one, None,
-                         train=reference.train_batched_ref)[2])
+def test_train_step_is_the_minibatch_mean_gradient(monkeypatch):
+    # the gradients train hands to adamw_step for a minibatch of three
+    # trajectories are those of the minibatch's mean loss, its backup
+    # targets frozen: checked against central differences with the
+    # rounding floor and tolerance of grad_check.  A step's loss comes
+    # from the parameters before it, so the history of one epoch of one
+    # minibatch is the mean of the loss oracle over its trajectories
+    trajs = synthetic_trajectories(3, 4, seed=2)
+    cfg = small_cfg(batch_size=3, epochs=1)
+    config = ModelConfig(K=3, M=16, d_model=4, d_state=2)
+    seen = []
+    true_step = training.adamw_step
+
+    def spy(params, grads, *args, **kwargs):
+        seen.append({k: v.copy() for k, v in grads.items()})
+        true_step(params, grads, *args, **kwargs)
+
+    monkeypatch.setattr(training, "adamw_step", spy)
+    _, history = training.train(trajs, qmodel.init_qmodel(config, 5), cfg,
+                                seed=7, workers=1)
+    assert len(seen) == 1
+    grads = seen[0]
+
+    params = qmodel.init_qmodel(config, 5)
+    masks = env.bin_masks(0, 16)
+    data = list(zip(*training.trajectory_arrays(trajs)))
+    Qs = [qmodel.q_values_batch(params, s, a)[0] for s, a, _ in data]
+    targets = [training.compute_targets(Q, r, masks, cfg)
+               for Q, (_, _, r) in zip(Qs, data)]
+    want = np.mean([reference.q_loss_ref(Q.tolist(), a.tolist(), r.tolist(),
+                                         masks.tolist(), cfg.beta, cfg.lam,
+                                         cfg.gamma)
+                    for Q, (_, a, r) in zip(Qs, data)])
+    assert_allclose(history[0]["loss"], want, rtol=1e-12, atol=0)
+
+    def mean_loss():
+        return np.mean([training._frozen_loss(params, s, a, r, masks, cfg, t)
+                        for (s, a, r), t in zip(data, targets)])
+
+    h = 1e-4
+    floor = np.finfo(np.float64).eps * abs(mean_loss()) / h
+    worst, checked = 0.0, 0
+    for name, arr in params.tensors().items():
+        flat = arr.ravel()
+        for i, g in enumerate(grads[name].ravel()):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = mean_loss()
+            flat[i] = orig - h
+            dn = mean_loss()
+            flat[i] = orig
+            fd = (up - dn) / (2 * h)
+            if abs(g) > 1e-6:
+                rel = max(abs(g - fd) - floor, 0.0) / max(abs(g), abs(fd))
+                worst = max(worst, rel)
+                checked += 1
+    assert checked > 200
+    assert worst <= 1e-4, worst
+
+
+def test_non_finite_gradient_stops_train_before_its_step(monkeypatch):
+    # the step that would apply a NaN gradient is not taken: the error
+    # names the tensor, the epoch and the step, and the parameters keep
+    # their values
+    trajs = synthetic_trajectories(4, 3, seed=5)
+    true_backward = qmodel.model_backward
+    calls = []
+
+    def nan_on_fifth(cache, grad_Q):
+        # D = 4 at batch 3: the fifth trajectory opens epoch 2
+        grads = true_backward(cache, grad_Q)
+        calls.append(1)
+        if len(calls) == 5:
+            grads["blocks.0.W_B"].ravel()[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", nan_on_fifth)
+    model = small_model(6)
+    opt = training.AdamWState.for_params(model)
+    before = None
+    true_step = training.adamw_step
+
+    def spy(params, grads, *args, **kwargs):
+        nonlocal before
+        true_step(params, grads, *args, **kwargs)
+        before = {k: v.copy() for k, v in params.tensors().items()}
+
+    monkeypatch.setattr(training, "adamw_step", spy)
+    with pytest.raises(FloatingPointError,
+                       match="blocks.0.W_B is not finite at epoch 2, step 1"):
+        training.train(trajs, model, small_cfg(batch_size=3, epochs=3),
+                       seed=1, opt=opt, workers=1)
+    assert opt.step == 2
+    for k, v in model.tensors().items():
+        assert_array_equal(v, before[k], err_msg=k)
 
 
 def test_train_step_memory_does_not_grow_with_batch():
@@ -424,9 +499,9 @@ def test_grad_check_zero_configuration(sphere5):
     for s in traj.steps:   # zero rewards give an exactly-zero loss
         s.reward = 0.0
     cfg = small_cfg()
-    states = np.stack([s.state for s in traj.steps])[None]
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    rewards = np.zeros((1, 3))
+    states = np.stack([s.state for s in traj.steps])
+    actions = np.stack([s.actions for s in traj.steps])
+    rewards = np.zeros(3)
     Q, cache = qmodel.q_values_batch(model, states, actions)
     loss, _, dQ = training.q_loss_batch(Q, actions, rewards,
                                         env.bin_masks(0, 16), cfg)
@@ -470,9 +545,9 @@ def test_grad_check_fd_truncation_is_second_order(sphere5):
     model = small_model(7)
     traj = short_trajectory(sphere5, T=2, seed=7)
     cfg = small_cfg()
-    states = np.stack([s.state for s in traj.steps])[None]
-    actions = np.stack([s.actions for s in traj.steps])[None]
-    rewards = np.array([[s.reward for s in traj.steps]])
+    states = np.stack([s.state for s in traj.steps])
+    actions = np.stack([s.actions for s in traj.steps])
+    rewards = np.array([s.reward for s in traj.steps])
     masks = env.bin_masks(0, 16)
     Q0, cache = qmodel.q_values_batch(model, states, actions)
     targets = training.compute_targets(Q0, rewards, masks, cfg)

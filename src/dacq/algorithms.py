@@ -24,8 +24,10 @@ its tuple of choices; every other hyper-parameter is continuous on
 Every sub-population runs, in table order, DE mutation (DE only) →
 crossover → GA mutation (GA only) → bound control → evaluation →
 selection; sharing and then LPSR follow once all sub-populations have
-stepped.  This order is the order of the random draws, so reordering
-entries or stages changes every seeded dataset.
+stepped.  Each evaluation, the initial one too, also updates the
+best-so-far point ``AlgorithmState`` keeps.  This order is the order of
+the random draws, so reordering entries or stages changes every seeded
+dataset.
 
 The DE sub-populations of alg 2 use greedy pairwise selection, and
 pipelines whose operators can leave the search range clip before
@@ -154,29 +156,34 @@ def validate_config(specs: list[HyperParameterSpec], config) -> None:
 
 @dataclass
 class AlgorithmState:
-    """Mutable per-episode optimizer state (owned by one episode)."""
+    """Mutable per-episode optimizer state (owned by one episode).
+
+    ``best_x``/``best_f`` is the episode's best-so-far point over every
+    sub-population: of the points with the least value, the one evaluated
+    first, in stage order (the initial sub-populations, then each
+    generation's offspring, in sub-population order)."""
 
     alg_id: int
     sub_pops: list[Population]
     t: int                    # completed generations
     horizon: int
+    best_x: np.ndarray
+    best_f: float
     stagnation: int = 0
     improved_last_step: bool = False
     evals_used: int = 0
-    lpsr_plans: tuple = ()    # (sub_pop_index, np_init, np_final) triples
-
-    @property
-    def best_f(self) -> float:
-        return min(p.best_so_far_f for p in self.sub_pops)
-
-    @property
-    def best_x(self) -> np.ndarray:
-        p = min(self.sub_pops, key=lambda q: q.best_so_far_f)
-        return p.best_so_far_x
 
 
-def init_state(alg_id: int, problem, seed,
-               horizon: int = 500) -> AlgorithmState:
+def _kept_best(best_x, best_f, pop: Population):
+    """The kept point after ``pop`` is evaluated: its best row when that is
+    strictly better than ``best_f``, else (best_x, best_f)."""
+    i = pop.best_index
+    if pop.fitness[i] < best_f:
+        return pop.X[i].copy(), float(pop.fitness[i])
+    return best_x, best_f
+
+
+def init_state(alg_id: int, problem, seed, horizon: int) -> AlgorithmState:
     """Sample and evaluate the initial (sub-)populations.
 
     alg 0 draws uniformly; algs 1 and 2 draw one scrambled Halton sequence
@@ -192,25 +199,23 @@ def init_state(alg_id: int, problem, seed,
         whole = ea_ops.halton_init(sum(sizes), problem.dim, bounds, seed=rng).X
     pops = [Population(X.copy())
             for X in np.split(whole, np.cumsum(sizes)[:-1])]
-    plans = tuple((i, sizes[i], final) for i, final in asm.lpsr)
+    best_x, best_f = None, np.inf
     evals = 0
     for p in pops:
         evals += ea_ops.evaluate_population(p, problem)
-    return AlgorithmState(alg_id, pops, 0, horizon, 0, False, evals, plans)
+        best_x, best_f = _kept_best(best_x, best_f, p)
+    return AlgorithmState(alg_id, pops, 0, horizon, best_x, best_f,
+                          evals_used=evals)
 
 
-def step(alg_id: int, state: AlgorithmState, config, problem, rng):
-    """Advance one generation under the given concrete configuration.
-
-    Returns (new state, number of objective evaluations consumed).
-    """
-    if alg_id != state.alg_id:
-        raise ValueError("state/alg_id mismatch")
-    asm = _assembly(alg_id)
+def step(state: AlgorithmState, config, problem, rng) -> AlgorithmState:
+    """Advance one generation under the given concrete configuration and
+    return the new state."""
+    asm = _assembly(state.alg_id)
     validate_config(asm.specs, config)
     cfg = {spec.name: value for spec, value in zip(asm.specs, config)}
     bounds = (problem.lower, problem.upper)
-    prev_best = state.best_f
+    best_x, best_f = state.best_x, state.best_f
     evals = 0
 
     pops = []
@@ -226,28 +231,26 @@ def step(alg_id: int, state: AlgorithmState, config, problem, rng):
             X = ea_ops.ga_mutate(sub.ga, X, par, bounds, rng)
         method = 0 if sub.bound is None else _BC.index(cfg[sub.bound])
         X = ea_ops.bound_control(method, X, pop.X, bounds, rng)
-        off = Population(X, None,
-                         None if pop.best_so_far_x is None
-                         else pop.best_so_far_x.copy(),
-                         pop.best_so_far_f)
+        off = Population(X)
         evals += ea_ops.evaluate_population(off, problem)
+        best_x, best_f = _kept_best(best_x, best_f, off)
         pops.append(ea_ops.select(sub.select, pop, off, rng))
     if asm.share:
         pops = ea_ops.share_information(pops, [cfg[n] for n in asm.share])
 
     t_next = state.t + 1
-    for sub_idx, np_init, np_final in state.lpsr_plans:
-        pops[sub_idx] = ea_ops.lpsr(pops[sub_idx], t_next, state.horizon,
-                                    np_init, np_final)
+    for i, np_final in asm.lpsr:
+        pops[i] = ea_ops.lpsr(pops[i], t_next, state.horizon,
+                              asm.sub_pops[i].size, np_final)
 
-    new_best = min(p.best_so_far_f for p in pops)
-    improved = new_best < prev_best
-    new_state = replace(
+    improved = best_f < state.best_f
+    return replace(
         state,
         sub_pops=pops,
         t=t_next,
+        best_x=best_x,
+        best_f=best_f,
         stagnation=0 if improved else state.stagnation + 1,
         improved_last_step=improved,
         evals_used=state.evals_used + evals,
     )
-    return new_state, evals

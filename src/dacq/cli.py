@@ -300,10 +300,8 @@ def evaluate_policies(params, alg_id, test_instances, runs, T, n_bins,
     for inst in test_instances:
         for run in range(runs):
             ep_seed = [seed, inst.function_id, run]
-            policies = []
-            if params is not None:
-                policies.append(("model", functools.partial(
-                    GreedyModelPolicy, params, alg_id, n_bins)))
+            policies = [("model", functools.partial(
+                GreedyModelPolicy, params, alg_id, n_bins))]
             if include_random:
                 policies.append(("random", functools.partial(
                     datasets.random_policy, alg_id,

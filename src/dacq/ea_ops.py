@@ -28,12 +28,12 @@ _N_RANDOM_INDICES = {"current_to_rand_1": 3, "best_2": 4,
 
 @dataclass
 class Population:
-    """A set of candidate solutions plus running best-so-far bookkeeping."""
+    """A set of candidate solutions and, once evaluated, their objective
+    values.  The best point found so far is not a population's: the
+    episode keeps it (``algorithms.AlgorithmState``)."""
 
     X: np.ndarray                      # (NP, dim)
     fitness: np.ndarray | None = None  # (NP,) objective values
-    best_so_far_x: np.ndarray | None = None
-    best_so_far_f: float = np.inf
 
     @property
     def size(self) -> int:
@@ -43,23 +43,12 @@ class Population:
     def best_index(self) -> int:
         return int(np.argmin(self.fitness))
 
-    def copy(self) -> "Population":
-        return Population(
-            self.X.copy(),
-            None if self.fitness is None else self.fitness.copy(),
-            None if self.best_so_far_x is None else self.best_so_far_x.copy(),
-            self.best_so_far_f)
-
 
 def evaluate_population(pop: Population, problem) -> int:
-    """Fill in fitness via the problem objective, update best-so-far, and
-    return the number of objective evaluations consumed."""
+    """Fill in fitness via the problem objective and return the number of
+    objective evaluations consumed."""
     from . import problems
     pop.fitness = problems.evaluate(problem, pop.X)
-    i = pop.best_index
-    if pop.fitness[i] < pop.best_so_far_f:
-        pop.best_so_far_f = float(pop.fitness[i])
-        pop.best_so_far_x = pop.X[i].copy()
     return pop.size
 
 
@@ -296,24 +285,17 @@ def ga_mutate(variant: str, Xp: np.ndarray, params: OperatorParams,
 # ---------------------------------------------------------------------------
 # selection
 
-def _merged_best_so_far(parents: Population, offspring: Population):
-    if offspring.best_so_far_f < parents.best_so_far_f:
-        return offspring.best_so_far_x, offspring.best_so_far_f
-    return parents.best_so_far_x, parents.best_so_far_f
-
-
 def select(variant: str, parents: Population, offspring: Population, rng) -> Population:
     """Survivor selection; offspring must already be evaluated."""
     if variant not in SELECTIONS:
         raise ValueError(f"unknown selection {variant!r}")
-    bsf_x, bsf_f = _merged_best_so_far(parents, offspring)
     if variant == "greedy_pairwise":
         if parents.size != offspring.size:
             raise ValueError("greedy pairwise selection needs equal sizes")
         keep = offspring.fitness <= parents.fitness
         X = np.where(keep[:, None], offspring.X, parents.X)
         fit = np.where(keep, offspring.fitness, parents.fitness)
-        return Population(X, fit, bsf_x, bsf_f)
+        return Population(X, fit)
 
     pool_X = np.concatenate([parents.X, offspring.X])
     pool_f = np.concatenate([parents.fitness, offspring.fitness])
@@ -327,7 +309,7 @@ def select(variant: str, parents: Population, offspring: Population, rng) -> Pop
         c1 = rng.integers(0, n_pool, size=NP)
         c2 = rng.integers(0, n_pool, size=NP)
         chosen = np.where(pool_f[c2] < pool_f[c1], c2, c1)
-    return Population(pool_X[chosen].copy(), pool_f[chosen].copy(), bsf_x, bsf_f)
+    return Population(pool_X[chosen].copy(), pool_f[chosen].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +355,7 @@ def lpsr(pop: Population, t: int, T: int, np_init: int, np_final: int) -> Popula
         return pop
     order = np.argsort(pop.fitness, kind="stable")[:target]
     keep = np.sort(order)  # preserve original row order among survivors
-    return Population(pop.X[keep].copy(), pop.fitness[keep].copy(),
-                      pop.best_so_far_x, pop.best_so_far_f)
+    return Population(pop.X[keep].copy(), pop.fitness[keep].copy())
 
 
 def share_information(pops: list[Population], cm) -> list[Population]:
@@ -395,13 +376,10 @@ def share_information(pops: list[Population], cm) -> list[Population]:
         if target == i:
             out.append(pop)
             continue
-        new = pop.copy()
+        new = Population(pop.X.copy(), pop.fitness.copy())
         worst = int(np.argmax(new.fitness))
         donor_x, donor_f = donors[target]
         new.X[worst] = donor_x
         new.fitness[worst] = donor_f
-        if donor_f < new.best_so_far_f:
-            new.best_so_far_f = donor_f
-            new.best_so_far_x = donor_x.copy()
         out.append(new)
     return out

@@ -280,7 +280,7 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
         config = decode_config(specs, raw, n_bins)
         bins = raw.astype(np.int64, copy=False)
         prev_best = state.best_f
-        state, _ = algorithms.step(alg_id, state, config, problem, rng)
+        state = algorithms.step(state, config, problem, rng)
         r = reward(prev_best, state.best_f, f_best_init, problem.f_opt)
         steps.append(StepRecord(s, bins, float(r), float(state.best_f)))
 

@@ -231,16 +231,21 @@ def q_values_batch(params: QModelParams, states, actions):
 def model_backward(cache: QModelCache, grad_Q):
     """Gradients of a scalar loss through the whole model.
 
-    grad_Q: (T, K, M) upstream gradient.  Returns a dict matching
+    grad_Q: (T, K, M) upstream gradient, the shape of ``q_values_batch``'s
+    Q (any other raises ValueError).  Returns a dict matching
     params.tensors() keys.
     """
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
                          "forward pass")
-    gQ = np.asarray(grad_Q, dtype=np.float64).reshape(cache.Hpre.shape)
+    gQ = np.asarray(grad_Q, dtype=np.float64)
+    want = (cache.Hpre.shape[0] // p.config.K, p.config.K, p.config.M)
+    if gQ.shape != want:
+        raise ValueError(f"grad_Q shape {gQ.shape} does not match Q {want}")
 
-    gHpre = gQ * np.where(cache.Hpre > 0, 1.0, LEAKY_SLOPE)
+    gHpre = (gQ.reshape(cache.Hpre.shape)
+             * np.where(cache.Hpre > 0, 1.0, LEAKY_SLOPE))
     gW_head = np.einsum("lm,lk->mk", cache.O, gHpre)
     gb_head = gHpre.sum(0)
     gO = gHpre @ p.W_head.T

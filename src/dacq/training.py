@@ -407,13 +407,16 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     parameters and frozen for every FD evaluation, matching the
     semi-gradient the analytic path implements.  Checks every parameter
     coordinate at the step h = 1e-4; reports the max relative error over
-    coordinates with |g| > 1e-6, an infinite one where g or the FD is not
-    finite.  Each error |g - fd| is first reduced by the FD rounding floor
-    eps*|loss|/h, the error a central difference of a loss rounded to
-    eps*|loss| can show on an exact gradient.  A head
-    coordinate's FD losses reuse the unperturbed stack output and
-    recompute only the heads, which gives the same losses as a full
-    forward.
+    coordinates with max(|g|, |fd|) > 1e-6, an infinite one where g or the
+    FD is not finite.  Where |g| <= 1e-6 < |fd|, fd is 2 fd(h/2) - fd(h):
+    that rates a g wrong because it is zero, and cancels the first-order
+    FD error at a kink of the loss's curvature (an all-zero model sits on
+    its leaky ReLUs' kink).  Each error |g - fd| is first reduced by the
+    FD rounding floor eps*|loss|/h (5x that for 2 fd(h/2) - fd(h)), the
+    error a central difference of a loss rounded to eps*|loss| can show
+    on an exact gradient.  A head coordinate's FD losses reuse the
+    unperturbed stack output and recompute only the heads, which gives
+    the same losses as a full forward.
     """
     states, actions, rewards = (a[0] for a in trajectory_arrays([traj]))
     masks = env.bin_masks(traj.alg_id, cfg.M)
@@ -434,6 +437,15 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
         return q_loss_batch(Q, actions, rewards, masks, cfg,
                             targets=targets)[0]
 
+    def central(flat, i, step, head_only):
+        orig = flat[i]
+        flat[i] = orig + step
+        up = frozen_loss(head_only)
+        flat[i] = orig - step
+        dn = frozen_loss(head_only)
+        flat[i] = orig
+        return (up - dn) / (2 * step)
+
     worst = 0.0
     worst_coord = None
     checked = skipped = 0
@@ -442,17 +454,14 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
         g = grads[name].ravel()
         flat = arr.ravel()
         for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = frozen_loss(head_only)
-            flat[i] = orig - h
-            dn = frozen_loss(head_only)
-            flat[i] = orig
-            fd = (up - dn) / (2 * h)
+            fd, tol = central(flat, i, h, head_only), floor
+            if abs(g[i]) <= 1e-6 < abs(fd):
+                fd = 2 * central(flat, i, h / 2, head_only) - fd
+                tol = 5 * floor
             if not (np.isfinite(g[i]) and np.isfinite(fd)):
                 rel = np.inf
-            elif abs(g[i]) > 1e-6:
-                rel = (max(abs(g[i] - fd) - floor, 0.0)
+            elif max(abs(g[i]), abs(fd)) > 1e-6:
+                rel = (max(abs(g[i] - fd) - tol, 0.0)
                        / max(abs(g[i]), abs(fd)))
             else:
                 skipped += 1

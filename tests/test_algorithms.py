@@ -54,7 +54,7 @@ def test_unknown_alg_id():
     with pytest.raises(ValueError):
         alg.alg_spec(3)
     with pytest.raises(ValueError):
-        alg.init_state(7, make_identity_instance(1, 5), 0)
+        alg.init_state(7, make_identity_instance(1, 5), 0, horizon=50)
 
 
 def test_validate_config():
@@ -87,8 +87,11 @@ def test_init_sizes_and_eval_count(sphere5, alg_id, sizes, total):
     for p in st.sub_pops:
         assert p.fitness is not None and p.fitness.shape == (p.size,)
         assert np.all(p.X >= sphere5.lower) and np.all(p.X <= sphere5.upper)
-        assert p.best_so_far_f == p.fitness.min()
-    assert st.best_f == min(p.best_so_far_f for p in st.sub_pops)
+    # the kept point is the first initial row with the least value
+    fit = np.concatenate([p.fitness for p in st.sub_pops])
+    assert st.best_f == fit.min()
+    assert_array_equal(st.best_x,
+                       np.vstack([p.X for p in st.sub_pops])[np.argmin(fit)])
 
 
 def test_init_deterministic(sphere5):
@@ -117,16 +120,15 @@ def test_alg0_zero_config_is_identity(sphere5):
     st = alg.init_state(0, sphere5, seed=1, horizon=50)
     X0 = st.sub_pops[0].X.copy()
     f0 = st.sub_pops[0].fitness.copy()
-    st2, ev = alg.step(0, st, [0.0, 0.0, 0.0], sphere5,
-                       np.random.default_rng(9))
+    st2 = alg.step(st, [0.0, 0.0, 0.0], sphere5, np.random.default_rng(9))
+    ev = st2.evals_used - st.evals_used
     assert ev == 100
     assert_array_equal(st2.sub_pops[0].X, X0)
     assert_array_equal(st2.sub_pops[0].fitness, f0)
     assert st2.best_f == st.best_f
     assert not st2.improved_last_step and st2.stagnation == 1
     # a second identity step keeps counting stagnation
-    st3, _ = alg.step(0, st2, [0.0, 0.0, 0.0], sphere5,
-                      np.random.default_rng(10))
+    st3 = alg.step(st2, [0.0, 0.0, 0.0], sphere5, np.random.default_rng(10))
     assert st3.stagnation == 2
 
 
@@ -138,21 +140,23 @@ def test_best_never_increases_and_bounds_hold(sphere5, alg_id):
     best = st.best_f
     total = st.evals_used
     for _ in range(12):
-        st, ev = alg.step(alg_id, st, random_config(specs, rng), sphere5, rng)
+        # one offspring per member of every sub-population is evaluated
+        ev = sum(p.size for p in st.sub_pops)
+        st = alg.step(st, random_config(specs, rng), sphere5, rng)
         assert st.best_f <= best + 0.0
         best = st.best_f
         total += ev
         assert st.evals_used == total
         for p in st.sub_pops:
             assert np.all(p.X >= sphere5.lower) and np.all(p.X <= sphere5.upper)
-            assert p.best_so_far_f <= p.fitness.min()
+            assert st.best_f <= p.fitness.min()
 
 
 def test_alg0_actually_optimizes(sphere5):
     st = alg.init_state(0, sphere5, seed=4, horizon=60)
     rng = np.random.default_rng(0)
     for _ in range(40):
-        st, _ = alg.step(0, st, [0.8, 0.5, 0.9], sphere5, rng)
+        st = alg.step(st, [0.8, 0.5, 0.9], sphere5, rng)
     assert st.best_f < 0.5  # sphere in 5-D collapses fast under DE
 
 
@@ -163,7 +167,9 @@ def test_alg1_eval_counts_follow_shrinking_ga(sphere5):
     specs = alg.alg_spec(1)
     for t in range(1, 6):
         ga_size_before = st.sub_pops[0].size
-        st, ev = alg.step(1, st, random_config(specs, rng), sphere5, rng)
+        evals_before = st.evals_used
+        st = alg.step(st, random_config(specs, rng), sphere5, rng)
+        ev = st.evals_used - evals_before
         assert ev == ga_size_before + 200
         assert st.sub_pops[0].size == ea_ops.lpsr_target(t, T, 50, 10)
         assert st.sub_pops[1].size == 200
@@ -175,7 +181,7 @@ def test_alg1_ga_reaches_floor(sphere5):
     rng = np.random.default_rng(3)
     specs = alg.alg_spec(1)
     for _ in range(T):
-        st, _ = alg.step(1, st, random_config(specs, rng), sphere5, rng)
+        st = alg.step(st, random_config(specs, rng), sphere5, rng)
     assert st.sub_pops[0].size == 10
     assert st.sub_pops[1].size == 200
 
@@ -184,10 +190,12 @@ def test_alg0_keeps_its_population_size(sphere5):
     # alg 0 has no size-reduction plan: its one population stays at 100
     T = 10
     st = alg.init_state(0, sphere5, seed=8, horizon=T)
-    assert st.lpsr_plans == ()
+    assert alg.ASSEMBLIES[0].lpsr == ()
     rng = np.random.default_rng(1)
     for _ in range(T):
-        st, ev = alg.step(0, st, [0.5, 0.5, 0.5], sphere5, rng)
+        evals_before = st.evals_used
+        st = alg.step(st, [0.5, 0.5, 0.5], sphere5, rng)
+        ev = st.evals_used - evals_before
         assert st.sub_pops[0].size == 100 and ev == 100
 
 
@@ -197,16 +205,19 @@ def test_alg2_sharing_spreads_best(sphere5):
     specs = alg.alg_spec(2)
     cfg = random_config(specs, rng)
     cfg[12:16] = [2, 2, 2, 2]  # everyone receives sub-population 3's best
-    st, _ = alg.step(2, st, cfg, sphere5, rng)
-    donor_best = st.sub_pops[2].best_so_far_f
+    st = alg.step(st, cfg, sphere5, rng)
+    donor_best = st.sub_pops[2].fitness.min()
+    assert st.best_f <= donor_best
     for i in (0, 1, 3):
-        assert st.sub_pops[i].best_so_far_f <= donor_best
+        assert st.sub_pops[i].fitness.min() <= donor_best
 
 
 def test_alg2_step_eval_count(sphere5):
     st = alg.init_state(2, sphere5, seed=1, horizon=50)
     rng = np.random.default_rng(2)
-    st, ev = alg.step(2, st, random_config(alg.alg_spec(2), rng), sphere5, rng)
+    evals_before = st.evals_used
+    st = alg.step(st, random_config(alg.alg_spec(2), rng), sphere5, rng)
+    ev = st.evals_used - evals_before
     assert ev == 500
     assert [p.size for p in st.sub_pops] == [200, 100, 100, 100]
 
@@ -220,7 +231,7 @@ def test_full_run_deterministic():
         specs = alg.alg_spec(2)
         trace = [st.best_f]
         for _ in range(8):
-            st, _ = alg.step(2, st, random_config(specs, rng), prob, rng)
+            st = alg.step(st, random_config(specs, rng), prob, rng)
             trace.append(st.best_f)
         return trace, st
 
@@ -236,9 +247,7 @@ def test_full_run_deterministic():
 def test_step_rejects_mismatched_state(sphere5):
     st = alg.init_state(0, sphere5, seed=1, horizon=50)
     with pytest.raises(ValueError):
-        alg.step(1, st, [0.5] * 10, sphere5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        alg.step(0, st, [0.5, 0.5], sphere5, np.random.default_rng(0))
+        alg.step(st, [0.5, 0.5], sphere5, np.random.default_rng(0))
 
 
 def test_improvement_flag_tracks_best(sphere5):
@@ -247,7 +256,7 @@ def test_improvement_flag_tracks_best(sphere5):
     seen_improvement = False
     for _ in range(10):
         prev = st.best_f
-        st, _ = alg.step(0, st, [0.7, 0.4, 0.8], sphere5, rng)
+        st = alg.step(st, [0.7, 0.4, 0.8], sphere5, rng)
         assert st.improved_last_step == (st.best_f < prev)
         seen_improvement = seen_improvement or st.improved_last_step
     assert seen_improvement
@@ -332,7 +341,7 @@ def test_step_operator_order_matches_docstring(sphere5, monkeypatch, alg_id):
     spy("lpsr", lambda pop, t, T, np_init, np_final: (np_init, np_final))
 
     config = _ORDER_CONFIGS[alg_id]
-    alg.step(alg_id, st, config, sphere5, np.random.default_rng(0))
+    alg.step(st, config, sphere5, np.random.default_rng(0))
     assert calls == _ORDER_EXPECTED[alg_id]
     cm_slots = [v for s, v in zip(alg.alg_spec(alg_id), config)
                 if s.name.startswith("cm")]

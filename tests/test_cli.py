@@ -782,6 +782,22 @@ def test_verify_zero_or_nan_gradient_fails(monkeypatch, capsys, value):
     assert out.count("FAIL") == 1, out
 
 
+def test_verify_zeroed_head_bias_gradient_fails(monkeypatch, capsys):
+    true_backward = qmodel.model_backward
+
+    def zeroed(cache, grad_Q):
+        grads = true_backward(cache, grad_Q)
+        grads["b_head"][:] = 0.0
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", zeroed)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL  grad_check" in out
+    assert out.count("FAIL") == 1, out
+
+
 def test_verify_nan_scan_fails(monkeypatch, capsys):
     true_scan = ssm.ssm_forward_scan
 

@@ -14,8 +14,7 @@ def make_pop(NP=8, dim=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-5, 5, (NP, dim))
     fit = rng.uniform(0, 100, NP)
-    i = int(np.argmin(fit))
-    return Population(X, fit, X[i].copy(), float(fit[i]))
+    return Population(X, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +357,7 @@ def test_ga_mutate_errors():
 
 def test_greedy_offspring_dominates():
     parents = make_pop(seed=1)
-    offspring = Population(parents.X - 1.0, parents.fitness - 10.0,
-                           parents.best_so_far_x, parents.best_so_far_f)
+    offspring = Population(parents.X - 1.0, parents.fitness - 10.0)
     out = ea.select("greedy_pairwise", parents, offspring, np.random.default_rng(0))
     np.testing.assert_array_equal(out.X, offspring.X)
     np.testing.assert_array_equal(out.fitness, offspring.fitness)
@@ -368,8 +366,7 @@ def test_greedy_offspring_dominates():
 def test_greedy_never_increases_kept_fitness():
     parents = make_pop(seed=2)
     rng = np.random.default_rng(7)
-    offspring = Population(parents.X + 0.1, parents.fitness + rng.uniform(-5, 5, 8),
-                           parents.best_so_far_x, parents.best_so_far_f)
+    offspring = Population(parents.X + 0.1, parents.fitness + rng.uniform(-5, 5, 8))
     out = ea.select("greedy_pairwise", parents, offspring, rng)
     assert np.all(out.fitness <= parents.fitness)
     assert np.all(out.fitness <= offspring.fitness)
@@ -377,10 +374,8 @@ def test_greedy_never_increases_kept_fitness():
 
 def test_roulette_rank_frequencies():
     # 4-member pool (2 parents + 2 offspring); rank weights 4:3:2:1
-    parents = Population(np.array([[0.0], [1.0]]), np.array([10.0, 30.0]),
-                         np.array([0.0]), 10.0)
-    offspring = Population(np.array([[2.0], [3.0]]), np.array([20.0, 40.0]),
-                           np.array([0.0]), 10.0)
+    parents = Population(np.array([[0.0], [1.0]]), np.array([10.0, 30.0]))
+    offspring = Population(np.array([[2.0], [3.0]]), np.array([20.0, 40.0]))
     # pool fitness [10,30,20,40] -> ranks: member0 best, then 2, 1, 3
     want = np.array([4, 2, 3, 1]) / 10.0
     rng = np.random.default_rng(55)
@@ -406,15 +401,6 @@ def test_tournament_prefers_better():
            for _ in range(200)]
     assert np.mean(sel) < pool_mean
     assert out.size == parents.size
-
-
-def test_select_updates_best_so_far():
-    parents = make_pop(seed=5)
-    offspring = make_pop(seed=6)
-    offspring.best_so_far_f = -100.0
-    offspring.best_so_far_x = np.zeros(3)
-    out = ea.select("roulette", parents, offspring, np.random.default_rng(0))
-    assert out.best_so_far_f == -100.0
 
 
 def test_select_size_mismatch():
@@ -480,7 +466,6 @@ def test_lpsr_keeps_best():
     order = np.argsort(pop.fitness, kind="stable")
     want = set(map(tuple, pop.X[order[:out.size]]))
     assert kept == want
-    assert out.best_so_far_f == pop.best_so_far_f
 
 
 def test_lpsr_error():
@@ -505,15 +490,6 @@ def test_share_swap_uses_pre_update_bests():
     wb = int(np.argmax(b.fitness))
     np.testing.assert_array_equal(out[0].X[wa], best_b)
     np.testing.assert_array_equal(out[1].X[wb], best_a)
-
-
-def test_share_best_so_far_never_worsens():
-    a = make_pop(NP=4, seed=22)
-    b = make_pop(NP=4, seed=23)
-    before = min(a.best_so_far_f, b.best_so_far_f)
-    out = ea.share_information([a, b], [1, 0])
-    after = min(p.best_so_far_f for p in out)
-    assert after <= before
 
 
 def test_share_needs_one_target_per_population():

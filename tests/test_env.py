@@ -14,15 +14,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import reference
 from dacq import algorithms as alg
-from dacq import env
+from dacq import datasets, env, problems
 from dacq.ea_ops import Population
-from dacq.problems import make_identity_instance
+from dacq.problems import make_identity_instance, make_instance
 
 
 def fake_state(X, fit, bsf_x, bsf_f, t=3, stag=2, improved=True, horizon=50):
-    pop = Population(np.asarray(X, float), np.asarray(fit, float),
-                     np.asarray(bsf_x, float), float(bsf_f))
-    return alg.AlgorithmState(0, [pop], t, horizon, stag, improved, 0)
+    pop = Population(np.asarray(X, float), np.asarray(fit, float))
+    return alg.AlgorithmState(0, [pop], t, horizon, np.asarray(bsf_x, float),
+                              float(bsf_f), stag, improved, 0)
 
 
 def random_policy_fn(alg_id, seed):
@@ -110,9 +110,10 @@ def test_cal_state_union_of_sub_pops(sphere5):
     fa, fb = rng.uniform(0, 9, 4), rng.uniform(0, 9, 6)
     bsf_f = min(fa.min(), fb.min())
     bsf_x = Xa[0]
-    pa = Population(Xa, fa, bsf_x.copy(), bsf_f)
-    pb = Population(Xb, fb, bsf_x.copy(), bsf_f)
-    st = alg.AlgorithmState(1, [pa, pb], 1, 50, 0, False, 0)
+    pa = Population(Xa, fa)
+    pb = Population(Xb, fb)
+    st = alg.AlgorithmState(1, [pa, pb], 1, 50, bsf_x.copy(), bsf_f, 0,
+                            False, 0)
     got = env.cal_state(st, unit_problem(1.0), T=50, f_best_init=1.0)
     X = np.vstack([Xa, Xb])
     fit = np.concatenate([fa, fb])
@@ -414,6 +415,47 @@ def test_episode_integral_float_bins_play_as_ints(sphere5):
                           seed=0)
     assert [st.actions.tolist() for st in got.steps] == [[3, 2, 1]] * 3
     assert got.perf == want.perf
+
+
+# f7 is a step function: on its plateaus distinct points tie exactly, and
+# in its alg 2 episode a later point ties the kept one at the least value
+@pytest.mark.parametrize("alg_id, fid, dim, tie", [
+    (0, 7, 5, False), (1, 7, 5, False), (2, 7, 5, True), (1, 21, 5, False),
+    (2, 15, 20, False)])
+def test_state_keeps_first_evaluated_least_point(monkeypatch, alg_id, fid,
+                                                 dim, tie):
+    seen = {"f": np.inf, "x": None, "ties": 0}
+    true_evaluate = problems.evaluate
+
+    def evaluate(problem, X):
+        fit = true_evaluate(problem, X)
+        for x, f in zip(X, fit):
+            if f < seen["f"]:
+                seen.update(f=f, x=x.copy())
+            elif f == seen["f"] and not np.array_equal(x, seen["x"]):
+                seen["ties"] += 1
+        return fit
+
+    checked = []
+
+    def checking(fn):
+        def wrapped(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            assert state.best_f == seen["f"]
+            assert_array_equal(state.best_x, seen["x"])
+            checked.append(state.t)
+            return state
+        return wrapped
+
+    monkeypatch.setattr(problems, "evaluate", evaluate)
+    monkeypatch.setattr(alg, "init_state", checking(alg.init_state))
+    monkeypatch.setattr(alg, "step", checking(alg.step))
+    T = 25
+    env.run_episode(alg_id, make_instance(fid, dim, seed=0),
+                    datasets.random_policy(alg_id, [1, fid, dim, 1]), T,
+                    [1, fid, dim])
+    assert checked == list(range(T + 1))
+    assert seen["ties"] > 0 or not tie
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,20 @@ def test_stale_model_cache_rejected():
         qmodel.model_backward(cache, np.zeros((2, 3, 16)))
 
 
+def test_model_backward_rejects_misshaped_grad_Q():
+    # a transposed (K, T, M) gradient has the right size but not the shape
+    # q_values_batch returned
+    p = tiny_model(seed=19)
+    rng = np.random.default_rng(20)
+    states = rng.normal(size=(2, 9))
+    actions = rng.integers(0, 16, size=(2, 3))
+    _, cache = qmodel.q_values_batch(p, states, actions)
+    qmodel.model_backward(cache, np.zeros((2, 3, 16)))
+    for shape in [(3, 2, 16), (6, 16), (2, 3, 8)]:
+        with pytest.raises(ValueError, match="grad_Q shape"):
+            qmodel.model_backward(cache, np.zeros(shape))
+
+
 def test_tensor_names_are_stable():
     p = tiny_model(depth=2)
     names = list(p.tensors())

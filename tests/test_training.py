@@ -540,6 +540,24 @@ def test_grad_check_detects_small_injected_error(sphere5, monkeypatch):
     assert report["worst_coord"] == ("blocks.0.A_log", 0)
 
 
+def test_grad_check_rates_a_zeroed_gradient(sphere5, monkeypatch):
+    # a gradient wrong because it is zero is rated against its finite
+    # difference, not skipped as a small one
+    true_backward = qmodel.model_backward
+
+    def zeroed(cache, grad_Q):
+        grads = true_backward(cache, grad_Q)
+        grads["b_head"][:] = 0.0
+        return grads
+
+    monkeypatch.setattr(qmodel, "model_backward", zeroed)
+    model = small_model(6)
+    traj = short_trajectory(sphere5, T=3, seed=6)
+    report = training.grad_check(model, traj, small_cfg())
+    assert report["max_rel_error"] > 1e-4, report
+    assert report["worst_coord"][0] == "b_head"
+
+
 def test_grad_check_fd_truncation_is_second_order(sphere5):
     # doubling h should roughly quadruple the truncation error
     model = small_model(7)

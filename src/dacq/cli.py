@@ -218,14 +218,8 @@ def build_split(cfg) -> problems.ProblemSplit:
     train = cfg.functions if cfg.functions is not None else base.train_ids
     test = (cfg.test_functions if cfg.test_functions is not None
             else base.test_ids)
-    if cfg.dim is not None:
-        dims = {fid: cfg.dim for fid in set(train) | set(test)}
-    else:
-        dims = dict(base.dims)
-        missing = [f for f in set(train) | set(test) if f not in dims]
-        if missing:
-            raise UsageError(f"no default dim for functions {missing}; "
-                             f"pass --dim")
+    dims = (dict(base.dims) if cfg.dim is None
+            else {fid: cfg.dim for fid in set(train) | set(test)})
     return problems.ProblemSplit(tuple(train), tuple(test), dims)
 
 
@@ -346,8 +340,7 @@ class EvalReport:
                 for key, v in groups.items()}
 
     def mean_perf(self, policy):
-        vals = [p for _, _, p, pol in self.rows if pol == policy]
-        return float(np.mean(vals))
+        return self.summary()[(policy, "overall")][0]
 
 
 def _print_summary(report: EvalReport):
@@ -539,8 +532,6 @@ def cmd_eval(cfg) -> int:
     else:
         alg_id = int(extra.get("alg_id", cfg.alg))
     instances = _test_instances(cfg, build_split(cfg))
-    if not instances:
-        raise UsageError("no test functions to evaluate on")
 
     t0 = time.perf_counter()
     rows = evaluate_policies(params, alg_id, instances, cfg.runs, cfg.t,
@@ -714,14 +705,13 @@ def run_verification(cfg):
         tr = env.run_episode(0, inst,
                              datasets.random_policy(0, [cfg.seed, 9, i]),
                              T=10, seed=[cfg.seed, 9, i])
-        rs = [s.reward for s in tr.steps]
-        total = sum(rs)
+        total = tr.perf
         denom = tr.f_best_init - tr.f_star
         expect = ((tr.f_best_init - tr.final_best_f) / denom
                   if denom > 0 else 0.0)
         worst_tel = max(worst_tel, abs(total - expect))
-        ok = ok and min(rs) >= 0.0 and total <= 1.0 + 1e-9 \
-            and abs(total - expect) <= 1e-12
+        ok = (ok and min(s.reward for s in tr.steps) >= 0.0
+              and total <= 1.0 + 1e-9 and abs(total - expect) <= 1e-12)
     checks.append(("reward_telescoping", ok,
                    f"max |sum r - relative improvement| {worst_tel:.3e} "
                    f"over 20 episodes"))

@@ -302,7 +302,6 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
     masks = env.bin_masks(traj.alg_id, traj.M).tolist()
 
     prev = traj.f_best_init
-    total = 0.0
     for t, st in enumerate(traj.steps):
         if st.state.shape != (9,):
             fail(f"step {t}: state has shape {st.state.shape}")
@@ -326,9 +325,8 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
             fail(f"step {t}: reward {st.reward!r} inconsistent with "
                  f"best-so-far sequence (expected {expect!r})")
         prev = st.best_so_far_f
-        total += st.reward
-    if total > 1.0 + 1e-9:
-        fail(f"cumulative reward {total!r} exceeds 1")
+    if traj.perf > 1.0 + 1e-9:
+        fail(f"cumulative reward {traj.perf!r} exceeds 1")
 
 
 def _parse_lines(lines, validate: bool):

@@ -224,24 +224,18 @@ def nearest_bin(value: float, n_bins: int) -> int:
     return int(np.rint(value * (n_bins - 1)))
 
 
-def _check_bin(spec: HyperParameterSpec, bin_idx,
-               n_bins: int = DEFAULT_BINS) -> int:
-    """``bin_idx`` as an int, or ValueError naming the hyper-parameter when
-    it is out of range [0, mask_bins) or not integral."""
+def decode_action(spec: HyperParameterSpec, bin_idx: int,
+                  n_bins: int = DEFAULT_BINS):
+    """Concrete value for one bin: a discrete dimension's choice, or for a
+    continuous one the point ``b / (n_bins - 1)`` of the uniform grid on
+    [0, 1].  A bin out of range [0, mask_bins) or not integral raises
+    ValueError naming the hyper-parameter."""
     m = mask_bins(spec, n_bins)
     if not 0 <= bin_idx < m:
         raise ValueError(f"bin {bin_idx} out of range [0, {m}) for {spec.name}")
     if bin_idx != int(bin_idx):
         raise ValueError(f"non-integral bin {bin_idx} for {spec.name}")
-    return int(bin_idx)
-
-
-def decode_action(spec: HyperParameterSpec, bin_idx: int,
-                  n_bins: int = DEFAULT_BINS):
-    """Concrete value for one bin: a discrete dimension's choice, or for a
-    continuous one the point ``b / (n_bins - 1)`` of the uniform grid on
-    [0, 1].  An out-of-range or non-integral bin raises ValueError."""
-    b = _check_bin(spec, bin_idx, n_bins)
+    b = int(bin_idx)
     return spec.choices[b] if spec.choices else b / (n_bins - 1)
 
 

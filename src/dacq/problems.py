@@ -18,6 +18,7 @@ merging or reordering a batch never changes a result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,14 +317,6 @@ def _schaffers(p, X, alpha):
     return body ** 2 + 10.0 * _pen(X)
 
 
-def _f17(p, X):
-    return _schaffers(p, X, 10.0)
-
-
-def _f18(p, X):
-    return _schaffers(p, X, 1000.0)
-
-
 def _f19(p, X):  # composite Griewank-Rosenbrock, re-centred
     z = _rot(p, X - p.shift) + 1.0
     s = 100.0 * (z[:, :-1] ** 2 - z[:, 1:]) ** 2 + (z[:, :-1] - 1.0) ** 2
@@ -353,14 +346,6 @@ def _gallagher(p, X):
     return _t_osz(10.0 - best) ** 2 + _pen(X)
 
 
-def _f21(p, X):  # Gallagher 101 peaks
-    return _gallagher(p, X)
-
-
-def _f22(p, X):  # Gallagher 21 peaks
-    return _gallagher(p, X)
-
-
 def _f23(p, X):  # Katsuura
     z = _rot(p, _lam(100, p.dim) * _rot(p, X - p.shift))
     acc = np.zeros_like(z)
@@ -385,9 +370,12 @@ def _f24(p, X):  # Lunacek bi-Rastrigin, re-centred
     return np.minimum(sphere, funnel) + cosine + 100.0 * _pen(X)
 
 
+#: function id -> objective less f_opt.  f17/f18 are Schaffers F7 at
+#: conditioning 10/1000; f21/f22 are Gallagher, 101/21 peaks in ``aux``.
 _FUNCTIONS = {
     1: _f1, 2: _f2, 3: _f3, 4: _f4, 5: _f5, 6: _f6, 7: _f7, 8: _f8,
     9: _f9, 10: _f10, 11: _f11, 12: _f12, 13: _f13, 14: _f14, 15: _f15,
-    16: _f16, 17: _f17, 18: _f18, 19: _f19, 20: _f20, 21: _f21, 22: _f22,
-    23: _f23, 24: _f24,
+    16: _f16, 17: functools.partial(_schaffers, alpha=10.0),
+    18: functools.partial(_schaffers, alpha=1000.0), 19: _f19, 20: _f20,
+    21: _gallagher, 22: _gallagher, 23: _f23, 24: _f24,
 }

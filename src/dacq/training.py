@@ -56,16 +56,15 @@ def _masked_max(Q, masks):
 def compute_targets(Q, rewards, masks, cfg: LossConfig):
     """Detached backup targets of one trajectory, (T, K).
 
-    Entries i < K-1 hold max_j Q_{i+1,j}^t; entry K-1 holds
-    r^t + gamma * max_j Q_{1,j}^{t+1} with a zero terminal bootstrap.
+    The T*K decisions form one sequence in (t, i) order.  Each decision's
+    target is the masked max Q of the next decision, 0 after the last;
+    a step's last decision then adds the step's reward and discounts:
+    r^t + gamma * max_j Q_{1,j}^{t+1}.
     """
     T, K, M = Q.shape
     maxQ = _masked_max(Q, masks)               # (T, K)
-    targets = np.empty((T, K))
-    targets[:, :K - 1] = maxQ[:, 1:]
-    boot = np.zeros(T)
-    boot[:T - 1] = maxQ[1:, 0]
-    targets[:, K - 1] = rewards + cfg.gamma * boot
+    targets = np.append(maxQ.ravel()[1:], 0.0).reshape(T, K)
+    targets[:, -1] = rewards + cfg.gamma * targets[:, -1]
     return targets
 
 

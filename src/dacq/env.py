@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -69,8 +70,10 @@ class Trajectory:
 
     @property
     def perf(self) -> float:
-        """Accumulated normalized improvement, in [0, 1]."""
-        return float(sum(s.reward for s in self.steps))
+        """Accumulated normalized improvement, in [0, 1]: the exactly
+        rounded sum of the rewards (``math.fsum``), the same float on
+        every Python version, where ``sum`` of floats is not."""
+        return math.fsum(s.reward for s in self.steps)
 
     @property
     def final_best_f(self) -> float:

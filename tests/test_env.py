@@ -361,6 +361,18 @@ def test_episode_reward_invariants(sphere5):
     assert abs(traj.perf - sum(rewards)) < 1e-15
 
 
+def test_perf_is_exactly_rounded_sum():
+    """Ten rewards of 0.1 add up to 1.0 exactly; a left-to-right sum
+    (Python <= 3.11's ``sum``) gives 0.9999999999999999."""
+    steps = [env.StepRecord(np.zeros(9), np.zeros(3, dtype=np.int64), 0.1,
+                            1.0 - 0.1 * (t + 1)) for t in range(10)]
+    traj = env.Trajectory(alg_id=0, K=3, M=16, function_id=1, dim=5,
+                          instance_seed=0, episode_seed=0, T=10,
+                          policy_id="random", f_best_init=1.0, f_star=0.0,
+                          steps=steps)
+    assert traj.perf == 1.0
+
+
 def test_episode_metadata(sphere5):
     traj = env.run_episode(0, sphere5, random_policy_fn(0, 2), T=5, seed=[3, 1],
                            policy_id="random")

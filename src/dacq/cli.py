@@ -624,13 +624,13 @@ def cmd_ablate(cfg) -> int:
     write_csv(out / "ablate_mu.csv",
               ("mu", "d_used", "mean_perf", "std_perf"), mu_rows)
 
-    # action-bin resolution sweep: recollect at each M so the grids match
+    # action-bin resolution sweep: recollect at each M so the grids match,
+    # each training function at its dim in the dataset (the split's for a
+    # function without a trajectory), and evaluate as the other sweeps do
     bin_rows = []
-    dim = trajs[0].dim
-    csplit = problems.ProblemSplit(tuple(manifest.train_ids), split.test_ids,
-                                   {fid: dim for fid in
-                                    set(manifest.train_ids)
-                                    | set(split.test_ids)})
+    csplit = problems.ProblemSplit(
+        tuple(manifest.train_ids), split.test_ids,
+        {**split.dims, **{t.function_id: t.dim for t in trajs}})
     for b, M in enumerate((16, 32)):
         sub_trajs, sub_man = datasets.collect(
             manifest.alg_id, csplit, (cfg.policy, "random"), manifest.mu,
@@ -638,7 +638,7 @@ def cmd_ablate(cfg) -> int:
             instance_seed=cfg.instance_seed, jitter=cfg.jitter,
             quantile=cfg.quantile, calibration_episodes=cfg.calibration,
             workers=cfg.workers)
-        mean, std = _train_eval_once(sub_trajs, sub_man, cfg, csplit,
+        mean, std = _train_eval_once(sub_trajs, sub_man, cfg, split,
                                      cfg.lam, cfg.beta, seed_tag=30 + b)
         bin_rows.append((M, mean, std))
         print(f"bins M={M}: perf {mean:.6f} +/- {std:.6f}")
@@ -791,8 +791,8 @@ COMMANDS = {
              ("ckpt", "alg", "t", "dim", "runs", "test_functions",
               "instance_seed", "workers")),
     "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
-               ("data", "epochs", "batch", "lr", "beta", "lam", "gamma",
-                "d_model", "d_state", "depth", "runs", "t", "dim",
+               ("data", "epochs", "batch", "lr", "wd", "beta", "lam",
+                "gamma", "d_model", "d_state", "depth", "runs", "t", "dim",
                 "test_functions", "policy", "quantile", "calibration",
                 "jitter", "instance_seed", "workers")),
     "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "

@@ -723,6 +723,56 @@ def test_ablate_report_shapes(ds_dir, tmp_path):
     assert [int(r[0]) for r in bins[1:]] == [16, 32]
 
 
+@pytest.mark.parametrize("profile, collect_flags, made_want", [
+    # the dataset at --dim 10, f15 evaluated at the desk profile's dim 5
+    ("desk", ["--functions", "4,2", "--dim", "10"],
+     {(4, 10), (2, 10), (15, 5)}),
+    # per-function default dims: f4 at 10, f2 and f15 at 5
+    ("paper", ["--functions", "4,2"], {(4, 10), (2, 5), (15, 5)}),
+    # two episodes leave f1 without a trajectory: its default dim 50
+    ("paper", ["--functions", "4,2,1"],
+     {(4, 10), (2, 5), (1, 50), (15, 5)}),
+], ids=("dim-flag", "default-dims", "function-without-trajectory"))
+def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
+        profile, collect_flags, made_want, tmp_path, monkeypatch):
+    """The bin sweep recollects each training function at its dim in the
+    dataset and evaluates the test functions at the split's dims, as the
+    other two sweeps do."""
+    ds = tmp_path / "ds"
+    assert run(["collect", "--alg", "0", "--mu", "0.5", "--d", "2",
+                "--t", "3", "--seed", "1", "--profile", profile,
+                "--workers", "1", "--out", str(ds)] + collect_flags) == 0
+    made = []
+    real = problems.make_instance
+
+    def spy(function_id, dim, seed):
+        made.append((function_id, dim))
+        return real(function_id, dim, seed)
+
+    monkeypatch.setattr(problems, "make_instance", spy)
+    rc = run(["ablate", "--data", str(ds), "--out", str(tmp_path / "ab"),
+              "--epochs", "1", "--batch", "4", "--d-model", "4",
+              "--d-state", "2", "--runs", "1", "--t", "3",
+              "--test-functions", "15", "--seed", "4", "--profile", profile,
+              "--workers", "1"])
+    assert rc == 0
+    assert set(made) == made_want
+
+
+def test_ablate_trains_with_wd(ds_dir, tmp_path, monkeypatch):
+    seen = []
+
+    def first_train(trajs, params, loss_cfg, **kwargs):
+        seen.append(loss_cfg.weight_decay)
+        raise RuntimeError("stop after the first training")
+
+    monkeypatch.setattr(training, "train", first_train)
+    rc = run(["ablate", "--data", str(ds_dir), "--wd", "0.1",
+              "--out", str(tmp_path / "ab")])
+    assert rc == 1
+    assert seen == [0.1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

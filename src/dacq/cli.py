@@ -214,12 +214,13 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def build_split(cfg) -> problems.ProblemSplit:
+    """The command's train/test ids; every id 1..24 has a dim, ``--dim``
+    or else its default."""
     base = problems.default_split()
     train = cfg.functions if cfg.functions is not None else base.train_ids
     test = (cfg.test_functions if cfg.test_functions is not None
             else base.test_ids)
-    dims = (dict(base.dims) if cfg.dim is None
-            else {fid: cfg.dim for fid in set(train) | set(test)})
+    dims = base.dims if cfg.dim is None else dict.fromkeys(base.dims, cfg.dim)
     return problems.ProblemSplit(tuple(train), tuple(test), dims)
 
 

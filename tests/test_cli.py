@@ -729,9 +729,9 @@ def test_ablate_report_shapes(ds_dir, tmp_path):
      {(4, 10), (2, 10), (15, 5)}),
     # per-function default dims: f4 at 10, f2 and f15 at 5
     ("paper", ["--functions", "4,2"], {(4, 10), (2, 5), (15, 5)}),
-    # two episodes leave f1 without a trajectory: its default dim 50
-    ("paper", ["--functions", "4,2,1"],
-     {(4, 10), (2, 5), (1, 50), (15, 5)}),
+    # two episodes leave f3 without a trajectory: the desk profile's dim
+    ("desk", ["--functions", "4,2,3", "--dim", "10"],
+     {(4, 10), (2, 10), (3, 5), (15, 5)}),
 ], ids=("dim-flag", "default-dims", "function-without-trajectory"))
 def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
         profile, collect_flags, made_want, tmp_path, monkeypatch):

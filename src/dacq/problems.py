@@ -9,8 +9,9 @@ elsewhere (linear slope, Rosenbrock, Schwefel, Lunacek) are re-centred
 accordingly, and families that traditionally use two independent
 rotations reuse the single per-instance rotation for both.
 
-Instances are deterministic in (function_id, dim, seed).  ``evaluate`` is
-pure and vectorized over rows, so it is safe to share one instance across
+Instances are deterministic in (function_id, dim, seed).  Their arrays,
+those in ``aux`` included, are read-only, and ``evaluate`` is pure and
+vectorized over rows, so it is safe to share one instance across
 concurrent episode workers.  It is also row-batch invariant: a row's value
 is bit-identical whatever other rows are passed with it, so splitting,
 merging or reordering a batch never changes a result.
@@ -42,6 +43,10 @@ DEFAULT_DIMS = {
 # Schwefel: interior argmin of g(y) = -y*sin(sqrt(|y|)) on [-500, 500],
 # solved from sin(u) + (u/2)cos(u) = 0 with u = sqrt(y) near u = 20.52.
 SCHWEFEL_YSTAR = 420.96874635998205
+
+#: elements in one (rows, peaks) plane of ``_gallagher``: 2^14, the block
+#: budget of the s1 pair blocks and the SSM chunks too
+_PLANE_ELEMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,12 +133,15 @@ def _finalize(function_id, dim, shift, rotation, f_opt, seed, rng):
             lam = alphas[k] ** (0.5 * np.arange(dim) / (dim - 1))
             diags[k] = rng.permutation(lam) / alphas[k] ** 0.25
         aux = {"peaks": peaks, "weights": weights, "diags": diags}
-    shift = shift.copy()
-    rotation = rotation.copy()
-    shift.flags.writeable = False
-    rotation.flags.writeable = False
-    return ProblemInstance(function_id, dim, shift, rotation, f_opt,
-                           LOWER, UPPER, seed, aux)
+    p = ProblemInstance(function_id, dim, shift.copy(), rotation.copy(), f_opt,
+                        LOWER, UPPER, seed, aux)
+    if aux:
+        # _gallagher's per-coordinate rows: rotated peaks and diagonals
+        aux["zpeaks_t"] = np.ascontiguousarray(_rot(p, peaks).T)
+        aux["diags_t"] = np.ascontiguousarray(diags.T)
+    for a in (p.shift, p.rotation, *aux.values()):
+        a.flags.writeable = False
+    return p
 
 
 def evaluate(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
@@ -332,18 +340,57 @@ def _f20(p, X):  # Schwefel, per-coordinate difference form
     return np.sum(g - gstar, axis=1) + 0.05 * np.sum(over * over, axis=1)
 
 
+def _row_sum(n, term):
+    """``term(0) + ... + term(n - 1)``, added in the order ``np.sum`` adds a
+    contiguous row of n <= 128 values: one by one from 0.0 below 8, else
+    into eight running sums, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
+    the tail.  Each ``term(j)`` must be a new array: sums are made in place.
+    """
+    if n < 8:
+        total = 0.0 + term(0)
+        for j in range(1, n):
+            total += term(j)
+        return total
+    r = [term(j) for j in range(8)]
+    tail = n - n % 8
+    for j in range(8, tail):
+        r[j % 8] += term(j)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(tail, n):
+        total += term(j)
+    return total
+
+
 def _gallagher(p, X):
-    peaks = p.aux["peaks"]
+    """Gallagher's peaks: the best w_k exp(-q_k / (2 dim)) over the peaks k,
+    where q_k sums (zx_j - zp_kj)^2 diag_kj over the rotated coordinates j.
+
+    For a block of rows, coordinate j gives one (rows, peaks) plane of
+    ``d * d * diag`` products, so numpy's loops run along the 101 or 21
+    peaks rather than along the coordinates.  ``_row_sum`` adds the planes
+    in the order ``np.sum(d * d * diags[k], axis=1)`` adds a row, so each
+    q_k has the bits of that per-peak row sum.  Rows go in the fewest equal
+    blocks whose planes hold at most ``_PLANE_ELEMS`` elements (162 rows at
+    101 peaks), which bounds the memory; rows are independent, so the
+    blocks never change a value.
+    """
+    zp_t = p.aux["zpeaks_t"]
+    diag_t = p.aux["diags_t"]
     weights = p.aux["weights"]
-    diags = p.aux["diags"]
     zx = _rot(p, X)
-    zp = _rot(p, peaks)
-    best = np.full(X.shape[0], -np.inf)
-    for k in range(peaks.shape[0]):
-        d = zx - zp[k]
-        q = np.sum(d * d * diags[k], axis=1)
-        best = np.maximum(best, weights[k] * np.exp(-q / (2.0 * p.dim)))
-    return _t_osz(10.0 - best) ** 2 + _pen(X)
+    n_blocks = max(1, -(-len(zx) // (_PLANE_ELEMS // len(weights))))
+    best = []
+    for z in np.array_split(zx, n_blocks):
+
+        def plane(j):
+            d = z[:, j, None] - zp_t[j]
+            d *= d
+            d *= diag_t[j]
+            return d
+
+        q = _row_sum(p.dim, plane)
+        best.append(np.max(weights * np.exp(-q / (2.0 * p.dim)), axis=1))
+    return _t_osz(10.0 - np.concatenate(best)) ** 2 + _pen(X)
 
 
 def _f23(p, X):  # Katsuura

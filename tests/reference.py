@@ -634,3 +634,20 @@ def katsuura_ref(p, X):
             acc += np.abs(v - np.rint(v)) / 2.0 ** j
         prod *= (1.0 + (i + 1) * acc) ** (10.0 / p.dim ** 1.2)
     return 10.0 / p.dim ** 2 * prod - 10.0 / p.dim ** 2 + problems._pen(X) + p.f_opt
+
+
+def gallagher_loop_ref(p, X):
+    """Gallagher (f21/f22) as the earlier loop over peaks, one row sum per
+    peak and a running maximum."""
+    from dacq import problems
+    peaks = p.aux["peaks"]
+    weights = p.aux["weights"]
+    diags = p.aux["diags"]
+    zx = problems._rot(p, X)
+    zp = problems._rot(p, peaks)
+    best = np.full(X.shape[0], -np.inf)
+    for k in range(peaks.shape[0]):
+        d = zx - zp[k]
+        q = np.sum(d * d * diags[k], axis=1)
+        best = np.maximum(best, weights[k] * np.exp(-q / (2.0 * p.dim)))
+    return problems._t_osz(10.0 - best) ** 2 + problems._pen(X) + p.f_opt

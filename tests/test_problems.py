@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,52 @@ def test_gallagher_first_peak_is_shift():
         assert p.aux["weights"][0] == 10.0
         assert np.max(p.aux["weights"][1:]) <= 9.1
 
+
+@pytest.mark.parametrize("fid", (21, 22))
+def test_instance_arrays_are_read_only(fid):
+    p = P.make_instance(fid, 5, 11)
+    for a in (p.shift, p.rotation, *p.aux.values()):
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+    assert P.evaluate(p, p.shift[None])[0] == p.f_opt
+
+
+@pytest.mark.parametrize("fid", (21, 22))
+@pytest.mark.parametrize("dim", P.SUPPORTED_DIMS)
+def test_gallagher_matches_peak_loop(fid, dim):
+    p = P.make_instance(fid, dim, seed=dim)
+    peaks = p.aux["peaks"]
+    block = P._PLANE_ELEMS // len(peaks)
+    rng = np.random.default_rng([fid, dim])
+    for n in (1, 20, block - 1, block, block + 1, 700):
+        X = rng.uniform(-5, 5, (n, dim))
+        X[::7] = rng.uniform(-8, 8, X[::7].shape)   # outside the box
+        X[1::5] = peaks[rng.integers(len(peaks), size=len(X[1::5]))]
+        X[-1] = p.shift
+        assert np.array_equal(P.evaluate(p, X), ref.gallagher_loop_ref(p, X)), n
+
+
+def test_row_sum_adds_in_np_sum_order():
+    # magnitudes 1e-8..1e8 with both signs, so that adding in another
+    # order rounds differently
+    rng = np.random.default_rng(21)
+    for n in range(1, 129):
+        v = rng.choice((-1.0, 1.0), (3, 4, n)) * 10.0 ** rng.uniform(-8, 8, (3, 4, n))
+        got = P._row_sum(n, lambda j: v[..., j].copy())
+        assert np.array_equal(got, np.sum(v, axis=-1)), n
+
+
+def test_gallagher_memory_bounded():
+    # unblocked (2000, 101) planes would take about 14 MiB
+    p = P.make_instance(21, 50, 0)
+    X = np.random.default_rng(3).uniform(-5, 5, (2000, 50))
+    tracemalloc.start()
+    try:
+        P.evaluate(p, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
 
 @pytest.mark.parametrize("dim", P.SUPPORTED_DIMS)
 def test_katsuura_matches_double_loop(dim):

@@ -25,19 +25,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import operator
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import algorithms, checkpoint, datasets, env, export_threads, \
-    problems, qmodel, ssm, training
+    problems, qmodel, rollouts, ssm, training
+from .rollouts import EvalReport, evaluate_policies
 
 
 class UsageError(ValueError):
@@ -250,102 +249,8 @@ def _outdir(cfg) -> Path:
     return out
 
 
-# ---------------------------------------------------------------------------
-# greedy rollout of a trained model
-# ---------------------------------------------------------------------------
-
-class GreedyModelPolicy:
-    """Episode policy: greedy autoregressive decode per generation, hidden
-    state and last action bin carried across the whole episode."""
-
-    def __init__(self, params: qmodel.QModelParams, alg_id: int,
-                 n_bins: int):
-        self.masks = env.bin_masks(alg_id, n_bins).tolist()
-        if params.config.K != len(self.masks):
-            raise ValueError(
-                f"checkpoint decodes K={params.config.K} dims but "
-                f"algorithm {alg_id} has {len(self.masks)}")
-        if params.config.M != n_bins:
-            raise ValueError(f"checkpoint bin count {params.config.M} != "
-                             f"requested {n_bins}")
-        self.params = params
-        self.hiddens = params.zero_hidden()
-        self.prev = -1
-
-    def __call__(self, state, t):
-        bins, self.hiddens, _ = qmodel.decode_episode_actions(
-            self.params, state, self.masks, self.hiddens, self.prev)
-        self.prev = int(bins[-1])
-        return bins
-
-
-def _rollout_perf(alg_id, inst, make_policy, T, ep_seed, n_bins):
-    return env.run_episode(alg_id, inst, make_policy(), T, ep_seed,
-                           n_bins=n_bins).perf
-
-
-def evaluate_policies(params, alg_id, test_instances, runs, T, n_bins,
-                      seed, include_random=True, workers=None):
-    """Paired rollouts on each test problem: trained greedy policy and
-    (optionally) the random baseline on the same episode seeds.
-    Returns rows (function_id, run, perf, policy_label).  The rollouts
-    run through ``env.run_episodes`` on ``workers`` processes (None:
-    every CPU this process may use); the rows do not depend on it."""
-    keys, jobs = [], []
-    for inst in test_instances:
-        for run in range(runs):
-            ep_seed = [seed, inst.function_id, run]
-            policies = [("model", functools.partial(
-                GreedyModelPolicy, params, alg_id, n_bins))]
-            if include_random:
-                policies.append(("random", functools.partial(
-                    datasets.random_policy, alg_id,
-                    [seed, inst.function_id, run, 1], n_bins)))
-            for label, make_policy in policies:
-                keys.append((inst.function_id, run, label))
-                jobs.append(functools.partial(_rollout_perf, alg_id, inst,
-                                              make_policy, T, ep_seed,
-                                              n_bins))
-    perfs = env.run_episodes(jobs, workers)
-    return [(fid, run, perf, label)
-            for (fid, run, label), perf in zip(keys, perfs)]
-
-
-@dataclass
-class EvalReport:
-    rows: list            # (function_id, run, perf, policy)
-    runs: int
-    provenance: dict
-    elapsed: float = 0.0
-
-    def validate(self):
-        for fid, run, perf, policy in self.rows:
-            if not 0.0 <= perf <= 1.0 + 1e-9:
-                raise ValueError(f"Perf {perf} out of [0, 1] on function "
-                                 f"{fid} run {run} ({policy})")
-        counts = {}
-        for fid, _, _, policy in self.rows:
-            counts[(fid, policy)] = counts.get((fid, policy), 0) + 1
-        bad = {k: v for k, v in counts.items() if v != self.runs}
-        if bad:
-            raise ValueError(f"run counts {bad} != configured {self.runs}")
-
-    def summary(self):
-        """(policy, problem-or-'overall') -> (mean, std); sample std."""
-        groups = {}
-        for fid, _, perf, policy in self.rows:
-            groups.setdefault((policy, fid), []).append(perf)
-            groups.setdefault((policy, "overall"), []).append(perf)
-        return {key: (float(np.mean(v)),
-                      float(np.std(v, ddof=1)) if len(v) > 1 else 0.0)
-                for key, v in groups.items()}
-
-    def mean_perf(self, policy):
-        return self.summary()[(policy, "overall")][0]
-
-
-def _print_summary(report: EvalReport):
-    summary = report.summary()
+def _print_summary(summary):
+    """Print a ``rollouts.summarize`` as a table, one row per key."""
     fids = sorted({fid for _, fid in summary if fid != "overall"})
     policies = sorted({pol for pol, _ in summary})
     print(f"{'problem':>8}  {'policy':>8}  {'mean_perf':>12}  {'std':>12}")
@@ -354,49 +259,43 @@ def _print_summary(report: EvalReport):
             if (pol, fid) in summary:
                 mean, std = summary[(pol, fid)]
                 print(f"{fid!s:>8}  {pol:>8}  {mean:>12.6f}  {std:>12.6f}")
-    print(f"elapsed: {report.elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def exploitation_note(policy_counts) -> str | None:
+def _print_exploitation_note(policy_counts):
     """One-line provenance flag for datasets whose exploitation half comes
     from the built-in substitute policies."""
-    kinds = sorted(k for k in policy_counts
-                   if k in datasets.EXPLOITATION_KINDS)
-    if not kinds:
-        return None
-    return ("note: exploitation episodes use substitute behavior policies "
-            f"({', '.join(kinds)}), not rollouts of pretrained "
-            "meta-optimizers")
-
-
-def _mean_perfs(rows) -> dict:
-    """policy -> mean Perf of (function_id, policy, perf) rows."""
-    groups = {}
-    for _, policy, perf in rows:
-        groups.setdefault(policy, []).append(perf)
-    return {k: float(np.mean(v)) for k, v in sorted(groups.items())}
+    kinds = sorted(set(policy_counts) & set(datasets.EXPLOITATION_KINDS))
+    if kinds:
+        print("note: exploitation episodes use substitute behavior policies "
+              f"({', '.join(kinds)}), not rollouts of pretrained "
+              "meta-optimizers")
 
 
 def _log_rollouts(command, rows, elapsed, workers, per_function=False):
     """Throughput, workers used and mean Perf per policy (and per function)
-    of (function_id, policy, perf) rows, on stderr: no artifact holds
-    them, so the artifacts stay byte-stable."""
-    def log(label, rs):
+    of (function_id, episode, perf, policy) rows, on stderr: no artifact
+    holds them, so the artifacts stay byte-stable.  Returns the rows'
+    ``rollouts.summarize``."""
+    summary = rollouts.summarize(rows)
+    policies = sorted({pol for pol, _ in summary})
+
+    def log(label, fid):
         print(f"{label}: " + "  ".join(
-            f"{k} {v:.6f}" for k, v in _mean_perfs(rs).items()),
-            file=sys.stderr)
+            f"{pol} {summary[(pol, fid)][0]:.6f}" for pol in policies
+            if (pol, fid) in summary), file=sys.stderr)
 
     print(f"{command}: {len(rows)} episodes in {elapsed:.2f}s "
           f"({len(rows) / max(elapsed, 1e-9):.1f} episodes/s), "
           f"workers {env.resolve_workers(workers)}", file=sys.stderr)
-    log("mean perf", rows)
+    log("mean perf", "overall")
     if per_function:
         for fid in sorted({r[0] for r in rows}):
-            log(f"mean perf f{fid}", [r for r in rows if r[0] == fid])
+            log(f"mean perf f{fid}", fid)
+    return summary
 
 
 def _log_state_ranges(trajs):
@@ -428,24 +327,23 @@ def cmd_collect(cfg) -> int:
         instance_seed=cfg.instance_seed, jitter=cfg.jitter,
         quantile=cfg.quantile, calibration_episodes=cfg.calibration,
         workers=cfg.workers)
-    rows = [(t.function_id, t.policy_id, t.perf) for t in trajs]
-    _log_rollouts("collect", rows, time.perf_counter() - t0, cfg.workers,
-                  per_function=True)
+    rows = [(t.function_id, e, t.perf, t.policy_id)
+            for e, t in enumerate(trajs)]
+    summary = _log_rollouts("collect", rows, time.perf_counter() - t0,
+                            cfg.workers, per_function=True)
     _log_state_ranges(trajs)
-    means = _mean_perfs(rows)
-    if cfg.policy in means and "random" in means \
-            and means[cfg.policy] <= means["random"]:
+    ex, ra = (summary.get((pol, "overall"), (math.nan,))[0]
+              for pol in (cfg.policy, "random"))
+    if ex <= ra:   # False when either policy has no episode (NaN)
         print(f"warning: exploitation episodes ({cfg.policy}) do not beat "
-              f"random ones on mean Perf ({means[cfg.policy]:.6f} <= "
-              f"{means['random']:.6f})", file=sys.stderr)
+              f"random ones on mean Perf ({ex:.6f} <= {ra:.6f})",
+              file=sys.stderr)
     print(f"dataset: {out}")
     print(f"trajectories: {manifest.D} ({manifest.n_exploitation} "
           f"exploitation / {manifest.n_exploration} exploration)")
     print("policies: " + " ".join(
         f"{k}={v}" for k, v in sorted(manifest.policy_counts.items())))
-    note = exploitation_note(manifest.policy_counts)
-    if note:
-        print(note)
+    _print_exploitation_note(manifest.policy_counts)
     print(f"alg {manifest.alg_id}  K {manifest.K}  M {manifest.M}  "
           f"T {manifest.T}")
     print(f"checksum: {manifest.checksum}")
@@ -478,9 +376,7 @@ def cmd_train(cfg) -> int:
         raise UsageError("train requires --data")
     out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
-    note = exploitation_note(manifest.policy_counts)
-    if note:
-        print(note)
+    _print_exploitation_note(manifest.policy_counts)
 
     start_epoch, opt = 0, None
     if cfg.resume:
@@ -528,33 +424,29 @@ def cmd_eval(cfg) -> int:
     params, _, extra = checkpoint.load_checkpoint(cfg.ckpt)
     # checkpoint metadata names the algorithm it was trained on; an
     # explicit --alg flag overrides it (mismatches surface in decoding)
-    if "alg" in cfg.explicit:
-        alg_id = cfg.alg
-    else:
-        alg_id = int(extra.get("alg_id", cfg.alg))
+    alg_id = (cfg.alg if "alg" in cfg.explicit
+              else int(extra.get("alg_id", cfg.alg)))
     instances = _test_instances(cfg, build_split(cfg))
 
     t0 = time.perf_counter()
     rows = evaluate_policies(params, alg_id, instances, cfg.runs, cfg.t,
                              params.config.M, cfg.seed, workers=cfg.workers)
-    report = EvalReport(rows=rows, runs=cfg.runs,
-                        provenance={"checkpoint": str(cfg.ckpt),
-                                    "dataset_checksum":
-                                        extra.get("dataset_checksum")},
-                        elapsed=time.perf_counter() - t0)
-    _log_rollouts("eval", [(fid, pol, perf) for fid, _, perf, pol in rows],
-                  report.elapsed, cfg.workers)
-    report.validate()
-    write_csv(out / "eval.csv", ("problem", "run", "perf", "policy"),
-              report.rows)
-    _print_summary(report)
+    elapsed = time.perf_counter() - t0
+    summary = _log_rollouts("eval", rows, elapsed, cfg.workers)
+    EvalReport(rows=rows, runs=cfg.runs).validate()
+    write_csv(out / "eval.csv", ("problem", "run", "perf", "policy"), rows)
+    _print_summary(summary)
+    diff, wins, pairs = rollouts.paired(rows)
+    print(f"model - random: mean {diff:+.6f}, model wins {wins}/{pairs}")
+    print(f"elapsed: {elapsed:.1f}s")
     print(f"report: {out / 'eval.csv'}")
     return 0
 
 
-def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag):
-    """Fresh model, train on trajs, return (mean, std) of greedy Perf
-    over the split's test problems x cfg.runs."""
+def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag,
+                     label):
+    """Fresh model, train on trajs, print under label and return (mean,
+    std) of greedy Perf over the split's test problems x cfg.runs."""
     config = _model_config(cfg, manifest)
     params = qmodel.init_qmodel(config, seed=[cfg.seed, 2])
     params, _ = training.train(trajs, params,
@@ -565,9 +457,9 @@ def _train_eval_once(trajs, manifest, cfg, split, lam, beta, seed_tag):
                              _test_instances(cfg, split), cfg.runs,
                              cfg.t, manifest.M, [cfg.seed, 4],
                              include_random=False, workers=cfg.workers)
-    perfs = [r[2] for r in rows]
-    return (float(np.mean(perfs)),
-            float(np.std(perfs, ddof=1)) if len(perfs) > 1 else 0.0)
+    mean, std = rollouts.summarize(rows)[("model", "overall")]
+    print(f"{label}: perf {mean:.6f} +/- {std:.6f}")
+    return mean, std
 
 
 def _remix(trajs, mu):
@@ -596,9 +488,7 @@ def cmd_ablate(cfg) -> int:
         raise UsageError("ablate requires --data")
     out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
-    note = exploitation_note(manifest.policy_counts)
-    if note:
-        print(note)
+    _print_exploitation_note(manifest.policy_counts)
     split = build_split(cfg)
     t0 = time.perf_counter()
 
@@ -606,11 +496,9 @@ def cmd_ablate(cfg) -> int:
     grid_rows = []
     for i, lam in enumerate((0.0, 1.0, 10.0)):
         for j, beta in enumerate((1.0, 10.0)):
-            mean, std = _train_eval_once(trajs, manifest, cfg, split,
-                                         lam, beta, seed_tag=10 + 2 * i + j)
-            grid_rows.append((lam, beta, mean, std))
-            print(f"lambda={lam:g} beta={beta:g}: "
-                  f"perf {mean:.6f} +/- {std:.6f}")
+            grid_rows.append((lam, beta, *_train_eval_once(
+                trajs, manifest, cfg, split, lam, beta, 10 + 2 * i + j,
+                f"lambda={lam:g} beta={beta:g}")))
     write_csv(out / "ablate_lambda_beta.csv",
               ("lam", "beta", "mean_perf", "std_perf"), grid_rows)
 
@@ -618,10 +506,9 @@ def cmd_ablate(cfg) -> int:
     mu_rows = []
     for r, mu in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
         subset = _remix(trajs, mu)
-        mean, std = _train_eval_once(subset, manifest, cfg, split,
-                                     cfg.lam, cfg.beta, seed_tag=20 + r)
-        mu_rows.append((mu, len(subset), mean, std))
-        print(f"mu={mu:g} (D={len(subset)}): perf {mean:.6f} +/- {std:.6f}")
+        mu_rows.append((mu, len(subset), *_train_eval_once(
+            subset, manifest, cfg, split, cfg.lam, cfg.beta, 20 + r,
+            f"mu={mu:g} (D={len(subset)})")))
     write_csv(out / "ablate_mu.csv",
               ("mu", "d_used", "mean_perf", "std_perf"), mu_rows)
 
@@ -639,10 +526,9 @@ def cmd_ablate(cfg) -> int:
             instance_seed=cfg.instance_seed, jitter=cfg.jitter,
             quantile=cfg.quantile, calibration_episodes=cfg.calibration,
             workers=cfg.workers)
-        mean, std = _train_eval_once(sub_trajs, sub_man, cfg, split,
-                                     cfg.lam, cfg.beta, seed_tag=30 + b)
-        bin_rows.append((M, mean, std))
-        print(f"bins M={M}: perf {mean:.6f} +/- {std:.6f}")
+        bin_rows.append((M, *_train_eval_once(
+            sub_trajs, sub_man, cfg, split, cfg.lam, cfg.beta, 30 + b,
+            f"bins M={M}")))
     write_csv(out / "ablate_bins.csv", ("bins", "mean_perf", "std_perf"),
               bin_rows)
 
@@ -672,7 +558,7 @@ def run_verification(cfg):
     # 43 generations of alg 0 are 129 decision steps: at d_model 8 and
     # d_state 16 the SSM forward and backward cross a time-chunk boundary
     prob = problems.make_instance(1, 5, seed=0)
-    traj = env.run_episode(0, prob, datasets.random_policy(0, [cfg.seed, 7]),
+    traj = env.run_episode(0, prob, rollouts.random_policy(0, [cfg.seed, 7]),
                            T=43, seed=[cfg.seed, 7])
     params = qmodel.init_qmodel(
         qmodel.ModelConfig(K=3, M=16, d_model=8, d_state=16),
@@ -704,7 +590,7 @@ def run_verification(cfg):
         fid = split.train_ids[i % len(split.train_ids)]
         inst = problems.make_instance(fid, 5, seed=0)
         tr = env.run_episode(0, inst,
-                             datasets.random_policy(0, [cfg.seed, 9, i]),
+                             rollouts.random_policy(0, [cfg.seed, 9, i]),
                              T=10, seed=[cfg.seed, 9, i])
         total = tr.perf
         denom = tr.f_best_init - tr.f_star

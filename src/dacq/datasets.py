@@ -1,12 +1,14 @@
 """Offline trajectory collection and on-disk dataset format.
 
 A dataset is a mu-mixed batch of episodes: ``round(mu * D)`` come from an
-exploitation behavior policy (a scripted DE schedule, a calibrated pool
-of fixed parameter settings filtered by return, or random episodes
-filtered by return) and the rest from a uniform-random policy.  Episodes
-cycle over the training problem instances and every episode derives its
-own seed from the master seed, so collection is reproducible and runs
-its episodes in worker processes without changing content.
+exploitation behavior (a scripted DE schedule, a calibrated pool of fixed
+parameter settings filtered by return, or random episodes filtered by
+return) and the rest from uniform-random control.  The policies and the
+episode job that plays them live in ``rollouts``; this module picks,
+filters and stores their episodes.  Episodes cycle over the training
+problem instances and every episode derives its own seed from the
+master seed, so collection is reproducible and runs its episodes in
+worker processes without changing content.
 
 On disk a dataset is a directory with ``trajectories.jsonl`` (one episode
 per line, UTF-8, floats printed as shortest round-trip decimals) and a
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, env, problems
+from . import algorithms, env, problems, rollouts
 from .env import DEFAULT_BINS, StepRecord, Trajectory
 
 #: bump when the serialized layout changes incompatibly
@@ -45,91 +47,6 @@ EXPLOITATION_KINDS = ("scripted_de_schedule", "scripted_constant",
 
 #: ``filtered_random`` gives up after this many attempts per episode it keeps
 MAX_ATTEMPT_FACTOR = 50
-
-
-# ---------------------------------------------------------------------------
-# behavior policies
-# ---------------------------------------------------------------------------
-
-def random_policy(alg_id: int, seed, n_bins: int = DEFAULT_BINS):
-    """Uniform behavior: each decision draws a bin from [0, m_i).
-
-    Returns a ``policy(state, t) -> (K,) bins`` callback for run_episode.
-    """
-    ms = env.bin_masks(alg_id, n_bins).tolist()
-    rng = np.random.default_rng(seed)
-
-    def _policy(state, t):
-        return np.array([rng.integers(m) for m in ms], dtype=np.int64)
-
-    return _policy
-
-
-def constant_setting(rng, specs, n_bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Draw one fixed parameter setting from classic fixed-parameter EA
-    practice: F-like dims uniform in [0.3, 0.95], Cr-like in [0.7, 1.0],
-    other continuous dims in [0.2, 0.8]; discrete dims a uniform choice.
-    Returns the (K,) bin vector."""
-    bins = np.empty(len(specs), dtype=np.int64)
-    for i, spec in enumerate(specs):
-        if spec.choices:
-            bins[i] = int(rng.integers(len(spec.choices)))
-            continue
-        if spec.name.startswith("Cr"):
-            lo, hi = 0.7, 1.0
-        elif spec.name.startswith("F"):
-            lo, hi = 0.3, 0.95
-        else:
-            lo, hi = 0.2, 0.8
-        bins[i] = env.nearest_bin(rng.uniform(lo, hi), n_bins)
-    return bins
-
-
-def _hold(bins: np.ndarray):
-    """Policy callback that plays the same (K,) bin vector at every step."""
-    return lambda state, t: bins.copy()
-
-
-def filter_threshold(perfs, quantile: float) -> float:
-    """Return threshold below/at which calibration episodes are discarded."""
-    perfs = np.asarray(perfs, dtype=float)
-    if perfs.size == 0:
-        raise ValueError("cannot calibrate a threshold on zero episodes")
-    return float(np.quantile(perfs, quantile))
-
-
-def exploitation_policy(alg_id: int, seed, T: int,
-                        n_bins: int = DEFAULT_BINS, jitter: float = 0.02):
-    """The ``scripted_de_schedule`` behavior: a policy callback playing a
-    known-good DE heuristic on the bin grid.  F-like dims (and sigma)
-    anneal from 0.9 toward 0.3 across the episode with small seeded
-    Gaussian jitter, Cr-like dims hold at 0.9, and discrete dims keep a
-    fixed seeded preference.  The other exploitation kinds are built by
-    ``collect``.
-    """
-    specs = algorithms.alg_spec(alg_id)
-    rng = np.random.default_rng(seed)
-    # fixed per-episode preference for every discrete dim
-    pref = {i: int(rng.integers(len(s.choices)))
-            for i, s in enumerate(specs) if s.choices}
-
-    def _policy(state, t):
-        frac = min(t / (T - 1), 1.0) if T > 1 else 0.0
-        bins = np.empty(len(specs), dtype=np.int64)
-        for i, spec in enumerate(specs):
-            if spec.choices:
-                bins[i] = pref[i]
-                continue
-            if spec.name.startswith("Cr"):
-                v = 0.9
-            else:  # F-like dims and sigma anneal toward 0.3
-                v = 0.9 - 0.6 * frac
-            if jitter > 0.0:
-                v += rng.normal(0.0, jitter)
-            bins[i] = env.nearest_bin(min(max(v, 0.0), 1.0), n_bins)
-        return bins
-
-    return _policy
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +349,12 @@ def load_dataset(dataset_dir, validate: bool = True):
 _NS_MAIN, _NS_CAL, _NS_FILTER = 0, 1, 2
 
 
-def _episode(alg_id, problem, make_policy, T, seed_ids, n_bins, policy_id):
-    return env.run_episode(alg_id, problem, make_policy(), T, list(seed_ids),
-                           n_bins=n_bins, policy_id=policy_id)
+def filter_threshold(perfs, quantile: float) -> float:
+    """Return threshold below/at which calibration episodes are discarded."""
+    perfs = np.asarray(perfs, dtype=float)
+    if perfs.size == 0:
+        raise ValueError("cannot calibrate a threshold on zero episodes")
+    return float(np.quantile(perfs, quantile))
 
 
 def _above(threshold, job):
@@ -497,11 +417,11 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         """Episode e of seed namespace ns on the e-th instance in cycle
         order; the job builds its policy when it runs."""
         return functools.partial(
-            _episode, alg_id, instances[e % len(instances)], make_policy, T,
-            [seed, ns, e], n_bins, policy_id)
+            rollouts.episode, alg_id, instances[e % len(instances)],
+            make_policy, T, [seed, ns, e], n_bins, policy_id)
 
     def random_job(ns, e, policy_id):
-        return job(ns, e, functools.partial(random_policy, alg_id,
+        return job(ns, e, functools.partial(rollouts.random_policy, alg_id,
                                             [seed, ns, e, 1], n_bins),
                    policy_id)
 
@@ -511,17 +431,18 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     elif exploit_kind == "scripted_de_schedule":
         trajs = env.run_episodes(
             [job(_NS_MAIN, e, functools.partial(
-                     exploitation_policy, alg_id, seed=[seed, _NS_MAIN, e, 1],
-                     T=T, n_bins=n_bins, jitter=jitter), exploit_kind)
+                     rollouts.exploitation_policy, alg_id,
+                     seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins,
+                     jitter=jitter), exploit_kind)
              for e in range(n_exploit)] + explore, workers)
     elif exploit_kind == "scripted_constant":
         specs = algorithms.alg_spec(alg_id)
-        cands = [constant_setting(
+        cands = [rollouts.constant_setting(
                      np.random.default_rng([seed, _NS_CAL, i, 1]),
                      specs, n_bins)
                  for i in range(calibration_episodes)]
         perfs = [t.perf for t in env.run_episodes(
-                     [job(_NS_CAL, i, functools.partial(_hold, c),
+                     [job(_NS_CAL, i, functools.partial(rollouts.hold, c),
                           exploit_kind) for i, c in enumerate(cands)],
                      workers)]
         threshold = filter_threshold(perfs, quantile)
@@ -532,7 +453,8 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                 f"{calibration_episodes} calibration episodes beat the "
                 f"quantile {quantile} threshold {threshold}")
         trajs = env.run_episodes(
-            [job(_NS_MAIN, e, functools.partial(_hold, pool[e % len(pool)]),
+            [job(_NS_MAIN, e,
+                 functools.partial(rollouts.hold, pool[e % len(pool)]),
                  exploit_kind) for e in range(n_exploit)] + explore, workers)
     else:
         # filtered_random: the random episodes do not depend on the

@@ -19,7 +19,8 @@ import csv
 import numpy as np
 import pytest
 
-from dacq import cli, datasets, ea_ops, env, problems, qmodel, ssm, training
+from dacq import cli, ea_ops, env, problems, qmodel, rollouts, ssm, \
+    training
 
 
 def run_cli(argv):
@@ -55,7 +56,7 @@ def test_loss_gradient_matches_central_differences():
     config = qmodel.ModelConfig(K=3, M=16, d_model=8, d_state=4)
     params = qmodel.init_qmodel(config, seed=[20260823, 1])
     inst = problems.make_instance(1, 5, seed=3)
-    pol = datasets.random_policy(0, seed=[20260823, 2])
+    pol = rollouts.random_policy(0, seed=[20260823, 2])
     traj = env.run_episode(0, inst, pol, 4, [20260823, 3])
     rep = training.grad_check(params, traj, training.LossConfig(K=3, M=16))
     assert rep["checked"] > 100
@@ -94,7 +95,7 @@ def test_rewards_telescope_to_normalized_improvement():
         else:
             alg, T = 0, 12
         inst = problems.make_instance(fid, dim, seed=e)
-        pol = datasets.random_policy(alg, seed=[20260823, 5, e])
+        pol = rollouts.random_policy(alg, seed=[20260823, 5, e])
         traj = env.run_episode(alg, inst, pol, T, [20260823, 6, e])
 
         rewards = [st.reward for st in traj.steps]

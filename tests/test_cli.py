@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dacq import checkpoint, cli, datasets, env, problems, qmodel, ssm, \
-    training
+from dacq import checkpoint, cli, datasets, env, problems, qmodel, rollouts, \
+    ssm, training
 
 
 def run(argv):
@@ -585,6 +585,25 @@ def test_eval_rows_and_ranges(ckpt_path, tmp_path):
     for _, _, perf, policy in body:
         assert policy in ("model", "random")
         assert 0.0 <= float(perf) <= 1.0 + 1e-9
+
+
+def test_eval_prints_paired_statistics_on_stdout(ckpt_path, tmp_path,
+                                                capsys):
+    out = tmp_path / "ev"
+    assert run(["eval", "--ckpt", str(ckpt_path), "--out", str(out),
+                "--t", "4", "--runs", "2", "--test-functions", "15,17",
+                "--seed", "3", "--workers", "1"]) == 0
+    captured = capsys.readouterr()
+    rows = [(int(f), int(r), float(p), pol)
+            for f, r, p, pol in read_csv(out / "eval.csv")[1:]]
+    diff, wins, pairs = rollouts.paired(rows)
+    assert pairs == 4
+    line = f"model - random: mean {diff:+.6f}, model wins {wins}/4\n"
+    assert line in captured.out and "model - random" not in captured.err
+    # under the summary table, above the elapsed time
+    table, _, tail = captured.out.partition(line)
+    assert table.splitlines()[-1].startswith(" overall")
+    assert tail.startswith("elapsed: ")
 
 
 def test_eval_rerun_identical_bytes(ckpt_path, tmp_path):

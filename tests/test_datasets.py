@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dacq import algorithms, datasets, env, problems
-from dacq.datasets import (DatasetManifest, collect, exploitation_policy,
-                           filter_threshold, load_dataset, random_policy,
-                           read_trajectories, serialize_trajectory)
+from dacq import algorithms, datasets, env, problems, rollouts
+from dacq.datasets import (DatasetManifest, collect, filter_threshold,
+                           load_dataset, read_trajectories,
+                           serialize_trajectory)
+from dacq.rollouts import exploitation_policy, random_policy
 
 S0 = np.zeros(9)
 
@@ -104,7 +105,7 @@ def test_scripted_bins_always_valid_under_jitter():
 def constant_policy(alg_id, seed):
     """The scripted_constant behavior that collect plays: one seeded
     constant_setting held for the whole episode."""
-    return datasets._hold(datasets.constant_setting(
+    return rollouts.hold(rollouts.constant_setting(
         np.random.default_rng(seed), algorithms.alg_spec(alg_id)))
 
 

@@ -14,25 +14,16 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import reference
 from dacq import algorithms as alg
-from dacq import datasets, env, problems
+from dacq import env, problems
 from dacq.ea_ops import Population
 from dacq.problems import make_identity_instance, make_instance
+from dacq.rollouts import random_policy
 
 
 def fake_state(X, fit, bsf_x, bsf_f, t=3, stag=2, improved=True, horizon=50):
     pop = Population(np.asarray(X, float), np.asarray(fit, float))
     return alg.AlgorithmState(0, [pop], t, horizon, np.asarray(bsf_x, float),
                               float(bsf_f), stag, improved, 0)
-
-
-def random_policy_fn(alg_id, seed):
-    specs = alg.alg_spec(alg_id)
-    masks = [env.mask_bins(s) for s in specs]
-    rng = np.random.default_rng(seed)
-
-    def policy(state, t):
-        return [int(rng.integers(m)) for m in masks]
-    return policy
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +326,7 @@ def test_decode_config_length_check():
 
 def test_episode_reproducible(sphere5):
     def run():
-        return env.run_episode(0, sphere5, random_policy_fn(0, 5), T=15,
+        return env.run_episode(0, sphere5, random_policy(0, 5), T=15,
                                seed=123)
     a, b = run(), run()
     assert a.perf == b.perf
@@ -343,12 +334,12 @@ def test_episode_reproducible(sphere5):
         assert_array_equal(sa.state, sb.state)
         assert_array_equal(sa.actions, sb.actions)
         assert sa.reward == sb.reward and sa.best_so_far_f == sb.best_so_far_f
-    c = env.run_episode(0, sphere5, random_policy_fn(0, 5), T=15, seed=124)
+    c = env.run_episode(0, sphere5, random_policy(0, 5), T=15, seed=124)
     assert c.perf != a.perf
 
 
 def test_episode_reward_invariants(sphere5):
-    traj = env.run_episode(1, sphere5, random_policy_fn(1, 9), T=20, seed=7)
+    traj = env.run_episode(1, sphere5, random_policy(1, 9), T=20, seed=7)
     assert len(traj.steps) == 20
     rewards = [s.reward for s in traj.steps]
     assert all(r >= 0 for r in rewards)
@@ -374,7 +365,7 @@ def test_perf_is_exactly_rounded_sum():
 
 
 def test_episode_metadata(sphere5):
-    traj = env.run_episode(0, sphere5, random_policy_fn(0, 2), T=5, seed=[3, 1],
+    traj = env.run_episode(0, sphere5, random_policy(0, 2), T=5, seed=[3, 1],
                            policy_id="random")
     assert traj.alg_id == 0 and traj.K == 3 and traj.M == 16
     assert traj.function_id == 1 and traj.dim == 5
@@ -385,7 +376,7 @@ def test_episode_metadata(sphere5):
 
 
 def test_episode_states_have_expected_ranges(sphere5):
-    traj = env.run_episode(2, sphere5, random_policy_fn(2, 11), T=6, seed=42)
+    traj = env.run_episode(2, sphere5, random_policy(2, 11), T=6, seed=42)
     for rec in traj.steps:
         s = rec.state
         assert np.all(np.isfinite(s))
@@ -398,7 +389,7 @@ def test_episode_states_have_expected_ranges(sphere5):
 def test_random_policy_improves_on_sphere(sphere5):
     improved = 0
     for seed in range(19):
-        traj = env.run_episode(0, sphere5, random_policy_fn(0, seed), T=50,
+        traj = env.run_episode(0, sphere5, random_policy(0, seed), T=50,
                                seed=seed)
         if traj.final_best_f < traj.f_best_init:
             improved += 1
@@ -464,7 +455,7 @@ def test_state_keeps_first_evaluated_least_point(monkeypatch, alg_id, fid,
     monkeypatch.setattr(alg, "step", checking(alg.step))
     T = 25
     env.run_episode(alg_id, make_instance(fid, dim, seed=0),
-                    datasets.random_policy(alg_id, [1, fid, dim, 1]), T,
+                    random_policy(alg_id, [1, fid, dim, 1]), T,
                     [1, fid, dim])
     assert checked == list(range(T + 1))
     assert seen["ties"] > 0 or not tie

@@ -12,6 +12,7 @@ import reference
 from dacq import env, qmodel, training
 from dacq.problems import make_identity_instance
 from dacq.qmodel import ModelConfig
+from dacq.rollouts import random_policy
 from dacq.training import LossConfig
 
 
@@ -20,14 +21,8 @@ def sphere5():
     return make_identity_instance(1, 5)
 
 
-def random_policy_fn(alg_id, seed):
-    masks = env.bin_masks(alg_id, 16).tolist()
-    rng = np.random.default_rng(seed)
-    return lambda s, t: [int(rng.integers(m)) for m in masks]
-
-
 def short_trajectory(sphere5, T=4, seed=0):
-    return env.run_episode(0, sphere5, random_policy_fn(0, seed), T=T,
+    return env.run_episode(0, sphere5, random_policy(0, seed), T=T,
                            seed=seed, policy_id="random")
 
 
@@ -148,7 +143,7 @@ def test_trajectory_arrays_reject_mixed_shapes(sphere5):
 def test_stacked_trajectory_loss_uses_algorithm_masks(sphere5):
     # alg 1 has discrete dims: bins past a dim's choices must not enter
     # the backup targets, whatever their Q
-    traj = env.run_episode(1, sphere5, random_policy_fn(1, 3), T=3, seed=3)
+    traj = env.run_episode(1, sphere5, random_policy(1, 3), T=3, seed=3)
     cfg = LossConfig(K=10, M=16)
     _, actions, rewards = (a[0] for a in training.trajectory_arrays([traj]))
     masks = env.bin_masks(traj.alg_id, cfg.M)

@@ -17,16 +17,22 @@ no special case at A = 0.  All arrays are float64.  Every pass takes one
 sequence: xs is (L, d_model) and h0 is None (zeros) or (d_model, d_state).
 
 The sequential forward and the backward walk time in chunks whose
-(steps, d_model, d_state) tensors hold SCAN_CHUNK_ELEMENTS elements (or
-one step, if that is more).  Each chunk's Abar, E = expm1(delta * A) / A
-and Bbar are built from the cached delta and B(u), used, and dropped.
-The forward keeps the hidden state only where a chunk starts (and
-h_final) and emits y one chunk at a time.  The backward walks the chunks
-in reverse: it rebuilds the chunk's Abar, E and Bbar, re-runs the chunk's
-recurrence from its stored start state, and uses those states at once
-(recomputation, not caching, as in Mamba's scan).  So no cached array
-has a (length, d_model, d_state) shape unless a chunk is a single step,
-which it is once d_model * d_state reaches SCAN_CHUNK_ELEMENTS.
+(steps, d_state, d_model) tensors hold SCAN_CHUNK_ELEMENTS elements (or
+one step, if that is more).  Every chunk tensor is laid out d_model
+innermost, as is the transition A inside a pass, so each broadcast over
+the chunk and each sum over d_state runs along the contiguous d_model
+axis; h0, h_final and A_log keep their (d_model, d_state) shape and are
+transposed once per call.  Each chunk's Abar, E = expm1(delta * A) / A
+and Bbar are built from the cached delta and B(u) into scratch buffers
+that one call allocates once and every chunk reuses (a shorter last
+chunk uses their first steps).  The forward keeps the hidden state only
+where a chunk starts (and h_final) and emits y one chunk at a time.  The
+backward walks the chunks in reverse: it rebuilds the chunk's Abar, E
+and Bbar, re-runs the chunk's recurrence from its stored start state,
+and uses those states at once (recomputation, not caching, as in
+Mamba's scan).  So no cached array has a (length, d_state, d_model)
+shape unless a chunk is a single step, which it is once
+d_model * d_state reaches SCAN_CHUNK_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -35,17 +41,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: element budget of one time chunk of the (steps, d_model, d_state)
+#: element budget of one time chunk of the (steps, d_state, d_model)
 #: discretized tensors that the sequential forward and the backward build
 #: (128 KiB of float64; a chunk holds at least one step).  Of 2**12 to
-#: 2**16 it was the fastest on batches of 4 desk (150, 32, 8) and paper
-#: (1500, 64, 16) sequences.  The forward keeps one hidden state per
-#: chunk, so a chunk of c steps stores 1/c of the state trajectory.
+#: 2**16, on batches of 4 desk (150, 32, 8) and paper (1500, 64, 16)
+#: sequences, 2**14 and 2**15 tie as the fastest at paper shape (2**13
+#: is 11% slower, 2**16 3%); at desk shape 2**13 to 2**16 lie within 10%
+#: of each other and 2**12 is 19-45% slower.  2**14 is the smaller of
+#: the tie, so a backward's scratch takes 776 KiB.  The forward keeps
+#: one hidden state per chunk, so a chunk of c steps stores 1/c of the
+#: state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
 
 
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)), as max(x, 0) + log1p(exp(-|x|)): the split of
+    np.logaddexp(0, x) without its scalar loop, so exp never overflows."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def softplus_inv(y):
@@ -117,10 +129,11 @@ def init_ssm_params(rng, d_model: int, d_state: int) -> SsmParams:
 class SsmCache:
     """Forward intermediates of one sequence retained for the backward pass.
 
-    The hidden state is kept only at the time-chunk bounds: h_starts[k]
-    enters chunks[k] and h_starts[-1] is h_final.  ssm_backward
-    re-runs each chunk's recurrence from its start state, rebuilding
-    Abar, E and Bbar from delta and Bix; y_pre saves it the emission.
+    The hidden state is kept only at the time-chunk bounds, in the chunk
+    layout (d_state, d_model): h_starts[k] enters chunks[k] and
+    h_starts[-1] is h_final transposed.  ssm_backward re-runs each
+    chunk's recurrence from its start state, rebuilding Abar, E and Bbar
+    from delta and Bix; y_pre saves it the emission.
     """
 
     params: SsmParams
@@ -133,7 +146,7 @@ class SsmCache:
     Bix: np.ndarray       # (L, N) input-dependent B
     Cix: np.ndarray       # (L, N) input-dependent C
     y_pre: np.ndarray     # (L, D) output before W_out
-    h_starts: np.ndarray  # (len(chunks) + 1, D, N)
+    h_starts: np.ndarray  # (len(chunks) + 1, N, D)
 
 
 def _check_inputs(params: SsmParams, h0, xs):
@@ -164,14 +177,28 @@ def _input_projections(params: SsmParams, xs):
     return u, sig, delta, Bix, Cix
 
 
-def _discretize(delta, A, Bix):
+def _transition(params: SsmParams):
+    """A = -exp(A_log) in the chunk layout: (N, D), C-contiguous."""
+    return -np.exp(np.ascontiguousarray(params.A_log.T))
+
+
+def _discretize(delta, A, Bix, out=None):
     """Abar = exp(delta*A), E = expm1(delta*A)/A and Bbar = E*B for
-    delta (c, D) and Bix (c, N); each result is (c, D, N)."""
-    P = delta[..., None] * A
-    Abar = np.exp(P)
-    E = np.expm1(P, out=P)
+    delta (c, D), A (N, D) and Bix (c, N); each result is (c, N, D).
+
+    out is None (fresh arrays) or three (steps, N, D) scratch buffers of
+    at least c steps, whose first c steps are written and returned.  The
+    outer products run through einsum: at c = 16 its loop is about a
+    third faster than numpy's broadcast multiply."""
+    c = len(delta)
+    if out is None:
+        out = np.empty((3, c) + A.shape)
+    Abar, E, Bbar = out[0][:c], out[1][:c], out[2][:c]
+    P = np.einsum("ld,nd->lnd", delta, A, out=Abar)
+    np.expm1(P, out=E)
+    np.exp(P, out=Abar)
     E /= A
-    Bbar = E * Bix[..., None, :]
+    np.einsum("lnd,ln->lnd", E, Bix, out=Bbar)
     return Abar, E, Bbar
 
 
@@ -181,23 +208,34 @@ def _chunks(L, D, N):
     return [(t0, min(t0 + c, L)) for t0 in range(0, L, c)]
 
 
+def _scratch(chunks, N, D, k):
+    """k empty (steps, N, D) buffers, one array, as long as the first and
+    widest chunk."""
+    c = chunks[0][1] if chunks else 0
+    return np.empty((k, c, N, D))
+
+
 def _run_states(Abar, Bbar, u, h, out):
     """Run the recurrence over the first len(out) steps of a chunk from
     state h: out[i] = Abar_i * h + Bbar_i * u_i, then h = out[i].
-    Returns out, the states after each step; out may be Bbar itself."""
+    Returns out, the states after each step; out must not overlap
+    Bbar."""
     n = len(out)
-    np.multiply(Bbar[:n], u[:n, :, None], out=out)
+    np.einsum("lnd,ld->lnd", Bbar[:n], u[:n], out=out)
     step = np.empty_like(h)
-    for i in range(n):
-        out[i] += np.multiply(Abar[i], h, out=step)
-        h = out[i]
+    # a local view per step: `out[i] += ...` would also copy it back
+    for a, o in zip(Abar, out):
+        o += np.multiply(a, h, out=step)
+        h = o
     return out
 
 
-def _emit(params: SsmParams, hs_steps, Cix, u):
-    """Output before W_out: y[l,d] = sum_n h[l,d,n] C[l,n]
+def _emit(params: SsmParams, hs_steps, Cix, u, out=None):
+    """Output before W_out: y[l,d] = sum_n h[l,n,d] C[l,n]
     + D_skip[d] u[l,d]."""
-    return np.einsum("ldn,ln->ld", hs_steps, Cix) + params.D_skip * u
+    y = np.einsum("lnd,ln->ld", hs_steps, Cix, out=out)
+    y += params.D_skip * u
+    return y
 
 
 def ssm_forward_sequential(params: SsmParams, h0, xs):
@@ -207,18 +245,21 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
     L, D = xs.shape
     N = params.d_state
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
-    A = -np.exp(params.A_log)
+    A = _transition(params)
     chunks = _chunks(L, D, N)
-    h_starts = np.empty((len(chunks) + 1, D, N))
-    h_starts[0] = h0
+    h_starts = np.empty((len(chunks) + 1, N, D))
+    h_starts[0] = h0.T
     y_pre = np.empty((L, D))
+    discretized = _scratch(chunks, N, D, 3)
     for k, (t0, t1) in enumerate(chunks):
-        Abar, _, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1])
-        hc = _run_states(Abar, Bbar, u[t0:t1], h_starts[k], Bbar)
+        Abar, E, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1], discretized)
+        # einsum cannot write over its operand: the states overwrite E,
+        # which the forward does not use
+        hc = _run_states(Abar, Bbar, u[t0:t1], h_starts[k], E)
         h_starts[k + 1] = hc[-1]
-        y_pre[t0:t1] = _emit(params, hc, Cix[t0:t1], u[t0:t1])
+        _emit(params, hc, Cix[t0:t1], u[t0:t1], out=y_pre[t0:t1])
     ys = y_pre @ params.W_out + params.b_out
-    h_final = h_starts[-1]
+    h_final = h_starts[-1].T
     cache = SsmCache(params, params.version, chunks, xs, u, sig, delta, Bix,
                      Cix, y_pre, h_starts)
     return ys, h_final, cache
@@ -227,14 +268,14 @@ def ssm_forward_sequential(params: SsmParams, h0, xs):
 def ssm_forward_scan(params: SsmParams, h0, xs):
     """Prefix-scan evaluation (inclusive Hillis-Steele); same outputs as
     the sequential path up to floating-point reassociation.  It holds the
-    whole (L, D, N) discretization at once and serves as a verification
+    whole (L, N, D) discretization at once and serves as a verification
     oracle, not as a fast path."""
     xs, h0 = _check_inputs(params, h0, xs)
     L = len(xs)
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
-    a, _, Bbar = _discretize(delta, -np.exp(params.A_log), Bix)
-    b = Bbar * u[..., None]
-    b[0] += a[0] * h0
+    a, _, Bbar = _discretize(delta, _transition(params), Bix)
+    b = Bbar * u[:, None, :]
+    b[0] += a[0] * h0.T
     offset = 1
     while offset < L:
         # full-slice RHS temporaries make the in-place update safe
@@ -242,7 +283,7 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
         a[offset:] = a[offset:] * a[:-offset]
         offset *= 2
     ys = _emit(params, b, Cix, u) @ params.W_out + params.b_out
-    return ys, b[-1]
+    return ys, b[-1].T
 
 
 def ssm_backward(cache: SsmCache, grad_ys):
@@ -258,14 +299,14 @@ def ssm_backward(cache: SsmCache, grad_ys):
                          "forward pass")
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
     Bix, Cix = cache.Bix, cache.Cix
-    A = -np.exp(p.A_log)
+    A = _transition(p)
     L, D = xs.shape
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
     if gys.shape != (L, D):
         raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
-    gh = np.zeros((D, N))
+    gh = np.zeros((N, D))
 
     # output mixing
     gW_out = np.einsum("ld,le->de", cache.y_pre, gys)
@@ -284,41 +325,47 @@ def ssm_backward(cache: SsmCache, grad_ys):
     # Bbar = E*B with E = expm1(delta*A)/A: from dAbar/ddelta = A*Abar,
     # dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A and dA/dA_log = A, with
     # X = (gAbar*A + gE)*Abar, gdelta = sum_n X and
-    # gA_log = sum delta*X - sum gE*E
+    # gA_log = sum delta*X - sum gE*E.  Every chunk tensor is a view of
+    # the first t1 - t0 steps of one of this call's scratch buffers
     gB = np.empty((L, N))
     gC = np.empty((L, N))
     gdelta = np.empty((L, D))
-    gA_log = np.zeros((D, N))
+    gA_log = np.zeros((N, D))
+    *discretized, ghs_buf, gE_buf = _scratch(cache.chunks, N, D, 5)
+    states = np.empty((len(ghs_buf) + 1, N, D))
     for k in reversed(range(len(cache.chunks))):
         t0, t1 = cache.chunks[k]
-        Abar, E, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1])
+        n = t1 - t0
+        Abar, E, Bbar = _discretize(delta[t0:t1], A, Bix[t0:t1], discretized)
         # the states around the chunk's steps: the first and last are
         # stored, the ones between are re-run
-        hc = np.empty((t1 - t0 + 1, D, N))
+        hc = states[:n + 1]
         hc[0] = cache.h_starts[k]
         hc[-1] = cache.h_starts[k + 1]
         _run_states(Abar, Bbar, u[t0:t1], hc[0], hc[1:-1])
-        gC[t0:t1] = np.einsum("ld,ldn->ln", gy[t0:t1], hc[1:])
+        np.einsum("ld,lnd->ln", gy[t0:t1], hc[1:], out=gC[t0:t1])
         # dL/dh_t = gy_t C_t + Abar_{t+1} dL/dh_{t+1}, written in place;
         # gh carries Abar_t dL/dh_t to the step before
-        ghs = gy[t0:t1, :, None] * Cix[t0:t1, None, :]
-        for i in range(t1 - t0 - 1, -1, -1):
-            g = ghs[i]
+        ghs = np.einsum("ln,ld->lnd", Cix[t0:t1], gy[t0:t1], out=ghs_buf[:n])
+        for g, a in zip(ghs[::-1], Abar[::-1]):
             g += gh
-            np.multiply(g, Abar[i], out=gh)
+            np.multiply(g, a, out=gh)
 
-        gu[t0:t1] += np.einsum("ldn,ldn->ld", ghs, Bbar)
-        gE = ghs * u[t0:t1, :, None]     # gBbar, then gE = gBbar*B
-        gB[t0:t1] = np.einsum("ldn,ldn->ln", gE, E)
-        gE *= Bix[t0:t1, None, :]
+        gu[t0:t1] += np.einsum("lnd,lnd->ld", ghs, Bbar)
+        # gBbar, then gE = gBbar*B
+        gE = np.einsum("lnd,ld->lnd", ghs, u[t0:t1], out=gE_buf[:n])
+        np.einsum("lnd,lnd->ln", gE, E, out=gB[t0:t1])
+        gE *= Bix[t0:t1, :, None]
         X = ghs                 # X = (ghs*h*A + gE)*Abar, in place
         X *= hc[:-1]
         X *= A
         X += gE
         X *= Abar
-        gdelta[t0:t1] = X.sum(-1)
-        gA_log += (np.einsum("ldn,ld->dn", X, delta[t0:t1])
-                   - np.einsum("ldn,ldn->dn", gE, E))
+        np.sum(X, axis=1, out=gdelta[t0:t1])
+        gA_log += (np.einsum("lnd,ld->nd", X, delta[t0:t1])
+                   - np.einsum("lnd,lnd->nd", gE, E))
+    gA_log = np.ascontiguousarray(gA_log.T)
+    grad_h0 = np.ascontiguousarray(gh.T)
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
@@ -340,4 +387,4 @@ def ssm_backward(cache: SsmCache, grad_ys):
     grads = {"A_log": gA_log, "W_in": gW_in, "b_in": gb_in,
              "W_delta": gW_delta, "b_delta": gb_delta, "W_B": gW_B,
              "W_C": gW_C, "D_skip": gD_skip, "W_out": gW_out, "b_out": gb_out}
-    return grads, gh, gxs
+    return grads, grad_h0, gxs

@@ -453,15 +453,16 @@ def ssm_forward_ref(ten, h0, xs):
 # selective-SSM states and backward, whole sequence at once
 
 def ssm_states_ref(cache):
-    """The full (L + 1, D, N) state trajectory of the forward pass that
-    made cache, rebuilt over the whole sequence from its inputs:
+    """The full (L + 1, N, D) state trajectory of the forward pass that
+    made cache, rebuilt over the whole sequence from its inputs in the
+    chunk layout (d_state, d_model) of ``SsmCache.h_starts``:
     hs[0] = h0 and hs[t + 1] = Abar_t hs[t] + Bbar_t u_t."""
-    A = -np.exp(cache.params.A_log)
-    P = cache.delta[..., None] * A
+    A = -np.exp(np.ascontiguousarray(cache.params.A_log.T))
+    P = cache.delta[:, None, :] * A
     Abar = np.exp(P)
-    Bu = np.expm1(P) / A * cache.Bix[..., None, :] * cache.u[..., None]
-    L, D, N = Bu.shape
-    hs = np.empty((L + 1, D, N))
+    Bu = np.expm1(P) / A * cache.Bix[:, :, None] * cache.u[:, None, :]
+    L, N, D = Bu.shape
+    hs = np.empty((L + 1, N, D))
     hs[0] = cache.h_starts[0]
     for t in range(L):
         hs[t + 1] = Abar[t] * hs[t] + Bu[t]
@@ -471,7 +472,8 @@ def ssm_states_ref(cache):
 def ssm_backward_ref(cache, grad_ys):
     """Full-tensor backward of the selective SSM: the states, Abar, E,
     Bbar and the dL/dh_t of every step are built over the whole sequence
-    at once.  Same arguments and returns as ``dacq.ssm.ssm_backward``."""
+    at once, each (L, N, D) as in the chunked pass.  Same arguments and
+    returns as ``dacq.ssm.ssm_backward``."""
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
@@ -479,56 +481,57 @@ def ssm_backward_ref(cache, grad_ys):
     xs, u, delta, sig = cache.xs, cache.u, cache.delta, cache.sig
     Bix, Cix = cache.Bix, cache.Cix
     hs = ssm_states_ref(cache)
-    A = -np.exp(p.A_log)
-    P = delta[..., None] * A
+    A = -np.exp(np.ascontiguousarray(p.A_log.T))
+    P = delta[:, None, :] * A
     Abar = np.exp(P)
     E = np.expm1(P, out=P)
     E /= A
-    Bbar = E * Bix[..., None, :]
+    Bbar = E * Bix[:, :, None]
     L, D = xs.shape
     N = p.d_state
 
     gys = np.asarray(grad_ys, dtype=np.float64)
     if gys.shape != (L, D):
         raise ValueError(f"grad_ys shape {gys.shape} does not match ys")
-    gh = np.zeros((D, N))
+    gh = np.zeros((N, D))
 
     # output mixing
-    y_pre = np.einsum("ldn,ln->ld", hs[1:], Cix) + p.D_skip * u
+    y_pre = np.einsum("lnd,ln->ld", hs[1:], Cix) + p.D_skip * u
     gW_out = np.einsum("ld,le->de", y_pre, gys)
     gb_out = gys.sum(0)
     gy = gys @ p.W_out.T
 
     # through the emission: y = h.C + D_skip*u
-    gC = np.einsum("ld,ldn->ln", gy, hs[1:])
+    gC = np.einsum("ld,lnd->ln", gy, hs[1:])
     gD_skip = (gy * u).sum(0)
     gu = gy * p.D_skip
 
     # reverse recurrence: accumulate total dL/dh_t for every t
-    ghs = np.empty((L, D, N))
+    ghs = np.empty((L, N, D))
     for t in range(L - 1, -1, -1):
-        gh += gy[t, :, None] * Cix[t, None, :]
+        gh += gy[t, None, :] * Cix[t, :, None]
         ghs[t] = gh
         gh = gh * Abar[t]
-    grad_h0 = gh
+    grad_h0 = np.ascontiguousarray(gh.T)
 
-    gu += np.einsum("ldn,ldn->ld", ghs, Bbar)
+    gu += np.einsum("lnd,lnd->ld", ghs, Bbar)
 
     # Abar = exp(delta*A), Bbar = E*B with E = expm1(delta*A)/A: from
     # dAbar/ddelta = A*Abar, dE/ddelta = Abar, dE/dA = (delta*Abar - E)/A
     # and dA/dA_log = A, with X = (gAbar*A + gE)*Abar,
     # gdelta = sum_n X and gA_log = sum delta*X - sum gE*E
-    gE = ghs * u[..., None]     # gBbar, then gE = gBbar*B
-    gB = np.einsum("ldn,ldn->ln", gE, E)
-    gE *= Bix[:, None, :]
+    gE = ghs * u[:, None, :]     # gBbar, then gE = gBbar*B
+    gB = np.einsum("lnd,lnd->ln", gE, E)
+    gE *= Bix[:, :, None]
     X = ghs                     # X = (ghs*h*A + gE)*Abar, in place
     X *= hs[:-1]
     X *= A
     X += gE
     X *= Abar
-    gdelta = X.sum(-1)
-    gA_log = (np.einsum("ldn,ld->dn", X, delta)
-              - np.einsum("ldn,ldn->dn", gE, E))
+    gdelta = X.sum(1)
+    gA_log = np.ascontiguousarray(
+        (np.einsum("lnd,ld->nd", X, delta)
+         - np.einsum("lnd,lnd->nd", gE, E)).T)
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig

@@ -106,6 +106,18 @@ def test_q_step_is_pure():
         assert_array_equal(a, b)
 
 
+def test_q_step_hiddens_survive_the_next_call():
+    # the SSM's scratch buffers belong to one call: the hidden states one
+    # q_step returns keep their bytes through a later call on other inputs
+    p = tiny_model(seed=3, depth=2)
+    rng = np.random.default_rng(2)
+    q1, h1 = qmodel.q_step(p, rng.normal(size=9), 7, p.zero_hidden())
+    kept = [q1.tobytes()] + [h.tobytes() for h in h1]
+    q2, h2 = qmodel.q_step(p, rng.normal(size=9), 3, h1)
+    assert [q1.tobytes()] + [h.tobytes() for h in h1] == kept
+    assert not np.array_equal(h2[0], h1[0])
+
+
 def test_q_step_input_validation():
     p = tiny_model()
     h = p.zero_hidden()

@@ -25,6 +25,17 @@ def test_softplus_inverse_round_trip():
     assert_allclose(ssm.softplus(ssm.softplus_inv(y)), y, rtol=1e-12)
 
 
+def test_softplus_matches_logaddexp():
+    # max(z, 0) + log1p(exp(-|z|)) is logaddexp(0, z) split by the sign
+    # of z; exp never sees a positive argument, so finite z raises nothing
+    edges = np.array([0.0, 1e-300, 1.0, 20.0, 36.7, 700.0, 1e4])
+    draws = np.random.default_rng(35).normal(size=10**4) * 10.0
+    for z in (np.concatenate([edges, -edges]), draws):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = ssm.softplus(z)
+        assert_allclose(got, np.logaddexp(0.0, z), rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # discretization
 
@@ -84,12 +95,12 @@ def test_stable_by_construction():
     x_row = np.random.default_rng(30).normal(size=8) * 3
     xs = np.tile(x_row, (2048, 1))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
+    Abar, _, Bbar = ssm._discretize(cache.delta, ssm._transition(p), cache.Bix)
     hs = reference.ssm_states_ref(cache)
     assert np.all(Abar >= 0.0) and np.all(Abar < 1.0)
     assert Abar.min() == 0.0 and Abar.max() > 1.0 - 1e-9
     assert np.all(np.isfinite(hs))
-    bu = np.abs(Bbar * cache.u[..., None])
+    bu = np.abs(Bbar * cache.u[:, None, :])
     assert np.abs(hs).max() <= bu.max() / (1.0 - Abar.max())
     # with a constant input each (d, n) is its own geometric series
     bound = bu[0] / (1.0 - Abar[0])
@@ -318,6 +329,42 @@ def test_backward_matches_finite_differences():
                 assert abs(fd) < 1e-5
 
 
+def test_backward_matches_finite_differences_across_chunks(monkeypatch):
+    # a budget of 3 steps runs L = 7 as chunks of 3 + 3 + 1, so every
+    # gradient crosses two chunk bounds and one chunk is partial (the
+    # first step of each scratch buffer)
+    D, N, L = 5, 3, 7
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", 3 * D * N)
+    p = small_params(36, d_model=D, d_state=N)
+    rng = np.random.default_rng(37)
+    xs = rng.normal(size=(L, D))
+    h0 = rng.normal(size=(D, N)) * 0.3
+    Wr = rng.normal(size=(L, D))
+    _, _, cache = ssm.ssm_forward_sequential(p, h0, xs)
+    assert cache.chunks == [(0, 3), (3, 6), (6, 7)]
+    grads, gh0, gxs = ssm.ssm_backward(cache, Wr)
+
+    h = 1e-4
+    wrt = [(name, arr, grads[name]) for name, arr in p.tensors().items()]
+    wrt += [("h0", h0, gh0), ("xs", xs, gxs)]
+    for name, arr, g in wrt:
+        flat = arr.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_only(p, h0, xs, Wr)
+            flat[i] = orig - h
+            dn = loss_only(p, h0, xs, Wr)
+            flat[i] = orig
+            fd = (up - dn) / (2 * h)
+            an = g.ravel()[i]
+            if abs(an) > 1e-6:
+                rel = abs(an - fd) / max(abs(an), abs(fd))
+                assert rel <= 1e-4, (name, i, rel)
+            else:
+                assert abs(fd) < 1e-5, (name, i)
+
+
 def test_stale_cache_rejected():
     p = small_params(21)
     xs = np.random.default_rng(22).normal(size=(3, 8))
@@ -394,8 +441,8 @@ def test_cache_holds_no_per_step_state():
     L, D = xs.shape
     _, hf, cache = ssm.ssm_forward_sequential(p, None, xs)
     assert len(cache.chunks) == 64
-    assert cache.h_starts.shape == (65, D, p.d_state)
-    assert_array_equal(cache.h_starts[-1], hf)
+    assert cache.h_starts.shape == (65, p.d_state, D)
+    assert_array_equal(cache.h_starts[-1].T, hf)
     arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
     assert max(a.size for a in arrays) < L * D * p.d_state // 8
 
@@ -439,6 +486,27 @@ def test_backward_reuses_only_its_own_buffers():
     assert gxs_1.tobytes() == gxs_2.tobytes()
     for k, v in arrays.items():
         assert v.tobytes() == before[k], k
+
+
+def test_forward_scratch_not_shared_between_calls(monkeypatch):
+    # each call allocates its own chunk scratch: a second call on other
+    # inputs leaves every array the first one returned as it was, the
+    # cache's included (three chunks, the last one partial)
+    monkeypatch.setattr(ssm, "SCAN_CHUNK_ELEMENTS", 4 * 8 * 4)
+    p = small_params(38)
+    rng = np.random.default_rng(39)
+    ys, hf, cache = ssm.ssm_forward_sequential(
+        p, rng.normal(size=(8, 4)), rng.normal(size=(10, 8)))
+    assert len(cache.chunks) == 3
+    first = {"ys": ys, "h_final": hf}
+    first.update((k, v) for k, v in vars(cache).items()
+                 if isinstance(v, np.ndarray))
+    before = {k: v.tobytes() for k, v in first.items()}
+    ys2, hf2, _ = ssm.ssm_forward_sequential(
+        p, rng.normal(size=(8, 4)), rng.normal(size=(10, 8)))
+    for k, v in first.items():
+        assert v.tobytes() == before[k], k
+    assert not np.array_equal(hf2, hf)
 
 
 def test_hidden_state_stays_finite():

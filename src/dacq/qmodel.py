@@ -246,10 +246,10 @@ def model_backward(cache: QModelCache, grad_Q):
 
     gHpre = (gQ.reshape(cache.Hpre.shape)
              * np.where(cache.Hpre > 0, 1.0, LEAKY_SLOPE))
-    gW_head = np.einsum("lm,lk->mk", cache.O, gHpre)
+    gW_head = ssm.weight_grad(cache.O, gHpre)
     gb_head = gHpre.sum(0)
     gO = gHpre @ p.W_head.T
-    gW_proj = np.einsum("ld,lm->dm", cache.Y, gO)
+    gW_proj = ssm.weight_grad(cache.Y, gO)
     gb_proj = gO.sum(0)
     gx = gO @ p.W_proj.T
 
@@ -260,7 +260,7 @@ def model_backward(cache: QModelCache, grad_Q):
             grads[f"blocks.{i}.{name}"] = arr
         gx = gx + gxs   # residual: gradient flows around and through
 
-    gW_embed = np.einsum("li,ld->id", cache.X_in, gx)
+    gW_embed = ssm.weight_grad(cache.X_in, gx)
     gb_embed = gx.sum(0)
     grads.update({"W_embed": gW_embed, "b_embed": gb_embed,
                   "W_proj": gW_proj, "b_proj": gb_proj,

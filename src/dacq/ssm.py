@@ -33,6 +33,14 @@ and uses those states at once (recomputation, not caching, as in
 Mamba's scan).  So no cached array has a (length, d_state, d_model)
 shape unless a chunk is a single step, which it is once
 d_model * d_state reaches SCAN_CHUNK_ELEMENTS.
+
+A weight gradient over time, sum_t a_t^T b_t, is one weight_grad call:
+BLAS products over fixed blocks of rows, each with at most
+BLAS_BLOCK_ELEMENTS elements m * n * rows, added in block order.  A
+block that small runs on one OpenBLAS thread, so the gradient's bytes
+do not depend on the BLAS thread count (they do depend on the CPU's
+BLAS kernel, as the forward's xs @ W_in does).  The Q-model's head and
+embedding gradients take the same path.
 """
 
 from __future__ import annotations
@@ -52,6 +60,25 @@ import numpy as np
 #: one hidden state per chunk, so a chunk of c steps stores 1/c of the
 #: state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
+
+#: element budget (m * n * rows) of one BLAS product in weight_grad.
+#: OpenBLAS runs a GEMM of M * N * K <= 65536 * 4 on one thread, so each
+#: block's bits do not depend on the BLAS thread count; a whole-sequence
+#: product does (1 and 2 threads give different bits at paper shape).
+BLAS_BLOCK_ELEMENTS = 1 << 18
+
+
+def weight_grad(a, b):
+    """sum_t a_t^T b_t (m, n) for a (L, m) and b (L, n): the weight
+    gradient of a linear map over time.  BLAS products over fixed blocks
+    of rows = BLAS_BLOCK_ELEMENTS // (m * n) steps (at least one), added
+    in block order, so the bits depend on L, m and n only."""
+    m, n = a.shape[1], b.shape[1]
+    rows = max(1, BLAS_BLOCK_ELEMENTS // (m * n))
+    g = a[:rows].T @ b[:rows]
+    for t0 in range(rows, len(a), rows):
+        g += a[t0:t0 + rows].T @ b[t0:t0 + rows]
+    return g
 
 
 def softplus(x):
@@ -309,7 +336,7 @@ def ssm_backward(cache: SsmCache, grad_ys):
     gh = np.zeros((N, D))
 
     # output mixing
-    gW_out = np.einsum("ld,le->de", cache.y_pre, gys)
+    gW_out = weight_grad(cache.y_pre, gys)
     gb_out = gys.sum(0)
     gy = gys @ p.W_out.T
 
@@ -369,18 +396,18 @@ def ssm_backward(cache: SsmCache, grad_ys):
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
-    gW_delta = np.einsum("ld,le->de", u, gz)
+    gW_delta = weight_grad(u, gz)
     gb_delta = gz.sum(0)
     gu += gz @ p.W_delta.T
 
     # B = u@W_B, C = u@W_C
-    gW_B = np.einsum("ld,ln->dn", u, gB)
-    gW_C = np.einsum("ld,ln->dn", u, gC)
+    gW_B = weight_grad(u, gB)
+    gW_C = weight_grad(u, gC)
     gu += gB @ p.W_B.T
     gu += gC @ p.W_C.T
 
     # u = xs@W_in + b_in
-    gW_in = np.einsum("ld,le->de", xs, gu)
+    gW_in = weight_grad(xs, gu)
     gb_in = gu.sum(0)
     gxs = gu @ p.W_in.T
 

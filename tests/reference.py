@@ -473,7 +473,10 @@ def ssm_backward_ref(cache, grad_ys):
     """Full-tensor backward of the selective SSM: the states, Abar, E,
     Bbar and the dL/dh_t of every step are built over the whole sequence
     at once, each (L, N, D) as in the chunked pass.  Same arguments and
-    returns as ``dacq.ssm.ssm_backward``."""
+    returns as ``dacq.ssm.ssm_backward``, whose blocked weight gradients
+    over time (``weight_grad``) it shares."""
+    from dacq.ssm import weight_grad
+
     p = cache.params
     if cache.version != p.version:
         raise ValueError("stale cache: parameters were updated after the "
@@ -497,7 +500,7 @@ def ssm_backward_ref(cache, grad_ys):
 
     # output mixing
     y_pre = np.einsum("lnd,ln->ld", hs[1:], Cix) + p.D_skip * u
-    gW_out = np.einsum("ld,le->de", y_pre, gys)
+    gW_out = weight_grad(y_pre, gys)
     gb_out = gys.sum(0)
     gy = gys @ p.W_out.T
 
@@ -535,18 +538,18 @@ def ssm_backward_ref(cache, grad_ys):
 
     # delta = softplus(z), z = u@W_delta + b_delta
     gz = gdelta * sig
-    gW_delta = np.einsum("ld,le->de", u, gz)
+    gW_delta = weight_grad(u, gz)
     gb_delta = gz.sum(0)
     gu += gz @ p.W_delta.T
 
     # B = u@W_B, C = u@W_C
-    gW_B = np.einsum("ld,ln->dn", u, gB)
-    gW_C = np.einsum("ld,ln->dn", u, gC)
+    gW_B = weight_grad(u, gB)
+    gW_C = weight_grad(u, gC)
     gu += gB @ p.W_B.T
     gu += gC @ p.W_C.T
 
     # u = xs@W_in + b_in
-    gW_in = np.einsum("ld,le->de", xs, gu)
+    gW_in = weight_grad(xs, gu)
     gb_in = gu.sum(0)
     gxs = gu @ p.W_in.T
 

@@ -325,6 +325,53 @@ def test_bytes_do_not_depend_on_blas_threads():
     assert len(outs[0]) == 2 and outs[0] == outs[1], outs
 
 
+# prints the BLAS thread count, then one line per weight gradient over
+# time: d_model, name and sha256 of its bytes
+_WEIGHT_GRADS = _BLAS_THREADS + """
+import hashlib
+import numpy as np
+from dacq import qmodel, ssm
+for d_model in (64, 128):
+    rng = np.random.default_rng(d_model)
+    params = qmodel.init_qmodel(qmodel.ModelConfig(K=3, d_model=d_model),
+                                seed=d_model)
+    xs = rng.normal(size=(1200, d_model))
+    _, _, cache = ssm.ssm_forward_sequential(params.blocks[0], None, xs)
+    grads, _, _ = ssm.ssm_backward(cache, rng.normal(size=xs.shape))
+    _, cache = qmodel.q_values_batch(params, rng.normal(size=(400, 9)),
+                                     rng.integers(0, 16, size=(400, 3)))
+    grads.update(qmodel.model_backward(cache,
+                                       rng.normal(size=(400, 3, 16))))
+    for name in ("W_out", "W_delta", "W_in", "W_B", "W_C", "W_head",
+                 "W_proj", "W_embed", "blocks.0.W_in"):
+        print(d_model, name, hashlib.sha256(grads[name].tobytes()).hexdigest())
+"""
+
+
+def test_weight_gradients_do_not_depend_on_blas_threads():
+    # the weight gradients over time sum fixed row blocks, each small
+    # enough for OpenBLAS to run on one thread; one product over all 1200
+    # steps gives other bits at 2 threads.  d_model 64 and 128 (blocks of
+    # 64 and 16 rows for W_in), SSM and whole-model backward, fresh
+    # interpreters at 1 and 2 BLAS threads
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its pool at the number of cores")
+    env = _child_env()
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _WEIGHT_GRADS],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, *lines = proc.stdout.splitlines()
+        if count == "None":
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert int(count) == int(threads)
+        outs.append(lines)
+    assert len(outs[0]) == 18
+    assert [a for a, b in zip(*outs) if a != b] == []
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -329,13 +329,37 @@ def test_model_backward_depth_two():
     R = rng.normal(size=(2, 2, 16))
     _, _, cache = scalar_loss(p, states, actions, R)
     grads = qmodel.model_backward(cache, R)
-    h = 1e-4
     # spot-check one tensor per block plus the embedding
-    for name in ("blocks.0.W_B", "blocks.1.A_log", "W_embed"):
+    assert_grads_match_fd(p, states, actions, R, grads,
+                          ("blocks.0.W_B", "blocks.1.A_log", "W_embed"), 7)
+
+
+def test_model_backward_matches_finite_differences_across_blas_blocks(
+        monkeypatch):
+    # a budget of 3 * M * M elements runs the L = 7 decision steps through
+    # weight_grad as row blocks of 3 + 3 + 1 for W_head (16, 16) and of
+    # 6 + 1 for W_proj (8, 16) and W_embed (14, 8)
+    monkeypatch.setattr(ssm, "BLAS_BLOCK_ELEMENTS", 3 * 16 * 16)
+    p = tiny_model(seed=19, K=7)
+    rng = np.random.default_rng(20)
+    states = rng.normal(size=(1, 9))
+    actions = rng.integers(0, 16, size=(1, 7))
+    R = rng.normal(size=(1, 7, 16))
+    _, _, cache = scalar_loss(p, states, actions, R)
+    grads = qmodel.model_backward(cache, R)
+    assert_grads_match_fd(p, states, actions, R, grads,
+                          ("W_head", "W_proj", "W_embed"), 1)
+
+
+def assert_grads_match_fd(p, states, actions, R, grads, names, stride):
+    """Every stride-th element of each named gradient against central
+    differences of sum(Q * R), within rel 1e-4."""
+    h = 1e-4
+    for name in names:
         arr = p.tensors()[name]
         g = grads[name]
         flat = arr.ravel()
-        for i in range(0, flat.size, 7):
+        for i in range(0, flat.size, stride):
             orig = flat[i]
             flat[i] = orig + h
             up, _, _ = scalar_loss(p, states, actions, R)
@@ -345,9 +369,10 @@ def test_model_backward_depth_two():
             fd = (up - dn) / (2 * h)
             an = g.ravel()[i]
             if abs(an) > 1e-6:
-                assert abs(an - fd) / max(abs(an), abs(fd)) <= 1e-4
+                assert abs(an - fd) / max(abs(an), abs(fd)) <= 1e-4, \
+                    (name, i)
             else:
-                assert abs(fd) < 1e-5
+                assert abs(fd) < 1e-5, (name, i)
 
 
 def test_stale_model_cache_rejected():

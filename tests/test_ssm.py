@@ -342,8 +342,30 @@ def test_backward_matches_finite_differences_across_chunks(monkeypatch):
     Wr = rng.normal(size=(L, D))
     _, _, cache = ssm.ssm_forward_sequential(p, h0, xs)
     assert cache.chunks == [(0, 3), (3, 6), (6, 7)]
-    grads, gh0, gxs = ssm.ssm_backward(cache, Wr)
+    assert_every_gradient_matches_fd(p, h0, xs, Wr)
 
+
+def test_backward_matches_finite_differences_across_blas_blocks(
+        monkeypatch):
+    # a budget of 3 * D * D elements runs L = 7 through weight_grad as
+    # row blocks of 3 + 3 + 1 for W_in, W_delta and W_out (D, D) and of
+    # 5 + 2 for W_B and W_C (D, N): every weight gradient over time adds
+    # several blocks, the last one partial
+    D, N, L = 5, 3, 7
+    monkeypatch.setattr(ssm, "BLAS_BLOCK_ELEMENTS", 3 * D * D)
+    p = small_params(38, d_model=D, d_state=N)
+    rng = np.random.default_rng(39)
+    xs = rng.normal(size=(L, D))
+    h0 = rng.normal(size=(D, N)) * 0.3
+    Wr = rng.normal(size=(L, D))
+    assert_every_gradient_matches_fd(p, h0, xs, Wr)
+
+
+def assert_every_gradient_matches_fd(p, h0, xs, Wr):
+    """Every parameter's, h0's and xs's gradient of sum(ys * Wr) against
+    central differences, each element within rel 1e-4."""
+    _, _, cache = ssm.ssm_forward_sequential(p, h0, xs)
+    grads, gh0, gxs = ssm.ssm_backward(cache, Wr)
     h = 1e-4
     wrt = [(name, arr, grads[name]) for name, arr in p.tensors().items()]
     wrt += [("h0", h0, gh0), ("xs", xs, gxs)]
@@ -425,6 +447,57 @@ def test_chunked_pass_matches_full_tensor_reference(monkeypatch, L):
             assert err <= 1e-13 * np.max(np.abs(want[k])), err
         else:
             assert_array_equal(got[k], want[k], err_msg=k)
+
+
+# ---------------------------------------------------------------------------
+# weight gradients over time in fixed BLAS blocks
+
+class _MatmulSpy(np.ndarray):
+    """An array whose views log, for each matmul they enter as the first
+    operand, its first row in the spied array and its row count."""
+
+    def __array_finalize__(self, obj):
+        self.spy = getattr(obj, "spy", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            at = inputs[0]      # a block's a.T: (m, rows)
+            addr, row_bytes, log = self.spy
+            log.append(((at.__array_interface__["data"][0] - addr)
+                        // row_bytes, at.shape[1]))
+        inputs = [x.view(np.ndarray) if isinstance(x, _MatmulSpy) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _spy(a):
+    """a as a _MatmulSpy and the list its matmuls log into."""
+    s = a.view(_MatmulSpy)
+    s.spy = (a.__array_interface__["data"][0], a.strides[0], [])
+    return s, s.spy[2]
+
+
+@pytest.mark.parametrize("m, n, rows", [
+    (64, 64, 64), (64, 16, 256), (14, 64, 292), (128, 128, 16)])
+@pytest.mark.parametrize("extra", ["1", "rows-1", "rows", "rows+1",
+                                   "3rows+5"])
+def test_weight_grad_is_exact_in_fixed_blocks(m, n, rows, extra):
+    # integer-valued inputs make every product and sum exact, so the
+    # blocked sum must equal the int64 product; a spy on a's matmuls
+    # gives each block's first row and length
+    L = {"1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+         "3rows+5": 3 * rows + 5}[extra]
+    rng = np.random.default_rng([m, n, L])
+    ai = rng.integers(-8, 9, size=(L, m))
+    bi = rng.integers(-8, 9, size=(L, n))
+    a, log = _spy(ai.astype(np.float64))
+    g = ssm.weight_grad(a, bi.astype(np.float64))
+    assert type(g) is np.ndarray and g.shape == (m, n)
+    assert_array_equal(g, ai.T @ bi)
+    # blocks of `rows` steps from the top, in order: the most rows whose
+    # product stays within OpenBLAS's single-thread size
+    assert m * n * rows <= ssm.BLAS_BLOCK_ELEMENTS < m * n * (rows + 1)
+    assert log == [(t0, min(rows, L - t0)) for t0 in range(0, L, rows)]
 
 
 def _memory_case():

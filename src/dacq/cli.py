@@ -603,22 +603,27 @@ def run_verification(cfg):
                    f"max |sum r - relative improvement| {worst_tel:.3e} "
                    f"over 20 episodes"))
 
-    # s1's Gram plane runs NumPy's einsum, whose SIMD and FMA use varies
-    # by CPU: check it and its guard against exact pair distances here
-    errors, n = [], 60
-    for dim in (5, 20):
-        for kind in ("uniform", "clustered", "duplicates"):
-            X = _s1_population(np.random.default_rng([cfg.seed, 10, dim]),
-                               kind, n, dim)
-            rows = X.tolist()
-            want = math.fsum(math.dist(rows[i], rows[j])
-                             for i in range(n) for j in range(i + 1, n))
-            want /= n * (n - 1) / 2
-            got = env._mean_pairwise_distance(X)
-            errors.append(abs(got - want) / want)
+    # s1's Gram plane runs the CPU's BLAS GEMM kernel, whose SIMD and FMA
+    # use varies by CPU: check it and its guard against exact pair
+    # distances here.  n = 60 fits one block; 200 rows at dim 50 walk 5
+    # blocks, the first four capped by the BLAS budget
+    populations = [(60, dim, kind) for dim in (5, 20)
+                   for kind in ("uniform", "clustered", "duplicates")]
+    populations.append((200, 50, "duplicates"))
+    errors = []
+    for n, dim, kind in populations:
+        X = _s1_population(np.random.default_rng([cfg.seed, 10, dim]),
+                           kind, n, dim)
+        rows = X.tolist()
+        want = math.fsum(math.dist(rows[i], rows[j])
+                         for i in range(n) for j in range(i + 1, n))
+        want /= n * (n - 1) / 2
+        got = env._mean_pairwise_distance(X)
+        errors.append(abs(got - want) / want)
     worst_s1 = float(np.max(errors))  # NaN, if any, propagates
     checks.append(("s1_exact", worst_s1 <= env.S1_REL_ERROR,
-                   f"max rel err {worst_s1:.3e} over 6 populations"))
+                   f"max rel err {worst_s1:.3e} over {len(errors)} "
+                   f"populations"))
 
     if cfg.data is not None:
         try:

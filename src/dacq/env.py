@@ -21,6 +21,7 @@ import numpy as np
 
 from . import algorithms
 from .algorithms import AlgorithmState, HyperParameterSpec
+from .ssm import BLAS_BLOCK_ELEMENTS
 
 #: default number of grid bins for continuous hyper-parameters
 DEFAULT_BINS = 16
@@ -97,10 +98,12 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     plane (see ``_mean_pairwise_distance``).  A guard recomputes the pairs
     the plane cannot resolve from exact differences, so each pair
     distance is within ``S1_REL_ERROR`` (1e-13) relative of the exact
-    one; the last bits depend on ``S1_BLOCK_ELEMENTS``.  The dot products
-    run in ``np.einsum``, not BLAS, so s1 does not depend on the BLAS
-    thread count.  Scratch memory is three planes of ``S1_BLOCK_ELEMENTS``
-    elements (two of floats, one of bools) plus the centred population.
+    one; the last bits depend on the block size and the CPU's BLAS
+    kernel.  Each block's dot products are one BLAS product small enough
+    to run on one OpenBLAS thread, so s1 does not depend on the BLAS
+    thread count.  Scratch memory is three planes of at most
+    ``S1_BLOCK_ELEMENTS`` elements (two of floats, one of bools) and a
+    boolean corner mask, plus the centred population.
     """
     X = np.vstack([p.X for p in alg_state.sub_pops])
     fit = np.concatenate([p.fitness for p in alg_state.sub_pops])
@@ -142,39 +145,46 @@ def _mean_pairwise_distance(X: np.ndarray) -> float:
     and near-duplicates among them, from the exact differences of its
     rows, summed in coordinate order.  Centring keeps ``s_i`` of the
     order of the population's spread, so a clustered late-stage
-    population is not guarded pair by pair.  The dot products come from
-    ``np.einsum``, NumPy's own C loops, never BLAS: BLAS kernels give
-    different bits at different thread counts, which would tie dataset
-    bytes to ``OPENBLAS_NUM_THREADS``.
+    population is not guarded pair by pair.  Each block's dot products
+    are one BLAS product of at most ``ssm.BLAS_BLOCK_ELEMENTS`` (2**18)
+    multiply-adds, a size OpenBLAS runs on one thread, so the bits do
+    not depend on the BLAS thread count (a whole-plane product's do).
+    They do depend on the CPU's BLAS kernel, as the SSM's products do.
 
     The upper triangle is walked in blocks: rows i0..i0+m-1 against
     columns i0+1..n-1, with m as large as keeps the (m, n-1-i0) plane
-    within S1_BLOCK_ELEMENTS floats (at least one row).  The strictly
-    lower corner of a block holds the pairs j <= i and is zeroed; the
-    block is then summed whole and the block sums are added in row
-    order.  Scratch memory is two float planes and one boolean plane (272
-    KiB at the default budget) plus the centred population, ``n * dim``
-    floats.
+    within S1_BLOCK_ELEMENTS floats and its product within
+    BLAS_BLOCK_ELEMENTS // dim plane elements (at least one row).  The
+    strictly lower corner of a block holds the pairs j <= i and is
+    zeroed; the block is then summed whole and the block sums are added
+    in row order.  Scratch memory is two float planes and one boolean
+    plane (272 KiB at the default budget), the corner mask, at most
+    ``isqrt(budget)`` squared bools (16 KiB), and the centred population,
+    ``n * dim`` floats.
     """
     n, dim = X.shape
     if n < 2:
         return 0.0
-    CT = np.subtract(X.T, X.mean(axis=0)[:, None], order="C")
-    s = np.einsum("ki,ki->i", CT, CT)
+    C = X - X.mean(axis=0)
+    s = np.einsum("ij,ij->i", C, C)
     tau = (dim + 3) * np.finfo(np.float64).eps / (2 * S1_REL_ERROR)
+    budget = min(S1_BLOCK_ELEMENTS, BLAS_BLOCK_ELEMENTS // dim)
     # a block's m * cols is at most the budget, or n - 1 when one row
     # alone exceeds it
-    plane_buf, bound_buf = np.empty((2, max(n - 1, S1_BLOCK_ELEMENTS)))
+    plane_buf, bound_buf = np.empty((2, max(n - 1, budget)))
+    # the corner mask of every block: m <= cols and m * cols <= budget,
+    # so m <= isqrt(budget)
+    lower = np.tri(min(n - 1, max(1, math.isqrt(budget))), k=-1, dtype=bool)
     total = 0.0
     i0 = 0
     while i0 < n - 1:
         cols = n - 1 - i0
-        m = min(cols, max(1, S1_BLOCK_ELEMENTS // cols))
+        m = min(cols, max(1, budget // cols))
         plane = plane_buf[:m * cols].reshape(m, cols)
         bound = bound_buf[:m * cols].reshape(m, cols)
         rows, right = slice(i0, i0 + m), slice(i0 + 1, n)
         np.add(s[rows, None], s[right], out=bound)
-        np.einsum("ki,kj->ij", -2.0 * CT[:, rows], CT[:, right], out=plane)
+        np.matmul(-2.0 * C[rows], C[right].T, out=plane)
         plane += bound
         flat = plane.reshape(-1)
         # the pairs j = i, G ~ 0, are zeroed below: keep them unguarded
@@ -189,7 +199,7 @@ def _mean_pairwise_distance(X: np.ndarray) -> float:
                 exact += d[:, k]
             flat[guarded] = exact
         np.sqrt(plane, out=plane)
-        plane[:, :m][np.tri(m, k=-1, dtype=bool)] = 0.0
+        plane[:, :m][lower[:m, :m]] = 0.0
         total += plane.sum()
         i0 += m
     return total / (n * (n - 1) / 2)

@@ -61,7 +61,8 @@ import numpy as np
 #: state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
 
-#: element budget (m * n * rows) of one BLAS product in weight_grad.
+#: element budget (m * n * rows) of one BLAS product in weight_grad and in
+#: the s1 Gram plane of env.cal_state.
 #: OpenBLAS runs a GEMM of M * N * K <= 65536 * 4 on one thread, so each
 #: block's bits do not depend on the BLAS thread count; a whole-sequence
 #: product does (1 and 2 threads give different bits at paper shape).

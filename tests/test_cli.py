@@ -372,6 +372,65 @@ def test_weight_gradients_do_not_depend_on_blas_threads():
     assert [a for a, b in zip(*outs) if a != b] == []
 
 
+# prints the BLAS thread count, then one line per population: its shape,
+# s1 as a hex float and the sha256 of every Gram plane product, in order
+_S1_VALUES = _BLAS_THREADS + """
+import hashlib
+import numpy as np
+from dacq import env, ssm
+
+class SpyNumPy:
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        np.matmul(a, b, out=out)
+        products.update(out.tobytes())
+        return out
+
+env.np = SpyNumPy()
+wide = ssm.BLAS_BLOCK_ELEMENTS // 50 + 2
+for n, dim, dup in ((100, 5, 0), (500, 20, 0), (2000, 20, 0), (300, 50, 0),
+                    (500, 20, 1), (wide, 50, 0)):
+    rng = np.random.default_rng([dim, n, 17])
+    X = rng.uniform(-5, 5, (n, dim))
+    if dup:
+        q = n // 4
+        X[:q] = X[q:2 * q]
+        X[2 * q:3 * q] = X[3 * q:] + 1e-12 * rng.standard_normal((q, dim))
+        X = X[rng.permutation(n)]
+    products = hashlib.sha256()
+    s1 = env._mean_pairwise_distance(X)
+    print(n, dim, dup, s1.hex(), products.hexdigest())
+"""
+
+
+def test_s1_does_not_depend_on_blas_threads():
+    # each s1 block's Gram plane is one BLAS product small enough for
+    # OpenBLAS to run on one thread; one product over all pairs gives
+    # other bits at 2 threads in a few plane entries, which the mean over
+    # 10**5 pairs mostly rounds away, so the products' bytes are compared
+    # too.  The duplicate-rows population runs the guard; at the widest,
+    # 5244 x 50, the first blocks are single rows (a matrix-vector
+    # product).  Fresh interpreters at 1 and 2 BLAS threads
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its pool at the number of cores")
+    env = _child_env()
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _S1_VALUES],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, *lines = proc.stdout.splitlines()
+        if count == "None":
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert int(count) == int(threads)
+        outs.append(lines)
+    assert len(outs[0]) == 6
+    assert [a for a, b in zip(*outs) if a != b] == []
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

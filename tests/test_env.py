@@ -158,6 +158,54 @@ def test_cal_state_s1_small_blocks(monkeypatch, rows):
         assert abs(got - want) <= 1e-13 * want, (n, rows, got, want)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_cal_state_s1_small_blas_blocks(monkeypatch, rows):
+    # at dim 20 the BLAS budget, not S1_BLOCK_ELEMENTS, sets the block
+    # height: the first block (n - 1 columns) takes `rows` rows
+    rng = np.random.default_rng([rows, 20])
+    for n in (2, 3, 4, 7, 20, 120):
+        monkeypatch.setattr(env, "BLAS_BLOCK_ELEMENTS", rows * (n - 1) * 20)
+        X = rng.uniform(-5, 5, (n, 20))
+        got, want = _s1(X), reference.mean_pairwise_distance_ref(X)
+        assert abs(got - want) <= 1e-13 * want, (n, rows, got, want)
+
+
+class _MatmulSpy:
+    """Stands in for numpy in ``env``, recording the operand shapes of
+    each ``np.matmul``."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out):
+        self.shapes.append((a.shape, b.shape))
+        return np.matmul(a, b, out=out)
+
+
+@pytest.mark.parametrize("dim", [5, 20, 50])
+@pytest.mark.parametrize("n", [2, 500, 2000])
+def test_cal_state_s1_products_fit_one_blas_thread(monkeypatch, n, dim):
+    # every Gram plane product stays within BLAS_BLOCK_ELEMENTS
+    # multiply-adds, and its plane within S1_BLOCK_ELEMENTS; the blocks
+    # walk rows 0..n-2 in order, each as tall as both budgets allow
+    spy = _MatmulSpy()
+    monkeypatch.setattr(env, "np", spy)
+    X = np.random.default_rng([n, dim]).uniform(-5, 5, (n, dim))
+    env._mean_pairwise_distance(X)
+    budget = min(env.S1_BLOCK_ELEMENTS, env.BLAS_BLOCK_ELEMENTS // dim)
+    i0 = 0
+    for (m, k), (k2, cols) in spy.shapes:
+        assert (k, k2, cols) == (dim, dim, n - 1 - i0)
+        assert m * cols * dim <= env.BLAS_BLOCK_ELEMENTS
+        assert m * cols <= env.S1_BLOCK_ELEMENTS
+        assert m == cols or (m + 1) * cols > budget
+        i0 += m
+    assert i0 == n - 1
+
+
 @pytest.mark.parametrize("dim", [5, 20])
 def test_cal_state_s1_duplicate_rows(dim):
     # a quarter of the rows repeat others exactly and a quarter sit 1e-12
@@ -175,19 +223,21 @@ def test_cal_state_s1_duplicate_rows(dim):
 
 
 def test_cal_state_scratch_memory_bounded():
-    # an (n, n, dim) difference tensor at n=500, dim=50 would take 95 MiB
-    rng = np.random.default_rng(5)
-    X = rng.uniform(-5, 5, (500, 50))
-    fit = rng.uniform(0, 50, 500)
-    st = fake_state(X, fit, X[0], fit.min())
-    problem = make_identity_instance(1, 50)
-    tracemalloc.start()
-    try:
-        env.cal_state(st, problem, T=50, f_best_init=100.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1 << 20, peak
+    # an (n, n, dim) difference tensor at n=500 would take 38 MiB at
+    # dim 20 and 95 MiB at dim 50
+    for dim in (20, 50):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-5, 5, (500, dim))
+        fit = rng.uniform(0, 50, 500)
+        st = fake_state(X, fit, X[0], fit.min())
+        problem = make_identity_instance(1, dim)
+        tracemalloc.start()
+        try:
+            env.cal_state(st, problem, T=50, f_best_init=100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (dim, peak)
 
 
 def test_cal_state_empty_population_errors(sphere5):

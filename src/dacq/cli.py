@@ -540,9 +540,26 @@ def cmd_ablate(cfg) -> int:
 
 def run_verification(cfg):
     """Execute the verification suite; returns a list of
-    (check, passed, metric_string)."""
-    checks = []
+    (check, passed, metric_string).  A check that raises fails, with the
+    exception's message as its metric, and the checks after it still run."""
+    checks = [("decomposition", _verify_decomposition),
+              ("grad_check", _verify_grad_check),
+              ("scan_equivalence", _verify_scan_equivalence),
+              ("reward_telescoping", _verify_reward_telescoping),
+              ("s1_exact", _verify_s1_exact)]
+    if cfg.data is not None:
+        checks.append(("dataset_revalidation", _verify_dataset))
+    results = []
+    for name, check in checks:
+        try:
+            passed, metric = check(cfg)
+        except Exception as exc:
+            passed, metric = False, str(exc)
+        results.append((name, passed, metric))
+    return results
 
+
+def _verify_decomposition(cfg):
     worst_gap, agree = 0.0, True
     for i in range(cfg.mdps):
         rng = np.random.default_rng([cfg.seed, 5, i])
@@ -552,9 +569,11 @@ def run_verification(cfg):
         rep = training.verify_decomposition(mdp, tol=cfg.tol_decomp)
         worst_gap = max(worst_gap, rep["max_value_gap"])
         agree = agree and rep["passed"]
-    checks.append(("decomposition", agree and worst_gap <= cfg.tol_decomp,
-                   f"max value gap {worst_gap:.3e} over {cfg.mdps} MDPs"))
+    return (agree and worst_gap <= cfg.tol_decomp,
+            f"max value gap {worst_gap:.3e} over {cfg.mdps} MDPs")
 
+
+def _verify_grad_check(cfg):
     # 43 generations of alg 0 are 129 decision steps: at d_model 8 and
     # d_state 16 the SSM forward and backward cross a time-chunk boundary
     prob = problems.make_instance(1, 5, seed=0)
@@ -566,11 +585,12 @@ def run_verification(cfg):
     rep = training.grad_check(params, traj,
                               training.LossConfig(K=3, M=16))
     # a check of no coordinate shows nothing, so it fails
-    checks.append(("grad_check",
-                   rep["checked"] > 0 and rep["max_rel_error"] <= 1e-4,
-                   f"max rel err {rep['max_rel_error']:.3e} on "
-                   f"{rep['checked']} coords"))
+    return (rep["checked"] > 0 and rep["max_rel_error"] <= 1e-4,
+            f"max rel err {rep['max_rel_error']:.3e} on "
+            f"{rep['checked']} coords")
 
+
+def _verify_scan_equivalence(cfg):
     # L = 2048 spans several time chunks of the sequential forward
     worst = 0.0
     for s in range(cfg.scan_seeds):
@@ -581,9 +601,10 @@ def run_verification(cfg):
             ys_seq, _, _ = ssm.ssm_forward_sequential(ten, None, xs)
             ys_par, _ = ssm.ssm_forward_scan(ten, None, xs)
             worst = float(np.max(np.abs(ys_seq - ys_par), initial=worst))
-    checks.append(("scan_equivalence", worst <= 1e-6,
-                   f"max |scan - sequential| {worst:.3e}"))
+    return worst <= 1e-6, f"max |scan - sequential| {worst:.3e}"
 
+
+def _verify_reward_telescoping(cfg):
     split = problems.default_split()
     ok, worst_tel = True, 0.0
     for i in range(20):
@@ -599,10 +620,11 @@ def run_verification(cfg):
         worst_tel = max(worst_tel, abs(total - expect))
         ok = (ok and min(s.reward for s in tr.steps) >= 0.0
               and total <= 1.0 + 1e-9 and abs(total - expect) <= 1e-12)
-    checks.append(("reward_telescoping", ok,
-                   f"max |sum r - relative improvement| {worst_tel:.3e} "
-                   f"over 20 episodes"))
+    return ok, (f"max |sum r - relative improvement| {worst_tel:.3e} "
+                f"over 20 episodes")
 
+
+def _verify_s1_exact(cfg):
     # s1's Gram plane runs the CPU's BLAS GEMM kernel, whose SIMD and FMA
     # use varies by CPU: check it and its guard against exact pair
     # distances here.  n = 60 fits one block; 200 rows at dim 50 walk 5
@@ -621,18 +643,13 @@ def run_verification(cfg):
         got = env._mean_pairwise_distance(X)
         errors.append(abs(got - want) / want)
     worst_s1 = float(np.max(errors))  # NaN, if any, propagates
-    checks.append(("s1_exact", worst_s1 <= env.S1_REL_ERROR,
-                   f"max rel err {worst_s1:.3e} over {len(errors)} "
-                   f"populations"))
+    return (worst_s1 <= env.S1_REL_ERROR,
+            f"max rel err {worst_s1:.3e} over {len(errors)} populations")
 
-    if cfg.data is not None:
-        try:
-            trajs, manifest = datasets.load_dataset(cfg.data)
-            checks.append(("dataset_revalidation", True,
-                           f"{len(trajs)} trajectories, checksum ok"))
-        except (ValueError, OSError) as exc:
-            checks.append(("dataset_revalidation", False, str(exc)))
-    return checks
+
+def _verify_dataset(cfg):
+    trajs, _ = datasets.load_dataset(cfg.data)
+    return True, f"{len(trajs)} trajectories, checksum ok"
 
 
 def _s1_population(rng, kind, n, dim) -> np.ndarray:

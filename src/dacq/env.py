@@ -92,7 +92,8 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     s9 improved-last-generation flag.  Features are computed over the
     union of all sub-populations.  s1-s3 are divided by the search-space
     diameter and s4-s6 by the span f_best_init - f_star (s4-s6 are 0 when
-    the span is not positive).
+    the span is not positive).  A feature that is not finite raises
+    ``ValueError`` naming it, before it reaches a model or a dataset.
 
     s1 is summed in blocks of the upper triangle from a centred Gram
     plane (see ``_mean_pairwise_distance``).  A guard recomputes the pairs
@@ -129,6 +130,10 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
         out[3:6] /= span
     else:
         out[3:6] = 0.0
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"state feature s{bad[0] + 1} is not finite: "
+                         f"{out[bad[0]]}")
     return out
 
 

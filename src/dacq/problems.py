@@ -48,6 +48,15 @@ SCHWEFEL_YSTAR = 420.96874635998205
 #: budget of the s1 pair blocks and the SSM chunks too
 _PLANE_ELEMS = 1 << 14
 
+#: ``_gallagher``'s screen: log values are bounded to within
+#: ``_SCREEN_ERR (dim + 8)`` times their scale, a peak stays a candidate
+#: within ``_SCREEN_SLACK (8 + |log value|)`` of the best, and a row whose
+#: best peak may lie below e**-700 (subnormal below e**-708.4) takes every
+#: peak
+_SCREEN_ERR = 2.0 * np.finfo(float).eps
+_SCREEN_SLACK = 32.0 * np.finfo(float).eps
+_LOG_NORMAL = -700.0
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -128,17 +137,29 @@ def _finalize(function_id, dim, shift, rotation, f_opt, seed, rng):
         alphas[1:] = rng.permutation(
             np.power(1000.0, 2.0 * np.arange(n_peaks - 1) / (n_peaks - 2)))
         # per-peak diagonal conditioning, axes decorrelated by permutation
-        diags = np.empty((n_peaks, dim))
-        for k in range(n_peaks):
-            lam = alphas[k] ** (0.5 * np.arange(dim) / (dim - 1))
-            diags[k] = rng.permutation(lam) / alphas[k] ** 0.25
+        lams = alphas[:, None] ** (0.5 * np.arange(dim) / (dim - 1))
+        diags = np.array([rng.permutation(lam) / a ** 0.25
+                          for lam, a in zip(lams, alphas)])
         aux = {"peaks": peaks, "weights": weights, "diags": diags}
     p = ProblemInstance(function_id, dim, shift.copy(), rotation.copy(), f_opt,
                         LOWER, UPPER, seed, aux)
     if aux:
-        # _gallagher's per-coordinate rows: rotated peaks and diagonals
-        aux["zpeaks_t"] = np.ascontiguousarray(_rot(p, peaks).T)
-        aux["diags_t"] = np.ascontiguousarray(diags.T)
+        # _gallagher's rotated peaks zp and screening constants: against
+        # [zx^2, zx, 1], the rows [diag_k, -2 diag_k zp_k, sum_j diag_kj
+        # zp_kj^2] give q_k; scaled by -1/(2 dim) and offset by log w_k
+        # they give the log value, and [diag_k, 2 diag_k |zp_k|, sum_j
+        # diag_kj zp_kj^2 + 2 dim |log w_k|] scaled by the error factor
+        # bound its error
+        zpeaks = _rot(p, peaks)
+        dzp = diags * zpeaks
+        base = np.sum(dzp * zpeaks, axis=1)
+        log_w = np.log(weights)
+        s = 0.5 / dim
+        aux["zpeaks"] = zpeaks
+        aux["screen"] = np.vstack([-s * diags.T, 2.0 * s * dzp.T,
+                                   log_w - s * base])
+        aux["screen_err"] = _SCREEN_ERR * (dim + 8) * s * np.vstack(
+            [diags.T, 2.0 * np.abs(dzp.T), base + 2.0 * dim * np.abs(log_w)])
     for a in (p.shift, p.rotation, *aux.values()):
         a.flags.writeable = False
     return p
@@ -340,56 +361,74 @@ def _f20(p, X):  # Schwefel, per-coordinate difference form
     return np.sum(g - gstar, axis=1) + 0.05 * np.sum(over * over, axis=1)
 
 
-def _row_sum(n, term):
-    """``term(0) + ... + term(n - 1)``, added in the order ``np.sum`` adds a
-    contiguous row of n <= 128 values: one by one from 0.0 below 8, else
-    into eight running sums, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then
-    the tail.  Each ``term(j)`` must be a new array: sums are made in place.
-    """
-    if n < 8:
-        total = 0.0 + term(0)
-        for j in range(1, n):
-            total += term(j)
-        return total
-    r = [term(j) for j in range(8)]
-    tail = n - n % 8
-    for j in range(8, tail):
-        r[j % 8] += term(j)
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for j in range(tail, n):
-        total += term(j)
-    return total
-
-
 def _gallagher(p, X):
     """Gallagher's peaks: the best w_k exp(-q_k / (2 dim)) over the peaks k,
-    where q_k sums (zx_j - zp_kj)^2 diag_kj over the rotated coordinates j.
+    where q_k sums diag_kj (zx_j - zp_kj)^2 over the rotated coordinates j.
 
-    For a block of rows, coordinate j gives one (rows, peaks) plane of
-    ``d * d * diag`` products, so numpy's loops run along the 101 or 21
-    peaks rather than along the coordinates.  ``_row_sum`` adds the planes
-    in the order ``np.sum(d * d * diags[k], axis=1)`` adds a row, so each
-    q_k has the bits of that per-peak row sum.  Rows go in the fewest equal
-    blocks whose planes hold at most ``_PLANE_ELEMS`` elements (162 rows at
-    101 peaks), which bounds the memory; rows are independent, so the
-    blocks never change a value.
+    Only one peak's value survives the max, so the peaks are screened
+    first, in log space, ``log w_k - q_k / (2 dim)``.  Expanded, ``q_k =
+    zx^2 . diag_k + zx . (-2 diag_k zp_k) + sum_j diag_kj zp_kj^2``, so one
+    BLAS product of each block's rows ``[zx^2, zx, 1]`` with the instance's
+    ``aux["screen"]`` estimates every peak's log value.  A second, of
+    ``[zx^2, |zx|, 1]`` with ``aux["screen_err"]``, gives ``c (U_k / (2
+    dim) + |log w_k|)``, where ``U_k = sum_j diag_kj (|zx_j| + |zp_kj|)^2``
+    and ``c = 2 (dim + 8) eps``.  By the dot-product error bound, whatever
+    order BLAS adds in, the estimate is off by at most about ``(3 dim + 6)
+    eps / 2 (U_k / (2 dim) + |log w_k|)`` (its 2 dim + 1 terms, and the
+    rounding of the constants, whose sums of ``diag zp^2`` are dot products
+    too), and the exact sum below by ``(dim + 3) eps / 2 U_k``; c covers
+    both.  That gives each peak a lower and an upper bound.  A peak stays a
+    candidate if its upper bound reaches the best lower bound of its row,
+    less ``_SCREEN_SLACK (8 + |bound|)`` for the rounding of the division,
+    ``exp``, the product and the bounds themselves.
+
+    Each candidate is then recomputed as the per-peak loop computes every
+    peak: ``d = zx - zp_k; d *= d; d *= diag_k``, ``np.sum`` along the row,
+    then ``w_k * exp(-q / (2 dim))``.  These are the same operations in the
+    same order, and the peak with the largest of those values is always a
+    candidate, so the max over the candidates has the bits of the max over
+    every peak.  The screen's own bits depend on the BLAS kernel and thread
+    count; they only choose which peaks are recomputed.  A row whose best
+    lower bound is not above ``_LOG_NORMAL`` (its value may be subnormal,
+    where ``exp``'s relative error bound fails) or is NaN (non-finite
+    input, no candidate) takes every peak.
+
+    Rows go in the fewest equal blocks whose (rows, peaks) planes hold at
+    most ``_PLANE_ELEMS`` elements (162 rows at 101 peaks), and candidates
+    are recomputed in pieces of at most ``_PLANE_ELEMS`` elements, which
+    bounds the memory; rows are independent, so the blocks never change a
+    value.
     """
-    zp_t = p.aux["zpeaks_t"]
-    diag_t = p.aux["diags_t"]
-    weights = p.aux["weights"]
+    zp, diags, weights = p.aux["zpeaks"], p.aux["diags"], p.aux["weights"]
+    n_peaks, dim = zp.shape
+    step = _PLANE_ELEMS // dim
     zx = _rot(p, X)
-    n_blocks = max(1, -(-len(zx) // (_PLANE_ELEMS // len(weights))))
+    n_blocks = max(1, -(-len(zx) // (_PLANE_ELEMS // n_peaks)))
     best = []
     for z in np.array_split(zx, n_blocks):
-
-        def plane(j):
-            d = z[:, j, None] - zp_t[j]
+        terms = np.empty((len(z), 2 * dim + 1))
+        terms[:, -1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(z, z, out=terms[:, :dim])
+            terms[:, dim:-1] = z
+            estimate = terms @ p.aux["screen"]
+            np.abs(z, out=terms[:, dim:-1])
+            err = terms @ p.aux["screen_err"]
+            floor = np.max(estimate - err, axis=1)
+            estimate += err
+            floor -= _SCREEN_SLACK * (8.0 + np.abs(floor))
+            keep = estimate >= floor[:, None]
+        keep[~(floor > _LOG_NORMAL)] = True
+        rows, ks = np.divmod(np.flatnonzero(keep), n_peaks)
+        v = np.empty(len(rows))
+        for i in range(0, len(rows), step):
+            k = ks[i:i + step]
+            d = z[rows[i:i + step]] - zp[k]
             d *= d
-            d *= diag_t[j]
-            return d
-
-        q = _row_sum(p.dim, plane)
-        best.append(np.max(weights * np.exp(-q / (2.0 * p.dim)), axis=1))
+            d *= diags[k]
+            v[i:i + step] = weights[k] * np.exp(-d.sum(axis=1) / (2.0 * dim))
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        best.append(np.maximum.reduceat(v, starts))
     return _t_osz(10.0 - np.concatenate(best)) ** 2 + _pen(X)
 
 

@@ -431,6 +431,48 @@ def test_s1_does_not_depend_on_blas_threads():
     assert [a for a, b in zip(*outs) if a != b] == []
 
 
+# prints the BLAS thread count, then one line per Gallagher evaluation:
+# function, shape and every value as a hex float
+_GALLAGHER_VALUES = _BLAS_THREADS + """
+import numpy as np
+from dacq import problems
+for fid in (21, 22):
+    for n, dim in ((500, 20), (2000, 50)):
+        p = problems.make_instance(fid, dim, seed=n)
+        rng = np.random.default_rng([fid, n, dim])
+        X = rng.uniform(-5, 5, (n, dim))
+        X[::7] = rng.uniform(-8, 8, X[::7].shape)   # outside the box
+        X[1::5] = p.aux["peaks"][rng.integers(len(p.aux["peaks"]),
+                                              size=len(X[1::5]))]
+        X[2::5] += 1e-9 * rng.standard_normal(X[2::5].shape)
+        values = problems.evaluate(p, X)
+        print(fid, n, dim, " ".join(v.hex() for v in values.tolist()))
+"""
+
+
+def test_gallagher_does_not_depend_on_blas_threads():
+    # Gallagher's screen is BLAS products of (rows, 2 dim + 1) blocks,
+    # large enough at these shapes for OpenBLAS to run them on 2 threads;
+    # they only choose which peaks are recomputed, and the exact recompute
+    # sets the bytes.  Fresh interpreters at 1 and 2 BLAS threads
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its pool at the number of cores")
+    env = _child_env()
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _GALLAGHER_VALUES],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        count, *lines = proc.stdout.splitlines()
+        if count == "None":
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert int(count) == int(threads)
+        outs.append(lines)
+    assert len(outs[0]) == 4
+    assert [a[:20] for a, b in zip(*outs) if a != b] == []
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -1000,6 +1042,20 @@ def test_verify_s1_error_fails(monkeypatch, capsys, factor):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL  s1_exact" in out
+
+
+def test_verify_reports_a_check_that_raises(monkeypatch, capsys):
+    # a NaN s1 makes cal_state raise inside the episodes of grad_check and
+    # reward_telescoping: each fails with the message, and verify goes on
+    monkeypatch.setattr(env, "_mean_pairwise_distance", lambda X: np.nan)
+    rc = run(["verify", "--mdps", "1", "--scan-seeds", "1", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    for name in ("grad_check", "reward_telescoping"):
+        assert f"FAIL  {name}: state feature s1 is not finite: nan" in out
+    assert "FAIL  s1_exact" in out
+    assert "PASS  decomposition" in out and "PASS  scan_equivalence" in out
+    assert "2/5 checks passed" in out
 
 
 def test_verify_crosses_scan_chunks(monkeypatch, capsys):

@@ -86,6 +86,25 @@ def test_cal_state_collapsed_population(sphere5):
     assert s[0] == 0.0 and s[1] == 0.0 and s[5] == 0.0
 
 
+def test_cal_state_rejects_non_finite_feature(sphere5, monkeypatch):
+    # a NaN s1 (the square root of a negative plane entry, say) raises
+    # naming the feature, before it reaches a model or a dataset
+    rng = np.random.default_rng(2)
+    X = rng.uniform(-5, 5, (12, 5))
+    fit = rng.uniform(5, 50, 12)
+    st = fake_state(X, fit, X[3], fit.min() - 2.0)
+    monkeypatch.setattr(env, "_mean_pairwise_distance", lambda X: np.nan)
+    with pytest.raises(ValueError, match=r"state feature s1 is not finite"):
+        env.cal_state(st, sphere5, T=50, f_best_init=60.0)
+    # s2..s9 come later: an infinite objective value names s4, the first
+    # feature it reaches
+    monkeypatch.undo()
+    fit[5] = np.inf
+    with pytest.raises(ValueError, match=r"state feature s4 is not finite"), \
+            np.errstate(invalid="ignore"):   # s6, the std, is inf - inf
+        env.cal_state(st, sphere5, T=50, f_best_init=60.0)
+
+
 def test_cal_state_gap_ordering(sphere5):
     rng = np.random.default_rng(2)
     X = rng.uniform(-5, 5, (12, 5))

@@ -229,7 +229,7 @@ def step(state: AlgorithmState, config, problem, rng) -> AlgorithmState:
                              fitness=pop.fitness)
         if sub.ga is not None:
             X = ea_ops.ga_mutate(sub.ga, X, par, bounds, rng)
-        method = 0 if sub.bound is None else _BC.index(cfg[sub.bound])
+        method = "clip" if sub.bound is None else cfg[sub.bound]
         X = ea_ops.bound_control(method, X, pop.X, bounds, rng)
         off = Population(X)
         evals += ea_ops.evaluate_population(off, problem)

@@ -192,8 +192,7 @@ def load_config_file(path) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The profile's defaults, then the config file, then the flags given
-    on the command line (``cfg.explicit``), each value checked against
-    its row."""
+    on the command line, each value checked against its row."""
     given = {k: v for k, v in vars(args).items()
              if k != "command" and v is not None}
     merged = {}
@@ -208,8 +207,7 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     merged = {**defaults(profile), **merged}
     for name, value in merged.items():
         check_value(name, value)
-    return argparse.Namespace(command=args.command,
-                              explicit=frozenset(given), **merged)
+    return argparse.Namespace(command=args.command, **merged)
 
 
 def build_split(cfg) -> problems.ProblemSplit:
@@ -422,10 +420,10 @@ def cmd_eval(cfg) -> int:
         raise UsageError("eval requires --ckpt")
     out = _outdir(cfg)
     params, _, extra = checkpoint.load_checkpoint(cfg.ckpt)
-    # checkpoint metadata names the algorithm it was trained on; an
-    # explicit --alg flag overrides it (mismatches surface in decoding)
-    alg_id = (cfg.alg if "alg" in cfg.explicit
-              else int(extra.get("alg_id", cfg.alg)))
+    # every train checkpoint records the algorithm its model decodes
+    if "alg_id" not in extra:
+        raise ValueError(f"checkpoint {cfg.ckpt} records no alg_id")
+    alg_id = int(extra["alg_id"])
     instances = _test_instances(cfg, build_split(cfg))
 
     t0 = time.perf_counter()
@@ -489,6 +487,15 @@ def cmd_ablate(cfg) -> int:
     out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
     _print_exploitation_note(manifest.policy_counts)
+    # the bin sweep's kind and instance seed; a mu = 0 dataset has no kind,
+    # and its recollect plays no exploitation, so any gives the same bytes
+    kinds = set(manifest.policy_counts) - {"random"}
+    seeds = {t.instance_seed for t in trajs}
+    if len(kinds) > 1 or len(seeds) != 1:
+        raise ValueError(f"dataset mixes exploitation kinds {kinds} or "
+                         f"instance seeds {seeds}")
+    kind = (kinds or {datasets.EXPLOITATION_KINDS[0]}).pop()
+    instance_seed = seeds.pop()
     split = build_split(cfg)
     t0 = time.perf_counter()
 
@@ -512,18 +519,18 @@ def cmd_ablate(cfg) -> int:
     write_csv(out / "ablate_mu.csv",
               ("mu", "d_used", "mean_perf", "std_perf"), mu_rows)
 
-    # action-bin resolution sweep: recollect at each M so the grids match,
-    # each training function at its dim in the dataset (the split's for a
-    # function without a trajectory), and evaluate as the other sweeps do
+    # action-bin sweep: recollect at each M as the dataset was (cfg gives
+    # the jitter, quantile and calibration it does not record), each
+    # training function at its dim in it (else the split's), and evaluate
     bin_rows = []
     csplit = problems.ProblemSplit(
         tuple(manifest.train_ids), split.test_ids,
         {**split.dims, **{t.function_id: t.dim for t in trajs}})
     for b, M in enumerate((16, 32)):
         sub_trajs, sub_man = datasets.collect(
-            manifest.alg_id, csplit, (cfg.policy, "random"), manifest.mu,
+            manifest.alg_id, csplit, (kind, "random"), manifest.mu,
             manifest.D, manifest.T, cfg.seed + 1000 + M, n_bins=M,
-            instance_seed=cfg.instance_seed, jitter=cfg.jitter,
+            instance_seed=instance_seed, jitter=cfg.jitter,
             quantile=cfg.quantile, calibration_episodes=cfg.calibration,
             workers=cfg.workers)
         bin_rows.append((M, *_train_eval_once(
@@ -686,24 +693,25 @@ def cmd_verify(cfg) -> int:
 
 _SHARED = ("seed", "out", "profile", "config")
 
+#: the flags that train and ablate share, and that collect and ablate share
+_TRAINING = ("epochs", "batch", "lr", "wd", "beta", "lam", "gamma",
+             "d_model", "d_state", "depth")
+_COLLECTION = ("quantile", "calibration", "jitter", "instance_seed")
+
 #: command -> (run function, help, its flags after the shared ones)
 COMMANDS = {
     "collect": (cmd_collect, "collect a mu-mixed dataset",
                 ("alg", "mu", "d", "t", "bins", "dim", "functions", "policy",
-                 "quantile", "calibration", "jitter", "instance_seed",
-                 "workers")),
+                 *_COLLECTION, "workers")),
     "train": (cmd_train, "train the decomposed Q-model",
-              ("data", "resume", "epochs", "batch", "lr", "wd", "beta", "lam",
-               "gamma", "d_model", "d_state", "depth", "workers")),
+              ("data", "resume", *_TRAINING, "workers")),
     "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
                        "the random baseline",
-             ("ckpt", "alg", "t", "dim", "runs", "test_functions",
-              "instance_seed", "workers")),
+             ("ckpt", "t", "dim", "runs", "test_functions", "instance_seed",
+              "workers")),
     "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
-               ("data", "epochs", "batch", "lr", "wd", "beta", "lam",
-                "gamma", "d_model", "d_state", "depth", "runs", "t", "dim",
-                "test_functions", "policy", "quantile", "calibration",
-                "jitter", "instance_seed", "workers")),
+               ("data", *_TRAINING, "runs", "t", "dim", "test_functions",
+                *_COLLECTION, "workers")),
     "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "
                            "any failure)",
                ("data", "mdps", "tol_decomp", "scan_seeds")),

@@ -229,17 +229,16 @@ def crossover(variant: str, X: np.ndarray, X_donor: np.ndarray,
     if X.shape != X_donor.shape:
         raise ValueError("parent/donor shape mismatch")
     NP, dim = X.shape
-    if variant == "exponential":
+    if variant != "sbx":
         _check_unit(params.cr, "cr")
+    if variant == "exponential":
         ks, ls = exponential_segments(rng, NP, dim, params.cr)
         return exponential_kernel(X, X_donor, ks, ls)
     if variant == "binomial":
-        _check_unit(params.cr, "cr")
         rand = rng.random((NP, dim))
         jrand = rng.integers(0, dim, size=NP)
         return binomial_kernel(X, X_donor, rand, jrand, params.cr)
     if variant == "mpx":
-        _check_unit(params.cr, "cr")
         partner = draw_partners(rng, fitness, NP, params.xr)
         rand = rng.random((NP, dim))
         return mpx_kernel(X, X_donor, partner, rand, params.cr)
@@ -315,22 +314,22 @@ def select(variant: str, parents: Population, offspring: Population, rng) -> Pop
 # ---------------------------------------------------------------------------
 # bound control
 
-def bound_control(method: int, X: np.ndarray, parent_X: np.ndarray,
+def bound_control(method: str, X: np.ndarray, parent_X: np.ndarray,
                   bounds, rng) -> np.ndarray:
-    """Repair out-of-range coordinates; in-range values pass through."""
-    if method not in range(5):
-        raise ValueError(f"bound-control method must be 0..4, got {method}")
+    """Repair out-of-range coordinates by the named method (one of
+    ``BOUND_METHODS``); in-range values pass through."""
+    if method not in BOUND_METHODS:
+        raise ValueError(f"unknown bound-control method {method!r}")
     lo, hi = bounds
     span = hi - lo
-    name = BOUND_METHODS[method]
     violated = (X < lo) | (X > hi)
-    if name == "clip":
+    if method == "clip":
         repaired = np.clip(X, lo, hi)
-    elif name == "rand":
+    elif method == "rand":
         repaired = rng.uniform(lo, hi, X.shape)
-    elif name == "periodic":
+    elif method == "periodic":
         repaired = lo + np.mod(X - lo, span)
-    elif name == "reflect":
+    elif method == "reflect":
         # fold onto a triangle wave of period 2*span
         y = np.mod(X - lo, 2.0 * span)
         repaired = lo + (span - np.abs(span - y))

@@ -81,16 +81,16 @@ class Trajectory:
         return self.steps[-1].best_so_far_f if self.steps else self.f_best_init
 
 
-def cal_state(alg_state: AlgorithmState, problem, T: int,
+def cal_state(alg_state: AlgorithmState, problem,
               f_best_init: float) -> np.ndarray:
     """Nine summary features of the current optimizer state.
 
     s1 mean pairwise distance, s2 mean distance to the generation best,
     s3 mean distance to the best-so-far point, s4 mean objective gap to
     the best-so-far value, s5 mean gap to the generation best, s6
-    objective std, s7 remaining-budget fraction, s8 stagnation fraction,
-    s9 improved-last-generation flag.  Features are computed over the
-    union of all sub-populations.  s1-s3 are divided by the search-space
+    objective std, s7 and s8 the remaining and stagnant fractions of
+    ``alg_state.horizon``, s9 improved-last-generation flag.  Features
+    are computed over the union of all sub-populations.  s1-s3 are divided by the search-space
     diameter and s4-s6 by the span f_best_init - f_star (s4-s6 are 0 when
     the span is not positive).  A feature that is not finite raises
     ``ValueError`` naming it, before it reaches a model or a dataset.
@@ -119,8 +119,8 @@ def cal_state(alg_state: AlgorithmState, problem, T: int,
     s4 = (fit - alg_state.best_f).mean()
     s5 = (fit - fit[gi]).mean()
     s6 = fit.std()
-    s7 = (T - alg_state.t) / T
-    s8 = alg_state.stagnation / T
+    s7 = (alg_state.horizon - alg_state.t) / alg_state.horizon
+    s8 = alg_state.stagnation / alg_state.horizon
     s9 = 1.0 if alg_state.improved_last_step else 0.0
 
     out = np.array([s1, s2, s3, s4, s5, s6, s7, s8, s9], dtype=np.float64)
@@ -284,7 +284,7 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
 
     steps = []
     for t in range(T):
-        s = cal_state(state, problem, T, f_best_init)
+        s = cal_state(state, problem, f_best_init)
         raw = np.asarray(policy(s, t))
         if raw.shape != (len(specs),):
             raise ValueError(f"policy returned shape {raw.shape}, "

@@ -239,10 +239,13 @@ def _f2(p, X):  # separable ellipsoidal
     return np.sum(_power_weights(p.dim, 6) * z * z, axis=1)
 
 
-def _f3(p, X):  # separable Rastrigin
-    z = _lam(10, p.dim) * _t_asy(_t_osz(X - p.shift), 0.2)
-    return 10.0 * (p.dim - np.sum(np.cos(2 * np.pi * z), axis=1)) \
+def _rastrigin(z):
+    return 10.0 * (z.shape[1] - np.sum(np.cos(2 * np.pi * z), axis=1)) \
         + np.sum(z * z, axis=1)
+
+
+def _f3(p, X):  # separable Rastrigin
+    return _rastrigin(_lam(10, p.dim) * _t_asy(_t_osz(X - p.shift), 0.2))
 
 
 def _f4(p, X):  # Buche-Rastrigin
@@ -251,9 +254,7 @@ def _f4(p, X):  # Buche-Rastrigin
     odd = np.zeros(p.dim, dtype=bool)
     odd[::2] = True  # odd coordinates in 1-based counting
     s = np.where(odd & (t > 0), 10.0 * s, s)
-    z = s * t
-    return 10.0 * (p.dim - np.sum(np.cos(2 * np.pi * z), axis=1)) \
-        + np.sum(z * z, axis=1) + 100.0 * _pen(X)
+    return _rastrigin(s * t) + 100.0 * _pen(X)
 
 
 def _f5(p, X):  # linear slope, re-centred as a rotated weighted cone
@@ -277,20 +278,19 @@ def _f7(p, X):  # step ellipsoidal
     return 0.1 * np.maximum(np.abs(zhat[:, 0]) / 1e4, body) + _pen(X)
 
 
-def _rosen(z):
+def _rosen(p, v):
+    z = max(1.0, np.sqrt(p.dim) / 8.0) * v + 1.0
     a = z[:, :-1]
     b = z[:, 1:]
     return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=1)
 
 
 def _f8(p, X):  # Rosenbrock, axis-aligned
-    z = max(1.0, np.sqrt(p.dim) / 8.0) * (X - p.shift) + 1.0
-    return _rosen(z)
+    return _rosen(p, X - p.shift)
 
 
 def _f9(p, X):  # Rosenbrock, rotated
-    z = max(1.0, np.sqrt(p.dim) / 8.0) * _rot(p, X - p.shift) + 1.0
-    return _rosen(z)
+    return _rosen(p, _rot(p, X - p.shift))
 
 
 def _f10(p, X):  # rotated ellipsoidal
@@ -321,9 +321,7 @@ def _f14(p, X):  # different powers
 
 def _f15(p, X):  # multimodal Rastrigin
     t = _t_asy(_t_osz(_rot(p, X - p.shift)), 0.2)
-    z = _rot(p, _lam(10, p.dim) * _rot(p, t))
-    return 10.0 * (p.dim - np.sum(np.cos(2 * np.pi * z), axis=1)) \
-        + np.sum(z * z, axis=1)
+    return _rastrigin(_rot(p, _lam(10, p.dim) * _rot(p, t)))
 
 
 _WEIER_F0 = sum(0.5 ** k * np.cos(2 * np.pi * 3 ** k * 0.5) for k in range(12))

@@ -131,14 +131,11 @@ class QModelCache:
 def _stack_forward(params: QModelParams, X_in, h0s):
     """Embed, run residual blocks, apply the two heads.
 
-    X_in: (L, input_dim); h0s: per-block (d_model, d_state) hidden
-    states or None.
+    X_in: (L, input_dim); h0s: one (d_model, d_state) state per block.
     Returns (Q, new_hiddens, partial cache fields).
     """
     x = X_in @ params.W_embed + params.b_embed
     block_caches, h_outs = [], []
-    if h0s is None:
-        h0s = [None] * len(params.blocks)
     for blk, h0 in zip(params.blocks, h0s):
         ys, h_fin, cache = ssm.ssm_forward_sequential(blk, h0, x)
         x = x + ys
@@ -222,7 +219,8 @@ def q_values_batch(params: QModelParams, states, actions):
     if K != params.config.K:
         raise ValueError(f"trajectory K={K} != model K={params.config.K}")
     X_in = assemble_inputs(states, actions, params.config.token_width)
-    Q, _, block_caches, Y, O, Hpre = _stack_forward(params, X_in, None)
+    Q, _, block_caches, Y, O, Hpre = _stack_forward(params, X_in,
+                                                    params.zero_hidden())
     cache = QModelCache(params, params.version, X_in, block_caches, Y, O,
                         Hpre)
     return Q.reshape(T, K, params.config.M), cache

@@ -90,17 +90,14 @@ def exploitation_policy(alg_id: int, seed, T: int,
     return _policy
 
 
-def greedy_policy(params: qmodel.QModelParams, alg_id: int, n_bins: int):
-    """Greedy autoregressive decode per generation, hidden state and last
-    action bin carried across the whole episode."""
-    masks = env.bin_masks(alg_id, n_bins).tolist()
+def greedy_policy(params: qmodel.QModelParams, alg_id: int):
+    """Greedy autoregressive decode per generation on the model's bins,
+    hidden state and last action bin carried across the whole episode."""
+    masks = env.bin_masks(alg_id, params.config.M).tolist()
     if params.config.K != len(masks):
         raise ValueError(
             f"checkpoint decodes K={params.config.K} dims but "
             f"algorithm {alg_id} has {len(masks)}")
-    if params.config.M != n_bins:
-        raise ValueError(f"checkpoint bin count {params.config.M} != "
-                         f"requested {n_bins}")
     hiddens, prev = params.zero_hidden(), -1
 
     def _policy(state, t):
@@ -123,15 +120,18 @@ def episode(alg_id, problem, make_policy, T, seed, n_bins, policy_id=""):
 def evaluate_policies(params, alg_id, test_instances, runs, T, n_bins,
                       seed, include_random=True, workers=None):
     """Paired rollouts on each test problem: trained greedy policy and
-    (optionally) the random baseline on the same episode seeds.
-    Returns rows (function_id, run, perf, policy_label).  The rollouts
-    run through ``env.run_episodes`` on ``workers`` processes (None:
-    every CPU this process may use); the rows do not depend on it."""
+    (optionally) the random baseline, on the same episode seeds and the
+    model's ``n_bins``.  Returns rows (function_id, run, perf, policy).
+    The rollouts run on ``workers`` processes (None: every CPU this
+    process may use); the rows do not depend on it."""
+    if params.config.M != n_bins:
+        raise ValueError(f"checkpoint bin count {params.config.M} != "
+                         f"requested {n_bins}")
     keys, jobs = [], []
     for inst in test_instances:
         for run in range(runs):
             policies = {"model": functools.partial(
-                greedy_policy, params, alg_id, n_bins)}
+                greedy_policy, params, alg_id)}
             if include_random:
                 policies["random"] = functools.partial(
                     random_policy, alg_id, [seed, inst.function_id, run, 1],

@@ -51,14 +51,15 @@ import numpy as np
 
 #: element budget of one time chunk of the (steps, d_state, d_model)
 #: discretized tensors that the sequential forward and the backward build
-#: (128 KiB of float64; a chunk holds at least one step).  Of 2**12 to
-#: 2**16, on batches of 4 desk (150, 32, 8) and paper (1500, 64, 16)
-#: sequences, 2**14 and 2**15 tie as the fastest at paper shape (2**13
-#: is 11% slower, 2**16 3%); at desk shape 2**13 to 2**16 lie within 10%
-#: of each other and 2**12 is 19-45% slower.  2**14 is the smaller of
-#: the tie, so a backward's scratch takes 776 KiB.  The forward keeps
-#: one hidden state per chunk, so a chunk of c steps stores 1/c of the
-#: state trajectory.
+#: (128 KiB of float64; a chunk holds at least one step).  Timed as one
+#: forward + backward pass of one sequence on one core, of 2**12 to
+#: 2**16: at paper shape (1500, 64, 16) 2**15 and 2**16 tie as the
+#: fastest, and 2**14 is 5-7% slower, 2**13 24% and 2**12 59%; at desk
+#: shape (150, 32, 8) 2**16 is the fastest, and 2**14 is 8% slower,
+#: 2**13 16% and 2**12 39%.  The value stays 2**14, as checkpoint bytes
+#: depend on it (the backward sums the A_log gradient chunk by chunk); a
+#: backward's scratch takes 776 KiB.  The forward keeps one hidden state
+#: per chunk, so a chunk of c steps stores 1/c of the state trajectory.
 SCAN_CHUNK_ELEMENTS = 1 << 14
 
 #: element budget (m * n * rows) of one BLAS product in weight_grad and in
@@ -210,17 +211,15 @@ def _transition(params: SsmParams):
     return -np.exp(np.ascontiguousarray(params.A_log.T))
 
 
-def _discretize(delta, A, Bix, out=None):
+def _discretize(delta, A, Bix, out):
     """Abar = exp(delta*A), E = expm1(delta*A)/A and Bbar = E*B for
     delta (c, D), A (N, D) and Bix (c, N); each result is (c, N, D).
 
-    out is None (fresh arrays) or three (steps, N, D) scratch buffers of
-    at least c steps, whose first c steps are written and returned.  The
-    outer products run through einsum: at c = 16 its loop is about a
-    third faster than numpy's broadcast multiply."""
+    out is three (steps, N, D) scratch buffers of at least c steps, whose
+    first c steps are written and returned.  The outer products run
+    through einsum: at c = 16 its loop is about a third faster than
+    numpy's broadcast multiply."""
     c = len(delta)
-    if out is None:
-        out = np.empty((3, c) + A.shape)
     Abar, E, Bbar = out[0][:c], out[1][:c], out[2][:c]
     P = np.einsum("ld,nd->lnd", delta, A, out=Abar)
     np.expm1(P, out=E)
@@ -301,7 +300,8 @@ def ssm_forward_scan(params: SsmParams, h0, xs):
     xs, h0 = _check_inputs(params, h0, xs)
     L = len(xs)
     u, sig, delta, Bix, Cix = _input_projections(params, xs)
-    a, _, Bbar = _discretize(delta, _transition(params), Bix)
+    A = _transition(params)
+    a, _, Bbar = _discretize(delta, A, Bix, np.empty((3, L) + A.shape))
     b = Bbar * u[:, None, :]
     b[0] += a[0] * h0.T
     offset = 1

@@ -254,12 +254,9 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
                 adamw_step(params, grads, opt, cfg.learning_rate,
                            weight_decay=cfg.weight_decay)
                 comps = {k: np.array([c[k] for _, c in per_traj])
-                         for k in ("bellman_intra", "bellman_td",
-                                   "conservative")}
-                loss = float((comps["bellman_intra"] + comps["bellman_td"]
-                              + comps["conservative"]).mean())
+                         for k in per_traj[0][1]}
                 w = len(idx)
-                tallies["loss"] += loss * w
+                tallies["loss"] += float(sum(comps.values()).mean()) * w
                 for k, v in comps.items():
                     tallies[k] += float(v.mean()) * w
             history.append({k: v / D for k, v in tallies.items()})
@@ -418,7 +415,7 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     the same losses as a full forward.
     """
     states, actions, rewards = (a[0] for a in trajectory_arrays([traj]))
-    masks = env.bin_masks(traj.alg_id, cfg.M)
+    masks = env.bin_masks(traj.alg_id, params.config.M)
 
     Q0, cache = qmodel.q_values_batch(params, states, actions)
     targets = compute_targets(Q0, rewards, masks, cfg)

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import shlex
@@ -68,6 +70,29 @@ def test_every_default_meets_its_rule(profile):
             assert parsed == value and type(parsed) is type(value), name
 
 
+def test_paper_defaults_are_the_library_defaults():
+    # the paper profile's defaults and the library's are declared apart:
+    # each pair must agree
+    paper = cli.defaults("paper")
+
+    def declared(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    loss, model = declared(training.LossConfig), declared(qmodel.ModelConfig)
+    collect = {name: p.default for name, p
+               in inspect.signature(datasets.collect).parameters.items()}
+    library = {
+        "beta": loss["beta"], "lam": loss["lam"], "gamma": loss["gamma"],
+        "lr": loss["learning_rate"], "wd": loss["weight_decay"],
+        "batch": loss["batch_size"], "epochs": loss["epochs"],
+        "d_model": model["d_model"], "d_state": model["d_state"],
+        "depth": model["depth"], "bins": env.DEFAULT_BINS,
+        "jitter": collect["jitter"], "quantile": collect["quantile"],
+        "calibration": collect["calibration_episodes"],
+        "instance_seed": collect["instance_seed"]}
+    assert {name: paper[name] for name in library} == library
+
+
 def test_readme_commands_parse_and_resolve():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8").replace("\\\n", " ")
@@ -78,7 +103,9 @@ def test_readme_commands_parse_and_resolve():
         args = cli.build_parser().parse_args(
             shlex.split(line, comments=True)[1:])
         cfg = cli.resolve_config(args)
-        assert cfg.command == args.command and cfg.explicit, line
+        given = {k: v for k, v in vars(args).items() if v is not None}
+        assert given.keys() > {"command"}, line
+        assert all(getattr(cfg, k) == v for k, v in given.items()), line
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +208,9 @@ def test_config_file_json_form(tmp_path):
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # "explicit" is an attribute of the resolved config but not a flag
+    # "command" is an attribute of the resolved config but not a flag
     cfgfile = tmp_path / "c.cfg"
-    for key in ("learning_rate_max", "explicit"):
+    for key in ("learning_rate_max", "command"):
         cfgfile.write_text(f"{key} = 1\n")
         rc = run(["collect", "--config", str(cfgfile), "--out",
                   str(tmp_path / "o")])
@@ -798,12 +825,24 @@ def test_eval_checkpoint_config_of_wrong_type_is_one_error_line(tmp_path,
                    f"integer, got 16.0\n")
 
 
-def test_eval_wrong_alg_mismatch_exit1(ckpt_path, tmp_path, capsys):
-    rc = run(["eval", "--ckpt", str(ckpt_path), "--out",
-              str(tmp_path / "o"), "--t", "3", "--runs", "1",
-              "--alg", "1", "--test-functions", "15"])
+def test_eval_reads_alg_from_checkpoint(ckpt_path, tmp_path, capsys):
+    # eval decodes the algorithm the checkpoint records: it has no --alg,
+    # and a checkpoint that records none is an error naming the file
+    with pytest.raises(SystemExit) as exc:
+        run(["eval", "--ckpt", str(ckpt_path), "--alg", "1",
+             "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--alg" in capsys.readouterr().err
+    params, opt, extra = checkpoint.load_checkpoint(ckpt_path)
+    assert extra["alg_id"] == 0
+    bare = tmp_path / "bare.ckpt"
+    checkpoint.save_checkpoint(bare, params, opt=opt,
+                               extra={k: v for k, v in extra.items()
+                                      if k != "alg_id"})
+    rc = run(["eval", "--ckpt", str(bare), "--out", str(tmp_path / "o"),
+              "--t", "3", "--runs", "1", "--test-functions", "15"])
     assert rc == 1
-    assert "K=3" in capsys.readouterr().err
+    assert f"checkpoint {bare} records no alg_id" in capsys.readouterr().err
 
 
 def test_evaluate_policies_rows_do_not_depend_on_workers(ckpt_path):
@@ -890,40 +929,81 @@ def test_ablate_report_shapes(ds_dir, tmp_path):
     assert [int(r[0]) for r in bins[1:]] == [16, 32]
 
 
-@pytest.mark.parametrize("profile, collect_flags, made_want", [
+@pytest.mark.parametrize("profile, collect_flags, made_want, collected", [
     # the dataset at --dim 10, f15 evaluated at the desk profile's dim 5
     ("desk", ["--functions", "4,2", "--dim", "10"],
-     {(4, 10), (2, 10), (15, 5)}),
+     {(4, 10), (2, 10), (15, 5)}, ("scripted_de_schedule", 0)),
     # per-function default dims: f4 at 10, f2 and f15 at 5
-    ("paper", ["--functions", "4,2"], {(4, 10), (2, 5), (15, 5)}),
+    ("paper", ["--functions", "4,2"], {(4, 10), (2, 5), (15, 5)},
+     ("scripted_de_schedule", 0)),
     # two episodes leave f3 without a trajectory: the desk profile's dim
     ("desk", ["--functions", "4,2,3", "--dim", "10"],
-     {(4, 10), (2, 10), (3, 5), (15, 5)}),
-], ids=("dim-flag", "default-dims", "function-without-trajectory"))
+     {(4, 10), (2, 10), (3, 5), (15, 5)}, ("scripted_de_schedule", 0)),
+    # the dataset's exploitation kind and instance seed, not the flags'
+    # defaults
+    ("desk", ["--functions", "2", "--dim", "10", "--policy",
+              "filtered_random", "--instance-seed", "3", "--calibration", "4"],
+     {(2, 10), (15, 5)}, ("filtered_random", 3)),
+], ids=("dim-flag", "default-dims", "function-without-trajectory",
+        "kind-and-instance-seed"))
 def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
-        profile, collect_flags, made_want, tmp_path, monkeypatch):
+        profile, collect_flags, made_want, collected, tmp_path, monkeypatch):
     """The bin sweep recollects each training function at its dim in the
-    dataset and evaluates the test functions at the split's dims, as the
-    other two sweeps do."""
+    dataset, with the dataset's exploitation kind and instance seed, and
+    evaluates the test functions at the split's dims, as the other two
+    sweeps do."""
     ds = tmp_path / "ds"
     assert run(["collect", "--alg", "0", "--mu", "0.5", "--d", "2",
                 "--t", "3", "--seed", "1", "--profile", profile,
                 "--workers", "1", "--out", str(ds)] + collect_flags) == 0
-    made = []
-    real = problems.make_instance
+    made, collects = [], []
+    real_make, real_collect = problems.make_instance, datasets.collect
 
-    def spy(function_id, dim, seed):
+    def spy_make(function_id, dim, seed):
         made.append((function_id, dim))
-        return real(function_id, dim, seed)
+        return real_make(function_id, dim, seed)
 
-    monkeypatch.setattr(problems, "make_instance", spy)
+    def spy_collect(alg_id, split, policies, *args, instance_seed, **kwargs):
+        collects.append((policies[0], instance_seed))
+        return real_collect(alg_id, split, policies, *args,
+                            instance_seed=instance_seed, **kwargs)
+
+    monkeypatch.setattr(problems, "make_instance", spy_make)
+    monkeypatch.setattr(datasets, "collect", spy_collect)
     rc = run(["ablate", "--data", str(ds), "--out", str(tmp_path / "ab"),
               "--epochs", "1", "--batch", "4", "--d-model", "4",
               "--d-state", "2", "--runs", "1", "--t", "3",
               "--test-functions", "15", "--seed", "4", "--profile", profile,
-              "--workers", "1"])
+              "--calibration", "4", "--workers", "1"])
     assert rc == 0
     assert set(made) == made_want
+    assert collects == [collected] * 2
+
+
+def test_ablate_rejects_mixed_instance_seeds(tmp_path, capsys,
+                                             monkeypatch):
+    # the bin sweep recollects at the dataset's one instance seed: a
+    # dataset of two is an error, before any training
+    trajs = []
+    for seed in (0, 3):
+        part = tmp_path / f"s{seed}"
+        assert run(["collect", "--mu", "0", "--d", "1", "--t", "2",
+                    "--functions", "1", "--instance-seed", str(seed),
+                    "--workers", "1", "--out", str(part)]) == 0
+        lines, manifest = datasets.load_dataset(part)
+        trajs += lines
+    manifest.D = manifest.n_exploration = manifest.policy_counts["random"] = 2
+    datasets.write_dataset(tmp_path / "mixed", trajs, manifest)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained")
+
+    monkeypatch.setattr(training, "train", no_training)
+    capsys.readouterr()
+    rc = run(["ablate", "--data", str(tmp_path / "mixed"),
+              "--out", str(tmp_path / "ab")])
+    assert rc == 1
+    assert "or instance seeds {0, 3}" in capsys.readouterr().err
 
 
 def test_ablate_trains_with_wd(ds_dir, tmp_path, monkeypatch):

@@ -414,27 +414,26 @@ def test_select_size_mismatch():
 
 def test_bound_control_examples():
     parent = np.array([[0.0]])
-    assert ea.bound_control(0, np.array([[6.0]]), parent, BOUNDS,
-                            np.random.default_rng(0))[0, 0] == 5.0
-    assert ea.bound_control(3, np.array([[5.0 + 1.25]]), parent, BOUNDS,
-                            np.random.default_rng(0))[0, 0] == pytest.approx(5.0 - 1.25)
-    assert ea.bound_control(2, np.array([[5.0 + 1.25]]), parent, BOUNDS,
-                            np.random.default_rng(0))[0, 0] == pytest.approx(-5.0 + 1.25)
-    assert ea.bound_control(4, np.array([[7.0]]), np.array([[3.0]]), BOUNDS,
-                            np.random.default_rng(0))[0, 0] == pytest.approx(4.0)
-    assert ea.bound_control(4, np.array([[-7.0]]), np.array([[3.0]]), BOUNDS,
-                            np.random.default_rng(0))[0, 0] == pytest.approx(-1.0)
+    cases = [("clip", 6.0, parent, 5.0),
+             ("reflect", 5.0 + 1.25, parent, pytest.approx(5.0 - 1.25)),
+             ("periodic", 5.0 + 1.25, parent, pytest.approx(-5.0 + 1.25)),
+             ("halving", 7.0, np.array([[3.0]]), pytest.approx(4.0)),
+             ("halving", -7.0, np.array([[3.0]]), pytest.approx(-1.0))]
+    for method, x, par, want in cases:
+        assert ea.bound_control(method, np.array([[x]]), par, BOUNDS,
+                                np.random.default_rng(0))[0, 0] == want
 
 
 def test_bound_control_passthrough():
     X = np.random.default_rng(0).uniform(-5, 5, (6, 4))
-    for m in range(5):
+    for m in ea.BOUND_METHODS:
         np.testing.assert_array_equal(
             ea.bound_control(m, X, X * 0.5, BOUNDS, np.random.default_rng(1)), X)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 2**31 - 1), st.floats(1.0, 200.0))
+@given(st.sampled_from(ea.BOUND_METHODS), st.integers(0, 2**31 - 1),
+       st.floats(1.0, 200.0))
 def test_bound_control_always_in_range(method, seed, scale):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-scale, scale, (5, 3))
@@ -444,9 +443,11 @@ def test_bound_control_always_in_range(method, seed, scale):
 
 
 def test_bound_control_bad_method():
-    with pytest.raises(ValueError):
-        ea.bound_control(5, np.zeros((1, 1)), np.zeros((1, 1)), BOUNDS,
-                         np.random.default_rng(0))
+    # a method is named; its index in BOUND_METHODS is not a name
+    for method in ("wrap", 4):
+        with pytest.raises(ValueError, match="unknown bound-control method"):
+            ea.bound_control(method, np.zeros((1, 1)), np.zeros((1, 1)),
+                             BOUNDS, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

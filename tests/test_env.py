@@ -49,7 +49,7 @@ def test_cal_state_matches_scalar_oracle(sphere5):
     bsf_x = rng.uniform(-5, 5, 5)
     bsf_f = fit.min() - 1.0
     st = fake_state(X, fit, bsf_x, bsf_f, t=7, stag=4, improved=False)
-    got = env.cal_state(st, unit_problem(0.0), T=50, f_best_init=0.0)
+    got = env.cal_state(st, unit_problem(0.0), f_best_init=0.0)
     want = reference.cal_state_ref(X.tolist(), fit.tolist(), bsf_x.tolist(),
                                    bsf_f, 7, 50, 4, False)
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -61,20 +61,20 @@ def test_cal_state_normalization(sphere5):
     fit = rng.uniform(10, 60, 8)
     bsf_x, bsf_f = X[0], fit.min()
     st = fake_state(X, fit, bsf_x, bsf_f)
-    raw = env.cal_state(st, unit_problem(100.0), T=50, f_best_init=100.0)
-    nrm = env.cal_state(st, sphere5, T=50, f_best_init=100.0)
+    raw = env.cal_state(st, unit_problem(100.0), f_best_init=100.0)
+    nrm = env.cal_state(st, sphere5, f_best_init=100.0)
     diameter = np.sqrt(5) * 10.0
     assert_allclose(nrm[:3], raw[:3] / diameter, rtol=1e-15)
     assert_allclose(nrm[3:6], raw[3:6] / 100.0, rtol=1e-15)
     assert_array_equal(nrm[6:], raw[6:])
     # degenerate normalizer zeroes the objective features
-    degen = env.cal_state(st, sphere5, T=50, f_best_init=0.0)
+    degen = env.cal_state(st, sphere5, f_best_init=0.0)
     assert_array_equal(degen[3:6], [0.0, 0.0, 0.0])
 
 
 def test_cal_state_fresh_episode_time_features(sphere5):
     st = alg.init_state(0, sphere5, seed=0, horizon=50)
-    s = env.cal_state(st, sphere5, T=50, f_best_init=st.best_f)
+    s = env.cal_state(st, sphere5, f_best_init=st.best_f)
     assert s[6] == 1.0 and s[7] == 0.0 and s[8] == 0.0
 
 
@@ -82,7 +82,7 @@ def test_cal_state_collapsed_population(sphere5):
     X = np.tile([[1.0, 2.0, 0.0, -1.0, 3.0]], (6, 1))
     fit = np.full(6, 15.0)
     st = fake_state(X, fit, X[0], 15.0)
-    s = env.cal_state(st, sphere5, T=50, f_best_init=20.0)
+    s = env.cal_state(st, sphere5, f_best_init=20.0)
     assert s[0] == 0.0 and s[1] == 0.0 and s[5] == 0.0
 
 
@@ -95,14 +95,14 @@ def test_cal_state_rejects_non_finite_feature(sphere5, monkeypatch):
     st = fake_state(X, fit, X[3], fit.min() - 2.0)
     monkeypatch.setattr(env, "_mean_pairwise_distance", lambda X: np.nan)
     with pytest.raises(ValueError, match=r"state feature s1 is not finite"):
-        env.cal_state(st, sphere5, T=50, f_best_init=60.0)
+        env.cal_state(st, sphere5, f_best_init=60.0)
     # s2..s9 come later: an infinite objective value names s4, the first
     # feature it reaches
     monkeypatch.undo()
     fit[5] = np.inf
     with pytest.raises(ValueError, match=r"state feature s4 is not finite"), \
             np.errstate(invalid="ignore"):   # s6, the std, is inf - inf
-        env.cal_state(st, sphere5, T=50, f_best_init=60.0)
+        env.cal_state(st, sphere5, f_best_init=60.0)
 
 
 def test_cal_state_gap_ordering(sphere5):
@@ -110,7 +110,7 @@ def test_cal_state_gap_ordering(sphere5):
     X = rng.uniform(-5, 5, (12, 5))
     fit = rng.uniform(5, 50, 12)
     st = fake_state(X, fit, X[3], fit.min() - 2.0)
-    s = env.cal_state(st, sphere5, T=50, f_best_init=60.0)
+    s = env.cal_state(st, sphere5, f_best_init=60.0)
     assert s[3] >= s[4] >= 0.0
 
 
@@ -124,7 +124,7 @@ def test_cal_state_union_of_sub_pops(sphere5):
     pb = Population(Xb, fb)
     st = alg.AlgorithmState(1, [pa, pb], 1, 50, bsf_x.copy(), bsf_f, 0,
                             False, 0)
-    got = env.cal_state(st, unit_problem(1.0), T=50, f_best_init=1.0)
+    got = env.cal_state(st, unit_problem(1.0), f_best_init=1.0)
     X = np.vstack([Xa, Xb])
     fit = np.concatenate([fa, fb])
     want = reference.cal_state_ref(X.tolist(), fit.tolist(), bsf_x.tolist(),
@@ -145,7 +145,7 @@ def _s1(X):
     rng = np.random.default_rng(X.shape)
     fit = rng.uniform(0, 50, X.shape[0])
     st = fake_state(X, fit, X[0], fit.min())
-    got = env.cal_state(st, unit_problem(0.0), T=50, f_best_init=0.0)
+    got = env.cal_state(st, unit_problem(0.0), f_best_init=0.0)
     return got[0]
 
 
@@ -252,7 +252,7 @@ def test_cal_state_scratch_memory_bounded():
         problem = make_identity_instance(1, dim)
         tracemalloc.start()
         try:
-            env.cal_state(st, problem, T=50, f_best_init=100.0)
+            env.cal_state(st, problem, f_best_init=100.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -262,7 +262,7 @@ def test_cal_state_scratch_memory_bounded():
 def test_cal_state_empty_population_errors(sphere5):
     st = fake_state(np.empty((0, 5)), np.empty(0), np.zeros(5), 0.0)
     with pytest.raises(ValueError):
-        env.cal_state(st, sphere5, T=50, f_best_init=1.0)
+        env.cal_state(st, sphere5, f_best_init=1.0)
 
 
 # ---------------------------------------------------------------------------

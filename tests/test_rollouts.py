@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dacq import cli, env, qmodel, rollouts
+from dacq import cli, env, problems, qmodel, rollouts
 
 #: hand-built (function_id, run, perf, policy) rows: f1 run 0 a model win,
 #: f1 run 1 a tie, f2 run 0 a loss, and f2 run 1 a model row without its
@@ -80,9 +80,13 @@ def test_greedy_policy_checks_dims_and_bins():
     params = qmodel.init_qmodel(
         qmodel.ModelConfig(K=3, M=16, d_model=4, d_state=2), seed=0)
     with pytest.raises(ValueError, match="decodes K=3 dims but algorithm 1"):
-        rollouts.greedy_policy(params, 1, 16)
+        rollouts.greedy_policy(params, 1)
+    # the policy decodes on the model's M; evaluate_policies checks the
+    # bin count it rolls the episodes out on against it, before any runs
     with pytest.raises(ValueError, match="bin count 16 != requested 8"):
-        rollouts.greedy_policy(params, 0, 8)
+        rollouts.evaluate_policies(
+            params, 0, [problems.make_instance(15, 5, seed=0)], runs=1, T=2,
+            n_bins=8, seed=0, workers=1)
 
 
 def test_greedy_policy_carries_its_state_across_steps():
@@ -91,7 +95,7 @@ def test_greedy_policy_carries_its_state_across_steps():
     params = qmodel.init_qmodel(
         qmodel.ModelConfig(K=3, M=16, d_model=4, d_state=2), seed=1)
     states = np.random.default_rng(2).random((4, 9))
-    pol = rollouts.greedy_policy(params, 0, 16)
+    pol = rollouts.greedy_policy(params, 0)
     got = [pol(s, t) for t, s in enumerate(states)]
     masks = env.bin_masks(0, 16).tolist()
     hiddens, prev = params.zero_hidden(), -1

@@ -49,7 +49,8 @@ def test_discretize_half_life():
         b_delta=ssm.softplus_inv(np.array([math.log(2.0)])),
         W_B=one, W_C=one, D_skip=np.zeros(1), W_out=one, b_out=np.zeros(1))
     _, h1, cache = ssm.ssm_forward_sequential(p, one, one)
-    Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix)
+    Abar, _, Bbar = ssm._discretize(cache.delta, -np.exp(p.A_log), cache.Bix,
+                                    np.empty((3, 1, 1, 1)))
     assert_allclose(Abar[0], [[0.5]], rtol=1e-14)
     assert_allclose(Bbar[0], [[0.5]], rtol=1e-14)
     assert_allclose(h1, [[1.0]], rtol=1e-14)
@@ -95,7 +96,9 @@ def test_stable_by_construction():
     x_row = np.random.default_rng(30).normal(size=8) * 3
     xs = np.tile(x_row, (2048, 1))
     _, _, cache = ssm.ssm_forward_sequential(p, None, xs)
-    Abar, _, Bbar = ssm._discretize(cache.delta, ssm._transition(p), cache.Bix)
+    A = ssm._transition(p)
+    Abar, _, Bbar = ssm._discretize(cache.delta, A, cache.Bix,
+                                    np.empty((3, len(xs)) + A.shape))
     hs = reference.ssm_states_ref(cache)
     assert np.all(Abar >= 0.0) and np.all(Abar < 1.0)
     assert Abar.min() == 0.0 and Abar.max() > 1.0 - 1e-9

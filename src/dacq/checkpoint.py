@@ -5,7 +5,8 @@ little-endian uint64 header length, a UTF-8 JSON header (model
 configuration, ordered tensor names + shapes, optimizer step, free-form
 extra dict), then the raw float64 little-endian tensor payloads in header
 order.  Optimizer first/second moments are stored as ``m.<name>`` /
-``v.<name>`` tensors after the parameters.  Round trips are bit-exact.
+``v.<name>`` tensors after the parameters, in their order: the one
+layout ``load_checkpoint`` reads.  Round trips are bit-exact.
 Each field of the header (``_Header``) and of its model config
 (``ModelConfig``) is checked against its declared type by
 ``datasets.read_record``, the rule for every stored record.
@@ -13,6 +14,7 @@ Each field of the header (``_Header``) and of its model config
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -40,10 +42,11 @@ class _Header:
 
 
 def _payload_order(params: QModelParams, opt: AdamWState | None):
+    """(name, array) of every stored tensor, in file order."""
     named = list(params.tensors().items())
     if opt is not None:
-        named += [(f"m.{k}", v) for k, v in opt.m.items()]
-        named += [(f"v.{k}", v) for k, v in opt.v.items()]
+        named += [(f"m.{k}", opt.m[k]) for k in params.tensors()]
+        named += [(f"v.{k}", opt.v[k]) for k in params.tensors()]
     return named
 
 
@@ -68,8 +71,8 @@ def save_checkpoint(path, params: QModelParams,
 
 def load_checkpoint(path):
     """Returns (params, opt_or_None, extra dict).  A file that is not a
-    whole checkpoint of this version, or whose header or tensors do not
-    fit its model config, raises a ValueError naming it."""
+    whole checkpoint of this version in ``save_checkpoint``'s layout for
+    its model config raises a ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -98,31 +101,23 @@ def load_checkpoint(path):
     if header.opt_step is not None:
         opt = AdamWState.for_params(params)
         opt.step = header.opt_step
-    # every tensor the file must hold -> the array it is read into
-    targets = dict(_payload_order(params, opt))
-
-    tensors = {}
+    named = _payload_order(params, opt)
+    want = [[name, list(arr.shape)] for name, arr in named]
+    if header.tensors != want:
+        i, got, exp = next((i, g, w) for i, (g, w) in enumerate(
+            itertools.zip_longest(header.tensors, want)) if g != w)
+        raise ValueError(f"{path}: header tensor {i} is {got}, expected "
+                         f"{exp}")
     offset = _FIXED_HEADER + hlen
-    for name, shape in header.tensors:
-        if name not in targets:
-            raise ValueError(f"{path}: tensor {name} is not defined by the "
-                             f"model config")
-        n = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * n
-        if end > len(raw):
-            raise ValueError(f"{path}: truncated payload at tensor {name}")
-        tensors[name] = np.frombuffer(
-            raw[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
-
-    for name, arr in targets.items():
-        if name not in tensors:
-            raise ValueError(f"{path}: missing tensor {name}")
-        if tensors[name].shape != arr.shape:
-            raise ValueError(f"{path}: tensor {name} has shape "
-                             f"{tensors[name].shape}, expected {arr.shape}")
-        arr[...] = tensors[name]
+    body, size = len(raw) - offset, 8 * sum(arr.size for _, arr in named)
+    if body < size:
+        raise ValueError(f"{path}: truncated payload ({body} of {size} "
+                         f"bytes)")
+    if body > size:
+        raise ValueError(f"{path}: {body - size} trailing bytes")
+    payload = np.frombuffer(raw, dtype="<f8", offset=offset)
+    for _, arr in named:
+        arr[...] = payload[:arr.size].reshape(arr.shape)
+        payload = payload[arr.size:]
     params.bump()
     return params, opt, header.extra

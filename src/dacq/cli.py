@@ -9,8 +9,9 @@ optional ``--config`` file (JSON object or ``key = value`` lines), which
 overrides the profile.  Each setting is one row of ``FLAGS`` holding
 its argparse keywords, its default (by profile where desk and paper
 differ) and its rule; each command lists its flags in ``COMMANDS``.  A
-config-file value goes through its flag's type as the flag's text would;
-one that does not convert or breaks its row's rule is a usage error.
+config-file key must be one of its command's flags, and its value goes
+through the flag's type as the flag's text would; another key, or a
+value that does not convert or breaks its row's rule, is a usage error.
 Set ``DACQ_THREADS`` before the process starts to cap BLAS thread pools
 (applied when the package is imported, and exported again by ``main``
 so child processes inherit it; an ``OPENBLAS_NUM_THREADS``-style
@@ -197,9 +198,11 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
              if k != "command" and v is not None}
     merged = {}
     if given.get("config"):
+        known = set(_SHARED + COMMANDS[args.command][2]) - {"config"}
         for key, value in load_config_file(given["config"]).items():
-            if key not in FLAGS or key == "config":
-                raise UsageError(f"unknown config key {key!r}")
+            if key not in known:
+                raise UsageError(f"unknown config key {key!r} for "
+                                 f"{args.command}")
             merged[key] = _file_value(key, value)
     merged.update(given)
     profile = merged.setdefault("profile", FLAGS["profile"]["default"])
@@ -401,12 +404,9 @@ def cmd_train(cfg) -> int:
         ckpt_path, params, opt=opt,
         extra={"epoch": end_epoch, "alg_id": manifest.alg_id,
                "dataset_checksum": manifest.checksum, "seed": cfg.seed})
-    loss_rows = [(start_epoch + 1 + i, h["loss"], h["bellman_intra"],
-                  h["bellman_td"], h["conservative"])
-                 for i, h in enumerate(history)]
-    write_csv(out / "loss.csv",
-              ("epoch", "loss", "bellman_intra", "bellman_td",
-               "conservative"), loss_rows)
+    write_csv(out / "loss.csv", ("epoch", *history[0]),
+              [(start_epoch + 1 + i, *h.values())
+               for i, h in enumerate(history)])
     print(f"trained epochs {start_epoch + 1}..{end_epoch} on "
           f"{manifest.D} trajectories in {elapsed:.1f}s")
     print(f"final loss: {history[-1]['loss']:.6g}")

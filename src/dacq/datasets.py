@@ -246,32 +246,6 @@ def validate_trajectory(traj: Trajectory, where: str = "trajectory"):
         fail(f"cumulative reward {traj.perf!r} exceeds 1")
 
 
-def _parse_lines(lines, validate: bool):
-    """(line number, trajectory) per non-blank line; errors name the line."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") \
-                from None
-        try:
-            traj = trajectory_from_obj(obj)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if validate:
-            validate_trajectory(traj, where=f"line {lineno}")
-        yield lineno, traj
-
-
-def read_trajectories(path, validate: bool = True):
-    """Parse a line-delimited trajectory file; errors carry line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [traj for _, traj in _parse_lines(fh, validate)]
-
-
 def _jsonl(trajs) -> bytes:
     """The canonical ``trajectories.jsonl`` bytes of trajs."""
     return "".join(serialize_trajectory(t) + "\n" for t in trajs) \
@@ -303,7 +277,8 @@ def write_dataset(out_dir, trajs, manifest: DatasetManifest):
 
 def load_dataset(dataset_dir, validate: bool = True):
     """Read (trajectories, manifest), verifying checksum, version, counts
-    and that each line has the manifest's alg_id, K, M, T and train_ids.
+    and that each line has the manifest's alg_id, K, M, T and train_ids
+    (and, if ``validate``, ``validate_trajectory``); errors name the line.
 
     The trajectory file is read once; the parsed lines are the bytes
     whose checksum was verified."""
@@ -319,7 +294,18 @@ def load_dataset(dataset_dir, validate: bool = True):
     agreed = {k: getattr(manifest, k) for k in ("alg_id", "K", "M", "T")}
     trajs = []
     with io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8") as lines:
-        for lineno, traj in _parse_lines(lines, validate):
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                traj = trajectory_from_obj(json.loads(line.strip()))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") \
+                    from None
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if validate:
+                validate_trajectory(traj, where=f"line {lineno}")
             for key, want in agreed.items():
                 if getattr(traj, key) != want:
                     raise ValueError(f"line {lineno}: field {key!r} is "

@@ -17,7 +17,6 @@ import numpy as np
 
 DE_VARIANTS = ("current_to_rand_1", "best_2", "rand_2", "current_to_best_1")
 CROSSOVER_VARIANTS = ("exponential", "mpx", "binomial", "sbx")
-GA_MUTATIONS = ("gaussian", "polynomial")
 SELECTIONS = ("greedy_pairwise", "roulette", "tournament")
 BOUND_METHODS = ("clip", "rand", "periodic", "reflect", "halving")
 

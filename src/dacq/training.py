@@ -234,8 +234,7 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     with env.fork_pool(n, (states, actions, rewards, masks, cfg)) as pmap:
         for epoch in range(1, cfg.epochs + 1):
             order = rng.permutation(D)
-            tallies = {"loss": 0.0, "bellman_intra": 0.0, "bellman_td": 0.0,
-                       "conservative": 0.0}
+            tallies = {}   # "loss", then q_loss_batch's components
             for step, start in enumerate(range(0, D, cfg.batch_size), 1):
                 idx = order[start:start + cfg.batch_size]
                 jobs = [(params, part, len(idx))
@@ -255,10 +254,10 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
                            weight_decay=cfg.weight_decay)
                 comps = {k: np.array([c[k] for _, c in per_traj])
                          for k in per_traj[0][1]}
-                w = len(idx)
-                tallies["loss"] += float(sum(comps.values()).mean()) * w
-                for k, v in comps.items():
-                    tallies[k] += float(v.mean()) * w
+                means = {"loss": sum(comps.values()).mean(),
+                         **{k: v.mean() for k, v in comps.items()}}
+                for k, v in means.items():
+                    tallies[k] = tallies.get(k, 0.0) + float(v) * len(idx)
             history.append({k: v / D for k, v in tallies.items()})
             if not np.isfinite(history[-1]["loss"]):
                 raise FloatingPointError("training loss diverged")
@@ -391,11 +390,6 @@ def _frozen_loss(params, states, actions, rewards, masks, cfg, targets):
     return loss
 
 
-#: parameters applied after the residual stack, so perturbing one of them
-#: leaves the stack's output unchanged
-_HEAD_TENSORS = ("W_proj", "b_proj", "W_head", "b_head")
-
-
 def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     """Central finite differences vs the analytic semi-gradient.
 
@@ -410,9 +404,7 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     its leaky ReLUs' kink).  Each error |g - fd| is first reduced by the
     FD rounding floor eps*|loss|/h (5x that for 2 fd(h/2) - fd(h)), the
     error a central difference of a loss rounded to eps*|loss| can show
-    on an exact gradient.  A head coordinate's FD losses reuse the
-    unperturbed stack output and recompute only the heads, which gives
-    the same losses as a full forward.
+    on an exact gradient.
     """
     states, actions, rewards = (a[0] for a in trajectory_arrays([traj]))
     masks = env.bin_masks(traj.alg_id, params.config.M)
@@ -425,20 +417,16 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     h = 1e-4
     floor = np.finfo(np.float64).eps * abs(loss) / h
 
-    def frozen_loss(head_only):
-        if not head_only:
-            return _frozen_loss(params, states, actions, rewards, masks, cfg,
-                                targets)
-        Q = qmodel._heads(params, cache.Y)[0].reshape(Q0.shape)
-        return q_loss_batch(Q, actions, rewards, masks, cfg,
-                            targets=targets)[0]
+    def frozen_loss():
+        return _frozen_loss(params, states, actions, rewards, masks, cfg,
+                            targets)
 
-    def central(flat, i, step, head_only):
+    def central(flat, i, step):
         orig = flat[i]
         flat[i] = orig + step
-        up = frozen_loss(head_only)
+        up = frozen_loss()
         flat[i] = orig - step
-        dn = frozen_loss(head_only)
+        dn = frozen_loss()
         flat[i] = orig
         return (up - dn) / (2 * step)
 
@@ -446,13 +434,12 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
     worst_coord = None
     checked = skipped = 0
     for name, arr in params.tensors().items():
-        head_only = name in _HEAD_TENSORS
         g = grads[name].ravel()
         flat = arr.ravel()
         for i in range(flat.size):
-            fd, tol = central(flat, i, h, head_only), floor
+            fd, tol = central(flat, i, h), floor
             if abs(g[i]) <= 1e-6 < abs(fd):
-                fd = 2 * central(flat, i, h / 2, head_only) - fd
+                fd = 2 * central(flat, i, h / 2) - fd
                 tol = 5 * floor
             if not (np.isfinite(g[i]) and np.isfinite(fd)):
                 rel = np.inf

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -216,6 +217,22 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
                   str(tmp_path / "o")])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "alg", "1"), ("eval", "policy", '"filtered_random"'),
+    ("eval", "epochs", "7"), ("ablate", "policy", '"filtered_random"')])
+def test_config_key_of_another_command_is_usage_error(tmp_path, capsys,
+                                                      command, key, value):
+    # a setting the command does not read is named, not ignored
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    rc = run([command, "--config", str(cfgfile), "--out",
+              str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"usage error: unknown config key "
+                                       f"{key!r} for {command}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name, text, key", [
@@ -1030,6 +1047,10 @@ def test_verify_fresh_build_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 4
+    # every coordinate of verify's model is rated, all through the full
+    # forward pass
+    assert re.search(r"PASS  grad_check: max rel err \S+ on 1144 coords\n",
+                     out), out
 
 
 def test_verify_injected_gradient_sign_error_fails(monkeypatch, capsys):

@@ -9,8 +9,7 @@ import pytest
 
 from dacq import algorithms, datasets, env, problems, rollouts
 from dacq.datasets import (DatasetManifest, collect, filter_threshold,
-                           load_dataset, read_trajectories,
-                           serialize_trajectory)
+                           load_dataset, serialize_trajectory)
 from dacq.rollouts import exploitation_policy, random_policy
 
 S0 = np.zeros(9)
@@ -312,17 +311,29 @@ def test_collect_scripted_constant_deterministic():
 # serialization
 # ---------------------------------------------------------------------------
 
-def write_trajectories(path, trajs):
-    """Write trajs as a canonical trajectory file."""
-    Path(path).write_bytes(datasets._jsonl(trajs))
+def write_lines(root, trajs, lines=None):
+    """A dataset in root whose trajectory file holds lines (by default
+    trajs' canonical lines), under a manifest that agrees with trajs, the
+    episodes the lines were written from."""
+    if lines is None:
+        lines = [serialize_trajectory(t) for t in trajs]
+    payload = "".join(line + "\n" for line in lines).encode("utf-8")
+    n_exploit = sum(t.policy_id != "random" for t in trajs)
+    datasets._write_files(root, payload, DatasetManifest(
+        format_version=datasets.FORMAT_VERSION, alg_id=trajs[0].alg_id,
+        K=trajs[0].K, M=trajs[0].M, T=trajs[0].T, D=len(trajs),
+        mu=n_exploit / len(trajs), seed=0, n_exploitation=n_exploit,
+        n_exploration=len(trajs) - n_exploit,
+        policy_counts=datasets._policy_counts(trajs),
+        checksum=datasets._checksum(payload),
+        train_ids=sorted({t.function_id for t in trajs})))
 
 
 def test_round_trip_bit_exact(tmp_path):
     trajs, _ = collect(1, tiny_split(), ("scripted_de_schedule", "random"),
                        mu=0.5, D=4, T=3, seed=41)
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, trajs)
-    back = read_trajectories(path)
+    write_lines(tmp_path, trajs)
+    back, _ = load_dataset(tmp_path)
     assert len(back) == len(trajs)
     for a, b in zip(trajs, back):
         assert serialize_trajectory(a) == serialize_trajectory(b)
@@ -336,12 +347,11 @@ def test_round_trip_bit_exact(tmp_path):
 def test_truncated_final_line_reports_index(tmp_path):
     trajs, _ = collect(0, tiny_split(), ("scripted_de_schedule", "random"),
                        mu=0.0, D=4, T=3, seed=42)
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, trajs)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-10])
+    lines = [serialize_trajectory(t) for t in trajs]
+    lines[-1] = lines[-1][:-9]
+    write_lines(tmp_path, trajs, lines)
     with pytest.raises(ValueError, match="line 4"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def _hand_trajectory(rewards, bsfs, f0=1.0, fstar=0.0, M=16):
@@ -357,62 +367,55 @@ def _hand_trajectory(rewards, bsfs, f0=1.0, fstar=0.0, M=16):
 def test_reader_rejects_cumulative_reward_above_one(tmp_path):
     # consistent per-step rewards, but the final best undershoots f_star
     bad = _hand_trajectory(rewards=[0.5, 1.0], bsfs=[0.5, -0.5])
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [bad])
+    write_lines(tmp_path, [bad])
     with pytest.raises(ValueError, match=r"line 1.*cumulative reward"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_rejects_inconsistent_reward(tmp_path):
     bad = _hand_trajectory(rewards=[0.5 + 1e-6, 0.25], bsfs=[0.5, 0.25])
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [bad])
+    write_lines(tmp_path, [bad])
     with pytest.raises(ValueError, match=r"line 1.*inconsistent"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_accepts_reward_noise_below_tolerance(tmp_path):
     ok = _hand_trajectory(rewards=[0.5 + 1e-10, 0.25], bsfs=[0.5, 0.25])
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [ok])
-    assert len(read_trajectories(path)) == 1
+    write_lines(tmp_path, [ok])
+    assert len(load_dataset(tmp_path)[0]) == 1
 
 
 def test_reader_rejects_wrong_step_count(tmp_path):
     bad = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
     bad.T = 3
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [bad])
+    write_lines(tmp_path, [bad])
     with pytest.raises(ValueError, match=r"line 1.*expected T=3"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_rejects_out_of_range_bin(tmp_path):
     bad = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
     bad.steps[0].actions = np.array([0, 16, 0], dtype=np.int64)
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [bad])
+    write_lines(tmp_path, [bad])
     with pytest.raises(ValueError, match=r"line 1.*bin 16"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_rejects_non_integral_bin(tmp_path):
-    obj = datasets.trajectory_to_obj(
-        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
+    obj = datasets.trajectory_to_obj(good)
     obj["steps"][0]["a"] = [3.7, 1, 2]
-    path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    write_lines(tmp_path, [good], [json.dumps(obj)])
     with pytest.raises(ValueError, match=r"line 1: step 0: field 'a'.*3\.7"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_accepts_integral_float_bin(tmp_path):
-    obj = datasets.trajectory_to_obj(
-        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
+    obj = datasets.trajectory_to_obj(good)
     obj["steps"][0]["a"] = [3.0, 1, 2]
-    path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    (traj,) = read_trajectories(path)
+    write_lines(tmp_path, [good], [json.dumps(obj)])
+    (traj,), _ = load_dataset(tmp_path)
     assert traj.steps[0].actions.dtype == np.int64
     assert traj.steps[0].actions.tolist() == [3, 1, 2]
 
@@ -432,21 +435,19 @@ def _nan_in(traj, field):
 def test_reader_rejects_non_finite_number(tmp_path, field):
     bad = _hand_trajectory(rewards=[0.5, 0.25], bsfs=[0.5, 0.25])
     _nan_in(bad, field)
-    path = tmp_path / "t.jsonl"
-    write_trajectories(path, [bad])
+    write_lines(tmp_path, [bad])
     with pytest.raises(ValueError,
                        match=rf"line 1: .*field '{field}' is not finite"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def test_reader_missing_field(tmp_path):
     good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
     obj = datasets.trajectory_to_obj(good)
     del obj["f_star"]
-    path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    write_lines(tmp_path, [good], [json.dumps(obj)])
     with pytest.raises(ValueError, match=r"line 1.*f_star"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 def _drop(key):
@@ -505,24 +506,22 @@ MALFORMED = {
 @pytest.mark.parametrize("case", MALFORMED)
 def test_reader_names_line_and_field_of_malformed_trajectory(tmp_path, case):
     edit, message = MALFORMED[case]
-    obj = datasets.trajectory_to_obj(
-        _hand_trajectory(rewards=[0.5], bsfs=[0.5]))
+    good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
+    obj = datasets.trajectory_to_obj(good)
     edit(obj)
-    path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    write_lines(tmp_path, [good], [json.dumps(obj)])
     with pytest.raises(ValueError, match=message):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("line", ["5", "[1]", '"x"', "null"])
 def test_reader_rejects_non_object_line(tmp_path, line):
-    good = serialize_trajectory(_hand_trajectory(rewards=[0.5], bsfs=[0.5]))
-    path = tmp_path / "t.jsonl"
-    path.write_text(f"{good}\n{line}\n", encoding="utf-8")
+    good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
+    write_lines(tmp_path, [good, good], [serialize_trajectory(good), line])
     with pytest.raises(ValueError,
                        match=rf"line 2: bad trajectory: not a JSON object: "
                              rf"{re.escape(repr(json.loads(line)))}$"):
-        read_trajectories(path)
+        load_dataset(tmp_path)
 
 
 # ---------------------------------------------------------------------------

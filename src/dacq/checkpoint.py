@@ -4,9 +4,9 @@ Layout: an 8-byte magic, a little-endian uint32 format version, a
 little-endian uint64 header length, a UTF-8 JSON header (model
 configuration, ordered tensor names + shapes, optimizer step, free-form
 extra dict), then the raw float64 little-endian tensor payloads in header
-order.  Optimizer first/second moments are stored as ``m.<name>`` /
-``v.<name>`` tensors after the parameters, in their order: the one
-layout ``load_checkpoint`` reads.  Round trips are bit-exact.
+order.  Every checkpoint holds the AdamW first/second moments, stored as
+``m.<name>`` / ``v.<name>`` tensors after the parameters, in their order:
+the one layout ``load_checkpoint`` reads.  Round trips are bit-exact.
 Each field of the header (``_Header``) and of its model config
 (``ModelConfig``) is checked against its declared type by
 ``datasets.read_record``, the rule for every stored record.
@@ -37,28 +37,24 @@ _FIXED_HEADER = 20
 class _Header:
     config: dict        # a ModelConfig, read the same way
     tensors: list[tuple[str, list[int]]]
-    opt_step: int | None
+    opt_step: int
     extra: dict
 
 
-def _payload_order(params: QModelParams, opt: AdamWState | None):
+def _payload_order(params: QModelParams, opt: AdamWState):
     """(name, array) of every stored tensor, in file order."""
-    named = list(params.tensors().items())
-    if opt is not None:
-        named += [(f"m.{k}", opt.m[k]) for k in params.tensors()]
-        named += [(f"v.{k}", opt.v[k]) for k in params.tensors()]
-    return named
+    return (list(params.tensors().items())
+            + [(f"m.{k}", opt.m[k]) for k in params.tensors()]
+            + [(f"v.{k}", opt.v[k]) for k in params.tensors()])
 
 
-def save_checkpoint(path, params: QModelParams,
-                    opt: AdamWState | None = None,
+def save_checkpoint(path, params: QModelParams, opt: AdamWState,
                     extra: dict | None = None) -> None:
     named = _payload_order(params, opt)
     header = _Header(
         config=asdict(params.config),
         tensors=[[name, list(arr.shape)] for name, arr in named],
-        opt_step=None if opt is None else int(opt.step),
-        extra=extra or {})
+        opt_step=int(opt.step), extra=extra or {})
     hbytes = json.dumps(asdict(header), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -70,7 +66,7 @@ def save_checkpoint(path, params: QModelParams,
 
 
 def load_checkpoint(path):
-    """Returns (params, opt_or_None, extra dict).  A file that is not a
+    """Returns (params, opt, extra dict).  A file that is not a
     whole checkpoint of this version in ``save_checkpoint``'s layout for
     its model config raises a ValueError naming it."""
     raw = Path(path).read_bytes()
@@ -97,10 +93,8 @@ def load_checkpoint(path):
         params = init_qmodel(config, seed=0)
     except ValueError as exc:
         raise ValueError(f"{path}: bad model config: {exc}") from None
-    opt = None
-    if header.opt_step is not None:
-        opt = AdamWState.for_params(params)
-        opt.step = header.opt_step
+    opt = AdamWState.for_params(params)
+    opt.step = header.opt_step
     named = _payload_order(params, opt)
     want = [[name, list(arr.shape)] for name, arr in named]
     if header.tensors != want:

@@ -59,6 +59,10 @@ def _ids(text) -> tuple:
 
 PROFILES = ("desk", "paper")
 
+#: the ``decomposition`` check's bound on the value gap between joint and
+#: decomposed value iteration
+DECOMPOSITION_TOL = 1e-8
+
 #: objective features s4-s6 are divided by ``f_best_init - f_star`` but
 #: not bounded; a function whose s4-s6 exceed this on any step is named
 #: in a ``collect`` warning, as such scales have blown up training losses
@@ -91,13 +95,6 @@ FLAGS = {
     "policy": dict(type=str, choices=datasets.EXPLOITATION_KINDS,
                    default="scripted_de_schedule",
                    help="exploitation policy kind"),
-    "quantile": dict(type=float, default=0.5, lo=0, hi=1,
-                     help="return quantile of the calibration episodes that "
-                          "filtered_random and scripted_constant must beat"),
-    "calibration": dict(type=int, default=100, lo=1,
-                        help="number of calibration episodes for "
-                             "filtered_random and scripted_constant"),
-    "jitter": dict(type=float, default=0.02, lo=0),
     "epochs": dict(type=int, default=dict(desk=100, paper=300), lo=1),
     "batch": dict(type=int, default=dict(desk=32, paper=64), lo=1),
     "lr": dict(type=float, default=5e-3, lo=0),
@@ -110,7 +107,6 @@ FLAGS = {
     "depth": dict(type=int, default=1, lo=1),
     "runs": dict(type=int, default=19, lo=1),
     "mdps": dict(type=int, default=100, lo=1),
-    "tol_decomp": dict(type=float, default=1e-8, gt=0),
     "scan_seeds": dict(type=int, default=20, lo=1),
     "instance_seed": dict(type=int, default=0, lo=0),
     "workers": dict(type=int, lo=1,
@@ -325,9 +321,7 @@ def cmd_collect(cfg) -> int:
     trajs, manifest = datasets.collect(
         cfg.alg, split, (cfg.policy, "random"), cfg.mu, cfg.d, cfg.t,
         cfg.seed, out_dir=out, n_bins=cfg.bins,
-        instance_seed=cfg.instance_seed, jitter=cfg.jitter,
-        quantile=cfg.quantile, calibration_episodes=cfg.calibration,
-        workers=cfg.workers)
+        instance_seed=cfg.instance_seed, workers=cfg.workers)
     rows = [(t.function_id, e, t.perf, t.policy_id)
             for e, t in enumerate(trajs)]
     summary = _log_rollouts("collect", rows, time.perf_counter() - t0,
@@ -379,7 +373,7 @@ def cmd_train(cfg) -> int:
     trajs, manifest = datasets.load_dataset(cfg.data)
     _print_exploitation_note(manifest.policy_counts)
 
-    start_epoch, opt = 0, None
+    start_epoch = 0
     if cfg.resume:
         params, opt, extra = checkpoint.load_checkpoint(cfg.resume)
         start_epoch = int(extra.get("epoch", 0))
@@ -388,7 +382,6 @@ def cmd_train(cfg) -> int:
     else:
         params = qmodel.init_qmodel(_model_config(cfg, manifest),
                                     seed=[cfg.seed, 0])
-    if opt is None:   # fresh, or resumed from a file without moments
         opt = training.AdamWState.for_params(params)
 
     loss_cfg = _loss_config(cfg, params.config, cfg.lam, cfg.beta)
@@ -519,8 +512,9 @@ def cmd_ablate(cfg) -> int:
     write_csv(out / "ablate_mu.csv",
               ("mu", "d_used", "mean_perf", "std_perf"), mu_rows)
 
-    # action-bin sweep: recollect at each M as the dataset was (cfg gives
-    # the jitter, quantile and calibration it does not record), each
+    # action-bin sweep: recollect at each M as the dataset was, from its
+    # recorded settings and the fixed rollouts.SCHEDULE_JITTER,
+    # datasets.FILTER_QUANTILE and datasets.CALIBRATION_EPISODES, each
     # training function at its dim in it (else the split's), and evaluate
     bin_rows = []
     csplit = problems.ProblemSplit(
@@ -530,9 +524,7 @@ def cmd_ablate(cfg) -> int:
         sub_trajs, sub_man = datasets.collect(
             manifest.alg_id, csplit, (kind, "random"), manifest.mu,
             manifest.D, manifest.T, cfg.seed + 1000 + M, n_bins=M,
-            instance_seed=instance_seed, jitter=cfg.jitter,
-            quantile=cfg.quantile, calibration_episodes=cfg.calibration,
-            workers=cfg.workers)
+            instance_seed=instance_seed, workers=cfg.workers)
         bin_rows.append((M, *_train_eval_once(
             sub_trajs, sub_man, cfg, split, cfg.lam, cfg.beta, 30 + b,
             f"bins M={M}")))
@@ -573,11 +565,10 @@ def _verify_decomposition(cfg):
         mdp = training.random_tabular_mdp(
             rng, n_states=int(rng.integers(2, 5)),
             K=int(rng.integers(1, 4)), M=int(rng.integers(2, 4)), gamma=0.9)
-        rep = training.verify_decomposition(mdp, tol=cfg.tol_decomp)
+        rep = training.verify_decomposition(mdp, tol=DECOMPOSITION_TOL)
         worst_gap = max(worst_gap, rep["max_value_gap"])
         agree = agree and rep["passed"]
-    return (agree and worst_gap <= cfg.tol_decomp,
-            f"max value gap {worst_gap:.3e} over {cfg.mdps} MDPs")
+    return agree, f"max value gap {worst_gap:.3e} over {cfg.mdps} MDPs"
 
 
 def _verify_grad_check(cfg):
@@ -693,16 +684,15 @@ def cmd_verify(cfg) -> int:
 
 _SHARED = ("seed", "out", "profile", "config")
 
-#: the flags that train and ablate share, and that collect and ablate share
+#: the flags that train and ablate share
 _TRAINING = ("epochs", "batch", "lr", "wd", "beta", "lam", "gamma",
              "d_model", "d_state", "depth")
-_COLLECTION = ("quantile", "calibration", "jitter", "instance_seed")
 
 #: command -> (run function, help, its flags after the shared ones)
 COMMANDS = {
     "collect": (cmd_collect, "collect a mu-mixed dataset",
                 ("alg", "mu", "d", "t", "bins", "dim", "functions", "policy",
-                 *_COLLECTION, "workers")),
+                 "instance_seed", "workers")),
     "train": (cmd_train, "train the decomposed Q-model",
               ("data", "resume", *_TRAINING, "workers")),
     "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
@@ -711,10 +701,10 @@ COMMANDS = {
               "workers")),
     "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
                ("data", *_TRAINING, "runs", "t", "dim", "test_functions",
-                *_COLLECTION, "workers")),
+                "instance_seed", "workers")),
     "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "
                            "any failure)",
-               ("data", "mdps", "tol_decomp", "scan_seeds")),
+               ("data", "mdps", "scan_seeds")),
 }
 
 

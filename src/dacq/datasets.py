@@ -48,6 +48,12 @@ EXPLOITATION_KINDS = ("scripted_de_schedule", "scripted_constant",
 #: ``filtered_random`` gives up after this many attempts per episode it keeps
 MAX_ATTEMPT_FACTOR = 50
 
+#: the two filtered kinds first play this many calibration episodes and
+#: keep only what beats this quantile of their returns; no dataset records
+#: either, so they are fixed here
+CALIBRATION_EPISODES = 100
+FILTER_QUANTILE = 0.5
+
 
 # ---------------------------------------------------------------------------
 # stored records: manifests, trajectory lines, checkpoint headers
@@ -163,16 +169,6 @@ def trajectory_to_obj(traj: Trajectory) -> dict:
     return obj
 
 
-def _bins(a: list) -> np.ndarray:
-    bins = np.asarray(a)
-    if bins.dtype != np.int64:
-        if bins.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(bins) & (bins == np.trunc(bins))):
-            raise ValueError(f"field 'a' holds a non-integral bin: {a!r}")
-        bins = bins.astype(np.int64)
-    return bins
-
-
 def trajectory_from_obj(obj) -> Trajectory:
     """A parsed line's Trajectory: fields by read_record, steps by _field."""
     traj = read_record(Trajectory, obj, "trajectory")
@@ -183,10 +179,11 @@ def trajectory_from_obj(obj) -> Trajectory:
         try:
             steps.append(StepRecord(
                 state=np.asarray(_field(st, "s", "list[float]"), float),
-                actions=_bins(_field(st, "a", "list[float]")),
+                actions=np.asarray(_field(st, "a", "list[int]"), np.int64),
                 reward=float(_field(st, "r", "float")),
                 best_so_far_f=float(_field(st, "bsf", "float"))))
-        except ValueError as exc:
+        # OverflowError: an integer beyond int64 ('a') or float range
+        except (OverflowError, ValueError) as exc:
             raise ValueError(f"step {t}: {exc}") from None
     traj.steps = steps
     return traj
@@ -351,8 +348,7 @@ def _above(threshold, job):
 def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
             D: int, T: int, seed: int, out_dir=None,
             n_bins: int = DEFAULT_BINS, instance_seed: int = 0,
-            jitter: float = 0.02, quantile: float = 0.5,
-            calibration_episodes: int = 100, workers=None):
+            workers=None):
     """Collect a mu-mixed offline dataset.
 
     ``policies`` is ``(exploitation_kind, "random")``.  The first
@@ -361,9 +357,9 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     order.  Returns (trajectories, manifest); also writes
     ``trajectories.jsonl`` + ``manifest.json`` when out_dir is given.
 
-    ``quantile`` and ``calibration_episodes`` apply to the two filtered
-    kinds.  Both first run ``calibration_episodes`` calibration episodes
-    and take the ``quantile`` of their returns as the threshold.
+    The two filtered kinds first run ``CALIBRATION_EPISODES`` calibration
+    episodes and take the ``FILTER_QUANTILE`` of their returns as the
+    threshold.
     ``filtered_random`` calibrates on random episodes, then keeps the
     first ``round(mu*D)`` fresh random episodes whose return is strictly
     above the threshold, out of at most
@@ -374,7 +370,8 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     ``pool[e % len(pool)]`` in calibration order.  Either kind raises
     RuntimeError when it cannot fill its episodes (an empty pool, or too
     few kept random episodes); it never falls back to unfiltered ones.
-    ``scripted_de_schedule`` ignores both parameters.
+    ``scripted_de_schedule`` plays ``rollouts.exploitation_policy``, whose
+    jitter is ``rollouts.SCHEDULE_JITTER``.
 
     Episodes run through ``env.run_episodes`` on ``workers`` processes
     (None: every CPU this process may use); the result does not depend on
@@ -418,26 +415,26 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         trajs = env.run_episodes(
             [job(_NS_MAIN, e, functools.partial(
                      rollouts.exploitation_policy, alg_id,
-                     seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins,
-                     jitter=jitter), exploit_kind)
+                     seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins),
+                 exploit_kind)
              for e in range(n_exploit)] + explore, workers)
     elif exploit_kind == "scripted_constant":
         specs = algorithms.alg_spec(alg_id)
         cands = [rollouts.constant_setting(
                      np.random.default_rng([seed, _NS_CAL, i, 1]),
                      specs, n_bins)
-                 for i in range(calibration_episodes)]
+                 for i in range(CALIBRATION_EPISODES)]
         perfs = [t.perf for t in env.run_episodes(
                      [job(_NS_CAL, i, functools.partial(rollouts.hold, c),
                           exploit_kind) for i, c in enumerate(cands)],
                      workers)]
-        threshold = filter_threshold(perfs, quantile)
+        threshold = filter_threshold(perfs, FILTER_QUANTILE)
         pool = [c for c, f in zip(cands, perfs) if f > threshold]
         if not pool:
             raise RuntimeError(
                 f"scripted_constant pool is empty: no setting of "
-                f"{calibration_episodes} calibration episodes beat the "
-                f"quantile {quantile} threshold {threshold}")
+                f"{CALIBRATION_EPISODES} calibration episodes beat the "
+                f"quantile {FILTER_QUANTILE} threshold {threshold}")
         trajs = env.run_episodes(
             [job(_NS_MAIN, e,
                  functools.partial(rollouts.hold, pool[e % len(pool)]),
@@ -447,9 +444,9 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
         # threshold, so they share the calibration's map
         ran = env.run_episodes(
             [random_job(_NS_CAL, i, "random")
-             for i in range(calibration_episodes)] + explore, workers)
+             for i in range(CALIBRATION_EPISODES)] + explore, workers)
         threshold = filter_threshold(
-            [t.perf for t in ran[:calibration_episodes]], quantile)
+            [t.perf for t in ran[:CALIBRATION_EPISODES]], FILTER_QUANTILE)
         max_attempts = MAX_ATTEMPT_FACTOR * n_exploit
         passed = 0
 
@@ -469,7 +466,7 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                 f"filtered_random kept only {len(kept)}/{n_exploit} "
                 f"episodes after {max_attempts} attempts "
                 f"(threshold {threshold})")
-        trajs = kept + ran[calibration_episodes:]
+        trajs = kept + ran[CALIBRATION_EPISODES:]
 
     payload = _jsonl(trajs)
     manifest = DatasetManifest(

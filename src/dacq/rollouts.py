@@ -21,6 +21,10 @@ import numpy as np
 from . import algorithms, env, qmodel
 from .env import DEFAULT_BINS
 
+#: std of the Gaussian jitter on each continuous setting of the scripted
+#: DE schedule; no dataset records it, so it is fixed here
+SCHEDULE_JITTER = 0.02
+
 
 def random_policy(alg_id: int, seed, n_bins: int = DEFAULT_BINS):
     """Uniform behavior: each decision draws a bin from [0, m_i)."""
@@ -59,11 +63,12 @@ def hold(bins: np.ndarray):
 
 
 def exploitation_policy(alg_id: int, seed, T: int,
-                        n_bins: int = DEFAULT_BINS, jitter: float = 0.02):
+                        n_bins: int = DEFAULT_BINS):
     """The ``scripted_de_schedule`` behavior: a known-good DE heuristic on
     the bin grid.  F-like dims (and sigma) anneal from 0.9 toward 0.3
-    across the episode with small seeded Gaussian jitter, Cr-like dims
-    hold at 0.9, and discrete dims keep a fixed seeded preference.
+    across the episode, Cr-like dims hold at 0.9, and every continuous
+    setting takes seeded Gaussian jitter of std ``SCHEDULE_JITTER``;
+    discrete dims keep a fixed seeded preference.
     """
     specs = algorithms.alg_spec(alg_id)
     rng = np.random.default_rng(seed)
@@ -82,8 +87,7 @@ def exploitation_policy(alg_id: int, seed, T: int,
                 v = 0.9
             else:  # F-like dims and sigma anneal toward 0.3
                 v = 0.9 - 0.6 * frac
-            if jitter > 0.0:
-                v += rng.normal(0.0, jitter)
+            v += rng.normal(0.0, SCHEDULE_JITTER)
             bins[i] = env.nearest_bin(min(max(v, 0.0), 1.0), n_bins)
         return bins
 

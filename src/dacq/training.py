@@ -432,7 +432,7 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
 
     worst = 0.0
     worst_coord = None
-    checked = skipped = 0
+    checked = 0
     for name, arr in params.tensors().items():
         g = grads[name].ravel()
         flat = arr.ravel()
@@ -447,10 +447,9 @@ def grad_check(params: qmodel.QModelParams, traj, cfg: LossConfig) -> dict:
                 rel = (max(abs(g[i] - fd) - tol, 0.0)
                        / max(abs(g[i]), abs(fd)))
             else:
-                skipped += 1
                 continue
             checked += 1
             if rel > worst:
                 worst, worst_coord = rel, (name, i)
     return {"max_rel_error": worst, "worst_coord": worst_coord,
-            "checked": checked, "skipped_small": skipped}
+            "checked": checked}

@@ -13,12 +13,19 @@ def make_params(seed=0):
     return params
 
 
+def save(path, params):
+    """Save params with fresh AdamW moments; every checkpoint holds them."""
+    checkpoint.save_checkpoint(path, params,
+                               training.AdamWState.for_params(params))
+
+
 def test_round_trip_bit_exact(tmp_path):
     params = make_params(1)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     back, opt, extra = checkpoint.load_checkpoint(path)
-    assert opt is None and extra == {}
+    assert opt.step == 0 and extra == {}
+    assert all(not a.any() for a in [*opt.m.values(), *opt.v.values()])
     assert back.config == params.config
     for name, arr in params.tensors().items():
         assert np.array_equal(arr, back.tensors()[name]), name
@@ -46,7 +53,7 @@ def test_round_trip_with_optimizer_and_extra(tmp_path):
 def test_loaded_model_produces_identical_outputs(tmp_path):
     params = make_params(3)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     back, _, _ = checkpoint.load_checkpoint(path)
     rng = np.random.default_rng(5)
     states = rng.standard_normal((4, 9))
@@ -65,7 +72,7 @@ def test_rejects_non_checkpoint(tmp_path):
 
 def test_writes_current_version_and_a_log(tmp_path):
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, make_params(4))
+    save(path, make_params(4))
     raw = path.read_bytes()
     assert struct.unpack_from("<I", raw, 8) == (checkpoint.CKPT_VERSION,)
     assert checkpoint.CKPT_VERSION == 2
@@ -77,7 +84,7 @@ def test_writes_current_version_and_a_log(tmp_path):
 def test_rejects_version_mismatch(tmp_path, version):
     params = make_params(4)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     raw = bytearray(path.read_bytes())
     raw[8:12] = struct.pack("<I", version)
     path.write_bytes(bytes(raw))
@@ -89,7 +96,7 @@ def test_rejects_version_mismatch(tmp_path, version):
 def test_rejects_truncated_payload(tmp_path):
     params = make_params(5)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="truncated"):
@@ -99,7 +106,7 @@ def test_rejects_truncated_payload(tmp_path):
 def test_rejects_trailing_bytes(tmp_path):
     params = make_params(6)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ValueError, match="trailing"):
         checkpoint.load_checkpoint(path)
@@ -143,9 +150,11 @@ _PAIRS = "bad header: field 'tensors' must be a list of [name, shape] pairs"
     (lambda h: h.update(extra=[]),
      "bad header: field 'extra' must be an object, got []"),
     (lambda h: h.update(opt_step="3"),
-     "bad header: field 'opt_step' must be an integer or null, got '3'"),
+     "bad header: field 'opt_step' must be an integer, got '3'"),
     (lambda h: h.update(opt_step=True),
-     "bad header: field 'opt_step' must be an integer or null, got True"),
+     "bad header: field 'opt_step' must be an integer, got True"),
+    (lambda h: h.update(opt_step=None),
+     "bad header: field 'opt_step' must be an integer, got None"),
     (lambda h: h.update(tensors=5), f"{_PAIRS}, got 5"),
     (lambda h: h["tensors"][0].__setitem__(1, "x"), f"{_PAIRS}, got [["),
     (lambda h: h["tensors"][0].pop(), f"{_PAIRS}, got [["),
@@ -156,18 +165,18 @@ _PAIRS = "bad header: field 'tensors' must be a list of [name, shape] pairs"
     (lambda h: h["config"].pop("depth"),
      "bad model config: missing field 'depth'"),
 ], ids=["no config", "extra list", "opt_step string", "opt_step true",
-        "tensors int", "shape string", "no shape", "config M float",
-        "config K true", "config no depth"])
+        "opt_step null", "tensors int", "shape string", "no shape",
+        "config M float", "config K true", "config no depth"])
 def test_rejects_malformed_header_field(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, make_params(7))
+    save(path, make_params(7))
     rewrite_header(path, edit)
     assert_rejected(path, message)
 
 
 def test_rejects_unknown_config_key(tmp_path):
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, make_params(8))
+    save(path, make_params(8))
     rewrite_header(path, lambda h: h["config"].update(width=3))
     assert_rejected(path, "bad model config: ")
     with pytest.raises(ValueError, match="width"):
@@ -175,15 +184,15 @@ def test_rejects_unknown_config_key(tmp_path):
 
 
 def test_rejects_tensor_the_config_does_not_define(tmp_path):
-    # the depth-2 config has blocks 0 and 1, so a third block's tensor
-    # belongs to no parameter
+    # the depth-2 config has blocks 0 and 1, so a third block's tensor,
+    # after the parameters and both moments, belongs to no parameter
     path = tmp_path / "m.ckpt"
     params = make_params(9)
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     rewrite_header(path, lambda h: h["tensors"].append(["blocks.2.b_in",
                                                         [2]]),
                    extra_payload=bytes(16))
-    n = len(params.tensors())
+    n = 3 * len(params.tensors())
     assert_rejected(path, f"header tensor {n} is ['blocks.2.b_in', [2]], "
                           f"expected None")
 
@@ -207,7 +216,7 @@ def test_rejects_tensors_listed_in_another_order(tmp_path):
     # order, nothing else
     path = tmp_path / "m.ckpt"
     params = make_params(11)
-    checkpoint.save_checkpoint(path, params)
+    save(path, params)
     first, second = [[name, list(arr.shape)]
                      for name, arr in list(params.tensors().items())[:2]]
 

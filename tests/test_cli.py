@@ -88,8 +88,6 @@ def test_paper_defaults_are_the_library_defaults():
         "batch": loss["batch_size"], "epochs": loss["epochs"],
         "d_model": model["d_model"], "d_state": model["d_state"],
         "depth": model["depth"], "bins": env.DEFAULT_BINS,
-        "jitter": collect["jitter"], "quantile": collect["quantile"],
-        "calibration": collect["calibration_episodes"],
         "instance_seed": collect["instance_seed"]}
     assert {name: paper[name] for name in library} == library
 
@@ -586,19 +584,30 @@ def test_train_resume_continues_epoch_numbering(ds_dir, tmp_path):
     assert extra["epoch"] == 5
 
 
-def test_train_resume_without_moments_saves_fresh_moments(ds_dir, tmp_path):
-    # a checkpoint saved without optimizer state starts fresh moments,
-    # and the resumed run saves them: 2 epochs of 3 minibatches of 10
+def test_train_resume_without_moments_is_one_error_line(ds_dir, tmp_path,
+                                                        capsys):
+    # every checkpoint holds its AdamW moments: a file of the model's
+    # tensors alone, its opt_step null, does not resume
+    params = qmodel.init_qmodel(
+        qmodel.ModelConfig(K=3, M=16, d_model=12, d_state=4), seed=0)
+    header = json.dumps({
+        "config": dataclasses.asdict(params.config),
+        "tensors": [[k, list(a.shape)] for k, a in params.tensors().items()],
+        "opt_step": None, "extra": {}}).encode()
     start = tmp_path / "start.ckpt"
-    checkpoint.save_checkpoint(start, qmodel.init_qmodel(
-        qmodel.ModelConfig(K=3, M=16, d_model=12, d_state=4), seed=0))
+    start.write_bytes(
+        checkpoint.MAGIC + struct.pack("<IQ", checkpoint.CKPT_VERSION,
+                                       len(header)) + header
+        + b"".join(a.astype("<f8").tobytes()
+                   for a in params.tensors().values()))
     rc = run(["train", "--data", str(ds_dir), "--out", str(tmp_path / "o"),
               "--resume", str(start), "--epochs", "2", "--batch", "4",
               "--seed", "2"])
-    assert rc == 0
-    _, opt, _ = checkpoint.load_checkpoint(tmp_path / "o" / "model.ckpt")
-    assert opt is not None and opt.step == 6
-    assert all(np.any(v != 0.0) for v in opt.v.values())
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {start}: bad header: field 'opt_step' must be an integer, "
+        f"got None\n")
+    assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
 def test_train_lr_zero_leaves_parameters_at_init(ds_dir, tmp_path):
@@ -830,7 +839,7 @@ def test_eval_checkpoint_config_of_wrong_type_is_one_error_line(tmp_path,
                                                                capsys):
     header = json.dumps({"config": {"K": 3, "M": 16.0, "d_model": 12,
                                     "d_state": 4, "depth": 1},
-                         "tensors": [], "opt_step": None, "extra": {}})
+                         "tensors": [], "opt_step": 0, "extra": {}})
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(checkpoint.MAGIC + struct.pack("<IQ", 2, len(header))
                     + header.encode())
@@ -959,16 +968,17 @@ def test_ablate_report_shapes(ds_dir, tmp_path):
     # the dataset's exploitation kind and instance seed, not the flags'
     # defaults
     ("desk", ["--functions", "2", "--dim", "10", "--policy",
-              "filtered_random", "--instance-seed", "3", "--calibration", "4"],
+              "filtered_random", "--instance-seed", "3"],
      {(2, 10), (15, 5)}, ("filtered_random", 3)),
 ], ids=("dim-flag", "default-dims", "function-without-trajectory",
         "kind-and-instance-seed"))
 def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
         profile, collect_flags, made_want, collected, tmp_path, monkeypatch):
     """The bin sweep recollects each training function at its dim in the
-    dataset, with the dataset's exploitation kind and instance seed, and
-    evaluates the test functions at the split's dims, as the other two
-    sweeps do."""
+    dataset, with the dataset's exploitation kind and instance seed and
+    no other setting, and evaluates the test functions at the split's
+    dims, as the other two sweeps do."""
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 4)
     ds = tmp_path / "ds"
     assert run(["collect", "--alg", "0", "--mu", "0.5", "--d", "2",
                 "--t", "3", "--seed", "1", "--profile", profile,
@@ -980,10 +990,11 @@ def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
         made.append((function_id, dim))
         return real_make(function_id, dim, seed)
 
-    def spy_collect(alg_id, split, policies, *args, instance_seed, **kwargs):
-        collects.append((policies[0], instance_seed))
-        return real_collect(alg_id, split, policies, *args,
-                            instance_seed=instance_seed, **kwargs)
+    def spy_collect(alg_id, split, policies, *args, **kwargs):
+        # each other setting is recorded in the dataset or fixed in code
+        assert set(kwargs) <= {"n_bins", "instance_seed", "workers"}, kwargs
+        collects.append((policies[0], kwargs["instance_seed"]))
+        return real_collect(alg_id, split, policies, *args, **kwargs)
 
     monkeypatch.setattr(problems, "make_instance", spy_make)
     monkeypatch.setattr(datasets, "collect", spy_collect)
@@ -991,7 +1002,7 @@ def test_ablate_bin_sweep_uses_dataset_and_evaluation_dims(
               "--epochs", "1", "--batch", "4", "--d-model", "4",
               "--d-state", "2", "--runs", "1", "--t", "3",
               "--test-functions", "15", "--seed", "4", "--profile", profile,
-              "--calibration", "4", "--workers", "1"])
+              "--workers", "1"])
     assert rc == 0
     assert set(made) == made_want
     assert collects == [collected] * 2
@@ -1187,9 +1198,10 @@ def test_verify_crosses_scan_chunks(monkeypatch, capsys):
     assert most["grad_check"] > 1 and most["scan_equivalence"] > 1, most
 
 
-def test_verify_overtight_decomposition_tolerance_fails(capsys):
-    rc = run(["verify", "--mdps", "10", "--scan-seeds", "1",
-              "--tol-decomp", "1e-16", "--seed", "0"])
+def test_verify_overtight_decomposition_tolerance_fails(capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "DECOMPOSITION_TOL", 1e-16)
+    rc = run(["verify", "--mdps", "10", "--scan-seeds", "1", "--seed", "0"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL  decomposition" in out

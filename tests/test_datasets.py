@@ -57,9 +57,10 @@ def test_random_policy_seed_reproducible():
 # scripted schedule
 # ---------------------------------------------------------------------------
 
-def test_scripted_schedule_endpoints_alg0():
+def test_scripted_schedule_endpoints_alg0(monkeypatch):
+    monkeypatch.setattr(rollouts, "SCHEDULE_JITTER", 0.0)
     T = 20
-    pol = exploitation_policy(0, seed=0, T=T, jitter=0.0)
+    pol = exploitation_policy(0, seed=0, T=T)
     # 0.9 on the 16-point grid of [0,1] is nearest to bin 14
     assert list(pol(S0, 0)) == [14, 14, 14]
     # F dims end at 0.3, exactly between bins 4 and 5 on the 16-point
@@ -67,14 +68,16 @@ def test_scripted_schedule_endpoints_alg0():
     assert list(pol(S0, T - 1)) == [5, 5, 14]
 
 
-def test_scripted_schedule_single_step_episode():
-    pol = exploitation_policy(0, seed=0, T=1, jitter=0.0)
+def test_scripted_schedule_single_step_episode(monkeypatch):
+    monkeypatch.setattr(rollouts, "SCHEDULE_JITTER", 0.0)
+    pol = exploitation_policy(0, seed=0, T=1)
     assert list(pol(S0, 0)) == [14, 14, 14]
 
 
-def test_scripted_discrete_preference_is_fixed():
+def test_scripted_discrete_preference_is_fixed(monkeypatch):
+    monkeypatch.setattr(rollouts, "SCHEDULE_JITTER", 0.0)
     specs = algorithms.alg_spec(1)
-    pol = exploitation_policy(1, seed=3, T=10, jitter=0.0)
+    pol = exploitation_policy(1, seed=3, T=10)
     draws = np.array([pol(S0, t) for t in range(10)])
     for i, s in enumerate(specs):
         if s.choices:
@@ -83,7 +86,7 @@ def test_scripted_discrete_preference_is_fixed():
 
 
 def test_scripted_jitter_stream_is_seeded():
-    mk = lambda seed: exploitation_policy(1, seed=seed, T=30, jitter=0.02)
+    mk = lambda seed: exploitation_policy(1, seed=seed, T=30)
     a, b, c = mk(4), mk(4), mk(5)
     sa = np.array([a(S0, t) for t in range(30)])
     sb = np.array([b(S0, t) for t in range(30)])
@@ -92,10 +95,11 @@ def test_scripted_jitter_stream_is_seeded():
     assert not np.array_equal(sa, sc)
 
 
-def test_scripted_bins_always_valid_under_jitter():
+def test_scripted_bins_always_valid_under_jitter(monkeypatch):
+    monkeypatch.setattr(rollouts, "SCHEDULE_JITTER", 0.3)   # exaggerated
     specs = algorithms.alg_spec(2)
     ms = [env.mask_bins(s) for s in specs]
-    pol = exploitation_policy(2, seed=9, T=25, jitter=0.3)  # exaggerated
+    pol = exploitation_policy(2, seed=9, T=25)
     for t in range(25):
         bins = pol(S0, t)
         assert all(0 <= b < m for b, m in zip(bins, ms))
@@ -233,12 +237,12 @@ def test_collect_episodes_replayable_independently():
     assert serialize_trajectory(solo) == serialize_trajectory(trajs[4])
 
 
-def test_collect_filtered_random_quota_and_threshold():
+def test_collect_filtered_random_quota_and_threshold(monkeypatch):
     split = tiny_split()
     n_cal = 12
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", n_cal)
     trajs, man = collect(0, split, ("filtered_random", "random"),
-                         mu=0.5, D=6, T=4, seed=35,
-                         calibration_episodes=n_cal)
+                         mu=0.5, D=6, T=4, seed=35)
     assert man.policy_counts == {"filtered_random": 3, "random": 3}
     # rebuild the calibration threshold from the same derived seeds
     cal = []
@@ -251,10 +255,10 @@ def test_collect_filtered_random_quota_and_threshold():
         assert t.perf > thr
 
 
-def test_collect_scripted_constant_pool_episodes():
+def test_collect_scripted_constant_pool_episodes(monkeypatch):
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 6)
     trajs, man = collect(0, tiny_split(), ("scripted_constant", "random"),
-                         mu=0.5, D=8, T=3, seed=31,
-                         calibration_episodes=6)
+                         mu=0.5, D=8, T=3, seed=31)
     assert man.policy_counts == {"scripted_constant": 4, "random": 4}
     settings = set()
     for tr in trajs[:4]:
@@ -267,12 +271,13 @@ def test_collect_scripted_constant_pool_episodes():
     man.validate()
 
 
-def test_collect_scripted_constant_pool_is_above_quantile_settings():
+def test_collect_scripted_constant_pool_is_above_quantile_settings(
+        monkeypatch):
     split = tiny_split()
     n_cal, T = 8, 3
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", n_cal)
     trajs, man = collect(0, split, ("scripted_constant", "random"),
-                         mu=1.0, D=7, T=T, seed=43,
-                         calibration_episodes=n_cal)
+                         mu=1.0, D=7, T=T, seed=43)
     assert man.policy_counts == {"scripted_constant": 7}
     # rebuild the calibrated candidates and threshold from the same seeds
     cands, perfs = [], []
@@ -289,19 +294,20 @@ def test_collect_scripted_constant_pool_is_above_quantile_settings():
             np.testing.assert_array_equal(s.actions, pool[e % len(pool)])
 
 
-def test_collect_scripted_constant_empty_pool_raises():
+def test_collect_scripted_constant_empty_pool_raises(monkeypatch):
     # no calibration return lies strictly above the maximum
+    monkeypatch.setattr(datasets, "FILTER_QUANTILE", 1.0)
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 5)
     with pytest.raises(RuntimeError,
                        match=r"pool is empty.*\b5 calibration.*quantile 1\.0"):
         collect(0, tiny_split(), ("scripted_constant", "random"),
-                mu=0.5, D=4, T=3, seed=31, quantile=1.0,
-                calibration_episodes=5)
+                mu=0.5, D=4, T=3, seed=31)
 
 
-def test_collect_scripted_constant_deterministic():
+def test_collect_scripted_constant_deterministic(monkeypatch):
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 4)
     mk = lambda: collect(0, tiny_split(), ("scripted_constant", "random"),
-                         mu=0.5, D=6, T=3, seed=77,
-                         calibration_episodes=4)[0]
+                         mu=0.5, D=6, T=3, seed=77)[0]
     a, b = mk(), mk()
     assert [serialize_trajectory(t) for t in a] == \
         [serialize_trajectory(t) for t in b]
@@ -406,18 +412,35 @@ def test_reader_rejects_non_integral_bin(tmp_path):
     obj = datasets.trajectory_to_obj(good)
     obj["steps"][0]["a"] = [3.7, 1, 2]
     write_lines(tmp_path, [good], [json.dumps(obj)])
-    with pytest.raises(ValueError, match=r"line 1: step 0: field 'a'.*3\.7"):
+    with pytest.raises(ValueError, match=re.escape(
+            "line 1: step 0: field 'a' must be a list of integers, "
+            "got [3.7, 1, 2]")):
         load_dataset(tmp_path)
 
 
-def test_reader_accepts_integral_float_bin(tmp_path):
+def test_reader_rejects_integral_float_bin(tmp_path):
+    # the writer stores bins as JSON integers, so a float bin is not one
+    # even where it is integral
     good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
     obj = datasets.trajectory_to_obj(good)
-    obj["steps"][0]["a"] = [3.0, 1, 2]
+    obj["steps"][0]["a"] = [1.0, 2.0, 3.0]
     write_lines(tmp_path, [good], [json.dumps(obj)])
-    (traj,), _ = load_dataset(tmp_path)
-    assert traj.steps[0].actions.dtype == np.int64
-    assert traj.steps[0].actions.tolist() == [3, 1, 2]
+    with pytest.raises(ValueError, match=re.escape(
+            "line 1: step 0: field 'a' must be a list of integers, "
+            "got [1.0, 2.0, 3.0]")):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [("a", 2 ** 70), ("s", 10 ** 400)])
+def test_reader_rejects_integer_beyond_machine_range(tmp_path, field, value):
+    # a bin past int64 or a state past float range is an error that names
+    # the line and the step, not an OverflowError
+    good = _hand_trajectory(rewards=[0.5], bsfs=[0.5])
+    obj = datasets.trajectory_to_obj(good)
+    obj["steps"][0][field][0] = value
+    write_lines(tmp_path, [good], [json.dumps(obj)])
+    with pytest.raises(ValueError, match=r"^line 1: step 0: "):
+        load_dataset(tmp_path)
 
 
 def _nan_in(traj, field):
@@ -530,7 +553,9 @@ def test_reader_rejects_non_object_line(tmp_path, line):
 
 @pytest.mark.parametrize("alg_id", algorithms.ALGORITHM_IDS)
 @pytest.mark.parametrize("kind", datasets.EXPLOITATION_KINDS + ("random",))
-def test_collect_bytes_do_not_depend_on_workers(tmp_path, alg_id, kind):
+def test_collect_bytes_do_not_depend_on_workers(tmp_path, alg_id, kind,
+                                                monkeypatch):
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 4)
     mu = 0.0 if kind == "random" else 0.5
     policies = ("scripted_de_schedule" if kind == "random" else kind,
                 "random")
@@ -538,7 +563,7 @@ def test_collect_bytes_do_not_depend_on_workers(tmp_path, alg_id, kind):
     def files(workers):
         out = tmp_path / f"w{workers}"
         collect(alg_id, tiny_split(), policies, mu=mu, D=4, T=2, seed=3,
-                out_dir=out, calibration_episodes=4, workers=workers)
+                out_dir=out, workers=workers)
         return [(out / name).read_bytes()
                 for name in (datasets.TRAJECTORY_FILE,
                              datasets.MANIFEST_FILE)]
@@ -570,21 +595,22 @@ def test_filtered_random_on_workers_never_exceeds_max_attempts(
     _count_episodes(monkeypatch, log)
     monkeypatch.setattr(datasets, "filter_threshold", lambda perfs, q: 1.0)
     monkeypatch.setattr(datasets, "MAX_ATTEMPT_FACTOR", 3)
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 3)
     with pytest.raises(RuntimeError, match=r"0/1 episodes after 3 attempts"):
         collect(0, tiny_split(), ("filtered_random", "random"), mu=1.0, D=1,
-                T=2, seed=0, calibration_episodes=3, workers=2)
+                T=2, seed=0, workers=2)
     assert _filter_attempts(log) == 3
 
 
 def test_filtered_random_on_workers_overshoots_by_less_than_a_round(
         tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 6)
     runs = {}
     for workers in (1, 2):
         log = tmp_path / f"episodes{workers}"
         _count_episodes(monkeypatch, log)
         trajs, _ = collect(0, tiny_split(), ("filtered_random", "random"),
-                           mu=0.5, D=6, T=3, seed=9, calibration_episodes=6,
-                           workers=workers)
+                           mu=0.5, D=6, T=3, seed=9, workers=workers)
         runs[workers] = (_filter_attempts(log),
                          [serialize_trajectory(t) for t in trajs])
     (serial, kept1), (parallel, kept2) = runs[1], runs[2]

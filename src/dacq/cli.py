@@ -18,8 +18,9 @@ so child processes inherit it; an ``OPENBLAS_NUM_THREADS``-style
 variable already set keeps its value).
 ``--workers N`` runs the independent episodes of collect, eval and
 ablate, and the trajectories of each training minibatch of train and
-ablate, on N forked processes (default: the CPUs this process may use);
-no output file depends on it.
+ablate, on N worker processes (default: the CPUs this process may use),
+forked once per command and kept until it exits; no output file
+depends on it.
 """
 
 from __future__ import annotations

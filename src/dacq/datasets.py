@@ -172,6 +172,11 @@ def trajectory_to_obj(traj: Trajectory) -> dict:
 def trajectory_from_obj(obj) -> Trajectory:
     """A parsed line's Trajectory: fields by read_record, steps by _field."""
     traj = read_record(Trajectory, obj, "trajectory")
+    for name in ("f_best_init", "f_star"):
+        try:   # OverflowError: an integer beyond float range
+            setattr(traj, name, float(getattr(traj, name)))
+        except OverflowError as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
     steps = []
     for t, st in enumerate(traj.steps):
         if not isinstance(st, dict):

@@ -3,18 +3,17 @@
 Exposes the nine-feature optimization state, the relative-improvement
 reward, the bin-grid action decoding, an episode runner that threads
 a policy callback through T generations of one algorithm on one problem,
-and an order-preserving map over forked worker processes that runs
-independent episodes (and, for ``training.train``, trajectory slices).
+and ``pmap``, an order-preserving map over one reused worker pool that
+runs independent episodes (and, for ``training.train``, trajectory slices).
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import multiprocessing
+import multiprocessing.util
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,17 +308,8 @@ def run_episode(alg_id: int, problem, policy, T: int, seed,
 # ---------------------------------------------------------------------------
 # independent work in worker processes
 
-#: the context the running ``fork_pool`` workers were forked with
-_CONTEXT = None
-
-
-def _install_context(context):
-    global _CONTEXT
-    _CONTEXT = context
-
-
-def _call(fn, item):
-    return fn(_CONTEXT, item)
+#: this process's worker pool: (executor, workers, pid that forked it)
+_POOL = None
 
 
 def resolve_workers(workers=None) -> int:
@@ -332,57 +322,70 @@ def resolve_workers(workers=None) -> int:
     return int(workers)
 
 
-@contextlib.contextmanager
-def fork_pool(n: int, context):
-    """Yield ``pmap(fn, items)``, the list of ``fn(context, item)`` in item
-    order.
+def close_pool() -> None:
+    """Shut down this process's worker pool and wait for its workers to
+    exit (a no-op without one); a forked child just drops its parent's."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[0].shutdown()
 
-    With ``n`` <= 1 every call runs here and no process starts.
-    Otherwise the calls run on ``n`` processes forked from this one at the
-    first ``pmap``, before the pool starts any thread: ``context`` reaches
-    them through fork, so it may hold closures and large arrays and is
-    never pickled, while ``fn`` (a module-level function, found by name),
-    each item and each result are.  A call's exception surfaces from
-    ``pmap`` with its type and message; when several fail, the first in
-    item order does.  A worker that dies raises ``BrokenProcessPool`` (a
-    RuntimeError) instead of hanging.  Every worker has ended when the
-    block exits, normally or by an exception.
+
+def pmap(fn, items: list, n: int) -> list:
+    """The list of ``fn(item)`` in item order.
+
+    With ``n`` <= 1 or at most one item the calls run here.  Otherwise
+    they run on this process's worker pool, forked at the first such map
+    and kept until exit, when ``concurrent.futures`` joins it; it is
+    forked anew when ``n`` exceeds its workers, after it lost a worker,
+    and in a forked child.  Workers do not see this process's later
+    state: ``fn`` (module-level), each item and each result are pickled,
+    and an item that does not pickle raises here.  A call's exception
+    surfaces with its type and message, the first in item order when
+    several fail; a dead worker raises ``BrokenProcessPool``.
     """
-    if n <= 1:
-        yield lambda fn, items: [fn(context, item) for item in items]
-        return
-    with ProcessPoolExecutor(
-            n, mp_context=multiprocessing.get_context("fork"),
-            initializer=_install_context, initargs=(context,)) as pool:
-        yield lambda fn, items: list(pool.map(functools.partial(_call, fn),
-                                              items))
+    global _POOL
+    if n <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    if _POOL is None or _POOL[1] < n or _POOL[2] != os.getpid():
+        close_pool()
+        fork = multiprocessing.get_context("fork")
+        _POOL = (ProcessPoolExecutor(n, mp_context=fork), n, os.getpid())
+        # a pool worker joins its children before that hook: close the pool
+        # ahead of its queues, whose finalizers run at exit priority 10
+        multiprocessing.util.Finalize(None, close_pool, exitpriority=20)
+    try:
+        return list(_POOL[0].map(fn, items))
+    except BrokenProcessPool:
+        close_pool()
+        raise
 
 
-def _run_job(jobs, i):
-    return jobs[i]()
+def _run(job):
+    return job()
 
 
 def run_episodes(jobs, workers=None, stop=None) -> list:
     """Run zero-argument episode jobs and return their results in job order.
 
-    The jobs run through ``fork_pool`` on ``min(workers, len(jobs))``
-    processes (none with one worker or at most one job), so closures need
-    not pickle and only results are pickled back.  Each episode carries
-    its own seed, so the results do not depend on ``workers``.
+    The jobs run through ``pmap`` with ``min(workers, len(jobs))`` workers
+    (none with one worker or at most one job), each pickled to its worker.
+    Each episode carries its own seed, so the results do not depend on
+    ``workers``.
 
     ``stop(batch)``, if given, is called with each round's results and
-    ends the map when it returns True.  A round is ``workers`` jobs (one
-    job in-process), so the map runs at most ``workers - 1`` jobs past the
-    one a serial loop would stop at, and never more than ``len(jobs)``.
+    ends the map when it returns True.  A round is ``workers`` jobs (a
+    round of one job runs here), so the map runs at most ``workers - 1``
+    jobs past the one a serial loop would stop at, and never more than
+    ``len(jobs)``.
     """
     jobs = list(jobs)
     n = min(resolve_workers(workers), len(jobs))
     size = max(n, 1) if stop is not None else max(len(jobs), 1)
     results = []
-    with fork_pool(n, jobs) as pmap:
-        for lo in range(0, len(jobs), size):
-            batch = pmap(_run_job, range(lo, min(lo + size, len(jobs))))
-            results += batch
-            if stop is not None and stop(batch):
-                break
+    for lo in range(0, len(jobs), size):
+        batch = pmap(_run, jobs[lo:lo + size], n)
+        results += batch
+        if stop is not None and stop(batch):
+            break
     return results

@@ -175,21 +175,17 @@ def trajectory_arrays(trajs):
     return states, actions, rewards
 
 
-def _trajectory_grads(data, job):
+def _trajectory_grads(job):
     """Gradients and loss components of each trajectory of a slice, in
-    slice order.
-
-    ``data`` is (states, actions, rewards, masks, cfg) of the dataset and
-    ``job`` is (params, indices, batch): each trajectory runs forward,
-    loss and backward alone, with dL/dQ divided by its minibatch's size
-    ``batch``, so its arithmetic does not depend on its batch-mates.
-    """
-    states, actions, rewards, masks, cfg = data
-    params, indices, batch = job
+    slice order.  ``job`` is (params, states, actions, rewards, masks,
+    cfg, batch) of the slice: each trajectory runs forward, loss and
+    backward alone, with dL/dQ divided by its minibatch's size ``batch``,
+    so its arithmetic does not depend on its batch-mates."""
+    params, states, actions, rewards, masks, cfg, batch = job
     out = []
-    for i in indices:
-        Q, cache = qmodel.q_values_batch(params, states[i], actions[i])
-        _, comps, dQ = q_loss_batch(Q, actions[i], rewards[i], masks, cfg)
+    for s, a, r in zip(states, actions, rewards):
+        Q, cache = qmodel.q_values_batch(params, s, a)
+        _, comps, dQ = q_loss_batch(Q, a, r, masks, cfg)
         dQ /= batch
         out.append((qmodel.model_backward(cache, dQ), comps))
     return out
@@ -209,10 +205,11 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     are added in batch order and its loss components averaged over it.
     A gradient that is not finite stops the run before the step that
     would apply it.  A minibatch is cut into contiguous slices over
-    ``min(workers, batch_size, D)`` processes (``workers`` None: the CPUs
-    this process may use), forked once per call through ``env.fork_pool``;
-    each step sends them only the parameters.  Parameters, moments and
-    history are the same bits for every ``workers``.
+    ``min(workers, batch_size, D)`` workers (``workers`` None: the CPUs
+    this process may use) of ``env.pmap``'s pool; each step sends each
+    worker the parameters and its slice's trajectories, so no worker
+    holds the dataset.  Parameters, moments and history are the same
+    bits for every ``workers``.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -231,36 +228,36 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     rng = np.random.default_rng(seed)
     n = min(env.resolve_workers(workers), cfg.batch_size, D)
     history = []
-    with env.fork_pool(n, (states, actions, rewards, masks, cfg)) as pmap:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(D)
-            tallies = {}   # "loss", then q_loss_batch's components
-            for step, start in enumerate(range(0, D, cfg.batch_size), 1):
-                idx = order[start:start + cfg.batch_size]
-                jobs = [(params, part, len(idx))
-                        for part in np.array_split(idx, min(n, len(idx)))]
-                per_traj = [r for rs in pmap(_trajectory_grads, jobs)
-                            for r in rs]
-                grads = per_traj[0][0]
-                for g, _ in per_traj[1:]:
-                    for k, v in g.items():
-                        grads[k] += v
-                for k in params.tensors():
-                    if not np.isfinite(grads[k]).all():
-                        raise FloatingPointError(
-                            f"training diverged: the gradient of {k} is not "
-                            f"finite at epoch {epoch}, step {step}")
-                adamw_step(params, grads, opt, cfg.learning_rate,
-                           weight_decay=cfg.weight_decay)
-                comps = {k: np.array([c[k] for _, c in per_traj])
-                         for k in per_traj[0][1]}
-                means = {"loss": sum(comps.values()).mean(),
-                         **{k: v.mean() for k, v in comps.items()}}
-                for k, v in means.items():
-                    tallies[k] = tallies.get(k, 0.0) + float(v) * len(idx)
-            history.append({k: v / D for k, v in tallies.items()})
-            if not np.isfinite(history[-1]["loss"]):
-                raise FloatingPointError("training loss diverged")
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(D)
+        tallies = {}   # "loss", then q_loss_batch's components
+        for step, start in enumerate(range(0, D, cfg.batch_size), 1):
+            idx = order[start:start + cfg.batch_size]
+            jobs = [(params, states[part], actions[part], rewards[part],
+                     masks, cfg, len(idx))
+                    for part in np.array_split(idx, min(n, len(idx)))]
+            per_traj = [r for rs in env.pmap(_trajectory_grads, jobs, n)
+                        for r in rs]
+            grads = per_traj[0][0]
+            for g, _ in per_traj[1:]:
+                for k, v in g.items():
+                    grads[k] += v
+            for k in params.tensors():
+                if not np.isfinite(grads[k]).all():
+                    raise FloatingPointError(
+                        f"training diverged: the gradient of {k} is not "
+                        f"finite at epoch {epoch}, step {step}")
+            adamw_step(params, grads, opt, cfg.learning_rate,
+                       weight_decay=cfg.weight_decay)
+            comps = {k: np.array([c[k] for _, c in per_traj])
+                     for k in per_traj[0][1]}
+            means = {"loss": sum(comps.values()).mean(),
+                     **{k: v.mean() for k, v in comps.items()}}
+            for k, v in means.items():
+                tallies[k] = tallies.get(k, 0.0) + float(v) * len(idx)
+        history.append({k: v / D for k, v in tallies.items()})
+        if not np.isfinite(history[-1]["loss"]):
+            raise FloatingPointError("training loss diverged")
     return params, history
 
 

@@ -671,6 +671,9 @@ MALFORMED_LINES = {
     "step [1]": (_step([1]), "step 2 is not a JSON object"),
     "line 5": (lambda obj: 5, "bad trajectory: not a JSON object"),
     "line [1]": (lambda obj: [1], "bad trajectory: not a JSON object"),
+    **{f"{k} 10**400": (lambda obj, k=k: {**obj, k: 10 ** 400},
+                        f"field '{k}': int too large to convert to float")
+       for k in ("f_best_init", "f_star")},
 }
 
 

@@ -572,7 +572,9 @@ def test_collect_bytes_do_not_depend_on_workers(tmp_path, alg_id, kind,
 
 
 def _count_episodes(monkeypatch, log):
-    """Make every env.run_episode, in any process, log its seed namespace."""
+    """Make every env.run_episode, in any process, log its seed namespace;
+    its test takes ``fresh_pool``, so the workers are forked under the
+    patch."""
     true_run = env.run_episode
 
     def counted(alg_id, problem, policy, T, seed, **kw):
@@ -588,7 +590,7 @@ def _filter_attempts(log):
 
 
 def test_filtered_random_on_workers_never_exceeds_max_attempts(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, fresh_pool):
     # no return lies strictly above 1, so every attempt fails; 3 attempts
     # on 2 workers are a round of 2 and a round of 1
     log = tmp_path / "episodes"
@@ -603,7 +605,7 @@ def test_filtered_random_on_workers_never_exceeds_max_attempts(
 
 
 def test_filtered_random_on_workers_overshoots_by_less_than_a_round(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, fresh_pool):
     monkeypatch.setattr(datasets, "CALIBRATION_EPISODES", 6)
     runs = {}
     for workers in (1, 2):

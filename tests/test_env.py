@@ -2,7 +2,11 @@
 action decoding, and episode running."""
 
 import functools
+import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -14,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import reference
 from dacq import algorithms as alg
-from dacq import env, problems
+from dacq import env, problems, rollouts
 from dacq.ea_ops import Population
 from dacq.problems import make_identity_instance, make_instance
 from dacq.rollouts import random_policy
@@ -545,7 +549,7 @@ def test_resolve_workers():
             env.resolve_workers(bad)
 
 
-def test_run_episodes_keeps_job_order():
+def test_run_episodes_keeps_job_order(fresh_pool):
     jobs = [functools.partial(_index_and_pid, i) for i in range(7)]
     serial = env.run_episodes(jobs, workers=1)
     # one worker runs every job here, in this process
@@ -557,11 +561,52 @@ def test_run_episodes_keeps_job_order():
     assert env.run_episodes([], workers=2) == []
 
 
-def test_run_episodes_reaches_closures_through_fork():
-    # a lambda over a local array does not pickle; fork hands it over
+def test_run_episodes_job_that_does_not_pickle_fails_here():
+    # workers outlive a map, so a job reaches them pickled: a lambda over a
+    # local array fails in the caller, and the pool serves the next map
     data = np.arange(5.0)
     jobs = [lambda k=k: float(data[k] ** 2) for k in range(5)]
+    with pytest.raises((AttributeError, pickle.PicklingError),
+                       match="pickle"):
+        env.run_episodes(jobs, workers=2)
+    jobs = [functools.partial(float, k * k) for k in range(5)]
     assert env.run_episodes(jobs, workers=2) == [0.0, 1.0, 4.0, 9.0, 16.0]
+
+
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_run_episodes_reuses_the_pool(fresh_pool):
+    jobs = [functools.partial(_index_and_pid, i) for i in range(6)]
+    env.run_episodes(jobs, workers=2)
+    workers = _worker_pids()
+    again = env.run_episodes(jobs, workers=2)
+    assert [i for i, _ in again] == list(range(6))
+    assert len(workers) == 2 and {pid for _, pid in again} <= workers
+    assert _worker_pids() == workers
+
+
+def _episode_jobs(problem, n):
+    return [functools.partial(
+        rollouts.episode, 0, problem,
+        functools.partial(random_policy, 0, [5, e, 1]), 4, [5, e],
+        env.DEFAULT_BINS) for e in range(n)]
+
+
+def _episode_bytes(trajs):
+    return [(t.perf, [s.state.tobytes() + s.actions.tobytes()
+                      for s in t.steps]) for t in trajs]
+
+
+def test_run_episodes_grows_the_pool_for_more_workers(fresh_pool, sphere5):
+    jobs = _episode_jobs(sphere5, 5)
+    two = env.run_episodes(jobs, workers=2)
+    assert len(_worker_pids()) == 2
+    three = env.run_episodes(jobs, workers=3)
+    assert len(_worker_pids()) == 3
+    assert _episode_bytes(three) == _episode_bytes(two) \
+        == _episode_bytes(env.run_episodes(jobs, workers=1))
 
 
 @pytest.mark.parametrize("workers, ran", [(1, 5), (2, 6), (3, 6), (4, 8)])
@@ -600,10 +645,73 @@ def test_run_episodes_dead_worker_raises_instead_of_hanging():
         env.run_episodes(jobs, workers=2)
 
 
+def test_map_after_a_dead_worker_runs_on_fresh_workers(fresh_pool):
+    jobs = [functools.partial(_index_and_pid, i) for i in range(4)]
+    env.run_episodes(jobs, workers=2)
+    broken = _worker_pids()
+    with pytest.raises(BrokenProcessPool):
+        env.run_episodes([functools.partial(os._exit, 3),
+                          functools.partial(int, 1)], workers=2)
+    got = env.run_episodes(jobs, workers=2)
+    assert [i for i, _ in got] == list(range(4))
+    assert not {pid for _, pid in got} & broken
+    assert not _worker_pids() & broken
+
+
+def _non_integral_bins(state, t):
+    return [0, 0, 2.5]
+
+
 def test_run_episodes_worker_episode_error_surfaces(sphere5):
     # a policy error raised inside a worker's episode keeps type and text
     jobs = [functools.partial(env.run_episode, 0, sphere5,
-                              lambda s, t: [0, 0, 2.5], 3, seed)
+                              _non_integral_bins, 3, seed)
             for seed in range(2)]
     with pytest.raises(ValueError, match="^non-integral bin 2.5 for Cr$"):
         env.run_episodes(jobs, workers=2)
+
+
+def _run_child(code):
+    """Run code in a fresh interpreter that imports this checkout's dacq."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(env.__file__)))
+    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_PRINT_WORKER_PIDS = """
+import multiprocessing, os
+from dacq import env
+env.run_episodes([os.getpid] * 4, workers=2)
+print(os.getpid(), *[p.pid for p in multiprocessing.active_children()])
+"""
+
+
+def test_workers_exit_with_their_process():
+    # the pool outlives every map, but not the process: concurrent.futures'
+    # exit hook joins its workers
+    child, *pids = [int(p) for p in _run_child(_PRINT_WORKER_PIDS).split()]
+    assert len(pids) == 2 and child not in pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+_NESTED_MAP = """
+import os
+from dacq import env
+def nested():
+    return os.getpid(), env.run_episodes([os.getpid] * 4, workers=2)
+for worker, inner in env.run_episodes([nested] * 2, workers=2):
+    assert not {worker, os.getpid()} & set(inner), (worker, inner)
+print("ok")
+"""
+
+
+def test_a_worker_forks_a_pool_of_its_own():
+    # a worker inherits its parent's pool, which it does not own: it forks
+    # its own for a map of its own and joins it when it exits
+    assert _run_child(_NESTED_MAP) == "ok\n"

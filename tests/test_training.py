@@ -425,15 +425,20 @@ def test_train_step_memory_does_not_grow_with_batch():
 
 
 def test_no_worker_outlives_train():
+    # train's workers belong to the process's one pool, which close_pool
+    # ends; closing without a pool is a no-op
     trajs = synthetic_trajectories(4, 5, seed=4)
     train_run(trajs, small_cfg(epochs=2), 2)
+    env.close_pool()
     assert multiprocessing.active_children() == []
+    env.close_pool()
 
     for tr in trajs:   # a reward that overflows the TD loss
         tr.steps[0].reward = 1e300
     with pytest.raises(FloatingPointError, match="diverged"), \
             np.errstate(over="ignore", invalid="ignore"):
         train_run(trajs, small_cfg(epochs=2), 2)
+    env.close_pool()
     assert multiprocessing.active_children() == []
 
 

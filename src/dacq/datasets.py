@@ -80,7 +80,6 @@ _JSON_TYPES = {
     "list[int]": (_is_int_list, "a list of integers"),
     "list[float]": (lambda v: isinstance(v, list) and all(
         type(x) in (int, float) for x in v), "a list of numbers"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "int | list[int]": (lambda v: _is_int(v) or _is_int_list(v),
                         "an integer or a list of integers"),
     "list[tuple[str, list[int]]]": (lambda v: isinstance(v, list) and all(
@@ -345,11 +344,6 @@ def filter_threshold(perfs, quantile: float) -> float:
     return float(np.quantile(perfs, quantile))
 
 
-def _above(threshold, job):
-    traj = job()
-    return traj if traj.perf > threshold else None
-
-
 def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
             D: int, T: int, seed: int, out_dir=None,
             n_bins: int = DEFAULT_BINS, instance_seed: int = 0,
@@ -378,9 +372,12 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     ``scripted_de_schedule`` plays ``rollouts.exploitation_policy``, whose
     jitter is ``rollouts.SCHEDULE_JITTER``.
 
-    Episodes run through ``env.run_episodes`` on ``workers`` processes
-    (None: every CPU this process may use); the result does not depend on
-    ``workers``.
+    Episodes are ``rollouts.episode`` jobs run by ``env.pmap`` on
+    ``workers`` processes (None: every CPU this process may use).
+    ``filtered_random`` plays its attempts in rounds of one per worker
+    and stops after the round that fills its episodes, so it may play
+    fewer than a round more attempts than one worker would; the result
+    does not depend on ``workers``.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
@@ -402,11 +399,10 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
     n_exploit = int(round(mu * D))
 
     def job(ns, e, make_policy, policy_id):
-        """Episode e of seed namespace ns on the e-th instance in cycle
-        order; the job builds its policy when it runs."""
-        return functools.partial(
-            rollouts.episode, alg_id, instances[e % len(instances)],
-            make_policy, T, [seed, ns, e], n_bins, policy_id)
+        """The ``rollouts.episode`` job of episode e of seed namespace ns,
+        on the e-th instance in cycle order."""
+        return (alg_id, instances[e % len(instances)], make_policy, T,
+                [seed, ns, e], n_bins, policy_id)
 
     def random_job(ns, e, policy_id):
         return job(ns, e, functools.partial(rollouts.random_policy, alg_id,
@@ -415,9 +411,10 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
 
     explore = [random_job(_NS_MAIN, e, "random") for e in range(n_exploit, D)]
     if n_exploit == 0:
-        trajs = env.run_episodes(explore, workers)
+        trajs = env.pmap(rollouts.episode, explore, workers)
     elif exploit_kind == "scripted_de_schedule":
-        trajs = env.run_episodes(
+        trajs = env.pmap(
+            rollouts.episode,
             [job(_NS_MAIN, e, functools.partial(
                      rollouts.exploitation_policy, alg_id,
                      seed=[seed, _NS_MAIN, e, 1], T=T, n_bins=n_bins),
@@ -429,7 +426,8 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                      np.random.default_rng([seed, _NS_CAL, i, 1]),
                      specs, n_bins)
                  for i in range(CALIBRATION_EPISODES)]
-        perfs = [t.perf for t in env.run_episodes(
+        perfs = [t.perf for t in env.pmap(
+                     rollouts.episode,
                      [job(_NS_CAL, i, functools.partial(rollouts.hold, c),
                           exploit_kind) for i, c in enumerate(cands)],
                      workers)]
@@ -440,38 +438,35 @@ def collect(alg_id: int, split: problems.ProblemSplit, policies, mu: float,
                 f"scripted_constant pool is empty: no setting of "
                 f"{CALIBRATION_EPISODES} calibration episodes beat the "
                 f"quantile {FILTER_QUANTILE} threshold {threshold}")
-        trajs = env.run_episodes(
+        trajs = env.pmap(
+            rollouts.episode,
             [job(_NS_MAIN, e,
                  functools.partial(rollouts.hold, pool[e % len(pool)]),
                  exploit_kind) for e in range(n_exploit)] + explore, workers)
     else:
         # filtered_random: the random episodes do not depend on the
         # threshold, so they share the calibration's map
-        ran = env.run_episodes(
+        ran = env.pmap(
+            rollouts.episode,
             [random_job(_NS_CAL, i, "random")
              for i in range(CALIBRATION_EPISODES)] + explore, workers)
         threshold = filter_threshold(
             [t.perf for t in ran[:CALIBRATION_EPISODES]], FILTER_QUANTILE)
         max_attempts = MAX_ATTEMPT_FACTOR * n_exploit
-        passed = 0
-
-        def enough(batch):
-            nonlocal passed
-            passed += sum(t is not None for t in batch)
-            return passed >= n_exploit
-
-        # an attempt returns its episode if it passes, else None
-        attempts = env.run_episodes(
-            [functools.partial(_above, threshold,
-                               random_job(_NS_FILTER, k, "filtered_random"))
-             for k in range(max_attempts)], workers, stop=enough)
-        kept = [t for t in attempts if t is not None][:n_exploit]
+        size = env.resolve_workers(workers)
+        kept, tried = [], 0
+        while len(kept) < n_exploit and tried < max_attempts:
+            jobs = [random_job(_NS_FILTER, k, "filtered_random")
+                    for k in range(tried, min(tried + size, max_attempts))]
+            tried += len(jobs)
+            kept += [t for t in env.pmap(rollouts.episode, jobs, workers)
+                     if t.perf > threshold]
         if len(kept) < n_exploit:
             raise RuntimeError(
                 f"filtered_random kept only {len(kept)}/{n_exploit} "
                 f"episodes after {max_attempts} attempts "
                 f"(threshold {threshold})")
-        trajs = kept + ran[CALIBRATION_EPISODES:]
+        trajs = kept[:n_exploit] + ran[CALIBRATION_EPISODES:]
 
     payload = _jsonl(trajs)
     manifest = DatasetManifest(

@@ -3,15 +3,18 @@
 Exposes the nine-feature optimization state, the relative-improvement
 reward, the bin-grid action decoding, an episode runner that threads
 a policy callback through T generations of one algorithm on one problem,
-and ``pmap``, an order-preserving map over one reused worker pool that
-runs independent episodes (and, for ``training.train``, trajectory slices).
+and ``pmap``, the one parallel map: it runs every independent job of the
+pipeline (collection and evaluation episodes, ``training.train``'s
+trajectory slices) in order on one reused worker pool.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import multiprocessing.util
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -60,7 +63,7 @@ class Trajectory:
     M: int
     function_id: int
     dim: int
-    instance_seed: int | None
+    instance_seed: int
     episode_seed: int | list[int]
     T: int
     policy_id: str
@@ -313,8 +316,8 @@ _POOL = None
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count of ``run_episodes`` and ``training.train``: None means
-    the CPUs this process may run on; anything below 1 is a ValueError."""
+    """Worker count of ``pmap``: None means the CPUs this process may run
+    on; anything below 1 is a ValueError."""
     if workers is None:
         return len(os.sched_getaffinity(0))
     if workers < 1:
@@ -331,26 +334,47 @@ def close_pool() -> None:
         pool[0].shutdown()
 
 
-def pmap(fn, items: list, n: int) -> list:
-    """The list of ``fn(item)`` in item order.
+def _end_with_parent(parent: int) -> None:
+    """Pool initializer: the kernel kills this worker when the thread that
+    forked it exits, so a parent that dies without its exit hooks
+    (SIGKILL, ``os._exit``) leaves no idle worker behind.  A parent gone
+    before the prctl took effect is seen by its pid."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0:   # PR_SET_PDEATHSIG, linux/prctl.h
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
 
-    With ``n`` <= 1 or at most one item the calls run here.  Otherwise
+
+def pmap(fn, items: list, workers=None) -> list:
+    """The list of ``fn(item)`` in item order, on ``workers`` processes
+    (see ``resolve_workers``) and never more than there are items.
+
+    With one worker or at most one item the calls run here.  Otherwise
     they run on this process's worker pool, forked at the first such map
     and kept until exit, when ``concurrent.futures`` joins it; it is
-    forked anew when ``n`` exceeds its workers, after it lost a worker,
-    and in a forked child.  Workers do not see this process's later
-    state: ``fn`` (module-level), each item and each result are pickled,
-    and an item that does not pickle raises here.  A call's exception
-    surfaces with its type and message, the first in item order when
-    several fail; a dead worker raises ``BrokenProcessPool``.
+    forked anew when a map needs more workers than it has, after it lost
+    a worker, and in a forked child.  A worker ends when the thread that
+    forked it does, so call ``pmap`` from a thread that lives as long as
+    the pool.  Workers do not see this process's later state: ``fn``
+    (module-level), each item and each result are pickled, and an item
+    that does not pickle raises here.  A call's exception surfaces with
+    its type and message, the first in item order when several fail; a
+    dead worker raises ``BrokenProcessPool``.
     """
     global _POOL
-    if n <= 1 or len(items) <= 1:
+    n = min(resolve_workers(workers), len(items))
+    if n <= 1:
         return [fn(item) for item in items]
     if _POOL is None or _POOL[1] < n or _POOL[2] != os.getpid():
         close_pool()
         fork = multiprocessing.get_context("fork")
-        _POOL = (ProcessPoolExecutor(n, mp_context=fork), n, os.getpid())
+        _POOL = (ProcessPoolExecutor(n, mp_context=fork,
+                                     initializer=_end_with_parent,
+                                     initargs=(os.getpid(),)),
+                 n, os.getpid())
         # a pool worker joins its children before that hook: close the pool
         # ahead of its queues, whose finalizers run at exit priority 10
         multiprocessing.util.Finalize(None, close_pool, exitpriority=20)
@@ -359,33 +383,3 @@ def pmap(fn, items: list, n: int) -> list:
     except BrokenProcessPool:
         close_pool()
         raise
-
-
-def _run(job):
-    return job()
-
-
-def run_episodes(jobs, workers=None, stop=None) -> list:
-    """Run zero-argument episode jobs and return their results in job order.
-
-    The jobs run through ``pmap`` with ``min(workers, len(jobs))`` workers
-    (none with one worker or at most one job), each pickled to its worker.
-    Each episode carries its own seed, so the results do not depend on
-    ``workers``.
-
-    ``stop(batch)``, if given, is called with each round's results and
-    ends the map when it returns True.  A round is ``workers`` jobs (a
-    round of one job runs here), so the map runs at most ``workers - 1``
-    jobs past the one a serial loop would stop at, and never more than
-    ``len(jobs)``.
-    """
-    jobs = list(jobs)
-    n = min(resolve_workers(workers), len(jobs))
-    size = max(n, 1) if stop is not None else max(len(jobs), 1)
-    results = []
-    for lo in range(0, len(jobs), size):
-        batch = pmap(_run, jobs[lo:lo + size], n)
-        results += batch
-        if stop is not None and stop(batch):
-            break
-    return results

@@ -114,9 +114,12 @@ def greedy_policy(params: qmodel.QModelParams, alg_id: int):
     return _policy
 
 
-def episode(alg_id, problem, make_policy, T, seed, n_bins, policy_id=""):
-    """The trajectory of ``make_policy()`` on problem: the job builds its
-    policy when it runs, so a worker process holds the policy's state."""
+def episode(job):
+    """The trajectory of one ``(alg_id, problem, make_policy, T, seed,
+    n_bins, policy_id)`` job, ``make_policy()`` played on problem: the
+    job builds its policy when it runs, so under ``env.pmap`` a worker
+    process holds the policy's state."""
+    alg_id, problem, make_policy, T, seed, n_bins, policy_id = job
     return env.run_episode(alg_id, problem, make_policy(), T, seed,
                            n_bins=n_bins, policy_id=policy_id)
 
@@ -142,10 +145,9 @@ def evaluate_policies(params, alg_id, test_instances, runs, T, n_bins,
                     n_bins)
             for label, make_policy in policies.items():
                 keys.append((inst.function_id, run, label))
-                jobs.append(functools.partial(
-                    episode, alg_id, inst, make_policy, T,
-                    [seed, inst.function_id, run], n_bins, label))
-    trajs = env.run_episodes(jobs, workers)
+                jobs.append((alg_id, inst, make_policy, T,
+                             [seed, inst.function_id, run], n_bins, label))
+    trajs = env.pmap(episode, jobs, workers)
     return [(fid, run, traj.perf, label)
             for (fid, run, label), traj in zip(keys, trajs)]
 

@@ -204,12 +204,12 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     backward alone (see ``_trajectory_grads``), the minibatch's gradients
     are added in batch order and its loss components averaged over it.
     A gradient that is not finite stops the run before the step that
-    would apply it.  A minibatch is cut into contiguous slices over
-    ``min(workers, batch_size, D)`` workers (``workers`` None: the CPUs
-    this process may use) of ``env.pmap``'s pool; each step sends each
-    worker the parameters and its slice's trajectories, so no worker
-    holds the dataset.  Parameters, moments and history are the same
-    bits for every ``workers``.
+    would apply it.  A minibatch is cut into at most ``workers``
+    contiguous slices (``workers`` None: the CPUs this process may use)
+    that ``env.pmap`` runs on its pool; each step sends each worker the
+    parameters and its slice's trajectories, so no worker holds the
+    dataset.  Parameters, moments and history are the same bits for
+    every ``workers``.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -226,7 +226,7 @@ def train(dataset, params: qmodel.QModelParams, cfg: LossConfig, seed=0,
     if opt is None:
         opt = AdamWState.for_params(params)
     rng = np.random.default_rng(seed)
-    n = min(env.resolve_workers(workers), cfg.batch_size, D)
+    n = env.resolve_workers(workers)
     history = []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(D)

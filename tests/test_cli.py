@@ -263,7 +263,7 @@ def test_repeated_function_ids_are_usage_error(argv, tmp_path, capsys,
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode ran")
 
-    monkeypatch.setattr(env, "run_episodes", no_episodes)
+    monkeypatch.setattr(env, "pmap", no_episodes)
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2

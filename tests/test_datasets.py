@@ -517,8 +517,13 @@ MALFORMED = {
                                     ("dim", 5.2))},
     "instance_seed is 'x'": (
         lambda obj: obj.update(instance_seed="x"),
-        r"line 1: bad trajectory: field 'instance_seed' must be an integer "
-        r"or null, got 'x'"),
+        r"line 1: bad trajectory: field 'instance_seed' must be an integer, "
+        r"got 'x'"),
+    # collect writes an integer; ablate would recollect on this seed
+    "instance_seed is null": (
+        lambda obj: obj.update(instance_seed=None),
+        r"line 1: bad trajectory: field 'instance_seed' must be an integer, "
+        r"got None"),
     "episode_seed is {}": (
         lambda obj: obj.update(episode_seed={}),
         r"line 1: bad trajectory: field 'episode_seed' must be an integer "

@@ -5,6 +5,7 @@ import functools
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -535,7 +536,7 @@ def test_state_keeps_first_evaluated_least_point(monkeypatch, alg_id, fid,
 
 
 # ---------------------------------------------------------------------------
-# run_episodes
+# pmap
 
 def _index_and_pid(i):
     return i, os.getpid()
@@ -550,27 +551,42 @@ def test_resolve_workers():
 
 
 def test_run_episodes_keeps_job_order(fresh_pool):
-    jobs = [functools.partial(_index_and_pid, i) for i in range(7)]
-    serial = env.run_episodes(jobs, workers=1)
-    # one worker runs every job here, in this process
+    serial = env.pmap(_index_and_pid, range(7), 1)
+    # one worker runs every item here, in this process
     assert serial == [(i, os.getpid()) for i in range(7)]
-    parallel = env.run_episodes(jobs, workers=2)
+    parallel = env.pmap(_index_and_pid, range(7), 2)
     assert [i for i, _ in parallel] == list(range(7))
     pids = {pid for _, pid in parallel}
     assert os.getpid() not in pids and len(pids) <= 2
-    assert env.run_episodes([], workers=2) == []
+    assert env.pmap(_index_and_pid, [], 2) == []
+
+
+def test_pmap_resolves_workers_and_caps_them_at_the_items(fresh_pool):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        env.pmap(_index_and_pid, [], 0)
+    # None means the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0))
+    got = env.pmap(_index_and_pid, range(3), None)
+    assert [i for i, _ in got] == [0, 1, 2]
+    assert len(_worker_pids()) == (min(cpus, 3) if cpus > 1 else 0)
+    env.close_pool()
+    # one item runs here; two items fork two workers, not eight
+    assert env.pmap(_index_and_pid, [7], 8) == [(7, os.getpid())]
+    assert _worker_pids() == set()
+    got = env.pmap(_index_and_pid, range(2), 8)
+    assert [i for i, _ in got] == [0, 1]
+    assert len(_worker_pids()) == 2
 
 
 def test_run_episodes_job_that_does_not_pickle_fails_here():
-    # workers outlive a map, so a job reaches them pickled: a lambda over a
-    # local array fails in the caller, and the pool serves the next map
+    # workers outlive a map, so an item reaches them pickled: a lambda over
+    # a local array fails in the caller, and the pool serves the next map
     data = np.arange(5.0)
-    jobs = [lambda k=k: float(data[k] ** 2) for k in range(5)]
     with pytest.raises((AttributeError, pickle.PicklingError),
                        match="pickle"):
-        env.run_episodes(jobs, workers=2)
-    jobs = [functools.partial(float, k * k) for k in range(5)]
-    assert env.run_episodes(jobs, workers=2) == [0.0, 1.0, 4.0, 9.0, 16.0]
+        env.pmap(callable, [lambda k=k: data[k] for k in range(5)], 2)
+    assert env.pmap(float, [k * k for k in range(5)], 2) \
+        == [0.0, 1.0, 4.0, 9.0, 16.0]
 
 
 def _worker_pids():
@@ -578,20 +594,17 @@ def _worker_pids():
 
 
 def test_run_episodes_reuses_the_pool(fresh_pool):
-    jobs = [functools.partial(_index_and_pid, i) for i in range(6)]
-    env.run_episodes(jobs, workers=2)
+    env.pmap(_index_and_pid, range(6), 2)
     workers = _worker_pids()
-    again = env.run_episodes(jobs, workers=2)
+    again = env.pmap(_index_and_pid, range(6), 2)
     assert [i for i, _ in again] == list(range(6))
     assert len(workers) == 2 and {pid for _, pid in again} <= workers
     assert _worker_pids() == workers
 
 
 def _episode_jobs(problem, n):
-    return [functools.partial(
-        rollouts.episode, 0, problem,
-        functools.partial(random_policy, 0, [5, e, 1]), 4, [5, e],
-        env.DEFAULT_BINS) for e in range(n)]
+    return [(0, problem, functools.partial(random_policy, 0, [5, e, 1]), 4,
+             [5, e], env.DEFAULT_BINS, "") for e in range(n)]
 
 
 def _episode_bytes(trajs):
@@ -601,82 +614,68 @@ def _episode_bytes(trajs):
 
 def test_run_episodes_grows_the_pool_for_more_workers(fresh_pool, sphere5):
     jobs = _episode_jobs(sphere5, 5)
-    two = env.run_episodes(jobs, workers=2)
+    two = env.pmap(rollouts.episode, jobs, 2)
     assert len(_worker_pids()) == 2
-    three = env.run_episodes(jobs, workers=3)
+    three = env.pmap(rollouts.episode, jobs, 3)
     assert len(_worker_pids()) == 3
     assert _episode_bytes(three) == _episode_bytes(two) \
-        == _episode_bytes(env.run_episodes(jobs, workers=1))
+        == _episode_bytes(env.pmap(rollouts.episode, jobs, 1))
 
 
-@pytest.mark.parametrize("workers, ran", [(1, 5), (2, 6), (3, 6), (4, 8)])
-def test_run_episodes_stops_after_the_round(workers, ran):
-    # stop is asked after each round of `workers` jobs
-    jobs = [functools.partial(int, i) for i in range(10)]
-    seen = []
-
-    def stop(batch):
-        seen.append(list(batch))
-        return 4 in batch
-
-    got = env.run_episodes(jobs, workers=workers, stop=stop)
-    assert got == list(range(ran))
-    assert sum(seen, []) == got
-    assert all(len(b) <= workers for b in seen)
-
-
-def _fail(k, delay=0.0):
-    time.sleep(delay)
-    raise FloatingPointError(f"overflow in episode {k}")
+def _fail_from_2(k):
+    # item 3 fails first in time, item 2 first in item order
+    if k == 2:
+        time.sleep(0.2)
+    if k >= 2:
+        raise FloatingPointError(f"overflow in episode {k}")
+    return k
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_episodes_job_exception_surfaces(workers):
-    # episode 3 fails first in time, episode 2 first in job order
-    jobs = [functools.partial(int, 0), functools.partial(int, 1),
-            functools.partial(_fail, 2, 0.2), functools.partial(_fail, 3)]
     with pytest.raises(FloatingPointError, match="^overflow in episode 2$"):
-        env.run_episodes(jobs, workers=workers)
+        env.pmap(_fail_from_2, range(4), workers)
 
 
 def test_run_episodes_dead_worker_raises_instead_of_hanging():
-    jobs = [functools.partial(os._exit, 3), functools.partial(int, 1)]
     with pytest.raises(BrokenProcessPool):
-        env.run_episodes(jobs, workers=2)
+        env.pmap(os._exit, [3, 3], 2)
 
 
 def test_map_after_a_dead_worker_runs_on_fresh_workers(fresh_pool):
-    jobs = [functools.partial(_index_and_pid, i) for i in range(4)]
-    env.run_episodes(jobs, workers=2)
+    env.pmap(_index_and_pid, range(4), 2)
     broken = _worker_pids()
     with pytest.raises(BrokenProcessPool):
-        env.run_episodes([functools.partial(os._exit, 3),
-                          functools.partial(int, 1)], workers=2)
-    got = env.run_episodes(jobs, workers=2)
+        env.pmap(os._exit, [3, 3], 2)
+    got = env.pmap(_index_and_pid, range(4), 2)
     assert [i for i, _ in got] == list(range(4))
     assert not {pid for _, pid in got} & broken
     assert not _worker_pids() & broken
 
 
-def _non_integral_bins(state, t):
-    return [0, 0, 2.5]
+def _non_integral_policy():
+    return lambda state, t: [0, 0, 2.5]
 
 
 def test_run_episodes_worker_episode_error_surfaces(sphere5):
     # a policy error raised inside a worker's episode keeps type and text
-    jobs = [functools.partial(env.run_episode, 0, sphere5,
-                              _non_integral_bins, 3, seed)
+    jobs = [(0, sphere5, _non_integral_policy, 3, seed, env.DEFAULT_BINS, "")
             for seed in range(2)]
     with pytest.raises(ValueError, match="^non-integral bin 2.5 for Cr$"):
-        env.run_episodes(jobs, workers=2)
+        env.pmap(rollouts.episode, jobs, 2)
+
+
+def _child_env():
+    """The environment of a fresh interpreter that imports this
+    checkout's dacq."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(env.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def _run_child(code):
     """Run code in a fresh interpreter that imports this checkout's dacq."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(env.__file__)))
-    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -685,7 +684,7 @@ def _run_child(code):
 _PRINT_WORKER_PIDS = """
 import multiprocessing, os
 from dacq import env
-env.run_episodes([os.getpid] * 4, workers=2)
+env.pmap(abs, [1, 2, 3, 4], 2)
 print(os.getpid(), *[p.pid for p in multiprocessing.active_children()])
 """
 
@@ -700,12 +699,57 @@ def test_workers_exit_with_their_process():
             os.kill(pid, 0)
 
 
+def _alive(pid):
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# the worker pids go to a file: a worker that outlived the child would
+# hold a pipe on its stdout open
+_DIE_WITHOUT_EXIT_HOOKS = """
+import multiprocessing, os, sys
+from dacq import env
+env.pmap(abs, [1, 2, 3, 4], 2)
+with open(sys.argv[1], "w") as fh:
+    print(*[p.pid for p in multiprocessing.active_children()], file=fh)
+os._exit(0)
+"""
+
+
+def test_workers_end_when_their_process_dies_without_exit_hooks(tmp_path):
+    # no exit hook joins the pool of a process that dies by os._exit or
+    # SIGKILL: the kernel ends its workers, which it reparented
+    out, err = tmp_path / "pids", tmp_path / "stderr"
+    with open(err, "w") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIE_WITHOUT_EXIT_HOOKS, str(out)],
+            env=_child_env(), stdin=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=fh, timeout=60)
+    assert proc.returncode == 0, err.read_text()
+    pids = [int(p) for p in out.read_text().split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids)), "a worker outlived its process"
+    finally:
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
 _NESTED_MAP = """
 import os
 from dacq import env
-def nested():
-    return os.getpid(), env.run_episodes([os.getpid] * 4, workers=2)
-for worker, inner in env.run_episodes([nested] * 2, workers=2):
+def pid(_):
+    return os.getpid()
+def nested(_):
+    return os.getpid(), env.pmap(pid, range(4), 2)
+for worker, inner in env.pmap(nested, range(2), 2):
     assert not {worker, os.getpid()} & set(inner), (worker, inner)
 print("ok")
 """

@@ -12,10 +12,6 @@ differ) and its rule; each command lists its flags in ``COMMANDS``.  A
 config-file key must be one of its command's flags, and its value goes
 through the flag's type as the flag's text would; another key, or a
 value that does not convert or breaks its row's rule, is a usage error.
-Set ``DACQ_THREADS`` before the process starts to cap BLAS thread pools
-(applied when the package is imported, and exported again by ``main``
-so child processes inherit it; an ``OPENBLAS_NUM_THREADS``-style
-variable already set keeps its value).
 ``--workers N`` runs the independent episodes of collect, eval and
 ablate, and the trajectories of each training minibatch of train and
 ablate, on N worker processes (default: the CPUs this process may use),
@@ -36,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algorithms, checkpoint, datasets, env, export_threads, \
-    problems, qmodel, rollouts, ssm, training
+from . import algorithms, checkpoint, datasets, env, problems, qmodel, \
+    rollouts, ssm, training
 from .rollouts import EvalReport, evaluate_policies
 
 
@@ -367,6 +363,15 @@ def _test_instances(cfg, split: problems.ProblemSplit) -> list:
             for fid in split.test_ids]
 
 
+def _checkpoint_int(path, extra: dict, key: str) -> int:
+    """extra[key] of the checkpoint at path if it is an integer; else a
+    ValueError that names the file and the field."""
+    try:
+        return datasets.read_field(extra, key, "int")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_train(cfg) -> int:
     if cfg.data is None:
         raise UsageError("train requires --data")
@@ -377,7 +382,9 @@ def cmd_train(cfg) -> int:
     start_epoch = 0
     if cfg.resume:
         params, opt, extra = checkpoint.load_checkpoint(cfg.resume)
-        start_epoch = int(extra.get("epoch", 0))
+        # a checkpoint saved without an epoch starts at 0
+        start_epoch = _checkpoint_int(cfg.resume, {"epoch": 0, **extra},
+                                      "epoch")
         print(f"resuming from {cfg.resume} at epoch {start_epoch} "
               f"(model config from checkpoint)")
     else:
@@ -417,7 +424,7 @@ def cmd_eval(cfg) -> int:
     # every train checkpoint records the algorithm its model decodes
     if "alg_id" not in extra:
         raise ValueError(f"checkpoint {cfg.ckpt} records no alg_id")
-    alg_id = int(extra["alg_id"])
+    alg_id = _checkpoint_int(cfg.ckpt, extra, "alg_id")
     instances = _test_instances(cfg, build_split(cfg))
 
     t0 = time.perf_counter()
@@ -459,20 +466,16 @@ def _remix(trajs, mu):
     using as many stored trajectories as the labels allow."""
     exploit = [t for t in trajs if t.policy_id != "random"]
     explore = [t for t in trajs if t.policy_id == "random"]
+    if not exploit or not explore:
+        raise ValueError("dataset lacks the policy mix needed for the "
+                         "mu sweep (need both labels)")
     if mu == 0.0:
-        subset = explore
-    elif mu == 1.0:
-        subset = exploit
-    else:
-        if not exploit or not explore:
-            raise ValueError("dataset lacks the policy mix needed for the "
-                             "mu sweep (need both labels)")
-        usable = min(int(len(exploit) / mu), int(len(explore) / (1.0 - mu)))
-        n_ex = int(round(mu * usable))
-        subset = exploit[:n_ex] + explore[:usable - n_ex]
-    if not subset:
-        raise ValueError(f"no trajectories available at mu={mu}")
-    return subset
+        return explore
+    if mu == 1.0:
+        return exploit
+    usable = min(int(len(exploit) / mu), int(len(explore) / (1.0 - mu)))
+    n_ex = int(round(mu * usable))
+    return exploit[:n_ex] + explore[:usable - n_ex]
 
 
 def cmd_ablate(cfg) -> int:
@@ -481,15 +484,17 @@ def cmd_ablate(cfg) -> int:
     out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
     _print_exploitation_note(manifest.policy_counts)
-    # the bin sweep's kind and instance seed; a mu = 0 dataset has no kind,
-    # and its recollect plays no exploitation, so any gives the same bytes
+    # the bin sweep's kind and instance seed
     kinds = set(manifest.policy_counts) - {"random"}
     seeds = {t.instance_seed for t in trajs}
     if len(kinds) > 1 or len(seeds) != 1:
         raise ValueError(f"dataset mixes exploitation kinds {kinds} or "
                          f"instance seeds {seeds}")
-    kind = (kinds or {datasets.EXPLOITATION_KINDS[0]}).pop()
-    instance_seed = seeds.pop()
+    # the mu sweep's subsets, re-mixed from the stored labels before any
+    # training: a dataset without both labels fails here
+    mus = (0.0, 0.25, 0.5, 0.75, 1.0)
+    subsets = [_remix(trajs, mu) for mu in mus]
+    kind, instance_seed = kinds.pop(), seeds.pop()
     split = build_split(cfg)
     t0 = time.perf_counter()
 
@@ -503,10 +508,9 @@ def cmd_ablate(cfg) -> int:
     write_csv(out / "ablate_lambda_beta.csv",
               ("lam", "beta", "mean_perf", "std_perf"), grid_rows)
 
-    # exploitation-share sweep, re-mixed from the stored labels
+    # exploitation-share sweep
     mu_rows = []
-    for r, mu in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-        subset = _remix(trajs, mu)
+    for r, (mu, subset) in enumerate(zip(mus, subsets)):
         mu_rows.append((mu, len(subset), *_train_eval_once(
             subset, manifest, cfg, split, cfg.lam, cfg.beta, 20 + r,
             f"mu={mu:g} (D={len(subset)})")))
@@ -726,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    export_threads()
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)

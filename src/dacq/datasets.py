@@ -89,7 +89,7 @@ _JSON_TYPES = {
 }
 
 
-def _field(obj: dict, key: str, json_type: str):
+def read_field(obj: dict, key: str, json_type: str):
     """obj[key] if it is present and of json_type (a key of
     ``_JSON_TYPES``); else a ValueError that names the field."""
     if key not in obj:
@@ -109,7 +109,7 @@ def read_record(cls, obj, what: str):
         if not isinstance(obj, dict):
             raise ValueError(f"not a JSON object: {obj!r}")
         for f in fields(cls):
-            _field(obj, f.name, f.type)
+            read_field(obj, f.name, f.type)
         return cls(**obj)
     except (TypeError, ValueError) as exc:   # TypeError: an unknown key
         raise ValueError(f"bad {what}: {exc}") from None
@@ -169,7 +169,8 @@ def trajectory_to_obj(traj: Trajectory) -> dict:
 
 
 def trajectory_from_obj(obj) -> Trajectory:
-    """A parsed line's Trajectory: fields by read_record, steps by _field."""
+    """A parsed line's Trajectory: fields by read_record, steps by
+    read_field."""
     traj = read_record(Trajectory, obj, "trajectory")
     for name in ("f_best_init", "f_star"):
         try:   # OverflowError: an integer beyond float range
@@ -182,10 +183,10 @@ def trajectory_from_obj(obj) -> Trajectory:
             raise ValueError(f"step {t} is not a JSON object: {st!r}")
         try:
             steps.append(StepRecord(
-                state=np.asarray(_field(st, "s", "list[float]"), float),
-                actions=np.asarray(_field(st, "a", "list[int]"), np.int64),
-                reward=float(_field(st, "r", "float")),
-                best_so_far_f=float(_field(st, "bsf", "float"))))
+                state=np.asarray(read_field(st, "s", "list[float]"), float),
+                actions=np.asarray(read_field(st, "a", "list[int]"), np.int64),
+                reward=float(read_field(st, "r", "float")),
+                best_so_far_f=float(read_field(st, "bsf", "float"))))
         # OverflowError: an integer beyond int64 ('a') or float range
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"step {t}: {exc}") from None

@@ -107,6 +107,39 @@ def test_readme_commands_parse_and_resolve():
         assert all(getattr(cfg, k) == v for k, v in given.items()), line
 
 
+def _workflow_unknown_flags(text):
+    """(command, flag) of each flag in text's dacq invocations that is not
+    one of its command's flags, an unknown command as (command, None);
+    and the commands invoked."""
+    unknown, invoked = [], set()
+    for line in text.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        for i, word in enumerate(words[:-1]):
+            if word != "dacq":
+                continue
+            command = words[i + 1]
+            invoked.add(command)
+            if command not in cli.COMMANDS:
+                unknown.append((command, None))
+                continue
+            names = cli._SHARED + cli.COMMANDS[command][2]
+            flags = {"--" + n.replace("_", "-") for n in names}
+            unknown += [(command, w) for w in words[i + 2:]
+                        if w.startswith("--") and w not in flags]
+    return unknown, invoked
+
+
+def test_workflow_calls_only_real_commands_and_flags():
+    # the CI workflow runs dacq commands a deleted flag would break: read
+    # as text (no YAML parser in the test extra), \-continued lines joined
+    text = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+            / "tier1.yml").read_text(encoding="utf-8")
+    assert _workflow_unknown_flags(text) == ([], set(cli.COMMANDS))
+    planted = text.replace("dacq collect", "dacq collect --calibration 10", 1)
+    assert _workflow_unknown_flags(planted)[0] == [("collect",
+                                                    "--calibration")]
+
+
 # ---------------------------------------------------------------------------
 # collect
 # ---------------------------------------------------------------------------
@@ -273,13 +306,6 @@ def test_repeated_function_ids_are_usage_error(argv, tmp_path, capsys,
     assert "invalid" not in err
 
 
-def test_threads_env_exported(tmp_path, monkeypatch):
-    monkeypatch.setenv("DACQ_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    run(["verify", "--mdps", "1", "--scan-seeds", "1"])
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
 # prints the thread count of the OpenBLAS numpy loaded, or None
 _BLAS_THREADS = """
 import ctypes
@@ -302,34 +328,30 @@ def _child_env():
     """The environment of a fresh interpreter that imports this checkout's
     dacq, without thread caps."""
     env = {k: v for k, v in os.environ.items()
-           if not k.endswith("_NUM_THREADS") and k != "DACQ_THREADS"}
+           if not k.endswith("_NUM_THREADS")}
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
 
 
-@pytest.mark.parametrize("dacq_threads, openblas_threads, expected", [
-    ("1", None, 1),
-    ("1", "2", 2),   # an explicit OPENBLAS_NUM_THREADS wins
-])
-def test_threads_env_caps_blas_pool(dacq_threads, openblas_threads,
-                                    expected):
-    # DACQ_THREADS must reach OpenBLAS, which reads its thread variables
-    # once, when numpy loads: check the pool of a fresh interpreter
-    if expected > (os.cpu_count() or 1):
-        pytest.skip("OpenBLAS caps its pool at the number of cores")
-    env = _child_env()
-    env["DACQ_THREADS"] = dacq_threads
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env,
+_ENVIRON_CHANGES = """
+import os
+before = set(os.environ.items())
+import dacq.cli
+print(sorted(before ^ set(os.environ.items())))
+"""
+
+
+def test_import_leaves_the_environment_as_set():
+    # BLAS thread pools are capped by their own variables, such as
+    # OMP_NUM_THREADS, alone: importing dacq writes no variable, and the
+    # old DACQ_THREADS is not copied to them
+    env = {**_child_env(), "DACQ_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _ENVIRON_CHANGES], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    count = proc.stdout.strip()
-    if count == "None":
-        pytest.skip("numpy is not linked against OpenBLAS")
-    assert int(count) == expected
+    assert proc.stdout == "[]\n"
 
 
 _COLLECT_TRAIN = """
@@ -610,6 +632,21 @@ def test_train_resume_without_moments_is_one_error_line(ds_dir, tmp_path,
     assert not (tmp_path / "o" / "model.ckpt").exists()
 
 
+def test_train_resume_without_epoch_starts_at_epoch_one(ds_dir, tmp_path):
+    # a checkpoint saved without an epoch resumes from epoch 0
+    start = tmp_path / "start.ckpt"
+    params = qmodel.init_qmodel(
+        qmodel.ModelConfig(K=3, M=16, d_model=12, d_state=4), seed=0)
+    checkpoint.save_checkpoint(start, params,
+                               opt=training.AdamWState.for_params(params))
+    rc = run(["train", "--data", str(ds_dir), "--out", str(tmp_path / "o"),
+              "--resume", str(start), "--epochs", "1", "--batch", "4",
+              "--seed", "2"])
+    assert rc == 0
+    assert [r[0] for r in read_csv(tmp_path / "o" / "loss.csv")] == [
+        "epoch", "1"]
+
+
 def test_train_lr_zero_leaves_parameters_at_init(ds_dir, tmp_path):
     out = tmp_path / "run"
     rc = run(["train", "--data", str(ds_dir), "--out", str(out),
@@ -874,6 +911,31 @@ def test_eval_reads_alg_from_checkpoint(ckpt_path, tmp_path, capsys):
     assert f"checkpoint {bare} records no alg_id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [None, 0.7, "0", True],
+                         ids=("null", "float", "string", "true"))
+@pytest.mark.parametrize("key", ["alg_id", "epoch"])
+def test_checkpoint_metadata_of_wrong_type_is_one_error_line(
+        key, value, ckpt_path, ds_dir, tmp_path, capsys):
+    # eval reads the checkpoint's alg_id and train --resume its epoch:
+    # each must be a JSON integer, as every other stored field
+    params, opt, extra = checkpoint.load_checkpoint(ckpt_path)
+    bad = tmp_path / "bad.ckpt"
+    checkpoint.save_checkpoint(bad, params, opt=opt,
+                               extra={**extra, key: value})
+    out = tmp_path / "o"
+    if key == "alg_id":
+        argv = ["eval", "--ckpt", str(bad), "--t", "3", "--runs", "1",
+                "--test-functions", "15"]
+    else:
+        argv = ["train", "--data", str(ds_dir), "--resume", str(bad),
+                "--epochs", "1", "--batch", "4", "--seed", "2"]
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field {key!r} must be an integer, got {value!r}\n")
+    assert list(out.iterdir()) == []
+
+
 def test_evaluate_policies_rows_do_not_depend_on_workers(ckpt_path):
     params, _, _ = checkpoint.load_checkpoint(ckpt_path)
     insts = [problems.make_instance(f, 5, seed=0) for f in (15, 17)]
@@ -1035,6 +1097,33 @@ def test_ablate_rejects_mixed_instance_seeds(tmp_path, capsys,
               "--out", str(tmp_path / "ab")])
     assert rc == 1
     assert "or instance seeds {0, 3}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", ["0", "1"])
+def test_ablate_without_both_labels_fails_before_training(mu, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    # the mu sweep re-mixes exploitation and random episodes: a dataset
+    # of one label is an error before any of the sweeps trains
+    ds = tmp_path / "ds"
+    assert run(["collect", "--alg", "0", "--mu", mu, "--d", "4", "--t", "3",
+                "--seed", "1", "--functions", "1,12", "--workers", "1",
+                "--out", str(ds)]) == 0
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("ablate trained")
+
+    monkeypatch.setattr(training, "train", no_training)
+    capsys.readouterr()
+    out = tmp_path / "ab"
+    rc = run(["ablate", "--data", str(ds), "--epochs", "1", "--batch", "4",
+              "--d-model", "8", "--d-state", "4", "--runs", "1", "--t", "3",
+              "--test-functions", "15", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: dataset lacks the policy mix needed for the mu sweep "
+        "(need both labels)\n")
+    assert list(out.glob("*.csv")) == []
 
 
 def test_ablate_trains_with_wd(ds_dir, tmp_path, monkeypatch):

@@ -4,14 +4,14 @@ Every command is deterministic under fixed seeds and writes
 machine-parseable CSV (plus a human summary on stdout).  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  ``--profile desk`` (the
 default) picks sizes that run a full pipeline in minutes on a laptop;
-``--profile paper`` selects the full-scale settings.  Flags override an
-optional ``--config`` file (JSON object or ``key = value`` lines), which
-overrides the profile.  Each setting is one row of ``FLAGS`` holding
-its argparse keywords, its default (by profile where desk and paper
-differ) and its rule; each command lists its flags in ``COMMANDS``.  A
-config-file key must be one of its command's flags, and its value goes
-through the flag's type as the flag's text would; another key, or a
-value that does not convert or breaks its row's rule, is a usage error.
+``--profile paper`` selects the full-scale settings; flags override the
+profile.  An argument ``@FILE`` stands for the lines of FILE, one
+argument per line (argparse's ``fromfile_prefix_chars``), so a file's
+flags parse, and fail, as the same flags on the command line, and a
+later value of a flag wins.  Each setting is one row of ``FLAGS``
+holding its argparse keywords, its default (by profile where desk and
+paper differ) and its rule; each command lists its flags in
+``COMMANDS``.  A value that breaks its row's rule is a usage error.
 ``--workers N`` runs the independent episodes of collect, eval and
 ablate, and the trajectories of each training minibatch of train and
 ablate, on N worker processes (default: the CPUs this process may use),
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import operator
 import sys
@@ -38,7 +37,8 @@ from .rollouts import EvalReport, evaluate_policies
 
 
 class UsageError(ValueError):
-    """Bad flag/config values; mapped to exit code 2."""
+    """A flag value that breaks its row's rule, or a missing required
+    flag; mapped to exit code 2."""
 
 
 def _ids(text) -> tuple:
@@ -68,14 +68,11 @@ OBJECTIVE_FEATURE_LIMIT = 100.0
 #: one row per setting: ``--name`` (``_`` spelled ``-``) sets ``cfg.name``.
 #: ``type``, ``help`` and ``choices`` go to argparse.  ``default`` is a
 #: value or a dict by profile (None: unset).  The rule: ``choices``, the
-#: inclusive bounds ``lo``/``hi`` and ``value > gt``.  ``config`` names
-#: the file that ``resolve_config`` merges beneath the flags.
+#: inclusive bounds ``lo``/``hi`` and ``value > gt``.
 FLAGS = {
     "seed": dict(type=int, default=0, lo=0),
     "out": dict(type=str),
     "profile": dict(type=str, choices=PROFILES, default="desk"),
-    "config": dict(type=str,
-                   help="JSON or key=value config file; flags override it"),
     "data": dict(type=str, help="dataset directory (verify: optional, "
                                 "revalidated when given)"),
     "ckpt": dict(type=str),
@@ -140,67 +137,13 @@ def check_value(name, value):
                              f"{wording} {bound}, got {value!r}")
 
 
-def _file_value(key, value):
-    """A config-file value converted by its flag's type, as argparse
-    converts the flag's text (a JSON list joined with commas)."""
-    if value is None:
-        raise UsageError(f"config key {key!r}: null is not a value")
-    text = (",".join(map(str, value)) if isinstance(value, list)
-            else str(value))
-    convert = FLAGS[key].get("type", str)
-    try:
-        return convert(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from None
-    except ValueError:
-        raise UsageError(f"config key {key!r}: invalid {convert.__name__} "
-                         f"value: {text!r}") from None
-
-
-def load_config_file(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad JSON config {path}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise UsageError(f"config {path} must hold an object")
-        return {str(k).replace("-", "_"): v for k, v in obj.items()}
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
-    return out
-
-
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The profile's defaults, then the config file, then the flags given
-    on the command line, each value checked against its row."""
+    """The profile's defaults, then the flags given, each value checked
+    against its row (argparse has checked ``--profile``'s choices)."""
     given = {k: v for k, v in vars(args).items()
              if k != "command" and v is not None}
-    merged = {}
-    if given.get("config"):
-        known = set(_SHARED + COMMANDS[args.command][2]) - {"config"}
-        for key, value in load_config_file(given["config"]).items():
-            if key not in known:
-                raise UsageError(f"unknown config key {key!r} for "
-                                 f"{args.command}")
-            merged[key] = _file_value(key, value)
-    merged.update(given)
-    profile = merged.setdefault("profile", FLAGS["profile"]["default"])
-    check_value("profile", profile)
-    merged = {**defaults(profile), **merged}
+    merged = {**defaults(given.get("profile", FLAGS["profile"]["default"])),
+              **given}
     for name, value in merged.items():
         check_value(name, value)
     return argparse.Namespace(command=args.command, **merged)
@@ -363,11 +306,12 @@ def _test_instances(cfg, split: problems.ProblemSplit) -> list:
             for fid in split.test_ids]
 
 
-def _checkpoint_int(path, extra: dict, key: str) -> int:
-    """extra[key] of the checkpoint at path if it is an integer; else a
-    ValueError that names the file and the field."""
+def _checkpoint_field(path, extra: dict, key: str, json_type: str):
+    """extra[key] of the checkpoint at path if it is of json_type (see
+    ``datasets.read_field``); else a ValueError that names the file and
+    the field."""
     try:
-        return datasets.read_field(extra, key, "int")
+        return datasets.read_field(extra, key, json_type)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -382,9 +326,16 @@ def cmd_train(cfg) -> int:
     start_epoch = 0
     if cfg.resume:
         params, opt, extra = checkpoint.load_checkpoint(cfg.resume)
-        # a checkpoint saved without an epoch starts at 0
-        start_epoch = _checkpoint_int(cfg.resume, {"epoch": 0, **extra},
-                                      "epoch")
+        # a checkpoint saved without an epoch starts at 0, and one without
+        # a dataset checksum resumes on any dataset
+        start_epoch = _checkpoint_field(cfg.resume, {"epoch": 0, **extra},
+                                        "epoch", "int")
+        trained_on = _checkpoint_field(
+            cfg.resume, {"dataset_checksum": manifest.checksum, **extra},
+            "dataset_checksum", "str")
+        if trained_on != manifest.checksum:
+            raise ValueError(f"{cfg.resume}: trained on dataset {trained_on}, "
+                             f"--data holds {manifest.checksum}")
         print(f"resuming from {cfg.resume} at epoch {start_epoch} "
               f"(model config from checkpoint)")
     else:
@@ -424,7 +375,7 @@ def cmd_eval(cfg) -> int:
     # every train checkpoint records the algorithm its model decodes
     if "alg_id" not in extra:
         raise ValueError(f"checkpoint {cfg.ckpt} records no alg_id")
-    alg_id = _checkpoint_int(cfg.ckpt, extra, "alg_id")
+    alg_id = _checkpoint_field(cfg.ckpt, extra, "alg_id", "int")
     instances = _test_instances(cfg, build_split(cfg))
 
     t0 = time.perf_counter()
@@ -687,7 +638,7 @@ def cmd_verify(cfg) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-_SHARED = ("seed", "out", "profile", "config")
+_SHARED = ("seed", "out", "profile")
 
 #: the flags that train and ablate share
 _TRAINING = ("epochs", "batch", "lr", "wd", "beta", "lam", "gamma",
@@ -715,10 +666,12 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dacq",
+        prog="dacq", fromfile_prefix_chars="@",
         description="Offline Q-learning control of evolutionary optimizers: "
                     "dataset collection, training, evaluation, ablations, "
-                    "verification.")
+                    "verification.  An argument @FILE stands for FILE's "
+                    "lines, one argument per line (--mu=0.2); a later "
+                    "value of a flag wins.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_, names) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import problems
+
 DE_VARIANTS = ("current_to_rand_1", "best_2", "rand_2", "current_to_best_1")
 CROSSOVER_VARIANTS = ("exponential", "mpx", "binomial", "sbx")
 SELECTIONS = ("greedy_pairwise", "roulette", "tournament")
@@ -46,7 +48,6 @@ class Population:
 def evaluate_population(pop: Population, problem) -> int:
     """Fill in fitness via the problem objective and return the number of
     objective evaluations consumed."""
-    from . import problems
     pop.fitness = problems.evaluate(problem, pop.X)
     return pop.size
 
@@ -201,16 +202,23 @@ def sbx_kernel(X, donor, partner_idx, u, swap, eta_c):
     return np.where(swap, hi_side, lo_side)
 
 
+def _rank_choice(rng, fitness: np.ndarray, size: int) -> np.ndarray:
+    """size row indices drawn with replacement, rank-weighted toward
+    better fitness: weight n - rank over n rows, best rank 0."""
+    n = len(fitness)
+    order = np.argsort(fitness, kind="stable")
+    weights = np.empty(n)
+    weights[order] = n - np.arange(n)
+    return rng.choice(n, size=size, p=weights / weights.sum())
+
+
 def draw_partners(rng, fitness: np.ndarray, NP: int, xr: str) -> np.ndarray:
     """Partner row per offspring row: uniform, or rank-weighted toward
-    better fitness (weight NP - rank, best rank 0)."""
+    better fitness (``_rank_choice``)."""
     if xr == "uniform":
         return rng.integers(0, NP, size=NP)
     if xr == "rank":
-        order = np.argsort(fitness, kind="stable")
-        weights = np.empty(NP)
-        weights[order] = NP - np.arange(NP)
-        return rng.choice(NP, size=NP, p=weights / weights.sum())
+        return _rank_choice(rng, fitness, NP)
     raise ValueError(f"unknown partner selector {xr!r}")
 
 
@@ -299,10 +307,7 @@ def select(variant: str, parents: Population, offspring: Population, rng) -> Pop
     pool_f = np.concatenate([parents.fitness, offspring.fitness])
     n_pool, NP = pool_X.shape[0], parents.size
     if variant == "roulette":
-        order = np.argsort(pool_f, kind="stable")
-        weights = np.empty(n_pool)
-        weights[order] = n_pool - np.arange(n_pool)  # best rank -> largest
-        chosen = rng.choice(n_pool, size=NP, p=weights / weights.sum())
+        chosen = _rank_choice(rng, pool_f, NP)
     else:  # tournament, size 2
         c1 = rng.integers(0, n_pool, size=NP)
         c2 = rng.integers(0, n_pool, size=NP)

@@ -208,83 +208,85 @@ def test_collect_reports_state_maxima_and_names_unbounded_functions(
 
 
 # ---------------------------------------------------------------------------
-# config file merging
+# @FILE arguments
 # ---------------------------------------------------------------------------
 
+def _args_file(path, *lines):
+    """The argument @path, after writing lines to path one per line."""
+    path.write_text("".join(line + "\n" for line in lines))
+    return f"@{path}"
+
+
+def _exits_2(argv, capsys):
+    """stderr of run(argv), which must exit 2 from argparse."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
-    cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text("mu = 0.2\nd = 5\n# comment\nt = 3\n")
-    out1 = tmp_path / "o1"
-    rc = run(["collect", "--config", str(cfgfile), "--functions", "1",
-              "--seed", "2", "--out", str(out1)])
-    assert rc == 0
-    man = json.loads((out1 / "manifest.json").read_text())
-    assert man["mu"] == 0.2 and man["D"] == 5 and man["T"] == 3
-
-    out2 = tmp_path / "o2"
-    rc = run(["collect", "--config", str(cfgfile), "--functions", "1",
-              "--seed", "2", "--mu", "0.8", "--out", str(out2)])
-    assert rc == 0
-    man = json.loads((out2 / "manifest.json").read_text())
-    assert man["mu"] == 0.8  # flag wins over file
-
-
-def test_config_file_json_form(tmp_path):
-    cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({"d": 4, "t": 3, "functions": [1]}))
-    out = tmp_path / "o"
-    rc = run(["collect", "--config", str(cfgfile), "--seed", "3",
-              "--out", str(out)])
-    assert rc == 0
-    assert json.loads((out / "manifest.json").read_text())["D"] == 4
+    # an @FILE stands for its lines, one argument each: the later value of
+    # a flag wins, so a flag after the file overrides it, one before not
+    args = _args_file(tmp_path / "c.args", "--mu=0.2", "--d=5", "--t=3")
+    for name, argv, mu in (("o1", [args], 0.2),
+                           ("o2", [args, "--mu", "0.8"], 0.8),
+                           ("o3", ["--mu", "0.8", args], 0.2)):
+        out = tmp_path / name
+        assert run(["collect", *argv, "--functions", "1", "--seed", "2",
+                    "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert (man["mu"], man["D"], man["T"]) == (mu, 5, 3), name
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     # "command" is an attribute of the resolved config but not a flag
-    cfgfile = tmp_path / "c.cfg"
-    for key in ("learning_rate_max", "command"):
-        cfgfile.write_text(f"{key} = 1\n")
-        rc = run(["collect", "--config", str(cfgfile), "--out",
-                  str(tmp_path / "o")])
-        assert rc == 2
-        assert "unknown config key" in capsys.readouterr().err
+    for flag in ("--learning-rate-max", "--command"):
+        args = _args_file(tmp_path / "c.args", f"{flag}=1")
+        err = _exits_2(["collect", args, "--out", str(tmp_path / "o")],
+                       capsys)
+        assert f"unrecognized arguments: {flag}=1" in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_missing_args_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "none.args"
+    err = _exits_2(["collect", f"@{missing}", "--out", str(tmp_path / "o")],
+                   capsys)
+    assert "No such file or directory" in err and str(missing) in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, key, value", [
-    ("eval", "alg", "1"), ("eval", "policy", '"filtered_random"'),
-    ("eval", "epochs", "7"), ("ablate", "policy", '"filtered_random"')])
+    ("eval", "alg", "1"), ("eval", "policy", "filtered_random"),
+    ("eval", "epochs", "7"), ("ablate", "policy", "filtered_random")])
 def test_config_key_of_another_command_is_usage_error(tmp_path, capsys,
                                                       command, key, value):
     # a setting the command does not read is named, not ignored
-    cfgfile = tmp_path / "c.cfg"
-    cfgfile.write_text(f"{key} = {value}\n")
-    rc = run([command, "--config", str(cfgfile), "--out",
-              str(tmp_path / "o")])
-    assert rc == 2
-    assert capsys.readouterr().err == (f"usage error: unknown config key "
-                                       f"{key!r} for {command}\n")
+    args = _args_file(tmp_path / "c.args", f"--{key}={value}")
+    err = _exits_2([command, args, "--out", str(tmp_path / "o")], capsys)
+    assert f"error: unrecognized arguments: --{key}={value}\n" in err
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("name, text, key", [
-    ("c.cfg", "mu = abc\n", "mu"),
-    ("c.json", json.dumps({"d": 4.5}), "d"),
-    ("c.json", json.dumps({"seed": "x"}), "seed"),
-    ("c.json", json.dumps({"functions": [3, 3]}), "functions"),
-    ("c.json", json.dumps({"dim": None}), "dim"),
-])
-def test_bad_config_value_is_one_line_usage_error(
-        tmp_path, capsys, name, text, key):
-    # a file value goes through its flag's type, as the flag's text would
-    cfgfile = tmp_path / name
-    cfgfile.write_text(text)
-    rc = run(["collect", "--config", str(cfgfile), "--out",
-              str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith(f"usage error: config key {key!r}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+@pytest.mark.parametrize("line", ["--mu=abc", "--d=4.5", "--seed=x",
+                                  "--functions=3,3"])
+def test_bad_value_in_file_is_usage_error(tmp_path, capsys, line):
+    # a file's value goes through its flag's type, as the flag's text does
+    args = _args_file(tmp_path / "c.args", line)
+    err = _exits_2(["collect", args, "--out", str(tmp_path / "o")], capsys)
+    assert err.startswith("usage: dacq collect ")
+    assert f"error: argument {line.split('=')[0]}: " in err
     assert not (tmp_path / "o").exists()
+
+
+def test_profile_in_file_gives_its_defaults(tmp_path):
+    args = _args_file(tmp_path / "c.args", "--profile=paper")
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["train", args]))
+    assert (cfg.profile, cfg.epochs, cfg.d_model) == ("paper", 300, 64)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["train", args, "--epochs", "5"]))
+    assert (cfg.epochs, cfg.d_model) == (5, 64)
 
 
 @pytest.mark.parametrize("argv", [
@@ -934,6 +936,39 @@ def test_checkpoint_metadata_of_wrong_type_is_one_error_line(
     assert capsys.readouterr().err == (
         f"error: {bad}: field {key!r} must be an integer, got {value!r}\n")
     assert list(out.iterdir()) == []
+
+
+def test_train_resume_on_another_dataset_is_one_error_line(
+        ckpt_path, ds_dir, tmp_path, capsys):
+    # a checkpoint resumes only on the dataset whose checksum it records
+    other = tmp_path / "other"
+    assert run(["collect", "--alg", "0", "--d", "4", "--t", "3", "--seed",
+                "2", "--functions", "15", "--out", str(other)]) == 0
+    trained_on = datasets.load_dataset(ds_dir)[1].checksum
+    holds = datasets.load_dataset(other)[1].checksum
+    out = tmp_path / "o"
+    argv = ["train", "--data", str(other), "--epochs", "1", "--batch", "4",
+            "--seed", "9", "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv + ["--resume", str(ckpt_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt_path}: trained on dataset {trained_on}, --data holds "
+        f"{holds}\n")
+    assert list(out.iterdir()) == []
+    # a checksum that is not a string is the typed-field error; an absent
+    # one is not checked
+    params, opt, extra = checkpoint.load_checkpoint(ckpt_path)
+    bad = tmp_path / "bad.ckpt"
+    checkpoint.save_checkpoint(bad, params, opt=opt,
+                               extra={**extra, "dataset_checksum": 5})
+    assert run(argv + ["--resume", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field 'dataset_checksum' must be a string, got 5\n")
+    del extra["dataset_checksum"]
+    checkpoint.save_checkpoint(bad, params, opt=opt, extra=extra)
+    assert run(argv + ["--resume", str(bad)]) == 0
+    assert checkpoint.load_checkpoint(out / "model.ckpt")[2][
+        "dataset_checksum"] == holds
 
 
 def test_evaluate_policies_rows_do_not_depend_on_workers(ckpt_path):

@@ -5,13 +5,14 @@ machine-parseable CSV (plus a human summary on stdout).  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  ``--profile desk`` (the
 default) picks sizes that run a full pipeline in minutes on a laptop;
 ``--profile paper`` selects the full-scale settings; flags override the
-profile.  An argument ``@FILE`` stands for the lines of FILE, one
+profile.  An argument ``@FILE`` stands for FILE's non-blank lines, one
 argument per line (argparse's ``fromfile_prefix_chars``), so a file's
 flags parse, and fail, as the same flags on the command line, and a
-later value of a flag wins.  Each setting is one row of ``FLAGS``
-holding its argparse keywords, its default (by profile where desk and
-paper differ) and its rule; each command lists its flags in
-``COMMANDS``.  A value that breaks its row's rule is a usage error.
+later value of a flag wins.  Each setting is one row of ``FLAGS``: its
+argparse keywords, bounds and default (by profile where desk and paper
+differ); ``COMMANDS`` lists each command's flags and the ones it
+requires.  argparse alone checks them: a value out of its row's bounds
+or a missing required flag is argparse's usage error.
 ``--workers N`` runs the independent episodes of collect, eval and
 ablate, and the trajectories of each training minibatch of train and
 ablate, on N worker processes (default: the CPUs this process may use),
@@ -34,11 +35,6 @@ import numpy as np
 from . import algorithms, checkpoint, datasets, env, problems, qmodel, \
     rollouts, ssm, training
 from .rollouts import EvalReport, evaluate_policies
-
-
-class UsageError(ValueError):
-    """A flag value that breaks its row's rule, or a missing required
-    flag; mapped to exit code 2."""
 
 
 def _ids(text) -> tuple:
@@ -66,9 +62,9 @@ DECOMPOSITION_TOL = 1e-8
 OBJECTIVE_FEATURE_LIMIT = 100.0
 
 #: one row per setting: ``--name`` (``_`` spelled ``-``) sets ``cfg.name``.
-#: ``type``, ``help`` and ``choices`` go to argparse.  ``default`` is a
-#: value or a dict by profile (None: unset).  The rule: ``choices``, the
-#: inclusive bounds ``lo``/``hi`` and ``value > gt``.
+#: ``help`` and ``choices`` go to argparse, and ``type`` with the bounds
+#: (inclusive ``lo``/``hi``, and ``value > gt``) makes its argparse type.
+#: ``default`` is a value or a dict by profile (None: unset).
 FLAGS = {
     "seed": dict(type=int, default=0, lo=0),
     "out": dict(type=str),
@@ -109,13 +105,9 @@ FLAGS = {
                          "use); outputs do not depend on it"),
 }
 
-#: the row keys that ``build_parser`` hands to ``add_argument``
-_ARGPARSE_KEYS = ("type", "help", "choices")
-
-#: a row's rule keys: (key, test of a value against its bound, wording)
-_RULES = (("choices", lambda value, choices: value in choices, "one of"),
-          ("lo", operator.ge, ">="), ("gt", operator.gt, ">"),
-          ("hi", operator.le, "<="))
+#: a row's bound keys: (key, test of a value against its bound, wording)
+_BOUNDS = (("lo", operator.ge, ">="), ("gt", operator.gt, ">"),
+           ("hi", operator.le, "<="))
 
 
 def defaults(profile) -> dict:
@@ -127,26 +119,29 @@ def defaults(profile) -> dict:
     return out
 
 
-def check_value(name, value):
-    """Raise UsageError unless ``value`` meets the rule of row ``name``;
-    None (unset) meets every rule."""
-    for key, ok, wording in _RULES:
-        bound = FLAGS[name].get(key)
-        if value is not None and bound is not None and not ok(value, bound):
-            raise UsageError(f"--{name.replace('_', '-')} must be "
-                             f"{wording} {bound}, got {value!r}")
+def _flag_type(row):
+    """argparse type of a ``FLAGS`` row: its ``type``, then its bounds,
+    under the converter's name (argparse's "invalid int value")."""
+    convert = row["type"]
+
+    def parse(text):
+        value = convert(text)
+        for key, ok, wording in _BOUNDS:
+            if key in row and not ok(value, row[key]):
+                raise argparse.ArgumentTypeError(
+                    f"must be {wording} {row[key]}, got {value!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The profile's defaults, then the flags given, each value checked
-    against its row (argparse has checked ``--profile``'s choices)."""
-    given = {k: v for k, v in vars(args).items()
-             if k != "command" and v is not None}
-    merged = {**defaults(given.get("profile", FLAGS["profile"]["default"])),
-              **given}
-    for name, value in merged.items():
-        check_value(name, value)
-    return argparse.Namespace(command=args.command, **merged)
+    """The profile's defaults, then the flags given (argparse has checked
+    each)."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    return argparse.Namespace(**{**defaults(
+        given.get("profile", FLAGS["profile"]["default"])), **given})
 
 
 def build_split(cfg) -> problems.ProblemSplit:
@@ -179,8 +174,6 @@ def write_csv(path, header, rows):
 
 
 def _outdir(cfg) -> Path:
-    if cfg.out is None:
-        raise UsageError(f"{cfg.command} requires --out")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -255,12 +248,12 @@ def _log_state_ranges(trajs):
 
 
 def cmd_collect(cfg) -> int:
-    out = _outdir(cfg)
     split = build_split(cfg)
     t0 = time.perf_counter()
+    # datasets.collect makes --out only when it writes the dataset
     trajs, manifest = datasets.collect(
         cfg.alg, split, (cfg.policy, "random"), cfg.mu, cfg.d, cfg.t,
-        cfg.seed, out_dir=out, n_bins=cfg.bins,
+        cfg.seed, out_dir=cfg.out, n_bins=cfg.bins,
         instance_seed=cfg.instance_seed, workers=cfg.workers)
     rows = [(t.function_id, e, t.perf, t.policy_id)
             for e, t in enumerate(trajs)]
@@ -273,7 +266,7 @@ def cmd_collect(cfg) -> int:
         print(f"warning: exploitation episodes ({cfg.policy}) do not beat "
               f"random ones on mean Perf ({ex:.6f} <= {ra:.6f})",
               file=sys.stderr)
-    print(f"dataset: {out}")
+    print(f"dataset: {Path(cfg.out)}")
     print(f"trajectories: {manifest.D} ({manifest.n_exploitation} "
           f"exploitation / {manifest.n_exploration} exploration)")
     print("policies: " + " ".join(
@@ -317,9 +310,6 @@ def _checkpoint_field(path, extra: dict, key: str, json_type: str):
 
 
 def cmd_train(cfg) -> int:
-    if cfg.data is None:
-        raise UsageError("train requires --data")
-    out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
     _print_exploitation_note(manifest.policy_counts)
 
@@ -343,6 +333,7 @@ def cmd_train(cfg) -> int:
                                     seed=[cfg.seed, 0])
         opt = training.AdamWState.for_params(params)
 
+    out = _outdir(cfg)
     loss_cfg = _loss_config(cfg, params.config, cfg.lam, cfg.beta)
     t0 = time.perf_counter()
     params, history = training.train(trajs, params, loss_cfg,
@@ -368,15 +359,11 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_eval(cfg) -> int:
-    if cfg.ckpt is None:
-        raise UsageError("eval requires --ckpt")
-    out = _outdir(cfg)
     params, _, extra = checkpoint.load_checkpoint(cfg.ckpt)
     # every train checkpoint records the algorithm its model decodes
-    if "alg_id" not in extra:
-        raise ValueError(f"checkpoint {cfg.ckpt} records no alg_id")
     alg_id = _checkpoint_field(cfg.ckpt, extra, "alg_id", "int")
     instances = _test_instances(cfg, build_split(cfg))
+    out = _outdir(cfg)
 
     t0 = time.perf_counter()
     rows = evaluate_policies(params, alg_id, instances, cfg.runs, cfg.t,
@@ -430,9 +417,6 @@ def _remix(trajs, mu):
 
 
 def cmd_ablate(cfg) -> int:
-    if cfg.data is None:
-        raise UsageError("ablate requires --data")
-    out = _outdir(cfg)
     trajs, manifest = datasets.load_dataset(cfg.data)
     _print_exploitation_note(manifest.policy_counts)
     # the bin sweep's kind and instance seed
@@ -447,6 +431,7 @@ def cmd_ablate(cfg) -> int:
     subsets = [_remix(trajs, mu) for mu in mus]
     kind, instance_seed = kinds.pop(), seeds.pop()
     split = build_split(cfg)
+    out = _outdir(cfg)
     t0 = time.perf_counter()
 
     # conservative-weight / backup-weight grid
@@ -644,23 +629,24 @@ _SHARED = ("seed", "out", "profile")
 _TRAINING = ("epochs", "batch", "lr", "wd", "beta", "lam", "gamma",
              "d_model", "d_state", "depth")
 
-#: command -> (run function, help, its flags after the shared ones)
+#: command -> (run function, help, its flags after the shared ones, the
+#: flags it requires)
 COMMANDS = {
     "collect": (cmd_collect, "collect a mu-mixed dataset",
                 ("alg", "mu", "d", "t", "bins", "dim", "functions", "policy",
-                 "instance_seed", "workers")),
+                 "instance_seed", "workers"), ("out",)),
     "train": (cmd_train, "train the decomposed Q-model",
-              ("data", "resume", *_TRAINING, "workers")),
+              ("data", "resume", *_TRAINING, "workers"), ("out", "data")),
     "eval": (cmd_eval, "evaluate a checkpoint on the test functions against "
                        "the random baseline",
              ("ckpt", "t", "dim", "runs", "test_functions", "instance_seed",
-              "workers")),
+              "workers"), ("out", "ckpt")),
     "ablate": (cmd_ablate, "lambda/beta grid, mu sweep, and bin-count sweep",
                ("data", *_TRAINING, "runs", "t", "dim", "test_functions",
-                "instance_seed", "workers")),
+                "instance_seed", "workers"), ("out", "data")),
     "verify": (cmd_verify, "run the numerical verification suite (exit 1 on "
                            "any failure)",
-               ("data", "mdps", "scan_seeds")),
+               ("data", "mdps", "scan_seeds"), ()),
 }
 
 
@@ -670,15 +656,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Offline Q-learning control of evolutionary optimizers: "
                     "dataset collection, training, evaluation, ablations, "
                     "verification.  An argument @FILE stands for FILE's "
-                    "lines, one argument per line (--mu=0.2); a later "
-                    "value of a flag wins.")
+                    "non-blank lines, one argument per line (--mu=0.2); a "
+                    "later value of a flag wins.")
+    parser.convert_arg_line_to_args = \
+        lambda line: [line] if line.strip() else []
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_, names) in COMMANDS.items():
+    for command, (_, help_, names, required) in COMMANDS.items():
         sp = sub.add_parser(command, help=help_)
         for name in _SHARED + names:
+            row = FLAGS[name]
             sp.add_argument("--" + name.replace("_", "-"), dest=name,
-                            **{k: v for k, v in FLAGS[name].items()
-                               if k in _ARGPARSE_KEYS})
+                            type=_flag_type(row), help=row.get("help"),
+                            choices=row.get("choices"),
+                            required=name in required)
     return parser
 
 
@@ -687,9 +677,6 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return COMMANDS[cfg.command][0](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

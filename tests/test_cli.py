@@ -2,7 +2,9 @@ import argparse
 import csv
 import dataclasses
 import inspect
+import itertools
 import json
+import math
 import os
 import re
 import shlex
@@ -41,21 +43,35 @@ def read_csv(path):
 # flag table
 # ---------------------------------------------------------------------------
 
+def _subparsers():
+    """command -> its argparse subparser."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _action(name):
+    """The argparse action of flag ``name`` (the same in every command)."""
+    return next(a for sp in _subparsers().values() for a in sp._actions
+                if a.dest == name)
+
+
 def test_flag_table_matches_parser():
-    used = set(cli._SHARED).union(*(names for _, _, names
+    used = set(cli._SHARED).union(*(names for _, _, names, _
                                      in cli.COMMANDS.values()))
     assert used == set(cli.FLAGS)
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert list(sub.choices) == list(cli.COMMANDS)
-    for command, sp in sub.choices.items():
-        flags = [(a.option_strings, a.dest) for a in sp._actions
+    assert list(_subparsers()) == list(cli.COMMANDS)
+    for command, sp in _subparsers().items():
+        _, _, names, required = cli.COMMANDS[command]
+        flags = [(a.option_strings, a.dest, a.required) for a in sp._actions
                  if a.dest != "help"]
-        assert flags == [(["--" + n.replace("_", "-")], n) for n in
-                         cli._SHARED + cli.COMMANDS[command][2]]
+        assert flags == [(["--" + n.replace("_", "-")], n, n in required)
+                         for n in cli._SHARED + names]
         # no argparse default, so resolve_config sees which flags were given
         assert all(a.default is None for a in sp._actions
                    if a.dest != "help")
+    assert {c: row[3] for c, row in cli.COMMANDS.items()} == {
+        "collect": ("out",), "train": ("out", "data"),
+        "eval": ("out", "ckpt"), "ablate": ("out", "data"), "verify": ()}
 
 
 @pytest.mark.parametrize("profile", cli.PROFILES)
@@ -64,11 +80,54 @@ def test_every_default_meets_its_rule(profile):
         row = cli.FLAGS[name]
         if isinstance(row.get("default"), dict):
             assert set(row["default"]) == set(cli.PROFILES), name
-        cli.check_value(name, value)
         if value is not None:
-            # the default is what its flag's text would parse to
-            parsed = row["type"](str(value))
+            # the default is what its flag's text would parse to, through
+            # the argparse type and choices its flag has
+            action = _action(name)
+            parsed = action.type(str(value))
             assert parsed == value and type(parsed) is type(value), name
+            assert action.choices is None or value in action.choices, name
+
+
+def _required_argv(command, tmp_path):
+    """``--out`` and the other flags command requires, each naming a path
+    under tmp_path."""
+    return [f"--{name}={tmp_path / name}"
+            for name in dict.fromkeys(("out", *cli.COMMANDS[command][3]))]
+
+
+#: (flag, a command that has it, bound key, bound) of every bound in FLAGS
+BOUNDS = [(name, next(c for c, row in cli.COMMANDS.items()
+                      if name in cli._SHARED + row[2]), key, row[key])
+          for name, row in cli.FLAGS.items()
+          for key in ("lo", "gt", "hi") if key in row]
+
+
+@pytest.mark.parametrize("name, command, key, bound", BOUNDS,
+                         ids=[f"{n}-{k}" for n, _, k, _ in BOUNDS])
+def test_bound_is_argparse_usage_error(name, command, key, bound, tmp_path,
+                                      capsys):
+    flag = "--" + name.replace("_", "-")
+    required = _required_argv(command, tmp_path)
+    if key != "gt":
+        # an inclusive bound is itself a value its flag takes
+        args = cli.build_parser().parse_args(
+            [command, f"{flag}={bound}", *required])
+        assert getattr(args, name) == bound
+    # the nearest value outside the bound
+    convert = cli.FLAGS[name]["type"]
+    if key == "gt":
+        outside = convert(bound)
+    elif convert is int:
+        outside = bound - 1 if key == "lo" else bound + 1
+    else:
+        outside = math.nextafter(bound, -math.inf if key == "lo" else math.inf)
+    wording = {"lo": ">=", "gt": ">", "hi": "<="}[key]
+    err = _exits_2([command, f"{flag}={outside!r}", *required], capsys)
+    assert err.startswith(f"usage: dacq {command} ")
+    assert f"error: argument {flag}: must be {wording} {bound}, " \
+           f"got {outside!r}\n" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_paper_defaults_are_the_library_defaults():
@@ -140,6 +199,42 @@ def test_workflow_calls_only_real_commands_and_flags():
                                                     "--calibration")]
 
 
+def _run_blocks(text):
+    """The shell text of each ``run:`` step in a workflow's text: the
+    rest of a one-line ``run:``, or the lines indented under ``run: |``."""
+    blocks, lines = [], text.splitlines()
+    for i, line in enumerate(lines):
+        m = re.match(r"(\s*(?:- )?)run:\s*(.*)$", line)
+        if m is None:
+            continue
+        if m[2] != "|":
+            blocks.append(m[2])
+            continue
+        indent = " " * (len(m[1]) + 2)
+        body = itertools.takewhile(
+            lambda ln: not ln.strip() or ln.startswith(indent), lines[i + 1:])
+        blocks.append("".join(ln[len(indent):] + "\n" for ln in body))
+    return blocks
+
+
+def test_workflow_run_blocks_are_valid_bash():
+    # the workflow has not been seen to run: each step's shell must at
+    # least parse
+    text = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+            / "tier1.yml").read_text(encoding="utf-8")
+    blocks = _run_blocks(text)
+    assert len(blocks) == text.count("run:")
+    assert any("dacq collect" in b for b in blocks)
+
+    def bash_n(block):
+        return subprocess.run(["bash", "-n"], input=block, text=True,
+                              capture_output=True).returncode
+
+    assert [bash_n(b) for b in blocks] == [0] * len(blocks)
+    planted = _run_blocks(text.replace("done\n", "\n", 1))
+    assert [bash_n(b) for b in planted] != [0] * len(blocks)
+
+
 # ---------------------------------------------------------------------------
 # collect
 # ---------------------------------------------------------------------------
@@ -153,25 +248,35 @@ def test_collect_summary_and_files(ds_dir, capsys):
 
 
 def test_collect_missing_out_is_usage_error(capsys):
-    rc = run(["collect", "--alg", "0", "--d", "4", "--t", "3"])
-    assert rc == 2
-    assert "--out" in capsys.readouterr().err
+    err = _exits_2(["collect", "--alg", "0", "--d", "4", "--t", "3"], capsys)
+    assert err.startswith("usage: dacq collect ")
+    assert "error: the following arguments are required: --out\n" in err
 
 
 def test_collect_bad_mu_is_usage_error(tmp_path, capsys):
-    rc = run(["collect", "--mu", "1.5", "--d", "4", "--t", "3",
-              "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "mu" in capsys.readouterr().err
+    err = _exits_2(["collect", "--mu", "1.5", "--d", "4", "--t", "3",
+                    "--out", str(tmp_path / "x")], capsys)
+    assert "error: argument --mu: must be <= 1, got 1.5\n" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--instance-seed"])
 def test_collect_negative_seed_is_usage_error(flag, tmp_path, capsys):
     out = tmp_path / "o"
-    rc = run(["collect", "--d", "4", "--t", "3", flag, "-1",
-              "--out", str(out)])
-    assert rc == 2
-    assert f"{flag} must be >= 0" in capsys.readouterr().err
+    err = _exits_2(["collect", "--d", "4", "--t", "3", flag, "-1",
+                    "--out", str(out)], capsys)
+    assert f"error: argument {flag}: must be >= 0, got -1\n" in err
+    assert not out.exists()
+
+
+def test_failed_collect_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no episode ran")
+
+    monkeypatch.setattr(env, "pmap", fail)
+    out = tmp_path / "o"
+    assert run(["collect", "--d", "4", "--t", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no episode ran\n"
     assert not out.exists()
 
 
@@ -264,29 +369,47 @@ def test_config_key_of_another_command_is_usage_error(tmp_path, capsys,
                                                       command, key, value):
     # a setting the command does not read is named, not ignored
     args = _args_file(tmp_path / "c.args", f"--{key}={value}")
-    err = _exits_2([command, args, "--out", str(tmp_path / "o")], capsys)
+    err = _exits_2([command, args, *_required_argv(command, tmp_path)],
+                   capsys)
     assert f"error: unrecognized arguments: --{key}={value}\n" in err
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["--mu=abc", "--d=4.5", "--seed=x",
                                   "--functions=3,3"])
 def test_bad_value_in_file_is_usage_error(tmp_path, capsys, line):
-    # a file's value goes through its flag's type, as the flag's text does
+    # a file's value goes through its flag's type, as the flag's text
+    # does; the bounds check keeps the converter's name in the message
+    message = {"--mu=abc": "invalid float value: 'abc'",
+               "--d=4.5": "invalid int value: '4.5'",
+               "--seed=x": "invalid int value: 'x'",
+               "--functions=3,3": "expected distinct comma-separated ids in "
+                                  "1..24, got '3,3'"}[line]
     args = _args_file(tmp_path / "c.args", line)
     err = _exits_2(["collect", args, "--out", str(tmp_path / "o")], capsys)
     assert err.startswith("usage: dacq collect ")
-    assert f"error: argument {line.split('=')[0]}: " in err
+    assert f"error: argument {line.split('=')[0]}: {message}\n" in err
     assert not (tmp_path / "o").exists()
 
 
 def test_profile_in_file_gives_its_defaults(tmp_path):
     args = _args_file(tmp_path / "c.args", "--profile=paper")
-    cfg = cli.resolve_config(cli.build_parser().parse_args(["train", args]))
+    required = _required_argv("train", tmp_path)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["train", args, *required]))
     assert (cfg.profile, cfg.epochs, cfg.d_model) == ("paper", 300, 64)
     cfg = cli.resolve_config(cli.build_parser().parse_args(
-        ["train", args, "--epochs", "5"]))
+        ["train", args, "--epochs", "5", *required]))
     assert (cfg.epochs, cfg.d_model) == (5, 64)
+
+
+def test_blank_lines_in_file_are_skipped(tmp_path):
+    # a blank or whitespace-only line stands for no argument
+    args = _args_file(tmp_path / "c.args", "--mu=0.2", "", "  \t", "--d=5",
+                      "")
+    cfg = cli.resolve_config(cli.build_parser().parse_args(
+        ["collect", args, "--out", str(tmp_path / "o")]))
+    assert (cfg.mu, cfg.d) == (0.2, 5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -661,16 +784,19 @@ def test_train_lr_zero_leaves_parameters_at_init(ds_dir, tmp_path):
         assert np.array_equal(arr, fresh.tensors()[name]), name
 
 
-def test_train_missing_data_usage_error(capsys):
-    rc = run(["train", "--out", "/tmp/nowhere"])
-    assert rc == 2
-    assert "--data" in capsys.readouterr().err
+def test_train_missing_data_usage_error(tmp_path, capsys):
+    err = _exits_2(["train", "--out", str(tmp_path / "o")], capsys)
+    assert err.startswith("usage: dacq train ")
+    assert "error: the following arguments are required: --data\n" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_missing_dataset_dir_runtime_error(tmp_path, capsys):
     rc = run(["train", "--data", str(tmp_path / "missing"),
               "--out", str(tmp_path / "o")])
     assert rc == 1
+    # a command that fails on its inputs leaves no output directory
+    assert not (tmp_path / "o").exists()
 
 
 def _malformed_copy(ds_dir, out, edit):
@@ -865,6 +991,7 @@ def test_eval_missing_checkpoint_exit1(tmp_path, capsys):
     rc = run(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
               "--out", str(tmp_path / "o"), "--runs", "1", "--t", "3"])
     assert rc == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_malformed_checkpoint_is_one_error_line(tmp_path, capsys):
@@ -910,7 +1037,8 @@ def test_eval_reads_alg_from_checkpoint(ckpt_path, tmp_path, capsys):
     rc = run(["eval", "--ckpt", str(bare), "--out", str(tmp_path / "o"),
               "--t", "3", "--runs", "1", "--test-functions", "15"])
     assert rc == 1
-    assert f"checkpoint {bare} records no alg_id" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {bare}: missing field 'alg_id'\n")
 
 
 @pytest.mark.parametrize("value", [None, 0.7, "0", True],
@@ -935,7 +1063,7 @@ def test_checkpoint_metadata_of_wrong_type_is_one_error_line(
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: field {key!r} must be an integer, got {value!r}\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_train_resume_on_another_dataset_is_one_error_line(
@@ -954,7 +1082,7 @@ def test_train_resume_on_another_dataset_is_one_error_line(
     assert capsys.readouterr().err == (
         f"error: {ckpt_path}: trained on dataset {trained_on}, --data holds "
         f"{holds}\n")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     # a checksum that is not a string is the typed-field error; an absent
     # one is not checked
     params, opt, extra = checkpoint.load_checkpoint(ckpt_path)
@@ -1024,9 +1152,11 @@ def test_collect_warns_when_exploitation_does_not_beat_random(tmp_path,
 
 @pytest.mark.parametrize("command", ["collect", "train", "eval", "ablate"])
 def test_workers_below_one_is_usage_error(command, tmp_path, capsys):
-    rc = run([command, "--workers", "0", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "--workers must be >= 1" in capsys.readouterr().err
+    err = _exits_2([command, "--workers", "0",
+                    *_required_argv(command, tmp_path)], capsys)
+    assert err.startswith(f"usage: dacq {command} ")
+    assert "error: argument --workers: must be >= 1, got 0\n" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1158,7 +1288,7 @@ def test_ablate_without_both_labels_fails_before_training(mu, tmp_path,
     assert capsys.readouterr().err == (
         "error: dataset lacks the policy mix needed for the mu sweep "
         "(need both labels)\n")
-    assert list(out.glob("*.csv")) == []
+    assert not out.exists()
 
 
 def test_ablate_trains_with_wd(ds_dir, tmp_path, monkeypatch):
